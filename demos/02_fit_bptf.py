@@ -24,9 +24,9 @@ print(f"synthetic tensor: shape {tensor.shape}, density {density(tensor):.4f}")
 config = FitConfig(k=5, max_iterations=300, relative_elbo_tolerance=1e-5, seed=0)
 state, learned_hyper, trace = fit(tensor, config, hyper)
 print(f"converged: {trace.converged} after {trace.n_iterations} sweeps")
-print("first ELBO values:", [round(v, 1) for v in trace.elbos[:4]])
-print("final ELBO:", round(trace.elbos[-1], 1))
-print("ELBO never decreases:", bool(np.all(np.diff(trace.elbos) >= -1e-9)))
+print("first ELBO values:", [round(v, 1) for v in trace.values[:4]])
+print("final ELBO:", round(trace.values[-1], 1))
+print("ELBO never decreases:", bool(np.all(np.diff(trace.values) >= -1e-9)))
 print("learned rate multipliers:", [round(b, 3) for b in learned_hyper.beta])
 
 geo = point_estimate(state, "geometric")

@@ -9,7 +9,6 @@ sparsity of their time profiles.
 
 from .bptf import (
     FitConfig,
-    FitTrace,
     Hyperparameters,
     VariationalState,
     compute_elbo,
@@ -22,7 +21,6 @@ from .bptf import (
     update_beta,
     update_delta,
     update_gamma,
-    write_trace,
 )
 from .components import (
     ComponentSummary,
@@ -33,6 +31,7 @@ from .components import (
 )
 from .cp import (
     FactorSet,
+    Trace,
     generalized_kl,
     load_factors,
     poisson_log_likelihood,
@@ -41,6 +40,7 @@ from .cp import (
     reconstruct_entries,
     save_factors,
     total_recon_mass,
+    write_trace,
 )
 from .errors import (
     ConfigError,
@@ -73,7 +73,6 @@ from .evaluation import (
 from .masking import CellMask, Region, apply_mask, top_block_mask
 from .ntf import (
     NtfConfig,
-    ObjectiveTrace,
     fit_ntf,
     infer_heldout_time_factors_ntf,
     ntf_kl_sweep,
@@ -85,7 +84,6 @@ from .tensors import (
     EventRecord,
     SparseCountTensor,
     TimeSplit,
-    concat_time,
     density,
     ingest_events,
     load_labels,

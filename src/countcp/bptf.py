@@ -11,7 +11,7 @@ and the reconstruction mass has a closed form.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +19,7 @@ from scipy.special import digamma, gammaln
 
 from .cp import (
     FactorSet,
+    _ascend,
     load_matrix,
     read_manifest,
     save_matrix,
@@ -74,19 +75,6 @@ class FitConfig:
         if not self.relative_elbo_tolerance > 0:
             raise ValueError("relative_elbo_tolerance must be positive")
         object.__setattr__(self, "fixed_modes", tuple(int(m) for m in self.fixed_modes))
-
-
-@dataclass
-class FitTrace:
-    """Per-sweep ELBO values plus the hyperparameters in force at each sweep."""
-
-    elbos: list = field(default_factory=list)
-    betas: list = field(default_factory=list)
-    converged: bool = False
-
-    @property
-    def n_iterations(self) -> int:
-        return len(self.elbos)
 
 
 class VariationalState:
@@ -246,22 +234,17 @@ def update_delta(
 
 
 def update_beta(
-    state: VariationalState,
-    mode: int,
-    hyper: Hyperparameters,
-    mean_normalized: bool = False,
+    state: VariationalState, mode: int, hyper: Hyperparameters
 ) -> Hyperparameters:
     """Empirical-Bayes update of one rate multiplier.
 
-    The plain update sets beta[m] to the inverse of the summed arithmetic
-    expectations of the mode's factors.  With ``mean_normalized`` the
-    inverse mean is used instead, which is the exact ELBO maximizer in
-    beta[m] and therefore the variant the fitting loop uses.
+    Sets beta[m] to the inverse mean of the mode's arithmetic expectations,
+    the exact ELBO maximizer in beta[m].
     """
     total = float(state.expect[mode].sum())
     if total <= 0.0:
         raise NumericalDegeneracyError(f"expectation sum vanished in mode {mode}")
-    value = state.expect[mode].size / total if mean_normalized else 1.0 / total
+    value = state.expect[mode].size / total
     beta = list(hyper.beta)
     beta[mode] = value
     return Hyperparameters(alpha=hyper.alpha, beta=tuple(beta))
@@ -347,24 +330,21 @@ def fit(
     if state.shape != t.shape:
         raise ValueError(f"state shape {state.shape} != tensor shape {t.shape}")
     free_modes = [m for m in range(t.ndim) if m not in config.fixed_modes]
-    trace = FitTrace()
-    previous = None
-    for _ in range(config.max_iterations):
+    betas = []
+
+    def sweep():
+        nonlocal hyper
         for mode in free_modes:
             update_gamma(state, t, mode, hyper)
             update_delta(state, t, mode, hyper, region=region)
         if config.learn_beta:
             for mode in free_modes:
-                hyper = update_beta(state, mode, hyper, mean_normalized=True)
-        elbo = compute_elbo(state, t, hyper, region=region)
-        trace.elbos.append(elbo)
-        trace.betas.append(hyper.beta)
-        if previous is not None and abs(elbo - previous) <= (
-            config.relative_elbo_tolerance * abs(previous)
-        ):
-            trace.converged = True
-            break
-        previous = elbo
+                hyper = update_beta(state, mode, hyper)
+        betas.append(hyper.beta)
+        return compute_elbo(state, t, hyper, region=region)
+
+    trace = _ascend(sweep, config.max_iterations, config.relative_elbo_tolerance)
+    trace.betas = betas
     return state, hyper, trace
 
 
@@ -424,7 +404,7 @@ def infer_heldout_time_factors(
 
 
 # ---------------------------------------------------------------------------
-# State files and traces
+# State files
 # ---------------------------------------------------------------------------
 
 
@@ -461,12 +441,3 @@ def load_state(directory):
         beta=tuple(float(b) for b in manifest["beta"].split()),
     )
     return VariationalState(gamma, delta), hyper
-
-
-def write_trace(trace: FitTrace, path) -> None:
-    """Delimited trace: iteration, ELBO, then the rate multipliers."""
-    path = Path(path)
-    with path.open("w") as fh:
-        for i, (elbo, betas) in enumerate(zip(trace.elbos, trace.betas), start=1):
-            beta_text = " ".join(f"{b:.17g}" for b in betas)
-            fh.write(f"{i} {elbo:.17g} {beta_text}\n")

@@ -17,7 +17,7 @@ from pathlib import Path
 from . import bptf as _bptf
 from . import ntf as _ntf
 from .components import write_component_reports
-from .cp import load_factors, save_factors
+from .cp import load_factors, save_factors, write_trace
 from .errors import ConfigError, CountCPError, DataError, NumericalError
 from .evaluation import (
     ExperimentSpec,
@@ -199,12 +199,8 @@ def cmd_fit(args) -> int:
             raise ConfigError(f"--beta needs 1 or {tensor.ndim} values")
         hyper = _bptf.Hyperparameters(alpha=args.alpha, beta=tuple(beta))
         state, hyper, trace = _bptf.fit(tensor, config, hyper)
-        _bptf.save_state(state, hyper, out / "state")
-        _bptf.write_trace(trace, out / "trace.txt")
-        _echo_config(args, out)
-        print(f"elbo {trace.elbos[-1]:.10g}")
-        print(f"iterations {trace.n_iterations} converged {trace.converged}")
-        print(f"wrote {out / 'state'} and {out / 'trace.txt'}")
+        label, bundle = "elbo", out / "state"
+        _bptf.save_state(state, hyper, bundle)
     elif model in ("ntf-kl", "ntf-ls"):
         config = _ntf.NtfConfig(
             k=args.k,
@@ -215,16 +211,15 @@ def cmd_fit(args) -> int:
             epsilon_floor=args.epsilon_floor,
         )
         factors, trace = _ntf.fit_ntf(tensor, config)
-        save_factors(factors, out / "factors", tensor.mode_labels)
-        with (out / "trace.txt").open("w") as fh:
-            for i, value in enumerate(trace.values, start=1):
-                fh.write(f"{i} {value:.17g}\n")
-        _echo_config(args, out)
-        print(f"objective {trace.values[-1]:.10g}")
-        print(f"iterations {trace.n_iterations} converged {trace.converged}")
-        print(f"wrote {out / 'factors'} and {out / 'trace.txt'}")
+        label, bundle = "objective", out / "factors"
+        save_factors(factors, bundle, tensor.mode_labels)
     else:
         raise ConfigError(f"unknown model {model!r}; use bptf, ntf-kl or ntf-ls")
+    write_trace(trace, out / "trace.txt")
+    _echo_config(args, out)
+    print(f"{label} {trace.values[-1]:.10g}")
+    print(f"iterations {trace.n_iterations} converged {trace.converged}")
+    print(f"wrote {bundle} and {out / 'trace.txt'}")
     return 0
 
 

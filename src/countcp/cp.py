@@ -1,4 +1,4 @@
-"""CP reconstruction and the count-tensor objectives shared by all fitters.
+"""CP reconstruction, count-tensor objectives and the ascent loop shared by all fitters.
 
 The reconstruction of cell c is sum_k prod_m factors[m][c_m, k].  Both
 objectives run over every cell of the tensor (or of a masked region), but
@@ -8,6 +8,7 @@ over all cells factorizes into per-mode column sums.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field
 from math import prod
 from pathlib import Path
 
@@ -99,44 +100,19 @@ def reconstruct_dense(f: FactorSet) -> np.ndarray:
 def total_recon_mass(f: FactorSet, region: Region | None = None) -> float:
     """Sum of the reconstruction over all cells (or over a masked region).
 
-    ``region`` may be a Region, whose block structure gives a closed form,
-    or a vectorized coordinate predicate (an (n, M) integer array in, an
-    (n,) boolean array out), which falls back to explicit enumeration of
-    every cell and is only sensible for small shapes.
+    A Region's block structure gives the masked sum in closed form.
     """
     if region is None:
         total = 0.0
         for k in range(f.k):
             total += prod(cs[k] for cs in f.column_sums())
         return float(total)
-    if callable(region):
-        total = 0.0
-        for block in _iter_cells(f.shape):
-            keep = np.asarray(region(block), dtype=bool)
-            if keep.any():
-                total += float(reconstruct_entries(f, block[keep]).sum())
-        return total
     return region.sum_recon(f.factors)
-
-
-def _iter_cells(shape, max_cells: int = 262144):
-    """Chunked enumeration of every coordinate of a dense shape."""
-    total = prod(shape)
-    for lo in range(0, total, max_cells):
-        flat = np.arange(lo, min(lo + max_cells, total))
-        yield np.stack(np.unravel_index(flat, shape), axis=1)
 
 
 def _entry_recon_and_values(f: FactorSet, t: SparseCountTensor, region):
     if region is None:
         coords, values = t.coords, t.values
-    elif callable(region):
-        keep = (
-            np.asarray(region(t.coords), dtype=bool)
-            if t.nnz
-            else np.zeros(0, dtype=bool)
-        )
-        coords, values = t.coords[keep], t.values[keep]
     else:
         coords, values = region.filter_entries(t)
     return reconstruct_entries(f, coords), values.astype(np.float64)
@@ -149,8 +125,7 @@ def poisson_log_likelihood(f: FactorSet, t: SparseCountTensor, region=None) -> f
     to -yhat, so their total is the closed-form reconstruction mass.  A zero
     reconstruction under a positive count makes the result -inf (reported
     as a value, not an exception).  ``region`` restricts the sum to a cell
-    region: a Region keeps the closed-form mass, a coordinate predicate
-    falls back to enumeration (see total_recon_mass).
+    region, keeping the closed-form mass.
     """
     if f.shape != t.shape:
         raise ValueError(f"factor shape {f.shape} != tensor shape {t.shape}")
@@ -179,6 +154,47 @@ def generalized_kl(t: SparseCountTensor, f: FactorSet, region=None) -> float:
 
 
 # ---------------------------------------------------------------------------
+# Coordinate ascent
+# ---------------------------------------------------------------------------
+
+
+@dataclass
+class Trace:
+    """Per-sweep objective of a fit, plus the rate multipliers of a BPTF fit.
+
+    For BPTF ``values`` holds the ELBOs and ``betas`` the rate multipliers in
+    force at each sweep; the multiplicative-update fits leave ``betas`` empty.
+    """
+
+    values: list = field(default_factory=list)
+    betas: list = field(default_factory=list)
+    converged: bool = False
+
+    @property
+    def n_iterations(self) -> int:
+        return len(self.values)
+
+
+def _ascend(sweep, max_iterations: int, tolerance: float) -> Trace:
+    """Run ``sweep`` (one full update, returning the objective) to convergence.
+
+    Stops when the objective changes by at most ``tolerance`` relative to the
+    previous sweep's, or after ``max_iterations`` sweeps; non-convergence is
+    reported in the trace, not raised.
+    """
+    trace = Trace()
+    previous = None
+    for _ in range(max_iterations):
+        value = sweep()
+        trace.values.append(value)
+        if previous is not None and abs(value - previous) <= tolerance * abs(previous):
+            trace.converged = True
+            break
+        previous = value
+    return trace
+
+
+# ---------------------------------------------------------------------------
 # Factor files: per-mode delimited matrices plus a small manifest
 # ---------------------------------------------------------------------------
 
@@ -191,6 +207,15 @@ def save_matrix(matrix, path) -> None:
 
 def load_matrix(path) -> np.ndarray:
     return np.loadtxt(path, dtype=np.float64, ndmin=2)
+
+
+def write_trace(trace: Trace, path) -> None:
+    """Delimited trace: iteration, objective, then any rate multipliers."""
+    betas = trace.betas or [()] * len(trace.values)
+    with Path(path).open("w") as fh:
+        for i, (value, beta) in enumerate(zip(trace.values, betas), start=1):
+            fields = [str(i), f"{value:.17g}", *(f"{b:.17g}" for b in beta)]
+            fh.write(" ".join(fields) + "\n")
 
 
 def write_manifest(path, pairs) -> None:

@@ -102,15 +102,6 @@ class Region:
         keep = self.contains(t.coords)
         return t.coords[keep], t.values[keep]
 
-    def split_tensor(self, t: SparseCountTensor):
-        """Partition a tensor's entries into (inside, outside) tensors."""
-        keep = self.contains(t.coords)
-        inside = SparseCountTensor(t.shape, t.coords[keep], t.values[keep], t.mode_labels)
-        outside = SparseCountTensor(
-            t.shape, t.coords[~keep], t.values[~keep], t.mode_labels
-        )
-        return inside, outside
-
     def density(self, t: SparseCountTensor) -> float:
         """Fraction of the region's cells that are non-zero in ``t``."""
         if self.n_cells == 0:

@@ -11,11 +11,11 @@ zero) only occurs when the floor is explicitly set to 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .cp import FactorSet, generalized_kl, reconstruct_entries, total_recon_mass
+from .cp import FactorSet, _ascend, generalized_kl, reconstruct_entries, total_recon_mass
 from .errors import DegenerateUpdateError, EmptyRegionError, InadmissibleZeroError
 from .masking import CellMask, Region, apply_mask
 from .tensors import SparseCountTensor
@@ -43,16 +43,6 @@ class NtfConfig:
             raise ValueError(f"cost must be one of {COSTS}, got {self.cost!r}")
         if self.epsilon_floor < 0:
             raise ValueError("epsilon_floor must be non-negative")
-
-
-@dataclass
-class ObjectiveTrace:
-    values: list = field(default_factory=list)
-    converged: bool = False
-
-    @property
-    def n_iterations(self) -> int:
-        return len(self.values)
 
 
 def squared_error(
@@ -199,26 +189,21 @@ def init_factors(t: SparseCountTensor, config: NtfConfig) -> FactorSet:
 
 
 def fit_ntf(t: SparseCountTensor, config: NtfConfig):
-    """Multiplicative-update fit; returns (FactorSet, ObjectiveTrace).
+    """Multiplicative-update fit; returns (FactorSet, Trace).
 
     Sweeps the modes in ascending order and stops when the relative change
     of the cost drops below the tolerance or max_iterations is reached.
     """
-    sweep = ntf_kl_sweep if config.cost == "kl" else ntf_ls_sweep
+    update = ntf_kl_sweep if config.cost == "kl" else ntf_ls_sweep
     f = init_factors(t, config)
-    trace = ObjectiveTrace()
-    previous = None
-    for _ in range(config.max_iterations):
+
+    def sweep():
+        nonlocal f
         for mode in range(t.ndim):
-            f = sweep(f, t, mode, epsilon_floor=config.epsilon_floor)
-        value = _objective(t, f, config.cost)
-        trace.values.append(value)
-        if previous is not None and abs(value - previous) <= (
-            config.relative_objective_tolerance * abs(previous)
-        ):
-            trace.converged = True
-            break
-        previous = value
+            f = update(f, t, mode, epsilon_floor=config.epsilon_floor)
+        return _objective(t, f, config.cost)
+
+    trace = _ascend(sweep, config.max_iterations, config.relative_objective_tolerance)
     return f, trace
 
 
@@ -232,7 +217,7 @@ def infer_heldout_time_factors_ntf(
 
     All non-time modes stay frozen at the trained factors; only the time
     mode is updated, with both the numerator and denominator restricted to
-    the observed region.  Returns (FactorSet, ObjectiveTrace) where the
+    the observed region.  Returns (FactorSet, Trace) where the
     factor set's time matrix holds one row per test step.
     """
     n_modes = trained.ndim
@@ -252,18 +237,13 @@ def infer_heldout_time_factors_ntf(
     if mass > 0.0 and total > 0.0:
         f = f.replace_mode(time_mode, time0 * (total / mass))
 
-    sweep = ntf_kl_sweep if config.cost == "kl" else ntf_ls_sweep
-    trace = ObjectiveTrace()
-    previous = None
-    for _ in range(config.max_iterations):
-        f = sweep(f, observed, time_mode, region=observed_region,
-                  epsilon_floor=config.epsilon_floor)
-        value = _objective(observed, f, config.cost, region=observed_region)
-        trace.values.append(value)
-        if previous is not None and abs(value - previous) <= (
-            config.relative_objective_tolerance * abs(previous)
-        ):
-            trace.converged = True
-            break
-        previous = value
+    update = ntf_kl_sweep if config.cost == "kl" else ntf_ls_sweep
+
+    def sweep():
+        nonlocal f
+        f = update(f, observed, time_mode, region=observed_region,
+                   epsilon_floor=config.epsilon_floor)
+        return _objective(observed, f, config.cost, region=observed_region)
+
+    trace = _ascend(sweep, config.max_iterations, config.relative_objective_tolerance)
     return f, trace

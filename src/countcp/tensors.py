@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -386,23 +387,6 @@ def split_time(t: SparseCountTensor, test_fraction: float, seed: int) -> TimeSpl
     )
 
 
-def concat_time(a: SparseCountTensor, b: SparseCountTensor) -> SparseCountTensor:
-    """Concatenate two tensors along the time mode (disjoint step ranges)."""
-    if a.shape[:-1] != b.shape[:-1]:
-        raise ValueError("non-time mode sizes must match")
-    if a.mode_labels[:-1] != b.mode_labels[:-1]:
-        raise LabelMismatchError("non-time mode labels must match")
-    shape = a.shape[:-1] + (a.shape[-1] + b.shape[-1],)
-    coords_b = b.coords.copy()
-    if b.nnz:
-        coords_b[:, -1] += a.shape[-1]
-    coords = np.vstack([a.coords, coords_b]) if (a.nnz or b.nnz) else a.coords
-    values = np.concatenate([a.values, b.values])
-    labels = [list(lab) for lab in a.mode_labels[:-1]]
-    labels.append(list(a.mode_labels[-1]) + list(b.mode_labels[-1]))
-    return SparseCountTensor(shape, coords, values, labels)
-
-
 # ---------------------------------------------------------------------------
 # File formats
 # ---------------------------------------------------------------------------
@@ -466,22 +450,35 @@ def save_tensor(t: SparseCountTensor, path) -> None:
 
 
 def load_tensor(path, labels_path=None) -> SparseCountTensor:
-    """Read the coordinate-list format; duplicate coordinates are summed."""
+    """Read the coordinate-list format; duplicate coordinates are summed.
+
+    Errors name the offending line: a non-integer field, a wrong field
+    count, a mode size below 1, a coordinate outside the shape, or a count
+    outside 1 .. 2**63 - 1.
+    """
     path = Path(path)
     with path.open() as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+        lines = [(n, ln) for n, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:
         raise IngestionError(f"{path}: empty tensor file")
+    n, head = lines[0]
     try:
-        shape = tuple(int(tok) for tok in lines[0].split())
+        shape = tuple(int(tok) for tok in head.split())
+        if min(shape) < 1:
+            raise ValueError("mode sizes must be positive")
         entries = []
-        for ln in lines[1:]:
+        for n, ln in lines[1:]:
             toks = [int(tok) for tok in ln.split()]
             if len(toks) != len(shape) + 1:
                 raise ValueError(f"expected {len(shape) + 1} fields, got {len(toks)}")
-            entries.append((toks[:-1], toks[-1]))
+            coord, count = toks[:-1], toks[-1]
+            if min(coord) < 0 or not all(map(operator.lt, coord, shape)):
+                raise ValueError(f"coordinate {tuple(coord)} outside shape {shape}")
+            if not 1 <= count < 2**63:
+                raise ValueError(f"count {count} is not in 1 .. 2**63 - 1")
+            entries.append((coord, count))
     except ValueError as exc:
-        raise IngestionError(f"{path}: {exc}") from exc
+        raise IngestionError(f"{path}: line {n}: {exc}") from exc
     labels = load_labels(labels_path, shape) if labels_path else None
     return SparseCountTensor.from_entries(shape, entries, labels, sum_duplicates=True)
 
@@ -506,7 +503,10 @@ def load_labels(path, shape) -> list[list[str]]:
             parts = raw.rstrip("\n").split("\t")
             if len(parts) != 3:
                 raise IngestionError(f"{path}: line {ln}: expected 3 tab-separated fields")
-            m, i, lab = int(parts[0]), int(parts[1]), parts[2]
+            try:
+                m, i, lab = int(parts[0]), int(parts[1]), parts[2]
+            except ValueError as exc:
+                raise IngestionError(f"{path}: line {ln}: {exc}") from exc
             if not (0 <= m < len(shape)) or not (0 <= i < shape[m]):
                 raise IngestionError(f"{path}: line {ln}: index out of range")
             labels[m][i] = lab

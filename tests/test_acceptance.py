@@ -68,7 +68,7 @@ def test_criterion_01_elbo_monotonicity():
             k=k, max_iterations=40, relative_elbo_tolerance=1e-8, seed=seed
         )
         _, _, trace = fit(t, config, Hyperparameters.default(4, alpha=0.1))
-        elbos = np.asarray(trace.elbos)
+        elbos = np.asarray(trace.values)
         slack = np.abs(elbos[:-1]) * 1e-10
         drops = (np.diff(elbos) + slack) < 0
         worst = min(worst, float(np.diff(elbos).min(initial=0.0)))

@@ -203,7 +203,7 @@ class TestUpdateBeta:
         state = make_state((5, 2, 2, 2), 2, hyper, seed=0)
         state.expect[0][:] = 1.0
         new = update_beta(state, 0, hyper)
-        assert new.beta[0] == pytest.approx(1.0 / 10.0, rel=1e-15)
+        assert new.beta[0] == pytest.approx(1.0, rel=1e-15)
 
     def test_single_expectation(self, rng):
         hyper = Hyperparameters.default(4)
@@ -215,14 +215,13 @@ class TestUpdateBeta:
     def test_matches_direct_summation_oracle(self, rng):
         hyper = Hyperparameters.default(4)
         state = randomized_state((4, 3, 2, 5), 3, rng)
-        total = 0.0
+        total, count = 0.0, 0
         for row in state.expect[1]:
             for value in row:
                 total += value
+                count += 1
         new = update_beta(state, 1, hyper)
-        assert new.beta[1] == pytest.approx(1.0 / total, rel=1e-12)
-        normalized = update_beta(state, 1, hyper, mean_normalized=True)
-        assert normalized.beta[1] == pytest.approx(state.expect[1].size / total, rel=1e-12)
+        assert new.beta[1] == pytest.approx(count / total, rel=1e-12)
 
 
 def prior_only_elbo_oracle(state, hyper):
@@ -341,7 +340,7 @@ class TestComputeElbo:
             _, _, trace = fit(
                 t, FitConfig(k=3, max_iterations=25, seed=seed), Hyperparameters.default(4)
             )
-            elbos = np.array(trace.elbos)
+            elbos = np.array(trace.values)
             drops = np.diff(elbos) < -np.abs(elbos[:-1]) * 1e-10
             assert not drops.any()
 

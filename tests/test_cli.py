@@ -2,8 +2,12 @@
 
 import hashlib
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from countcp.cli import main
 
@@ -116,6 +120,87 @@ class TestFitCommand:
         )
         assert code == 0
         assert sha(out2 / "factors" / "factors_mode0.txt") == checksum
+
+
+def labels_text(shape):
+    return "".join(f"{m}\t{i}\tL{m}.{i}\n" for m, s in enumerate(shape) for i in range(s))
+
+
+def fit_files(directory, tensor_text, labels):
+    directory = Path(directory)
+    (directory / "tensor.txt").write_text(tensor_text)
+    (directory / "labels.txt").write_text(labels)
+    return main(
+        [
+            "fit",
+            "--tensor", str(directory / "tensor.txt"),
+            "--labels", str(directory / "labels.txt"),
+            "--model", "bptf",
+            "--k", "1",
+            "--max-iterations", "1",
+            "--output-dir", str(directory / "out"),
+        ]
+    )
+
+
+GOOD_LABELS = labels_text((3, 3, 2))
+
+
+class TestMalformedFitInput:
+    @pytest.mark.parametrize(
+        "tensor_text, labels, bad_line",
+        [
+            ("3 3 2\n0 1 0 2\n2 3 1 1\n", GOOD_LABELS, 3),
+            ("3 3 2\n0 -1 0 2\n", GOOD_LABELS, 2),
+            ("3 3 2\n0 1 0 2\n\n1 1 1 0\n", GOOD_LABELS, 4),
+            ("3 3 2\n0 1 0 -2\n", GOOD_LABELS, 2),
+            ("3 0 2\n0 1 0 2\n", GOOD_LABELS, 1),
+            ("3 3 2\n0 1 0 2\n", GOOD_LABELS.replace("0\t1\t", "x\t1\t"), 2),
+            ("3 3 2\n0 1 0 2\n", GOOD_LABELS.replace("1\t0\t", "1\t0.5\t"), 4),
+        ],
+        ids=[
+            "coordinate-past-mode-size",
+            "negative-coordinate",
+            "zero-count-after-blank-line",
+            "negative-count",
+            "zero-mode-size",
+            "labels-non-integer-mode",
+            "labels-non-integer-index",
+        ],
+    )
+    def test_exits_2_naming_the_line(self, tmp_path, capsys, tensor_text, labels, bad_line):
+        assert fit_files(tmp_path, tensor_text, labels) == 2
+        assert f"line {bad_line}:" in capsys.readouterr().err
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_one_corrupted_token_never_raises(self, data):
+        shape = data.draw(st.lists(st.integers(1, 5), min_size=2, max_size=4))
+        entries = data.draw(
+            st.lists(
+                st.tuples(*(st.integers(0, s - 1) for s in shape), st.integers(1, 5)),
+                min_size=1,
+                max_size=4,
+            )
+        )
+        files = {
+            " ": [list(map(str, shape))] + [list(map(str, e)) for e in entries],
+            "\t": [line.split("\t") for line in labels_text(shape).splitlines()],
+        }
+        sep = data.draw(st.sampled_from(sorted(files)))
+        lines = files[sep]
+        row = data.draw(st.integers(0, len(lines) - 1))
+        col = data.draw(st.integers(0, len(lines[row]) - 1))
+        token = data.draw(
+            st.one_of(st.integers(-3, 9).map(str), st.sampled_from(["", "x", "1.5"]))
+        )
+        lines[row][col] = token
+        tensor_text, labels = (
+            "\n".join(sep.join(t for t in line if t) for line in files[s]) + "\n"
+            for s in (" ", "\t")
+        )
+        with tempfile.TemporaryDirectory() as directory:
+            assert fit_files(directory, tensor_text, labels) in (0, 1, 2)
 
 
 @pytest.fixture

@@ -158,40 +158,6 @@ class TestObjectiveEquivalence:
 
 
 class TestMaskedObjectives:
-    def test_coordinate_predicate_agrees_with_region(self, rng):
-        shape = (4, 4, 2, 3)
-        t = random_tensor(shape, rng, nnz=20)
-        f = random_factors(shape, 2, rng)
-        region = Region(shape, rows=[0, 2], cols=[1, 3], complement=True)
-        predicate = region.contains
-        assert poisson_log_likelihood(f, t, predicate) == pytest.approx(
-            poisson_log_likelihood(f, t, region), rel=1e-12
-        )
-        assert generalized_kl(t, f, predicate) == pytest.approx(
-            generalized_kl(t, f, region), rel=1e-12
-        )
-
-    def test_non_block_predicate_matches_dense_loop(self, rng):
-        # a parity mask is not a block product, so the mass is enumerated
-        shape = (3, 4, 2, 3)
-        t = random_tensor(shape, rng, nnz=15)
-        f = random_factors(shape, 2, rng)
-
-        def checkerboard(coords):
-            return (np.asarray(coords).sum(axis=1) % 2) == 0
-
-        dense_y = t.todense().astype(float)
-        dense_yhat = reconstruct_dense(f)
-        ll = kl = 0.0
-        for coord in np.ndindex(*shape):
-            if sum(coord) % 2 != 0:
-                continue
-            y, yhat = dense_y[coord], dense_yhat[coord]
-            ll += (y * math.log(yhat) if y > 0 else 0.0) - yhat - math.lgamma(y + 1)
-            kl += (y * math.log(y / yhat) - y if y > 0 else 0.0) + yhat
-        assert poisson_log_likelihood(f, t, checkerboard) == pytest.approx(ll, rel=1e-12)
-        assert generalized_kl(t, f, checkerboard) == pytest.approx(kl, rel=1e-12)
-
     @pytest.mark.parametrize("complement", [False, True])
     def test_masked_sums_match_explicit_enumeration(self, rng, complement):
         shape = (4, 4, 2, 3)

@@ -145,12 +145,3 @@ class TestRegionSums:
         region = Region((3, 3, 2), rows=[], cols=[1], complement=False)
         assert region.n_cells == 0
         assert list(region.iter_cell_blocks()) == []
-
-    def test_split_tensor_partitions_the_entries(self, rng):
-        t = random_tensor((5, 5, 2, 3), rng, nnz=30)
-        region = Region(t.shape, rows=[0, 1, 4], cols=[2, 3], complement=True)
-        inside, outside = region.split_tensor(t)
-        assert inside.nnz + outside.nnz == t.nnz
-        assert inside.total_count + outside.total_count == t.total_count
-        assert np.all(region.contains(inside.coords))
-        assert not np.any(region.contains(outside.coords))

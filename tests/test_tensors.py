@@ -13,7 +13,6 @@ from countcp import (
     SparseCountTensor,
     SplitError,
     UndefinedStatisticError,
-    concat_time,
     density,
     ingest_events,
     load_labels,
@@ -152,14 +151,6 @@ class TestDensity:
         entries += [((i, (i + 1) % 2, 1, 1), 2) for i in range(2)]
         t = SparseCountTensor.from_entries((2, 2, 2, 2), entries)
         assert density(t) == 4 / 16
-
-    def test_concatenation_combines_by_cell_count(self, rng):
-        a = random_tensor((3, 3, 2, 4), rng, nnz=10)
-        b = random_tensor((3, 3, 2, 6), rng, nnz=20)
-        cat = concat_time(a, b)
-        cells_a, cells_b = 3 * 3 * 2 * 4, 3 * 3 * 2 * 6
-        expected = (density(a) * cells_a + density(b) * cells_b) / (cells_a + cells_b)
-        assert density(cat) == pytest.approx(expected, rel=0, abs=0)
 
 
 class TestVmr:
