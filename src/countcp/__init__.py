@@ -35,7 +35,6 @@ from .cp import (
     generalized_kl,
     load_factors,
     poisson_log_likelihood,
-    reconstruct,
     reconstruct_dense,
     reconstruct_entries,
     save_factors,

@@ -25,7 +25,12 @@ from .cp import (
     save_matrix,
     write_manifest,
 )
-from .errors import EmptyRegionError, NumericalDegeneracyError, NumericalError
+from .errors import (
+    ConfigError,
+    EmptyRegionError,
+    NumericalDegeneracyError,
+    NumericalError,
+)
 from .masking import CellMask, Region, apply_mask
 from .tensors import SparseCountTensor
 
@@ -44,9 +49,9 @@ class Hyperparameters:
     def __post_init__(self):
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
         if not self.alpha > 0:
-            raise ValueError("alpha must be positive")
+            raise ConfigError("alpha must be positive")
         if any(b <= 0 for b in self.beta):
-            raise ValueError("every beta must be positive")
+            raise ConfigError("every beta must be positive")
 
     @classmethod
     def default(cls, n_modes: int, alpha: float = 0.1, beta: float = 1.0):
@@ -69,11 +74,13 @@ class FitConfig:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ValueError("k must be a positive integer")
+            raise ConfigError("k must be a positive integer")
         if self.max_iterations < 1:
-            raise ValueError("max_iterations must be positive")
+            raise ConfigError("max_iterations must be positive")
         if not self.relative_elbo_tolerance > 0:
-            raise ValueError("relative_elbo_tolerance must be positive")
+            raise ConfigError("relative_elbo_tolerance must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         object.__setattr__(self, "fixed_modes", tuple(int(m) for m in self.fixed_modes))
 
 
@@ -136,19 +143,6 @@ class VariationalState:
             [e.copy() for e in self.expect],
             [g.copy() for g in self.gexpect],
         )
-
-    @classmethod
-    def from_point_estimate(cls, factors: FactorSet, rate: float = 1.0):
-        """Seed both expectation caches directly from a positive factor set.
-
-        The caches deliberately coincide (arithmetic == geometric), which no
-        exact Gamma satisfies; the next refresh restores consistency.  This
-        is how a multiplicative-update solution warm-starts a Bayesian fit.
-        """
-        gamma = [np.maximum(f, 1e-300) * rate for f in factors.factors]
-        delta = [np.full_like(f, rate) for f in factors.factors]
-        caches = [f.copy() for f in factors.factors]
-        return cls(gamma, delta, expect=caches, gexpect=[c.copy() for c in caches])
 
 
 def init_state(shape, config: FitConfig, hyper: Hyperparameters, jitter: float = 1.0):

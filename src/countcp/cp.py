@@ -61,20 +61,6 @@ class FactorSet:
         return [f.sum(axis=0) for f in self.factors]
 
 
-def reconstruct(f: FactorSet, coord) -> float:
-    """Reconstruction at one coordinate: sum over components of the factor product."""
-    coord = tuple(int(c) for c in coord)
-    if len(coord) != f.ndim:
-        raise IndexError(f"coordinate has {len(coord)} modes, factors have {f.ndim}")
-    for m, c in enumerate(coord):
-        if not 0 <= c < f.factors[m].shape[0]:
-            raise IndexError(f"coordinate {coord} out of range in mode {m}")
-    parts = f.factors[0][coord[0]].copy()
-    for m in range(1, f.ndim):
-        parts *= f.factors[m][coord[m]]
-    return float(parts.sum())
-
-
 def reconstruct_entries(f: FactorSet, coords) -> np.ndarray:
     """Vectorized reconstruction at an (n, M) array of coordinates."""
     coords = np.asarray(coords, dtype=np.int64)

@@ -4,16 +4,20 @@ The protocol: sort actors by overall activity, split time steps into train
 and test, fit each model on the training tensor, infer time factors for
 each test slice from the observed part of an actor-pair mask, then score
 the reconstruction of the heldout part.  Scores are averaged over several
-random splits.  Zero cells of the heldout region are never materialized:
-the absolute-error mass over zeros has a closed form and the thresholded
-zero count streams over the region in blocks.
+random splits.  Each split is fitted once per model and shared by every
+mask scored on it.  Zero cells of the heldout region are never
+materialized: the absolute-error mass over zeros has a closed form, and
+the thresholded count takes one matrix product per actor row against the
+Khatri-Rao product of the remaining modes.
 """
 
 from __future__ import annotations
 
 import json
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +30,7 @@ from .masking import Region, top_block_mask
 from .tensors import SparseCountTensor, sort_by_activity, split_time, vmr_of_counts
 
 MODEL_NAMES = ("ntf-ls", "ntf-kl", "bptf-geo", "bptf-ari")
+_BPTF_KINDS = {"bptf-geo": "geometric", "bptf-ari": "arithmetic"}
 METRIC_NAMES = ("mae", "mae_nz", "ham_z")
 
 
@@ -70,17 +75,12 @@ def ham_z(predictions, truth) -> float:
     return float((predictions[zero] > 0.5).mean())
 
 
-def region_metrics(
-    f: FactorSet,
-    truth: SparseCountTensor,
-    region: Region,
-    block_cells: int = 262144,
-) -> dict:
+def region_metrics(f: FactorSet, truth: SparseCountTensor, region: Region) -> dict:
     """MAE, MAE-NZ and HAM-Z of a factor set's reconstruction over a region.
 
     The absolute error over zero cells is the region's reconstruction mass
-    minus the mass on non-zero cells; only the 0.5-threshold count streams
-    over the region's cells, in blocks, so nothing dense is ever built.
+    minus the mass on non-zero cells; the 0.5-threshold count over the
+    region comes from row-wise matrix products, so nothing dense is built.
     """
     n_cells = region.n_cells
     if n_cells == 0:
@@ -92,11 +92,7 @@ def region_metrics(
     # closed form, clamped against rounding when the region is all non-zero
     zero_mass = max(0.0, region.sum_recon(f.factors) - float(yhat_nz.sum()))
     n_zero = n_cells - coords.shape[0]
-
-    over_total = 0
-    for block in region.iter_cell_blocks(block_cells):
-        over_total += int((reconstruct_entries(f, block) > 0.5).sum())
-    over_zero = over_total - int((yhat_nz > 0.5).sum())
+    over_zero = region.count_recon_above(f.factors, 0.5) - int((yhat_nz > 0.5).sum())
 
     return {
         "mae": (nz_err + zero_mass) / n_cells,
@@ -139,6 +135,8 @@ class ExperimentSpec:
         object.__setattr__(self, "models", tuple(self.models))
         if not self.seeds:
             raise SpecValidationError("at least one split seed is required")
+        if min(self.seeds) < 0:
+            raise SpecValidationError("split seeds must be non-negative")
         unknown = [m for m in self.models if m not in MODEL_NAMES]
         if unknown:
             raise SpecValidationError(f"unknown models {unknown}")
@@ -157,7 +155,7 @@ class SplitScores:
     seed: int
     density: float
     vmr: float
-    model_metrics: dict
+    model_metrics: dict = field(default_factory=dict)
     failures: dict = field(default_factory=dict)
 
 
@@ -222,116 +220,96 @@ def _validate_spec(spec: ExperimentSpec, t: SparseCountTensor) -> None:
         raise SpecValidationError("mask leaves an empty heldout region")
 
 
-def _bptf_predictions(train, test, observed_mask, spec, seed, kinds):
-    config = _bptf.FitConfig(
+def _fit_bptf(train, seed, config, hyper, kinds):
+    """Fit BPTF once; returns a predictor from (test slice, mask) to the
+    point estimates named in ``kinds``."""
+    config = replace(config, seed=seed)
+    state, learned_hyper, _ = _bptf.fit(train, config, hyper)
+
+    def predict(test, mask):
+        heldout, _ = _bptf.infer_heldout_time_factors(
+            state, learned_hyper, test, mask, config
+        )
+        return {name: _bptf.point_estimate(heldout, kind) for name, kind in kinds.items()}
+
+    return predict
+
+
+def _fit_ntf(train, seed, config):
+    """Fit one multiplicative-update baseline once; returns its predictor."""
+    config = replace(config, seed=seed)
+    factors, _ = _ntf.fit_ntf(train, config)
+
+    def predict(test, mask):
+        heldout, _ = _ntf.infer_heldout_time_factors_ntf(factors, test, mask, config)
+        return {f"ntf-{config.cost}": heldout}
+
+    return predict
+
+
+def _trainers(spec: ExperimentSpec, n_modes: int) -> list:
+    """(model names, train) pairs for the spec's models, fitted in this order.
+
+    ``train(tensor, seed)`` fits once and returns a predictor.  Every model
+    config is built here, so an invalid value fails before the first fit.
+    """
+    bptf_config = _bptf.FitConfig(
         k=spec.k,
         max_iterations=spec.max_iterations,
         relative_elbo_tolerance=spec.tolerance,
-        seed=seed,
     )
-    hyper = _bptf.Hyperparameters.default(train.ndim, alpha=spec.alpha)
-    state, learned_hyper, _ = _bptf.fit(train, config, hyper)
-    heldout_state, _ = _bptf.infer_heldout_time_factors(
-        state, learned_hyper, test, observed_mask, config
-    )
-    out = {}
-    for kind in kinds:
-        out[kind] = _bptf.point_estimate(heldout_state, kind)
-    return out
+    hyper = _bptf.Hyperparameters.default(n_modes, alpha=spec.alpha)
+    kinds = {name: kind for name, kind in _BPTF_KINDS.items() if name in spec.models}
+    fit_bptf = partial(_fit_bptf, config=bptf_config, hyper=hyper, kinds=kinds)
+    trainers = [(tuple(kinds), fit_bptf)]
+    for cost in _ntf.COSTS:
+        config = _ntf.NtfConfig(
+            k=spec.k,
+            max_iterations=spec.max_iterations,
+            relative_objective_tolerance=spec.tolerance,
+            cost=cost,
+            epsilon_floor=spec.epsilon_floor,
+        )
+        trainers.append(((f"ntf-{cost}",), partial(_fit_ntf, config=config)))
+    return [(names, fit) for names, fit in trainers if set(names) & set(spec.models)]
 
 
-def _ntf_predictions(train, test, observed_mask, spec, seed, cost):
-    config = _ntf.NtfConfig(
-        k=spec.k,
-        max_iterations=spec.max_iterations,
-        relative_objective_tolerance=spec.tolerance,
-        seed=seed,
-        cost=cost,
-        epsilon_floor=spec.epsilon_floor,
-    )
-    factors, _ = _ntf.fit_ntf(train, config)
-    heldout_factors, _ = _ntf.infer_heldout_time_factors_ntf(
-        factors, test, observed_mask, config
-    )
-    return heldout_factors
+def _failure(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
-def _run_split(spec: ExperimentSpec, sorted_t, observed_mask, seed: int) -> SplitScores:
+def _run_seed(spec: ExperimentSpec, trainers, sorted_t, masks, seed: int) -> list:
+    """One split seed: split once, fit each model once, then infer and score
+    every mask's heldout region.  Returns one SplitScores per mask."""
     ts = split_time(sorted_t, spec.test_fraction, seed)
-    heldout_region = Region.from_mask(ts.test.shape, observed_mask).invert()
-    _, heldout_values = heldout_region.filter_entries(ts.test)
-    try:
-        vmr = vmr_of_counts(heldout_values)
-    except UndefinedStatisticError:
-        vmr = math.nan
-    split = SplitScores(
-        seed=seed,
-        density=heldout_region.density(ts.test),
-        vmr=vmr,
-        model_metrics={},
-    )
-
-    bptf_kinds = [m.split("-")[1] for m in spec.models if m.startswith("bptf-")]
-    if bptf_kinds:
-        kind_names = {"geo": "geometric", "ari": "arithmetic"}
+    regions = [Region.from_mask(ts.test.shape, mask).invert() for mask in masks]
+    splits = []
+    for region in regions:
+        _, heldout_values = region.filter_entries(ts.test)
         try:
-            estimates = _bptf_predictions(
-                ts.train, ts.test, observed_mask, spec, seed,
-                [kind_names[k] for k in bptf_kinds],
-            )
-            for short, kind in kind_names.items():
-                if short in bptf_kinds:
-                    split.model_metrics[f"bptf-{short}"] = region_metrics(
-                        estimates[kind], ts.test, heldout_region
-                    )
-        except Exception as exc:  # recorded, not fatal for other models
-            for short in bptf_kinds:
-                split.failures[f"bptf-{short}"] = f"{type(exc).__name__}: {exc}"
-    for cost in ("kl", "ls"):
-        name = f"ntf-{cost}"
-        if name not in spec.models:
+            vmr = vmr_of_counts(heldout_values)
+        except UndefinedStatisticError:
+            vmr = math.nan
+        splits.append(SplitScores(seed, region.density(ts.test), vmr))
+
+    for names, train in trainers:
+        try:
+            predict = train(ts.train, seed)
+        except Exception as exc:  # recorded in every row, not fatal for other models
+            for split in splits:
+                split.failures.update(dict.fromkeys(names, _failure(exc)))
             continue
-        try:
-            factors = _ntf_predictions(
-                ts.train, ts.test, observed_mask, spec, seed, cost
-            )
-            split.model_metrics[name] = region_metrics(
-                factors, ts.test, heldout_region
-            )
-        except Exception as exc:
-            split.failures[name] = f"{type(exc).__name__}: {exc}"
-    return split
+        for split, mask, region in zip(splits, masks, regions):
+            try:
+                for name, f in predict(ts.test, mask).items():
+                    split.model_metrics[name] = region_metrics(f, ts.test, region)
+            except Exception as exc:
+                split.failures.update(dict.fromkeys(names, _failure(exc)))
+    return splits
 
 
-def run_experiment(
-    spec: ExperimentSpec, t: SparseCountTensor, max_workers: int = 1
-) -> EvalReport:
-    """Run one scenario: split, fit, infer, score, average over splits.
-
-    A model failure is recorded per model and per split; the remaining
-    models are still reported.  Splits are independent and may run on
-    worker threads; results are assembled in seed order, so identical
-    spec, tensor and seeds give a bit-identical report either way.
-    """
-    _validate_spec(spec, t)
-    sorted_t, _ = sort_by_activity(t)
-    observed_mask = top_block_mask(
-        spec.n_prime, complement=not spec.predict_complement
-    )
-
-    if max_workers > 1 and len(spec.seeds) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            splits = list(
-                pool.map(
-                    lambda seed: _run_split(spec, sorted_t, observed_mask, seed),
-                    spec.seeds,
-                )
-            )
-    else:
-        splits = [_run_split(spec, sorted_t, observed_mask, s) for s in spec.seeds]
-
+def _scenario(spec: ExperimentSpec, splits: list) -> ScenarioResult:
+    """Average one scenario's split scores; keep each model's first failure."""
     averaged = {}
     failures = {}
     for name in spec.models:
@@ -344,7 +322,7 @@ def run_experiment(
         messages = [sp.failures[name] for sp in splits if name in sp.failures]
         if messages:
             failures[name] = messages[0]
-    scenario = ScenarioResult(
+    return ScenarioResult(
         label=spec.scenario_label(),
         density=float(np.mean([sp.density for sp in splits])),
         vmr=float(np.mean([sp.vmr for sp in splits])),
@@ -352,7 +330,14 @@ def run_experiment(
         splits=splits,
         failures=failures,
     )
-    return EvalReport(scenarios=[scenario])
+
+
+def run_experiment(
+    spec: ExperimentSpec, t: SparseCountTensor, max_workers: int = 1
+) -> EvalReport:
+    """Run one scenario: the one-row case of ``run_table``."""
+    side = "complement" if spec.predict_complement else "block"
+    return run_table(spec, {spec.source: t}, [spec.n_prime], (side,), max_workers)
 
 
 def run_table(
@@ -365,21 +350,52 @@ def run_table(
     """Build a multi-row report: one row per source, block size and side.
 
     ``tensors`` maps a source label to its tensor; ``scenarios`` selects
-    whether the dense block, its complement, or both are predicted.
+    whether the dense block, its complement, or both are predicted.  Every
+    spec and model config is validated before the first fit.  Per source
+    and split seed, the tensor is split once and each model fitted once;
+    the fits serve every block size and side, which differ only in heldout
+    inference and scoring.  A model failure is recorded per model and per
+    split; the remaining models are still reported.  Seeds are independent
+    and may run on worker threads; results are assembled in seed order, so
+    identical inputs give a bit-identical report either way.
     """
-    rows = []
+    sources = []
     for source, tensor in tensors.items():
-        for n_prime in n_primes:
-            for side in scenarios:
-                spec = replace(
-                    base_spec,
-                    source=source,
-                    n_prime=n_prime,
-                    predict_complement=(side == "complement"),
-                )
-                rows.extend(
-                    run_experiment(spec, tensor, max_workers=max_workers).scenarios
-                )
+        specs = [
+            replace(
+                base_spec,
+                source=source,
+                n_prime=n_prime,
+                predict_complement=(side == "complement"),
+            )
+            for n_prime in n_primes
+            for side in scenarios
+        ]
+        for spec in specs:
+            _validate_spec(spec, tensor)
+        sources.append((specs, tensor, _trainers(base_spec, tensor.ndim)))
+
+    rows = []
+    for specs, tensor, trainers in sources:
+        if not specs:
+            continue
+        sorted_t, _ = sort_by_activity(tensor)
+        masks = [
+            top_block_mask(s.n_prime, complement=not s.predict_complement) for s in specs
+        ]
+
+        def run_seed(seed):
+            return _run_seed(base_spec, trainers, sorted_t, masks, seed)
+
+        if max_workers > 1 and len(base_spec.seeds) > 1:
+            with ThreadPoolExecutor(max_workers=max_workers) as pool:
+                per_seed = list(pool.map(run_seed, base_spec.seeds))
+        else:
+            per_seed = [run_seed(seed) for seed in base_spec.seeds]
+        rows += [
+            _scenario(spec, [splits[j] for splits in per_seed])
+            for j, spec in enumerate(specs)
+        ]
     return EvalReport(scenarios=rows)
 
 

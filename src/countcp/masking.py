@@ -69,10 +69,6 @@ class Region:
     def from_mask(cls, shape, mask: CellMask) -> "Region":
         return cls(shape, mask.rows, mask.cols, mask.complement)
 
-    @classmethod
-    def full(cls, shape) -> "Region":
-        return cls(shape, range(shape[0]), range(shape[1]), complement=False)
-
     def invert(self) -> "Region":
         return Region(self.shape, self.rows, self.cols, not self.complement)
 
@@ -203,45 +199,29 @@ class Region:
             out[~member] = this[~member] @ (g_full * tail)
         return out
 
-    # -- enumeration ------------------------------------------------------
+    def count_recon_above(self, mats, threshold: float) -> int:
+        """Number of region cells whose CP reconstruction exceeds ``threshold``.
 
-    def _pair_lists(self):
-        if not self.complement:
-            ii = np.repeat(self.rows, self.cols.size)
-            jj = np.tile(self.cols, self.rows.size)
-            return ii, jj
-        grid = np.ones((self.shape[0], self.shape[1]), dtype=bool)
-        grid[np.ix_(self.rows, self.cols)] = False
-        ii, jj = np.nonzero(grid)
-        return ii.astype(np.int64), jj.astype(np.int64)
-
-    def iter_cell_blocks(self, max_cells: int = 262144):
-        """Yield (n, M) coordinate blocks covering the region exactly once.
-
-        Streams the region in chunks of whole actor pairs so that callers
-        never hold more than roughly ``max_cells`` coordinates at a time.
+        The Khatri-Rao product of modes 2.. is built once; each mode-0 row
+        then reconstructs its region columns against it with one matrix
+        product, so no coordinate list is ever gathered.
         """
-        ii, jj = self._pair_lists()
-        if ii.size == 0:
-            return
-        tail_sizes = self.shape[2:]
-        tail_cells = prod(tail_sizes)
-        tail_grid = None
-        if tail_sizes:
-            tail_grid = np.stack(
-                [g.ravel() for g in np.meshgrid(*[np.arange(s) for s in tail_sizes], indexing="ij")],
-                axis=1,
-            )
-        pairs_per_block = max(1, max_cells // max(tail_cells, 1))
-        for lo in range(0, ii.size, pairs_per_block):
-            hi = min(lo + pairs_per_block, ii.size)
-            npair = hi - lo
-            block = np.empty((npair * tail_cells, len(self.shape)), dtype=np.int64)
-            block[:, 0] = np.repeat(ii[lo:hi], tail_cells)
-            block[:, 1] = np.repeat(jj[lo:hi], tail_cells)
-            if tail_grid is not None:
-                block[:, 2:] = np.tile(tail_grid, (npair, 1))
-            yield block
+        k = mats[0].shape[1]
+        tail = np.ones((1, k))
+        for m in range(2, len(self.shape)):
+            tail = (tail[:, None, :] * mats[m][None, :, :]).reshape(-1, k)
+        if self.complement:
+            block_row_cols = np.flatnonzero(~self._in_cols)
+            other_row_cols = np.arange(self.shape[1])
+        else:
+            block_row_cols, other_row_cols = self.cols, self.cols[:0]
+        count = 0
+        for i in range(self.shape[0]):
+            cols = block_row_cols if self._in_rows[i] else other_row_cols
+            if cols.size:
+                recon = (mats[0][i] * mats[1][cols]) @ tail.T
+                count += int(np.count_nonzero(recon > threshold))
+        return count
 
 
 def apply_mask(slice_tensor: SparseCountTensor, mask: CellMask):

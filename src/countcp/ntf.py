@@ -16,7 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cp import FactorSet, _ascend, generalized_kl, reconstruct_entries, total_recon_mass
-from .errors import DegenerateUpdateError, EmptyRegionError, InadmissibleZeroError
+from .errors import (
+    ConfigError,
+    DegenerateUpdateError,
+    EmptyRegionError,
+    InadmissibleZeroError,
+)
 from .masking import CellMask, Region, apply_mask
 from .tensors import SparseCountTensor
 
@@ -36,13 +41,17 @@ class NtfConfig:
 
     def __post_init__(self):
         if self.k < 1:
-            raise ValueError("k must be a positive integer")
+            raise ConfigError("k must be a positive integer")
+        if self.max_iterations < 1:
+            raise ConfigError("max_iterations must be positive")
         if not self.relative_objective_tolerance > 0:
-            raise ValueError("relative_objective_tolerance must be positive")
+            raise ConfigError("relative_objective_tolerance must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.cost not in COSTS:
-            raise ValueError(f"cost must be one of {COSTS}, got {self.cost!r}")
+            raise ConfigError(f"cost must be one of {COSTS}, got {self.cost!r}")
         if self.epsilon_floor < 0:
-            raise ValueError("epsilon_floor must be non-negative")
+            raise ConfigError("epsilon_floor must be non-negative")
 
 
 def squared_error(

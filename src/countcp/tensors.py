@@ -394,6 +394,14 @@ def split_time(t: SparseCountTensor, test_fraction: float, seed: int) -> TimeSpl
 EVENT_COLUMNS = ("sender", "receiver", "action", "timestamp")
 
 
+def _open_input(path: Path, **kwargs):
+    """Open an input file for reading; failing to open it is a data error."""
+    try:
+        return path.open(**kwargs)
+    except OSError as exc:
+        raise IngestionError(f"{path}: cannot open: {exc.strerror or exc}") from exc
+
+
 def read_event_file(path) -> list[EventRecord]:
     """Read a delimited event file: header row, then one record per line.
 
@@ -402,7 +410,7 @@ def read_event_file(path) -> list[EventRecord]:
     """
     path = Path(path)
     records = []
-    with path.open(newline="") as fh:
+    with _open_input(path, newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise IngestionError(f"{path}: empty event file")
@@ -457,7 +465,7 @@ def load_tensor(path, labels_path=None) -> SparseCountTensor:
     outside 1 .. 2**63 - 1.
     """
     path = Path(path)
-    with path.open() as fh:
+    with _open_input(path) as fh:
         lines = [(n, ln) for n, ln in enumerate(fh, start=1) if ln.strip()]
     if not lines:
         raise IngestionError(f"{path}: empty tensor file")
@@ -496,7 +504,7 @@ def load_labels(path, shape) -> list[list[str]]:
     path = Path(path)
     labels = [[""] * s for s in shape]
     seen = [np.zeros(s, dtype=bool) for s in shape]
-    with path.open() as fh:
+    with _open_input(path) as fh:
         for ln, raw in enumerate(fh, start=1):
             if not raw.strip():
                 continue

@@ -31,7 +31,7 @@ from countcp import (
     update_delta,
     update_gamma,
 )
-from conftest import random_factors, random_tensor
+from conftest import random_factors, random_tensor, state_from_point_estimate
 from test_bptf import aux_variable_gamma_oracle
 
 
@@ -223,7 +223,7 @@ def test_criterion_06_vanishing_prior_matches_multiplicative_update():
         t = SparseCountTensor(
             shape, coords, counts, [[str(i) for i in range(s)] for s in shape]
         )
-        state = VariationalState.from_point_estimate(factors)
+        state = state_from_point_estimate(factors)
         ntf = factors
         for mode in range(4):
             update_gamma(state, t, mode, hyper)

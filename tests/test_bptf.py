@@ -29,7 +29,7 @@ from countcp import (
     update_gamma,
     write_trace,
 )
-from conftest import random_factors, random_tensor
+from conftest import random_factors, random_tensor, state_from_point_estimate
 
 EULER_MASCHERONI = 0.5772156649015328606
 
@@ -422,7 +422,7 @@ class TestLimitCorrespondence:
                 shape, coords, counts, [[str(i) for i in range(s)] for s in shape]
             )
 
-            state = VariationalState.from_point_estimate(factors)
+            state = state_from_point_estimate(factors)
             ntf = factors
             for mode in range(4):
                 update_gamma(state, t, mode, hyper)

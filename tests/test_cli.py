@@ -144,6 +144,8 @@ def fit_files(directory, tensor_text, labels):
 
 
 GOOD_LABELS = labels_text((3, 3, 2))
+TOKENS = st.one_of(st.integers(-3, 9).map(str), st.sampled_from(["", "x", "1.5"]))
+FUZZ = settings(max_examples=60, deadline=None, database=None, derandomize=True)
 
 
 class TestMalformedFitInput:
@@ -172,7 +174,7 @@ class TestMalformedFitInput:
         assert fit_files(tmp_path, tensor_text, labels) == 2
         assert f"line {bad_line}:" in capsys.readouterr().err
 
-    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @FUZZ
     @given(data=st.data())
     def test_one_corrupted_token_never_raises(self, data):
         shape = data.draw(st.lists(st.integers(1, 5), min_size=2, max_size=4))
@@ -191,16 +193,113 @@ class TestMalformedFitInput:
         lines = files[sep]
         row = data.draw(st.integers(0, len(lines) - 1))
         col = data.draw(st.integers(0, len(lines[row]) - 1))
-        token = data.draw(
-            st.one_of(st.integers(-3, 9).map(str), st.sampled_from(["", "x", "1.5"]))
-        )
-        lines[row][col] = token
+        lines[row][col] = data.draw(TOKENS)
         tensor_text, labels = (
             "\n".join(sep.join(t for t in line if t) for line in files[s]) + "\n"
             for s in (" ", "\t")
         )
         with tempfile.TemporaryDirectory() as directory:
             assert fit_files(directory, tensor_text, labels) in (0, 1, 2)
+
+
+class TestMalformedInputFiles:
+    def test_missing_tensor_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "nope.txt"
+        code = main(["fit", "--tensor", str(missing), "--model", "bptf",
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
+        assert str(missing) in err[0]
+
+    @pytest.mark.parametrize("option", ["--labels", "--events"])
+    def test_missing_labels_or_event_file_exits_2(self, tmp_path, capsys, option):
+        (tmp_path / "tensor.txt").write_text("3 3 2\n0 1 0 2\n")
+        command = {
+            "--labels": ["fit", "--tensor", str(tmp_path / "tensor.txt"), "--model", "bptf"],
+            "--events": ["ingest", "--start", "2001-01-01", "--end", "2001-03-31"],
+        }[option]
+        code = main([*command, option, str(tmp_path / "nope"),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        assert "nope: cannot open" in capsys.readouterr().err
+
+    @FUZZ
+    @given(data=st.data())
+    def test_one_corrupted_event_token_never_raises(self, data):
+        lines = [line.split(",") for line in EVENTS.splitlines()]
+        row = data.draw(st.integers(0, len(lines) - 1))
+        col = data.draw(st.integers(0, len(lines[row]) - 1))
+        lines[row][col] = data.draw(TOKENS)
+        with tempfile.TemporaryDirectory() as directory:
+            events = Path(directory) / "events.csv"
+            events.write_text("\n".join(",".join(line) for line in lines) + "\n")
+            code = main(["ingest", "--events", str(events), "--start", "2001-01-01",
+                         "--end", "2001-03-31", "--output-dir", str(Path(directory) / "out")])
+        assert code in (0, 1, 2)
+
+    @FUZZ
+    @given(data=st.data())
+    def test_one_corrupted_config_token_never_raises(self, data):
+        model = data.draw(st.sampled_from(["bptf", "ntf-kl", "ntf-ls"]))
+        with tempfile.TemporaryDirectory() as directory:
+            directory = Path(directory)
+            (directory / "tensor.txt").write_text("3 3 2\n0 1 0 2\n2 2 1 1\n")
+            (directory / "labels.txt").write_text(GOOD_LABELS)
+            pairs = [
+                ["tensor", str(directory / "tensor.txt")],
+                ["labels", str(directory / "labels.txt")],
+                ["model", model], ["k", "2"], ["max_iterations", "3"],
+                ["tolerance", "1e-4"], ["alpha", "0.5"], ["beta", "1.0"],
+                ["learn_beta", "true"], ["epsilon_floor", "1e-12"], ["seed", "1"],
+            ]
+            row = data.draw(st.integers(0, len(pairs) - 1))
+            pairs[row][data.draw(st.integers(0, 1))] = data.draw(TOKENS)
+            config = directory / "run.cfg"
+            config.write_text("".join(f"{key} = {value}\n" for key, value in pairs))
+            code = main(["fit", "--config", str(config),
+                         "--output-dir", str(directory / "out")])
+        assert code in (0, 1, 2)
+
+
+class TestInvalidOptionValues:
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            ["--model", "bptf", "--k", "0"],
+            ["--model", "bptf", "--alpha", "-1"],
+            ["--model", "bptf", "--tolerance", "0"],
+            ["--model", "bptf", "--seed", "-1"],
+            ["--model", "ntf-kl", "--max-iterations", "0"],
+            ["--model", "ntf-ls", "--epsilon-floor", "-1"],
+        ],
+        ids=["k-0", "alpha-negative", "tolerance-0", "seed-negative",
+             "ntf-max-iterations-0", "epsilon-floor-negative"],
+    )
+    def test_fit_exits_1(self, synth_tensor, tmp_path, capsys, extra):
+        code = main(["fit", "--tensor", str(synth_tensor / "tensor.txt"), *extra,
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize(
+        "extra",
+        [["--k", "0"], ["--max-iterations", "0"], ["--alpha", "-1"], ["--seeds", "-1"]],
+        ids=["k-0", "max-iterations-0", "alpha-negative", "seed-negative"],
+    )
+    def test_eval_exits_1_before_any_fit(self, synth_tensor, tmp_path, capsys,
+                                         monkeypatch, extra):
+        import countcp.evaluation as ev
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a model was fitted")
+
+        monkeypatch.setattr(ev, "_fit_bptf", no_fit)
+        monkeypatch.setattr(ev, "_fit_ntf", no_fit)
+        code = main(["eval", "--tensor", str(synth_tensor / "tensor.txt"),
+                     "--n-primes", "3", *extra, "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err.startswith("error:")
 
 
 @pytest.fixture
@@ -295,8 +394,8 @@ class TestEvalCommand:
         def boom(*args, **kwargs):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setattr(ev, "_bptf_predictions", boom)
-        monkeypatch.setattr(ev, "_ntf_predictions", boom)
+        monkeypatch.setattr(ev, "_fit_bptf", boom)
+        monkeypatch.setattr(ev, "_fit_ntf", boom)
         code = main(
             [
                 "eval",

@@ -12,8 +12,8 @@ from countcp import (
     generalized_kl,
     load_factors,
     poisson_log_likelihood,
-    reconstruct,
     reconstruct_dense,
+    reconstruct_entries,
     save_factors,
 )
 from conftest import random_factors, random_tensor
@@ -56,6 +56,11 @@ def dense_kl(t, f):
         else:
             total += yhat
     return total
+
+
+def reconstruct(f, coord):
+    """Reconstruction at one coordinate, through the vectorized path."""
+    return float(reconstruct_entries(f, [coord])[0])
 
 
 class TestReconstruct:

@@ -1,24 +1,42 @@
 """Heldout metrics and the strong-generalization harness."""
 
+import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+import countcp.bptf
+import countcp.evaluation
+import countcp.ntf
 from countcp import (
     ExperimentSpec,
+    FitConfig,
+    Hyperparameters,
+    NtfConfig,
     Region,
     SpecValidationError,
+    UndefinedStatisticError,
+    fit,
+    fit_ntf,
     ham_z,
+    infer_heldout_time_factors,
+    infer_heldout_time_factors_ntf,
     mae,
     mae_nz,
+    point_estimate,
     region_metrics,
     run_experiment,
     run_table,
+    sample_count_tensor,
+    sort_by_activity,
+    split_time,
+    top_block_mask,
     write_report_json,
     write_report_text,
 )
-from countcp import Hyperparameters, sample_count_tensor
+from countcp.tensors import vmr_of_counts
 from conftest import random_factors, random_tensor
 
 
@@ -78,7 +96,7 @@ class TestRegionMetrics:
         t = random_tensor(shape, rng, nnz=40)
         f = random_factors(shape, 2, rng)
         region = Region(shape, rows=[0, 1, 2], cols=[0, 1, 2], complement=complement)
-        scores = region_metrics(f, t, region, block_cells=17)
+        scores = region_metrics(f, t, region)
 
         grid = np.zeros(shape, dtype=bool)
         pair = np.zeros(shape[:2], dtype=bool)
@@ -200,10 +218,132 @@ class TestRunExperiment:
         def boom(*args, **kwargs):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setattr(ev, "_ntf_predictions", boom)
+        monkeypatch.setattr(ev, "_fit_ntf", boom)
         spec = self.spec(models=("bptf-geo", "ntf-kl"))
         report = run_experiment(spec, t)
         sc = report.scenarios[0]
         assert "bptf-geo" in sc.model_metrics
         assert "ntf-kl" in sc.failures
         assert "synthetic failure" in sc.failures["ntf-kl"]
+
+
+def reference_split(spec, sorted_t, mask, seed):
+    """One split as the per-scenario harness scored it: every model refitted."""
+    ts = split_time(sorted_t, spec.test_fraction, seed)
+    region = Region.from_mask(ts.test.shape, mask).invert()
+    try:
+        vmr = vmr_of_counts(region.filter_entries(ts.test)[1])
+    except UndefinedStatisticError:
+        vmr = math.nan
+    models = {}
+    config = FitConfig(
+        k=spec.k, max_iterations=spec.max_iterations,
+        relative_elbo_tolerance=spec.tolerance, seed=seed,
+    )
+    hyper = Hyperparameters.default(ts.train.ndim, alpha=spec.alpha)
+    state, hyper, _ = fit(ts.train, config, hyper)
+    heldout, _ = infer_heldout_time_factors(state, hyper, ts.test, mask, config)
+    for name, kind in (("bptf-geo", "geometric"), ("bptf-ari", "arithmetic")):
+        if name in spec.models:
+            models[name] = region_metrics(point_estimate(heldout, kind), ts.test, region)
+    for cost in ("kl", "ls"):
+        if f"ntf-{cost}" in spec.models:
+            ntf_config = NtfConfig(
+                k=spec.k, max_iterations=spec.max_iterations,
+                relative_objective_tolerance=spec.tolerance, seed=seed, cost=cost,
+                epsilon_floor=spec.epsilon_floor,
+            )
+            factors, _ = fit_ntf(ts.train, ntf_config)
+            inferred, _ = infer_heldout_time_factors_ntf(factors, ts.test, mask, ntf_config)
+            models[f"ntf-{cost}"] = region_metrics(inferred, ts.test, region)
+    return {
+        "seed": seed, "density": region.density(ts.test), "vmr": vmr,
+        "models": models, "failures": {},
+    }
+
+
+def reference_table(base, tensors, n_primes, scenarios):
+    """Report dict of the per-scenario loop: (source, size, side) rows in
+    order, each refitting every model for every seed."""
+    rows = []
+    for source, t in tensors.items():
+        sorted_t, _ = sort_by_activity(t)
+        for n_prime in n_primes:
+            for side in scenarios:
+                spec = replace(
+                    base, source=source, n_prime=n_prime,
+                    predict_complement=side == "complement",
+                )
+                mask = top_block_mask(n_prime, complement=side == "block")
+                splits = [reference_split(spec, sorted_t, mask, s) for s in spec.seeds]
+                rows.append({
+                    "label": spec.scenario_label(),
+                    "density": float(np.mean([sp["density"] for sp in splits])),
+                    "vmr": float(np.mean([sp["vmr"] for sp in splits])),
+                    "models": {
+                        name: {
+                            metric: float(np.mean([sp["models"][name][metric] for sp in splits]))
+                            for metric in ("mae", "mae_nz", "ham_z")
+                        }
+                        for name in spec.models
+                    },
+                    "failures": {},
+                    "splits": splits,
+                })
+    return {"scenarios": rows}
+
+
+class TestRunTable:
+    base = ExperimentSpec(
+        n_prime=2, seeds=(0, 1), k=2, max_iterations=8, tolerance=1e-3,
+        models=("ntf-ls", "ntf-kl", "bptf-geo", "bptf-ari"),
+    )
+
+    @pytest.mark.parametrize("max_workers", [1, 3])
+    def test_matches_the_per_scenario_loop(self, max_workers):
+        tensors = {"one": small_generative_tensor(0), "two": small_generative_tensor(1)}
+        report = run_table(self.base, tensors, (2, 3), max_workers=max_workers)
+        expected = reference_table(self.base, tensors, (2, 3), ("block", "complement"))
+        assert json.dumps(report.to_dict(), sort_keys=True) == json.dumps(
+            expected, sort_keys=True
+        )
+
+    def test_one_training_fit_per_split_seed_and_model(self, monkeypatch):
+        calls = {"bptf": 0, "ntf": 0}
+
+        def counted(module, attr, key, is_training):
+            inner = getattr(module, attr)
+
+            def wrapper(t, config, *args, **kwargs):
+                calls[key] += is_training(config)
+                return inner(t, config, *args, **kwargs)
+
+            monkeypatch.setattr(module, attr, wrapper)
+
+        # heldout inference runs bptf.fit too, with every non-time mode frozen
+        counted(countcp.bptf, "fit", "bptf", lambda config: not config.fixed_modes)
+        counted(countcp.ntf, "fit_ntf", "ntf", lambda config: True)
+        report = run_table(self.base, {"gen": small_generative_tensor()}, (2, 3))
+        assert len(report.scenarios) == 4
+        assert calls == {"bptf": 2, "ntf": 4}
+
+    def test_training_failure_is_recorded_in_every_row_of_its_seed(self, monkeypatch):
+        real = countcp.evaluation._fit_ntf
+
+        def fail_on_seed_one(train, seed, config):
+            if seed == 1:
+                raise RuntimeError(f"synthetic {config.cost} failure")
+            return real(train, seed, config)
+
+        monkeypatch.setattr(countcp.evaluation, "_fit_ntf", fail_on_seed_one)
+        report = run_table(self.base, {"gen": small_generative_tensor()}, (2, 3))
+        for sc in report.scenarios:
+            first, second = sc.splits
+            assert set(first.model_metrics) == set(self.base.models)
+            assert first.failures == {}
+            assert set(second.model_metrics) == {"bptf-geo", "bptf-ari"}
+            assert second.failures == {
+                "ntf-kl": "RuntimeError: synthetic kl failure",
+                "ntf-ls": "RuntimeError: synthetic ls failure",
+            }
+            assert sc.failures == second.failures

@@ -3,8 +3,15 @@
 import numpy as np
 import pytest
 
-from countcp import CellMask, Region, apply_mask, top_block_mask
-from conftest import random_factors, random_tensor
+from countcp import (
+    CellMask,
+    FactorSet,
+    Region,
+    apply_mask,
+    reconstruct_entries,
+    top_block_mask,
+)
+from conftest import iter_cell_blocks, random_factors, random_tensor
 
 
 def dense_region_mask(region):
@@ -117,7 +124,7 @@ class TestRegionSums:
 
     def test_full_region_matches_unmasked_formulas(self, rng):
         shape = (3, 3, 2, 4)
-        region = Region.full(shape)
+        region = Region(shape, range(shape[0]), range(shape[1]))
         mats = random_factors(shape, 3, rng).factors
         colsums = [m.sum(axis=0) for m in mats]
         assert region.sum_recon(mats) == pytest.approx(
@@ -136,7 +143,7 @@ class TestRegionSums:
         region = Region(shape, rows=[0, 2, 4], cols=[1, 3], complement=True)
         grid = dense_region_mask(region)
         seen = np.zeros(shape, dtype=np.int64)
-        for block in region.iter_cell_blocks(max_cells=7):
+        for block in iter_cell_blocks(region, max_cells=7):
             seen[tuple(block.T)] += 1
         assert np.array_equal(seen.astype(bool), grid)
         assert seen.max(initial=0) <= 1
@@ -144,4 +151,39 @@ class TestRegionSums:
     def test_empty_region_yields_nothing(self):
         region = Region((3, 3, 2), rows=[], cols=[1], complement=False)
         assert region.n_cells == 0
-        assert list(region.iter_cell_blocks()) == []
+        assert list(iter_cell_blocks(region)) == []
+
+
+def enumerated_count_above(region, mats, threshold):
+    """Cell-by-cell oracle for Region.count_recon_above."""
+    f = FactorSet(mats)
+    return sum(
+        int((reconstruct_entries(f, block) > threshold).sum())
+        for block in iter_cell_blocks(region, max_cells=50)
+    )
+
+
+class TestCountReconAbove:
+    @pytest.mark.parametrize("shape", [(6, 5, 4), (5, 6, 3, 2), (4, 5, 2, 3, 2)])
+    @pytest.mark.parametrize("complement", [False, True])
+    def test_matches_cell_enumeration(self, shape, complement):
+        rng = np.random.default_rng(len(shape) * 2 + complement)
+        for _ in range(5):
+            rows = rng.choice(shape[0], size=rng.integers(0, shape[0] + 1), replace=False)
+            cols = rng.choice(shape[1], size=rng.integers(0, shape[1] + 1), replace=False)
+            region = Region(shape, rows, cols, complement=complement)
+            mats = random_factors(shape, 3, rng, low=0.0, high=1.0).factors
+            # thresholds across the reconstructions' range, for 3 to 5 modes
+            for threshold in (0.1, 0.5, 1.0):
+                assert region.count_recon_above(mats, threshold) == enumerated_count_above(
+                    region, mats, threshold
+                )
+
+    def test_exact_ties_are_not_counted(self):
+        # every reconstruction is exactly 0.5 or 0.75 in binary arithmetic
+        shape = (3, 3, 2, 2)
+        mats = [np.full((s, 1), 1.0) for s in shape]
+        mats[0] = np.array([[0.5], [0.5], [0.75]])
+        region = Region(shape, rows=[0, 2], cols=[1], complement=True)
+        assert region.count_recon_above(mats, 0.5) == 2 * 4  # row 2's two pairs
+        assert enumerated_count_above(region, mats, 0.5) == 2 * 4

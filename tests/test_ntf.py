@@ -192,7 +192,7 @@ class TestHeldoutInferenceNtf:
         rng2 = np.random.default_rng(config.seed)
         time0 = rng2.uniform(0.0, 1.0, size=(2, config.k))
         f = FactorSet(list(trained.factors[:3]) + [time0])
-        region = Region.full(test.shape)
+        region = Region(test.shape, range(5), range(5))
         mass = region.sum_recon(f.factors)
         f = f.replace_mode(3, time0 * (test.total_count / mass))
         previous = None
