@@ -206,20 +206,13 @@ def update_delta(
 ):
     """Rate update for one mode: prior rate plus the other modes' mass.
 
-    Unmasked, the sum over all other-mode coordinates collapses to the
-    product of the other modes' expectation column sums, identical for
-    every row.  Under a cell region the sum ranges over observed cells
-    only.  Refreshes the mode's caches.
+    The mass of a row is the sum, over the region's cells in that row
+    (default: the whole tensor), of the other modes' arithmetic
+    expectations; the region takes it in closed form from column sums.
+    Refreshes the mode's caches.
     """
-    n, k = state.delta[mode].shape
-    if region is None:
-        other = np.ones(k)
-        for m in range(state.n_modes):
-            if m != mode:
-                other = other * state.expect[m].sum(axis=0)
-        new = np.broadcast_to(hyper.rate(mode) + other, (n, k)).copy()
-    else:
-        new = hyper.rate(mode) + region.other_mode_sums(state.expect, mode)
+    region = region or Region.whole(state.shape)
+    new = hyper.rate(mode) + region.other_mode_sums(state.expect, mode)
     if not np.all(np.isfinite(new)):
         raise NumericalDegeneracyError(f"rate update overflowed in mode {mode}")
     state.delta[mode] = new
@@ -282,13 +275,7 @@ def compute_elbo(
             raise NumericalError("ELBO count term is non-finite (zero geometric mass)")
         y = t.values.astype(np.float64)
         count_term = float(np.dot(y, np.log(totals)) - gammaln(y + 1.0).sum())
-    if region is None:
-        mass = np.ones(state.k)
-        for m in range(state.n_modes):
-            mass = mass * state.expect[m].sum(axis=0)
-        mass = float(mass.sum())
-    else:
-        mass = region.sum_recon(state.expect)
+    mass = (region or Region.whole(state.shape)).sum_recon(state.expect)
     prior = 0.0
     for m in range(state.n_modes):
         cross, entropy = _gamma_prior_terms(state, hyper, m)
@@ -323,6 +310,7 @@ def fit(
         state = init_state(t.shape, config, hyper)
     if state.shape != t.shape:
         raise ValueError(f"state shape {state.shape} != tensor shape {t.shape}")
+    region = region or Region.whole(t.shape)
     free_modes = [m for m in range(t.ndim) if m not in config.fixed_modes]
     betas = []
 

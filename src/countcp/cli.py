@@ -238,6 +238,8 @@ def cmd_eval(args) -> int:
         raise ConfigError("at least one --tensor is required")
     tensors = _parse_tensor_specs(args.tensor)
     n_primes = _parse_ints(_require(args, "n-primes"))
+    if not n_primes:
+        raise ConfigError("--n-primes needs at least one block size")
     seeds = _parse_ints(args.seeds)
     models = tuple(str(args.models).replace(",", " ").split())
     scenarios = {

@@ -1,15 +1,15 @@
 """CP reconstruction, count-tensor objectives and the ascent loop shared by all fitters.
 
 The reconstruction of cell c is sum_k prod_m factors[m][c_m, k].  Both
-objectives run over every cell of the tensor (or of a masked region), but
-cost only O(nnz * K + sum_m shape[m] * K): the sum of the reconstruction
-over all cells factorizes into per-mode column sums.
+objectives run over the cells of a ``masking.Region``; a call without one
+means the whole tensor (``Region.whole``).  They cost only
+O(nnz * K + sum_m shape[m] * K): the region's sum of the reconstruction
+factorizes into per-mode column sums.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import prod
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +17,7 @@ from scipy.special import gammaln
 
 from .errors import IngestionError
 from .masking import Region
-from .tensors import SparseCountTensor, load_labels, save_labels
+from .tensors import SparseCountTensor, _open_input, load_labels, save_labels
 
 
 class FactorSet:
@@ -57,9 +57,6 @@ class FactorSet:
         mats[mode] = matrix
         return FactorSet(mats)
 
-    def column_sums(self) -> list[np.ndarray]:
-        return [f.sum(axis=0) for f in self.factors]
-
 
 def reconstruct_entries(f: FactorSet, coords) -> np.ndarray:
     """Vectorized reconstruction at an (n, M) array of coordinates."""
@@ -84,23 +81,15 @@ def reconstruct_dense(f: FactorSet) -> np.ndarray:
 
 
 def total_recon_mass(f: FactorSet, region: Region | None = None) -> float:
-    """Sum of the reconstruction over all cells (or over a masked region).
+    """Sum of the reconstruction over a region's cells (default: every cell).
 
-    A Region's block structure gives the masked sum in closed form.
+    A Region's block structure gives the sum in closed form.
     """
-    if region is None:
-        total = 0.0
-        for k in range(f.k):
-            total += prod(cs[k] for cs in f.column_sums())
-        return float(total)
-    return region.sum_recon(f.factors)
+    return (region or Region.whole(f.shape)).sum_recon(f.factors)
 
 
-def _entry_recon_and_values(f: FactorSet, t: SparseCountTensor, region):
-    if region is None:
-        coords, values = t.coords, t.values
-    else:
-        coords, values = region.filter_entries(t)
+def _entry_recon_and_values(f: FactorSet, t: SparseCountTensor, region: Region):
+    coords, values = region.filter_entries(t)
     return reconstruct_entries(f, coords), values.astype(np.float64)
 
 
@@ -115,6 +104,7 @@ def poisson_log_likelihood(f: FactorSet, t: SparseCountTensor, region=None) -> f
     """
     if f.shape != t.shape:
         raise ValueError(f"factor shape {f.shape} != tensor shape {t.shape}")
+    region = region or Region.whole(t.shape)
     yhat, y = _entry_recon_and_values(f, t, region)
     if np.any(yhat == 0.0):
         return float("-inf")
@@ -132,6 +122,7 @@ def generalized_kl(t: SparseCountTensor, f: FactorSet, region=None) -> float:
     """
     if f.shape != t.shape:
         raise ValueError(f"factor shape {f.shape} != tensor shape {t.shape}")
+    region = region or Region.whole(t.shape)
     yhat, y = _entry_recon_and_values(f, t, region)
     if np.any(yhat == 0.0):
         return float("inf")
@@ -212,7 +203,7 @@ def write_manifest(path, pairs) -> None:
 
 def read_manifest(path) -> dict:
     out = {}
-    with Path(path).open() as fh:
+    with _open_input(Path(path)) as fh:
         for ln, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

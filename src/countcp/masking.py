@@ -14,7 +14,7 @@ from math import prod
 
 import numpy as np
 
-from .errors import EmptyRegionError
+from .errors import DataError, EmptyRegionError
 from .tensors import SparseCountTensor
 
 
@@ -46,13 +46,14 @@ class Region:
 
     The cell set is {(i, j, ...) : (i, j) in P} where P is either the block
     rows x cols or its complement over the actor modes, crossed with the
-    full range of every remaining mode.
+    full range of every remaining mode.  ``Region.whole`` covers every cell;
+    the model code uses it wherever no narrower region is given.
     """
 
     def __init__(self, shape, rows, cols, complement=False):
         self.shape = tuple(int(s) for s in shape)
         if len(self.shape) < 2:
-            raise ValueError("a pair region needs at least two modes")
+            raise DataError(f"a tensor needs at least two modes, got shape {self.shape}")
         self.rows = np.asarray(sorted(set(int(r) for r in rows)), dtype=np.int64)
         self.cols = np.asarray(sorted(set(int(c) for c in cols)), dtype=np.int64)
         if self.rows.size and (self.rows[0] < 0 or self.rows[-1] >= self.shape[0]):
@@ -68,6 +69,11 @@ class Region:
     @classmethod
     def from_mask(cls, shape, mask: CellMask) -> "Region":
         return cls(shape, mask.rows, mask.cols, mask.complement)
+
+    @classmethod
+    def whole(cls, shape) -> "Region":
+        """Every cell of the tensor: the complement of the empty block."""
+        return cls(shape, (), (), complement=True)
 
     def invert(self) -> "Region":
         return Region(self.shape, self.rows, self.cols, not self.complement)
@@ -94,7 +100,12 @@ class Region:
         return ~inside if self.complement else inside
 
     def filter_entries(self, t: SparseCountTensor):
-        """Stored entries of ``t`` that fall inside the region."""
+        """Stored entries of ``t`` that fall inside the region.
+
+        A region over every actor pair returns the tensor's own arrays.
+        """
+        if self.n_pairs == self.shape[0] * self.shape[1]:
+            return t.coords, t.values
         keep = self.contains(t.coords)
         return t.coords[keep], t.values[keep]
 
@@ -105,22 +116,54 @@ class Region:
         return int(self.contains(t.coords).sum()) / self.n_cells
 
     # -- closed-form sums over the region ---------------------------------
+    #
+    # Every sum below multiplies per-mode factors in ascending mode order:
+    # the actor-pair part of modes 0 and 1 first, then each remaining mode.
+    # Floating-point products depend on that order, and this one makes the
+    # whole tensor's sums the plain product of every mode's column sums
+    # (or Grams) taken mode by mode, so fits do not depend on the grouping.
 
-    def _pair_component_sums(self, mats):
-        """Per-component sums of mats[0][i,k]*mats[1][j,k] over region pairs."""
-        rsum = mats[0][self.rows].sum(axis=0)
-        csum = mats[1][self.cols].sum(axis=0)
-        block = rsum * csum
+    def _pair_part(self, mats, reduce):
+        """``reduce`` of the actor-pair product, summed over region pairs."""
+        block = reduce(mats[0][self.rows]) * reduce(mats[1][self.cols])
         if not self.complement:
             return block
-        return mats[0].sum(axis=0) * mats[1].sum(axis=0) - block
+        return reduce(mats[0]) * reduce(mats[1]) - block
+
+    def _times_tail(self, part, mats, reduce, skip=None):
+        """``part`` times ``reduce`` of every mode from 2 on except ``skip``."""
+        for m in range(2, len(self.shape)):
+            if m != skip:
+                part = part * reduce(mats[m])
+        return part
+
+    def _row_parts(self, mats, mode, reduce):
+        """``reduce`` of the other modes' factor product over one row's cells.
+
+        Returns (member, inside, outside): rows of ``mode`` flagged in
+        ``member`` take ``inside``, every other row ``outside``.  Only the
+        actor modes have two kinds of row.
+        """
+        if mode >= 2:
+            part = self._times_tail(self._pair_part(mats, reduce), mats, reduce, mode)
+            return np.zeros(self.shape[mode], dtype=bool), part, part
+        other = mats[1 - mode]
+        sub = reduce(other[self.cols if mode == 0 else self.rows])
+        if self.complement:
+            full = reduce(other)
+            inside, outside = full - sub, full
+        else:
+            inside, outside = sub, np.zeros_like(sub)
+        member = self._in_rows if mode == 0 else self._in_cols
+        return (
+            member,
+            self._times_tail(inside, mats, reduce),
+            self._times_tail(outside, mats, reduce),
+        )
 
     def component_sums(self, mats) -> np.ndarray:
         """(K,) vector: sum over region cells of the rank-one term per component."""
-        out = self._pair_component_sums(mats)
-        for m in range(2, len(self.shape)):
-            out = out * mats[m].sum(axis=0)
-        return out
+        return self._times_tail(self._pair_part(mats, _colsum), mats, _colsum)
 
     def sum_recon(self, mats) -> float:
         """Sum of the CP reconstruction over every cell of the region."""
@@ -134,42 +177,12 @@ class Region:
         of mats[m'][coord, k] over every mode m' != mode.  Rows outside the
         region get zero.
         """
-        k = mats[0].shape[1]
-        tail = np.ones(k)
-        for m in range(2, len(self.shape)):
-            if m != mode:
-                tail = tail * mats[m].sum(axis=0)
-        if mode >= 2:
-            row = self._pair_component_sums(mats) * tail
-            return np.broadcast_to(row, (self.shape[mode], k)).copy()
-        other = mats[1] if mode == 0 else mats[0]
-        member = self._in_rows if mode == 0 else self._in_cols
-        other_member = self.cols if mode == 0 else self.rows
-        sub = other[other_member].sum(axis=0)
-        full = other.sum(axis=0)
-        out = np.zeros((self.shape[mode], k))
-        if not self.complement:
-            out[member] = sub * tail
-        else:
-            out[member] = (full - sub) * tail
-            out[~member] = full * tail
-        return out
-
-    def _pair_gram(self, mats):
-        """(K, K) Gram of the actor-pair part restricted to the region."""
-        g_rows = mats[0][self.rows].T @ mats[0][self.rows]
-        g_cols = mats[1][self.cols].T @ mats[1][self.cols]
-        block = g_rows * g_cols
-        if not self.complement:
-            return block
-        return (mats[0].T @ mats[0]) * (mats[1].T @ mats[1]) - block
+        member, inside, outside = self._row_parts(mats, mode, _colsum)
+        return np.where(member[:, None], inside, outside)
 
     def sum_sq_recon(self, mats) -> float:
         """Sum of the squared CP reconstruction over the region."""
-        gram = self._pair_gram(mats)
-        for m in range(2, len(self.shape)):
-            gram = gram * (mats[m].T @ mats[m])
-        return float(gram.sum())
+        return float(self._times_tail(self._pair_part(mats, _gram), mats, _gram).sum())
 
     def gram_denominator(self, mats, mode: int) -> np.ndarray:
         """Row-wise sums of (other-mode factor product) * reconstruction.
@@ -178,25 +191,10 @@ class Region:
         restricted to the region; cost is independent of the number of
         zero cells.
         """
-        tail = np.ones((mats[0].shape[1],) * 2)
-        for m in range(2, len(self.shape)):
-            if m != mode:
-                tail = tail * (mats[m].T @ mats[m])
-        if mode >= 2:
-            gram = self._pair_gram(mats) * tail
-            return mats[mode] @ gram
-        other = mats[1] if mode == 0 else mats[0]
-        member = self._in_rows if mode == 0 else self._in_cols
-        other_idx = self.cols if mode == 0 else self.rows
-        g_sub = other[other_idx].T @ other[other_idx]
-        g_full = other.T @ other
+        member, inside, outside = self._row_parts(mats, mode, _gram)
         this = mats[mode]
-        out = np.zeros_like(this)
-        if not self.complement:
-            out[member] = this[member] @ (g_sub * tail)
-        else:
-            out[member] = this[member] @ ((g_full - g_sub) * tail)
-            out[~member] = this[~member] @ (g_full * tail)
+        out = this @ outside
+        out[member] = this[member] @ inside
         return out
 
     def count_recon_above(self, mats, threshold: float) -> int:
@@ -222,6 +220,14 @@ class Region:
                 recon = (mats[0][i] * mats[1][cols]) @ tail.T
                 count += int(np.count_nonzero(recon > threshold))
         return count
+
+
+def _colsum(mat):
+    return mat.sum(axis=0)
+
+
+def _gram(mat):
+    return mat.T @ mat
 
 
 def apply_mask(slice_tensor: SparseCountTensor, mask: CellMask):

@@ -3,10 +3,12 @@
 Two costs are supported: generalized KL divergence (the maximum-likelihood
 Poisson fit) and squared Euclidean distance.  Both updates multiply a
 mode's factors by a ratio whose numerator touches only stored entries;
-the denominators use column-sum or Gram products so the zero cells never
-cost anything.  Factors are floored at a small epsilon after every sweep
-so that a zero that the multiplicative rule cannot escape (an inadmissible
-zero) only occurs when the floor is explicitly set to 0.
+the denominators are a ``masking.Region``'s column-sum or Gram products,
+so the zero cells never cost anything.  A call without a region means
+the whole tensor (``Region.whole``).  Factors are floored at a small
+epsilon after every sweep so that a zero that the multiplicative rule
+cannot escape (an inadmissible zero) only occurs when the floor is
+explicitly set to 0.
 """
 
 from __future__ import annotations
@@ -65,18 +67,11 @@ def squared_error(
     """
     if f.shape != t.shape:
         raise ValueError(f"factor shape {f.shape} != tensor shape {t.shape}")
-    if region is None:
-        coords, values = t.coords, t.values
-        gram = np.ones((f.k, f.k))
-        for mat in f.factors:
-            gram = gram * (mat.T @ mat)
-        sq_mass = float(gram.sum())
-    else:
-        coords, values = region.filter_entries(t)
-        sq_mass = region.sum_sq_recon(f.factors)
+    region = region or Region.whole(t.shape)
+    coords, values = region.filter_entries(t)
     y = values.astype(np.float64)
     yhat = reconstruct_entries(f, coords)
-    return float(np.dot(y, y) - 2.0 * np.dot(y, yhat)) + sq_mass
+    return float(np.dot(y, y) - 2.0 * np.dot(y, yhat)) + region.sum_sq_recon(f.factors)
 
 
 def _entry_other_products(f: FactorSet, coords, mode: int) -> np.ndarray:
@@ -109,10 +104,8 @@ def ntf_kl_sweep(
     (column-sum products).  A zero reconstruction under a stored count is
     an inadmissible zero and raises.
     """
-    if region is None:
-        coords, values = t.coords, t.values
-    else:
-        coords, values = region.filter_entries(t)
+    region = region or Region.whole(t.shape)
+    coords, values = region.filter_entries(t)
     n, k = f.factors[mode].shape
     if coords.shape[0]:
         other = _entry_other_products(f, coords, mode)
@@ -126,14 +119,7 @@ def ntf_kl_sweep(
         numer = _scatter_rows(n, k, coords[:, mode], other * (values / yhat)[:, None])
     else:
         numer = np.zeros((n, k))
-    if region is None:
-        denom = np.ones(k)
-        for m in range(f.ndim):
-            if m != mode:
-                denom = denom * f.factors[m].sum(axis=0)
-        denom = np.broadcast_to(denom, (n, k))
-    else:
-        denom = region.other_mode_sums(f.factors, mode)
+    denom = region.other_mode_sums(f.factors, mode)
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(denom > 0.0, numer / np.where(denom > 0.0, denom, 1.0), 0.0)
     updated = np.maximum(f.factors[mode] * ratio, epsilon_floor)
@@ -153,24 +139,15 @@ def ntf_ls_sweep(
     Denominator: the same products times the reconstruction, computed with
     the Gram-product identity.
     """
-    if region is None:
-        coords, values = t.coords, t.values
-    else:
-        coords, values = region.filter_entries(t)
+    region = region or Region.whole(t.shape)
+    coords, values = region.filter_entries(t)
     n, k = f.factors[mode].shape
     if coords.shape[0]:
         other = _entry_other_products(f, coords, mode)
         numer = _scatter_rows(n, k, coords[:, mode], other * values[:, None])
     else:
         numer = np.zeros((n, k))
-    if region is None:
-        gram = np.ones((k, k))
-        for m in range(f.ndim):
-            if m != mode:
-                gram = gram * (f.factors[m].T @ f.factors[m])
-        denom = f.factors[mode] @ gram
-    else:
-        denom = region.gram_denominator(f.factors, mode)
+    denom = region.gram_denominator(f.factors, mode)
     if np.any((denom == 0.0) & (numer > 0.0)):
         raise DegenerateUpdateError(f"zero Euclidean denominator in mode {mode}")
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -204,13 +181,14 @@ def fit_ntf(t: SparseCountTensor, config: NtfConfig):
     of the cost drops below the tolerance or max_iterations is reached.
     """
     update = ntf_kl_sweep if config.cost == "kl" else ntf_ls_sweep
+    region = Region.whole(t.shape)
     f = init_factors(t, config)
 
     def sweep():
         nonlocal f
         for mode in range(t.ndim):
-            f = update(f, t, mode, epsilon_floor=config.epsilon_floor)
-        return _objective(t, f, config.cost)
+            f = update(f, t, mode, region, config.epsilon_floor)
+        return _objective(t, f, config.cost, region)
 
     trace = _ascend(sweep, config.max_iterations, config.relative_objective_tolerance)
     return f, trace

@@ -12,6 +12,7 @@ import numpy as np
 
 from .bptf import Hyperparameters
 from .cp import FactorSet
+from .errors import ConfigError
 from .tensors import SparseCountTensor, default_labels
 
 
@@ -50,6 +51,12 @@ def sample_count_tensor(
     non-zero cells are stored.  Deterministic per seed.
     """
     shape = tuple(int(s) for s in shape)
+    if not shape or min(shape) < 1:
+        raise ConfigError(f"shape needs one or more mode sizes of at least 1, got {shape}")
+    if k < 1:
+        raise ConfigError("k must be a positive integer")
+    if seed < 0:
+        raise ConfigError("seed must be non-negative")
     rng = np.random.default_rng(seed)
     factors = sample_factors(shape, k, hyper, rng)
     if mode_labels is None:

@@ -18,6 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    ConfigError,
     EmptyTensorError,
     IngestionError,
     LabelMismatchError,
@@ -191,9 +192,7 @@ def _bin_index(day: _dt.date, start: _dt.date, bin_width: str) -> int:
         return (day - start).days
     if bin_width == "week":
         return (day - start).days // 7
-    if bin_width == "month":
-        return (day.year - start.year) * 12 + (day.month - start.month)
-    raise ValueError(f"bin_width must be one of {BIN_WIDTHS}, got {bin_width!r}")
+    return (day.year - start.year) * 12 + (day.month - start.month)
 
 
 def _time_labels(start: _dt.date, n_bins: int, bin_width: str) -> list[str]:
@@ -231,14 +230,14 @@ def ingest_events(records, bin_width, date_range, drop_self_actions=True):
         retained records, in sorted order.  Counts are exact multiplicities.
     """
     if bin_width not in BIN_WIDTHS:
-        raise ValueError(f"bin_width must be one of {BIN_WIDTHS}, got {bin_width!r}")
+        raise ConfigError(f"bin_width must be one of {BIN_WIDTHS}, got {bin_width!r}")
     start, end = date_range
     if isinstance(start, _dt.datetime):
         start = start.date()
     if isinstance(end, _dt.datetime):
         end = end.date()
     if start > end:
-        raise ValueError(f"empty date range {start}..{end}")
+        raise ConfigError(f"empty date range {start}..{end}")
     if not records:
         raise EmptyTensorError("no event records supplied")
 

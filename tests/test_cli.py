@@ -212,17 +212,30 @@ class TestMalformedInputFiles:
         assert len(err) == 1 and err[0].startswith("data error:")
         assert str(missing) in err[0]
 
-    @pytest.mark.parametrize("option", ["--labels", "--events"])
+    @pytest.mark.parametrize("option", ["--labels", "--events", "--state", "--factors"])
     def test_missing_labels_or_event_file_exits_2(self, tmp_path, capsys, option):
         (tmp_path / "tensor.txt").write_text("3 3 2\n0 1 0 2\n")
         command = {
             "--labels": ["fit", "--tensor", str(tmp_path / "tensor.txt"), "--model", "bptf"],
             "--events": ["ingest", "--start", "2001-01-01", "--end", "2001-03-31"],
+            "--state": ["explore"],  # a bundle directory with no manifest.txt
+            "--factors": ["explore"],
         }[option]
         code = main([*command, option, str(tmp_path / "nope"),
                      "--output-dir", str(tmp_path / "out")])
         assert code == 2
-        assert "nope: cannot open" in capsys.readouterr().err
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("data error:")
+        assert str(tmp_path / "nope") in err[0] and "cannot open" in err[0]
+
+    @pytest.mark.parametrize("model", ["bptf", "ntf-kl", "ntf-ls"])
+    def test_one_mode_tensor_exits_2(self, tmp_path, capsys, model):
+        (tmp_path / "tensor.txt").write_text("3\n0 2\n2 1\n")
+        code = main(["fit", "--tensor", str(tmp_path / "tensor.txt"), "--model", model,
+                     "--k", "2", "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["data error: a tensor needs at least two modes, got shape (3,)"]
 
     @FUZZ
     @given(data=st.data())
@@ -280,12 +293,30 @@ class TestInvalidOptionValues:
         code = main(["fit", "--tensor", str(synth_tensor / "tensor.txt"), *extra,
                      "--output-dir", str(tmp_path / "out")])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error:")
+        assert one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ingest", "--events", "EVENTS", "--start", "2001-03-01", "--end", "2001-01-01"],
+            ["synth", "--shape", "3,3,2", "--seed", "-1"],
+            ["synth", "--shape", ""],
+            ["synth", "--shape", "3,3,2", "--k", "-1"],
+        ],
+        ids=["ingest-empty-date-range", "synth-seed-negative", "synth-shape-empty",
+             "synth-k-negative"],
+    )
+    def test_ingest_and_synth_exit_1(self, tmp_path, capsys, argv):
+        (tmp_path / "events.csv").write_text(EVENTS)
+        argv = [str(tmp_path / "events.csv") if a == "EVENTS" else a for a in argv]
+        assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 1
+        assert one_error_line(capsys)
 
     @pytest.mark.parametrize(
         "extra",
-        [["--k", "0"], ["--max-iterations", "0"], ["--alpha", "-1"], ["--seeds", "-1"]],
-        ids=["k-0", "max-iterations-0", "alpha-negative", "seed-negative"],
+        [["--k", "0"], ["--max-iterations", "0"], ["--alpha", "-1"], ["--seeds", "-1"],
+         ["--n-primes", ""]],
+        ids=["k-0", "max-iterations-0", "alpha-negative", "seed-negative", "n-primes-empty"],
     )
     def test_eval_exits_1_before_any_fit(self, synth_tensor, tmp_path, capsys,
                                          monkeypatch, extra):
@@ -299,7 +330,12 @@ class TestInvalidOptionValues:
         code = main(["eval", "--tensor", str(synth_tensor / "tensor.txt"),
                      "--n-primes", "3", *extra, "--output-dir", str(tmp_path / "out")])
         assert code == 1
-        assert capsys.readouterr().err.startswith("error:")
+        assert one_error_line(capsys)
+
+
+def one_error_line(capsys):
+    err = capsys.readouterr().err.strip().splitlines()
+    return len(err) == 1 and err[0].startswith("error:")
 
 
 @pytest.fixture

@@ -14,6 +14,16 @@ from countcp import (
 from conftest import iter_cell_blocks, random_factors, random_tensor
 
 
+# a third ``complement`` input: the whole tensor, as the complement of nothing
+WHOLE = pytest.param("whole", id="whole")
+
+
+def make_region(shape, rows, cols, complement):
+    if complement == "whole":
+        return Region.whole(shape)
+    return Region(shape, rows, cols, complement=complement)
+
+
 def dense_region_mask(region):
     """Boolean array over the full shape marking the region's cells."""
     shape = region.shape
@@ -82,11 +92,11 @@ class TestRegionSums:
             (dense[grid] ** 2).sum(), rel=1e-12
         )
 
-    @pytest.mark.parametrize("complement", [False, True])
+    @pytest.mark.parametrize("complement", [False, True, WHOLE])
     @pytest.mark.parametrize("mode", [0, 1, 2, 3])
     def test_other_mode_sums_match_loop(self, rng, complement, mode):
         shape = (4, 3, 2, 3)
-        region = Region(shape, rows=[1, 2], cols=[0, 2], complement=complement)
+        region = make_region(shape, [1, 2], [0, 2], complement)
         mats = random_factors(shape, 2, rng).factors
         grid = dense_region_mask(region)
         expected = np.zeros((shape[mode], 2))
@@ -99,11 +109,11 @@ class TestRegionSums:
         got = region.other_mode_sums(mats, mode)
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
 
-    @pytest.mark.parametrize("complement", [False, True])
+    @pytest.mark.parametrize("complement", [False, True, WHOLE])
     @pytest.mark.parametrize("mode", [0, 1, 2, 3])
     def test_gram_denominator_matches_loop(self, rng, complement, mode):
         shape = (4, 3, 2, 3)
-        region = Region(shape, rows=[0, 3], cols=[1], complement=complement)
+        region = make_region(shape, [0, 3], [1], complement)
         mats = random_factors(shape, 2, rng).factors
         grid = dense_region_mask(region)
         dense = np.zeros(shape)
@@ -123,20 +133,31 @@ class TestRegionSums:
         assert np.allclose(got, expected, rtol=1e-12, atol=1e-12)
 
     def test_full_region_matches_unmasked_formulas(self, rng):
+        # the whole-tensor sums must equal the products of per-mode column
+        # sums and Grams taken in ascending mode order, bit for bit: this is
+        # what keeps unmasked BPTF fits and NTF factor updates byte-identical
         shape = (3, 3, 2, 4)
-        region = Region(shape, range(shape[0]), range(shape[1]))
         mats = random_factors(shape, 3, rng).factors
         colsums = [m.sum(axis=0) for m in mats]
-        assert region.sum_recon(mats) == pytest.approx(
-            float((colsums[0] * colsums[1] * colsums[2] * colsums[3]).sum()), rel=1e-14
-        )
-        for mode in range(4):
-            other = np.ones(3)
+        grams = [m.T @ m for m in mats]
+        t = random_tensor(shape, rng, nnz=10)
+        for region in (Region.whole(shape), Region(shape, range(3), range(3))):
+            assert region.n_cells == 3 * 3 * 2 * 4
+            coords, values = region.filter_entries(t)  # no mask, no copy
+            assert coords is t.coords and values is t.values
+            mass, sq = np.ones(3), np.ones((3, 3))
             for m in range(4):
-                if m != mode:
-                    other = other * colsums[m]
-            got = region.other_mode_sums(mats, mode)
-            assert np.allclose(got, np.broadcast_to(other, got.shape), rtol=1e-14)
+                mass, sq = mass * colsums[m], sq * grams[m]
+            assert region.sum_recon(mats) == float(mass.sum())
+            assert region.sum_sq_recon(mats) == float(sq.sum())
+            for mode in range(4):
+                other, gram = np.ones(3), np.ones((3, 3))
+                for m in range(4):
+                    if m != mode:
+                        other, gram = other * colsums[m], gram * grams[m]
+                got = region.other_mode_sums(mats, mode)
+                assert np.array_equal(got, np.broadcast_to(other, got.shape))
+                assert np.array_equal(region.gram_denominator(mats, mode), mats[mode] @ gram)
 
     def test_iter_cell_blocks_enumerates_exactly_once(self, rng):
         shape = (5, 4, 2, 3)
@@ -165,13 +186,13 @@ def enumerated_count_above(region, mats, threshold):
 
 class TestCountReconAbove:
     @pytest.mark.parametrize("shape", [(6, 5, 4), (5, 6, 3, 2), (4, 5, 2, 3, 2)])
-    @pytest.mark.parametrize("complement", [False, True])
+    @pytest.mark.parametrize("complement", [False, True, WHOLE])
     def test_matches_cell_enumeration(self, shape, complement):
-        rng = np.random.default_rng(len(shape) * 2 + complement)
+        rng = np.random.default_rng(len(shape) * 2 + (complement is True))
         for _ in range(5):
             rows = rng.choice(shape[0], size=rng.integers(0, shape[0] + 1), replace=False)
             cols = rng.choice(shape[1], size=rng.integers(0, shape[1] + 1), replace=False)
-            region = Region(shape, rows, cols, complement=complement)
+            region = make_region(shape, rows, cols, complement)
             mats = random_factors(shape, 3, rng, low=0.0, high=1.0).factors
             # thresholds across the reconstructions' range, for 3 to 5 modes
             for threshold in (0.1, 0.5, 1.0):
