@@ -4,7 +4,9 @@ Every latent factor gets an independent Gamma variational distribution with
 shape ``gamma`` and rate ``delta``.  Coordinate ascent cycles through the
 modes updating shapes from allocated counts and rates from the other modes'
 arithmetic expectations; hyperparameter rate multipliers can be re-fit by
-empirical Bayes between sweeps.  The evidence lower bound uses the standard
+empirical Bayes between sweeps.  The shape update is ``cp._allocate``'s
+count allocation, over geometric expectations where the KL update in ``ntf``
+allocates over factors.  The evidence lower bound uses the standard
 auxiliary-count tightening, so the count term needs only the stored entries
 and the reconstruction mass has a closed form.
 """
@@ -19,19 +21,16 @@ from scipy.special import digamma, gammaln
 
 from .cp import (
     FactorSet,
+    _allocate,
     _ascend,
-    load_matrix,
-    read_manifest,
+    _entry_products,
+    _mode_matrices,
+    _reading_bundle,
     save_matrix,
     write_manifest,
 )
-from .errors import (
-    ConfigError,
-    EmptyRegionError,
-    NumericalDegeneracyError,
-    NumericalError,
-)
-from .masking import CellMask, Region, apply_mask
+from .errors import ConfigError, IngestionError, NumericalDegeneracyError, NumericalError
+from .masking import CellMask, Region, _observed_part
 from .tensors import SparseCountTensor
 
 
@@ -70,7 +69,6 @@ class FitConfig:
     relative_elbo_tolerance: float = 1e-5
     seed: int = 0
     learn_beta: bool = True
-    fixed_modes: tuple = ()
 
     def __post_init__(self):
         if self.k < 1:
@@ -81,7 +79,6 @@ class FitConfig:
             raise ConfigError("relative_elbo_tolerance must be positive")
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
-        object.__setattr__(self, "fixed_modes", tuple(int(m) for m in self.fixed_modes))
 
 
 class VariationalState:
@@ -163,13 +160,6 @@ def init_state(shape, config: FitConfig, hyper: Hyperparameters, jitter: float =
     return VariationalState(gamma, delta)
 
 
-def _entry_geo_products(state: VariationalState, coords) -> np.ndarray:
-    parts = state.gexpect[0][coords[:, 0]].copy()
-    for m in range(1, state.n_modes):
-        parts *= state.gexpect[m][coords[:, m]]
-    return parts
-
-
 def update_gamma(
     state: VariationalState, t: SparseCountTensor, mode: int, hyper: Hyperparameters
 ):
@@ -179,19 +169,12 @@ def update_gamma(
     the geometric-expectation products; zero cells allocate nothing, so the
     sweep touches only stored entries.  Refreshes the mode's caches.
     """
-    n, k = state.gamma[mode].shape
-    new = np.full((n, k), hyper.alpha)
-    if t.nnz:
-        parts = _entry_geo_products(state, t.coords)
-        totals = parts.sum(axis=1)
-        bad = ~np.isfinite(totals) | (totals <= 0.0)
-        if bad.any():
-            coord = tuple(int(c) for c in t.coords[np.nonzero(bad)[0][0]])
-            raise NumericalDegeneracyError(
-                f"all-component geometric mass vanished at entry {coord}"
-            )
-        alloc = (t.values / totals)[:, None] * parts
-        np.add.at(new, t.coords[:, mode], alloc)
+    new = np.full(state.gamma[mode].shape, hyper.alpha)
+    bad = _allocate(state.gexpect, t.coords, t.values, mode, new)
+    if bad is not None:
+        raise NumericalDegeneracyError(
+            f"all-component geometric mass vanished at entry {bad}"
+        )
     state.gamma[mode] = new
     state.refresh(mode)
     return state
@@ -267,14 +250,11 @@ def compute_elbo(
     expectation products, and each factor adds its Gamma prior cross-entropy
     and entropy.  Raises if any named term goes non-finite.
     """
-    count_term = 0.0
-    if t.nnz:
-        parts = _entry_geo_products(state, t.coords)
-        totals = parts.sum(axis=1)
-        if np.any(totals <= 0.0) or not np.all(np.isfinite(totals)):
-            raise NumericalError("ELBO count term is non-finite (zero geometric mass)")
-        y = t.values.astype(np.float64)
-        count_term = float(np.dot(y, np.log(totals)) - gammaln(y + 1.0).sum())
+    totals = _entry_products(state.gexpect, t.coords).sum(axis=1)
+    if np.any(totals <= 0.0) or not np.all(np.isfinite(totals)):
+        raise NumericalError("ELBO count term is non-finite (zero geometric mass)")
+    y = t.values.astype(np.float64)
+    count_term = float(np.dot(y, np.log(totals)) - gammaln(y + 1.0).sum())
     mass = (region or Region.whole(state.shape)).sum_recon(state.expect)
     prior = 0.0
     for m in range(state.n_modes):
@@ -289,38 +269,28 @@ def compute_elbo(
     return elbo
 
 
-def fit(
-    t: SparseCountTensor,
-    config: FitConfig,
-    hyper: Hyperparameters | None = None,
-    state: VariationalState | None = None,
-    region: Region | None = None,
-):
-    """Coordinate-ascent variational fit.
+def fit(t: SparseCountTensor, config: FitConfig, hyper: Hyperparameters | None = None):
+    """Coordinate-ascent variational fit from ``init_state``.
 
-    Each sweep updates, for every non-frozen mode in ascending order, the
-    shape then the rate parameters; with ``learn_beta`` the rate multipliers
+    Each sweep updates, for every mode in ascending order, the shape then
+    the rate parameters; with ``learn_beta`` the rate multipliers
     are then re-fit.  Stops when the relative ELBO change drops below the
     tolerance or after ``max_iterations`` sweeps; non-convergence is
     reported in the trace, not raised.  Returns (state, hyper, trace).
     """
     if hyper is None:
         hyper = Hyperparameters.default(t.ndim)
-    if state is None:
-        state = init_state(t.shape, config, hyper)
-    if state.shape != t.shape:
-        raise ValueError(f"state shape {state.shape} != tensor shape {t.shape}")
-    region = region or Region.whole(t.shape)
-    free_modes = [m for m in range(t.ndim) if m not in config.fixed_modes]
+    state = init_state(t.shape, config, hyper)
+    region = Region.whole(t.shape)
     betas = []
 
     def sweep():
         nonlocal hyper
-        for mode in free_modes:
+        for mode in range(t.ndim):
             update_gamma(state, t, mode, hyper)
             update_delta(state, t, mode, hyper, region=region)
         if config.learn_beta:
-            for mode in free_modes:
+            for mode in range(t.ndim):
                 hyper = update_beta(state, mode, hyper)
         betas.append(hyper.beta)
         return compute_elbo(state, t, hyper, region=region)
@@ -356,32 +326,23 @@ def infer_heldout_time_factors(
     All non-time modes stay frozen at the trained parameters (bit for bit);
     only the observed region of the test slices feeds the time-mode shape
     and rate sums.  Returns the fitted state (its last-mode gamma/delta are
-    the per-test-step parameters) and the fit trace.
+    the per-test-step parameters) and the trace of its ELBO on that region.
     """
-    n_modes = trained.n_modes
-    time_mode = n_modes - 1
-    if test_slice.ndim != n_modes or test_slice.shape[:-1] != trained.shape[:-1]:
-        raise ValueError("test slice shape disagrees with the trained state")
-    observed_region = Region.from_mask(test_slice.shape, mask)
-    if observed_region.n_cells == 0:
-        raise EmptyRegionError("mask leaves no observed cells")
-    observed, _ = apply_mask(test_slice, mask)
-
-    run_config = replace(
-        config,
-        k=trained.k,
-        fixed_modes=tuple(range(time_mode)),
-        learn_beta=False,
-    )
-    state = init_state(test_slice.shape, run_config, hyper)
+    observed, region = _observed_part(trained.shape, test_slice, mask)
+    time_mode = trained.n_modes - 1
+    state = init_state(test_slice.shape, replace(config, k=trained.k), hyper)
     for m in range(time_mode):
         state.gamma[m] = trained.gamma[m].copy()
         state.delta[m] = trained.delta[m].copy()
         state.expect[m] = trained.expect[m].copy()
         state.gexpect[m] = trained.gexpect[m].copy()
-    state, _, trace = fit(
-        observed, run_config, hyper, state=state, region=observed_region
-    )
+
+    def sweep():
+        update_gamma(state, observed, time_mode, hyper)
+        update_delta(state, observed, time_mode, hyper, region=region)
+        return compute_elbo(state, observed, hyper, region=region)
+
+    trace = _ascend(sweep, config.max_iterations, config.relative_elbo_tolerance)
     return state, trace
 
 
@@ -414,12 +375,15 @@ def save_state(state: VariationalState, hyper: Hyperparameters, directory) -> Pa
 def load_state(directory):
     """Read a state bundle; caches are recomputed from gamma and delta."""
     directory = Path(directory)
-    manifest = read_manifest(directory / "manifest.txt")
-    n_modes = int(manifest["modes"])
-    gamma = [load_matrix(directory / manifest[f"gamma_{m}"]) for m in range(n_modes)]
-    delta = [load_matrix(directory / manifest[f"delta_{m}"]) for m in range(n_modes)]
-    hyper = Hyperparameters(
-        alpha=float(manifest["alpha"]),
-        beta=tuple(float(b) for b in manifest["beta"].split()),
-    )
-    return VariationalState(gamma, delta), hyper
+    with _reading_bundle(directory) as manifest:
+        state = VariationalState(
+            _mode_matrices(directory, manifest, "gamma"),
+            _mode_matrices(directory, manifest, "delta"),
+        )
+        hyper = Hyperparameters(
+            alpha=float(manifest["alpha"]),
+            beta=tuple(float(b) for b in manifest["beta"].split()),
+        )
+    if len(hyper.beta) != state.n_modes:
+        raise IngestionError(f"{directory}: manifest needs one beta per mode")
+    return state, hyper

@@ -9,13 +9,14 @@ factorizes into per-mode column sums.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 from scipy.special import gammaln
 
-from .errors import IngestionError
+from .errors import ConfigError, IngestionError
 from .masking import Region
 from .tensors import SparseCountTensor, _open_input, load_labels, save_labels
 
@@ -58,15 +59,39 @@ class FactorSet:
         return FactorSet(mats)
 
 
+def _entry_products(mats, coords, skip=None) -> np.ndarray:
+    """(n, K) product, in ascending mode order, of the factor rows each
+    coordinate selects, leaving out mode ``skip``."""
+    modes = [m for m in range(len(mats)) if m != skip]
+    parts = mats[modes[0]][coords[:, modes[0]]]
+    for m in modes[1:]:
+        parts *= mats[m][coords[:, m]]
+    return parts
+
+
+def _allocate(mats, coords, values, mode, out):
+    """Poisson count allocation: add each entry's count to ``out[coords[:, mode]]``,
+    split across components in proportion to the entry's product row.
+
+    Returns the coordinate of the first entry whose row sums to zero or a
+    non-finite value, leaving ``out`` untouched, or None.
+    """
+    parts = _entry_products(mats, coords)
+    totals = parts.sum(axis=1)
+    bad = ~np.isfinite(totals) | (totals <= 0.0)
+    if bad.any():
+        return tuple(int(c) for c in coords[np.argmax(bad)])
+    parts *= (values / totals)[:, None]
+    np.add.at(out, coords[:, mode], parts)
+    return None
+
+
 def reconstruct_entries(f: FactorSet, coords) -> np.ndarray:
     """Vectorized reconstruction at an (n, M) array of coordinates."""
     coords = np.asarray(coords, dtype=np.int64)
     if coords.size == 0:
         return np.zeros(0)
-    parts = f.factors[0][coords[:, 0]].copy()
-    for m in range(1, f.ndim):
-        parts *= f.factors[m][coords[:, m]]
-    return parts.sum(axis=1)
+    return _entry_products(f.factors, coords).sum(axis=1)
 
 
 def reconstruct_dense(f: FactorSet) -> np.ndarray:
@@ -235,17 +260,38 @@ def save_factors(f: FactorSet, directory, mode_labels=None) -> Path:
     return directory
 
 
+@contextmanager
+def _reading_bundle(directory):
+    """The manifest of a bundle, to read the bundle with inside the block.
+
+    A missing file or manifest key, an unparsable value or an invalid matrix
+    met inside the block becomes one IngestionError naming the bundle.
+    """
+    manifest = read_manifest(directory / "manifest.txt")
+    try:
+        yield manifest
+    except KeyError as exc:
+        raise IngestionError(f"{directory}: manifest has no {exc} entry") from exc
+    except (OSError, ValueError, ConfigError) as exc:
+        raise IngestionError(f"{directory}: {exc}") from exc
+
+
+def _mode_matrices(directory, manifest, key):
+    """The matrices a manifest lists as ``key_0``, ``key_1``, ..., checked
+    against its ``shape`` and ``k``."""
+    n_modes, k = int(manifest["modes"]), int(manifest["k"])
+    mats = [load_matrix(directory / manifest[f"{key}_{m}"]) for m in range(n_modes)]
+    if [m.shape for m in mats] != [(int(s), k) for s in manifest["shape"].split()]:
+        raise IngestionError(f"{directory}: manifest disagrees with matrix files")
+    return mats
+
+
 def load_factors(directory):
     """Read a factor bundle; returns (FactorSet, mode_labels or None)."""
     directory = Path(directory)
-    manifest = read_manifest(directory / "manifest.txt")
-    n_modes = int(manifest["modes"])
-    mats = [load_matrix(directory / manifest[f"matrix_{m}"]) for m in range(n_modes)]
-    f = FactorSet(mats)
-    shape = tuple(int(s) for s in manifest["shape"].split())
-    if f.shape != shape or f.k != int(manifest["k"]):
-        raise IngestionError(f"{directory}: manifest disagrees with matrix files")
+    with _reading_bundle(directory) as manifest:
+        f = FactorSet(_mode_matrices(directory, manifest, "matrix"))
     labels = None
     if "labels" in manifest:
-        labels = load_labels(directory / manifest["labels"], shape)
+        labels = load_labels(directory / manifest["labels"], f.shape)
     return f, labels

@@ -246,3 +246,14 @@ def apply_mask(slice_tensor: SparseCountTensor, mask: CellMask):
         slice_tensor.mode_labels,
     )
     return observed, observed_region.invert()
+
+
+def _observed_part(trained_shape, test_slice: SparseCountTensor, mask: CellMask):
+    """Observed entries and region of a test slice, for heldout time inference."""
+    if test_slice.ndim != len(trained_shape) or test_slice.shape[:-1] != trained_shape[:-1]:
+        raise ValueError("test slice shape disagrees with the trained model")
+    region = Region.from_mask(test_slice.shape, mask)
+    if region.n_cells == 0:
+        raise EmptyRegionError("mask leaves no observed cells")
+    observed, _ = apply_mask(test_slice, mask)
+    return observed, region

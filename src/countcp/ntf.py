@@ -1,14 +1,15 @@
 """Non-negative CP baselines via multiplicative updates.
 
 Two costs are supported: generalized KL divergence (the maximum-likelihood
-Poisson fit) and squared Euclidean distance.  Both updates multiply a
-mode's factors by a ratio whose numerator touches only stored entries;
-the denominators are a ``masking.Region``'s column-sum or Gram products,
-so the zero cells never cost anything.  A call without a region means
-the whole tensor (``Region.whole``).  Factors are floored at a small
-epsilon after every sweep so that a zero that the multiplicative rule
-cannot escape (an inadmissible zero) only occurs when the floor is
-explicitly set to 0.
+Poisson fit) and squared Euclidean distance.  Both updates take a ratio
+whose numerator touches only stored entries; the denominators are a
+``masking.Region``'s column-sum or Gram products, so the zero cells never
+cost anything.  The KL numerator times the factors is ``cp._allocate``'s
+count allocation over factors, which the shape update in ``bptf`` makes over
+geometric expectations.  A call without a region means the whole tensor
+(``Region.whole``).  Factors are floored at a small epsilon after every
+sweep so that a zero that the multiplicative rule cannot escape (an
+inadmissible zero) only occurs when the floor is explicitly set to 0.
 """
 
 from __future__ import annotations
@@ -17,14 +18,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cp import FactorSet, _ascend, generalized_kl, reconstruct_entries, total_recon_mass
-from .errors import (
-    ConfigError,
-    DegenerateUpdateError,
-    EmptyRegionError,
-    InadmissibleZeroError,
+from .cp import (
+    FactorSet,
+    _allocate,
+    _ascend,
+    _entry_products,
+    generalized_kl,
+    reconstruct_entries,
+    total_recon_mass,
 )
-from .masking import CellMask, Region, apply_mask
+from .errors import ConfigError, DegenerateUpdateError, InadmissibleZeroError
+from .masking import CellMask, Region, _observed_part
 from .tensors import SparseCountTensor
 
 COSTS = ("kl", "ls")
@@ -74,20 +78,10 @@ def squared_error(
     return float(np.dot(y, y) - 2.0 * np.dot(y, yhat)) + region.sum_sq_recon(f.factors)
 
 
-def _entry_other_products(f: FactorSet, coords, mode: int) -> np.ndarray:
-    parts = None
-    for m in range(f.ndim):
-        if m == mode:
-            continue
-        rows = f.factors[m][coords[:, m]]
-        parts = rows.copy() if parts is None else parts * rows
-    return parts
-
-
-def _scatter_rows(size: int, k: int, index, rows) -> np.ndarray:
-    out = np.zeros((size, k))
-    np.add.at(out, index, rows)
-    return out
+def _ratio(numer, denom) -> np.ndarray:
+    """numer / denom where the denominator is positive, else 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(denom > 0.0, numer / np.where(denom > 0.0, denom, 1.0), 0.0)
 
 
 def ntf_kl_sweep(
@@ -99,31 +93,20 @@ def ntf_kl_sweep(
 ) -> FactorSet:
     """One generalized-KL multiplicative update of one mode's factors.
 
-    Numerator: sum over stored entries of the other modes' factor product
-    times y/yhat.  Denominator: the same product summed over every cell
-    (column-sum products).  A zero reconstruction under a stored count is
-    an inadmissible zero and raises.
+    The new factors are the stored counts allocated to this mode's rows, in
+    proportion to each entry's factor products (the old factors times the
+    other modes' product times y/yhat), divided by the other modes' product
+    summed over every cell (column-sum products).  A zero reconstruction
+    under a stored count is an inadmissible zero and raises.
     """
     region = region or Region.whole(t.shape)
     coords, values = region.filter_entries(t)
-    n, k = f.factors[mode].shape
-    if coords.shape[0]:
-        other = _entry_other_products(f, coords, mode)
-        yhat = (other * f.factors[mode][coords[:, mode]]).sum(axis=1)
-        dead = yhat == 0.0
-        if dead.any():
-            coord = tuple(int(c) for c in coords[np.nonzero(dead)[0][0]])
-            raise InadmissibleZeroError(
-                f"zero reconstruction under count at entry {coord}"
-            )
-        numer = _scatter_rows(n, k, coords[:, mode], other * (values / yhat)[:, None])
-    else:
-        numer = np.zeros((n, k))
-    denom = region.other_mode_sums(f.factors, mode)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(denom > 0.0, numer / np.where(denom > 0.0, denom, 1.0), 0.0)
-    updated = np.maximum(f.factors[mode] * ratio, epsilon_floor)
-    return f.replace_mode(mode, updated)
+    allocated = np.zeros(f.factors[mode].shape)
+    dead = _allocate(f.factors, coords, values, mode, allocated)
+    if dead is not None:
+        raise InadmissibleZeroError(f"zero reconstruction under count at entry {dead}")
+    ratio = _ratio(allocated, region.other_mode_sums(f.factors, mode))
+    return f.replace_mode(mode, np.maximum(ratio, epsilon_floor))
 
 
 def ntf_ls_sweep(
@@ -141,18 +124,13 @@ def ntf_ls_sweep(
     """
     region = region or Region.whole(t.shape)
     coords, values = region.filter_entries(t)
-    n, k = f.factors[mode].shape
-    if coords.shape[0]:
-        other = _entry_other_products(f, coords, mode)
-        numer = _scatter_rows(n, k, coords[:, mode], other * values[:, None])
-    else:
-        numer = np.zeros((n, k))
+    numer = np.zeros(f.factors[mode].shape)
+    other = _entry_products(f.factors, coords, skip=mode)
+    np.add.at(numer, coords[:, mode], other * values[:, None])
     denom = region.gram_denominator(f.factors, mode)
     if np.any((denom == 0.0) & (numer > 0.0)):
         raise DegenerateUpdateError(f"zero Euclidean denominator in mode {mode}")
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(denom > 0.0, numer / np.where(denom > 0.0, denom, 1.0), 0.0)
-    updated = np.maximum(f.factors[mode] * ratio, epsilon_floor)
+    updated = np.maximum(f.factors[mode] * _ratio(numer, denom), epsilon_floor)
     return f.replace_mode(mode, updated)
 
 
@@ -207,15 +185,8 @@ def infer_heldout_time_factors_ntf(
     the observed region.  Returns (FactorSet, Trace) where the
     factor set's time matrix holds one row per test step.
     """
-    n_modes = trained.ndim
-    time_mode = n_modes - 1
-    if test_slice.ndim != n_modes or test_slice.shape[:-1] != trained.shape[:-1]:
-        raise ValueError("test slice shape disagrees with the trained factors")
-    observed_region = Region.from_mask(test_slice.shape, mask)
-    if observed_region.n_cells == 0:
-        raise EmptyRegionError("mask leaves no observed cells")
-    observed, _ = apply_mask(test_slice, mask)
-
+    observed, observed_region = _observed_part(trained.shape, test_slice, mask)
+    time_mode = trained.ndim - 1
     rng = np.random.default_rng(config.seed)
     time0 = rng.uniform(0.0, 1.0, size=(test_slice.shape[time_mode], config.k))
     f = FactorSet(list(trained.factors[:time_mode]) + [time0])

@@ -454,21 +454,18 @@ class TestHeldoutInference:
         assert np.all(heldout.gamma[3] == hyper.alpha)
 
     def test_full_mask_equals_unmasked_fit(self, rng):
-        from dataclasses import replace
-
         state, hyper, test, config = self.build_split(rng)
         full_mask = CellMask(rows=range(5), cols=range(5))
-        heldout, _ = infer_heldout_time_factors(state, hyper, test, full_mask, config)
+        heldout, trace = infer_heldout_time_factors(state, hyper, test, full_mask, config)
 
-        manual_config = replace(
-            config, k=state.k, fixed_modes=(0, 1, 2), learn_beta=False
-        )
-        manual = init_state(test.shape, manual_config, hyper)
+        manual = init_state(test.shape, config, hyper)
         for m in range(3):
             manual.gamma[m] = state.gamma[m].copy()
             manual.delta[m] = state.delta[m].copy()
             manual.refresh(m)
-        manual, _, _ = fit(test, manual_config, hyper, state=manual)
+        for _ in range(trace.n_iterations):
+            update_gamma(manual, test, 3, hyper)
+            update_delta(manual, test, 3, hyper)
         assert np.allclose(heldout.gamma[3], manual.gamma[3], rtol=1e-12)
         assert np.allclose(heldout.delta[3], manual.delta[3], rtol=1e-12)
 

@@ -237,6 +237,46 @@ class TestMalformedInputFiles:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["data error: a tensor needs at least two modes, got shape (3,)"]
 
+    @pytest.mark.parametrize(
+        "option, name, corrupt",
+        [
+            ("--state", "gamma_mode1.txt", None),
+            ("--state", "gamma_mode0.txt", lambda text: text + "1 2 x\n"),
+            ("--state", "manifest.txt", lambda text: drop_line(text, "beta")),
+            ("--state", "gamma_mode0.txt", lambda text: "-" + text),
+            ("--state", "manifest.txt",
+             lambda text: text.replace("\nbeta = ", "\nbeta = 1 ")),
+            ("--factors", "factors_mode2.txt", None),
+            ("--factors", "manifest.txt", lambda text: drop_line(text, "matrix_1")),
+            ("--factors", "factors_mode0.txt", lambda text: "-" + text),
+            ("--factors", "manifest.txt",
+             lambda text: text.replace("modes = 4", "modes = x")),
+        ],
+        ids=["state-missing-matrix", "state-bad-row", "state-no-beta",
+             "state-negative-gamma", "state-extra-beta", "factors-missing-matrix",
+             "factors-no-matrix-key", "factors-negative", "factors-bad-modes"],
+    )
+    def test_broken_bundle_exits_2(self, synth_tensor, tmp_path, capsys,
+                                   option, name, corrupt):
+        model = "bptf" if option == "--state" else "ntf-kl"
+        fit_out = tmp_path / "fit"
+        assert main(["fit", "--tensor", str(synth_tensor / "tensor.txt"), "--model", model,
+                     "--k", "3", "--max-iterations", "2",
+                     "--output-dir", str(fit_out)]) == 0
+        bundle = fit_out / option.lstrip("-")
+        path = bundle / name
+        if corrupt is None:
+            path.unlink()
+        else:
+            path.write_text(corrupt(path.read_text()))
+        capsys.readouterr()
+        code = main(["explore", option, str(bundle),
+                     "--labels", str(synth_tensor / "labels.txt"),
+                     "--output-dir", str(tmp_path / "explore")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"data error: {bundle}: ")
+
     @FUZZ
     @given(data=st.data())
     def test_one_corrupted_event_token_never_raises(self, data):
@@ -331,6 +371,11 @@ class TestInvalidOptionValues:
                      "--n-primes", "3", *extra, "--output-dir", str(tmp_path / "out")])
         assert code == 1
         assert one_error_line(capsys)
+
+
+def drop_line(text, key):
+    return "".join(line for line in text.splitlines(keepends=True)
+                   if not line.startswith(f"{key} "))
 
 
 def one_error_line(capsys):

@@ -40,7 +40,45 @@ def perfect_instance():
     return t, f
 
 
+def kl_update_oracle(f, t, mode, region, epsilon_floor):
+    """The KL multiplicative update as the factors times the scattered
+    other-mode products times y/yhat, over the other-mode sums, floored."""
+    keep = region.contains(t.coords)
+    coords, y = t.coords[keep], t.values[keep].astype(np.float64)
+    other = np.ones((coords.shape[0], f.k))
+    for m in range(f.ndim):
+        if m != mode:
+            other *= f.factors[m][coords[:, m]]
+    yhat = (other * f.factors[mode][coords[:, mode]]).sum(axis=1)
+    numer = np.zeros_like(f.factors[mode])
+    np.add.at(numer, coords[:, mode], other * (y / yhat)[:, None])
+    denom = region.other_mode_sums(f.factors, mode)
+    ratio = np.divide(numer, denom, out=np.zeros_like(numer), where=denom > 0.0)
+    return np.maximum(f.factors[mode] * ratio, epsilon_floor)
+
+
+KL_SHAPES = {"3-mode": (5, 4, 6), "4-mode": (4, 5, 3, 4), "5-mode": (4, 4, 2, 3, 3)}
+KL_REGIONS = {
+    "whole": lambda shape: Region.whole(shape),
+    "block": lambda shape: Region(shape, [0, 2, 3], [1, 2]),
+    "complement": lambda shape: Region(shape, [0, 2, 3], [1, 2], complement=True),
+}
+
+
 class TestKlSweep:
+    @pytest.mark.parametrize("region_kind", list(KL_REGIONS))
+    @pytest.mark.parametrize("shape_kind", list(KL_SHAPES))
+    def test_matches_scatter_oracle(self, rng, shape_kind, region_kind):
+        shape = KL_SHAPES[shape_kind]
+        t = random_tensor(shape, rng, nnz=60)
+        f = random_factors(shape, 3, rng)
+        region = KL_REGIONS[region_kind](shape)
+        for mode in range(len(shape)):
+            updated = ntf_kl_sweep(f, t, mode, region, epsilon_floor=1e-12)
+            expected = kl_update_oracle(f, t, mode, region, 1e-12)
+            np.testing.assert_allclose(updated.factors[mode], expected, rtol=1e-12, atol=0)
+            f = updated
+
     def test_perfect_reconstruction_is_a_fixed_point(self):
         t, f = perfect_instance()
         for mode in range(4):
