@@ -5,8 +5,9 @@ shape ``gamma`` and rate ``delta``.  Coordinate ascent cycles through the
 modes updating shapes from allocated counts and rates from the other modes'
 arithmetic expectations; hyperparameter rate multipliers can be re-fit by
 empirical Bayes between sweeps.  The shape update is ``cp._allocate``'s
-count allocation, over geometric expectations where the KL update in ``ntf``
-allocates over factors.  The evidence lower bound uses the standard
+count allocation, in log space over the log geometric expectations where the
+KL update in ``ntf`` allocates over log factors, so it holds for any shape
+``alpha`` > 0 however small.  The evidence lower bound uses the standard
 auxiliary-count tightening, so the count term needs only the stored entries
 and the reconstruction mass has a closed form.
 """
@@ -23,7 +24,7 @@ from .cp import (
     FactorSet,
     _allocate,
     _ascend,
-    _entry_products,
+    _count_shares,
     _mode_matrices,
     _reading_bundle,
     save_matrix,
@@ -84,16 +85,18 @@ class FitConfig:
 class VariationalState:
     """Per-mode Gamma variational parameters with cached expectations.
 
-    ``expect`` holds the arithmetic expectations gamma / delta and
-    ``gexpect`` the geometric expectations exp(digamma(gamma)) / delta.
-    Callers that pass caches explicitly are trusted (the warm-start path
-    seeds both caches from a point estimate); ``refresh`` restores cache
-    consistency for one mode after its parameters change.
+    ``expect`` holds the arithmetic expectations gamma / delta and ``elog``
+    the expected log factors digamma(gamma) - log(delta), the logs of the
+    geometric expectations; at a small shape the geometric expectation
+    itself underflows, its log does not.  Callers that pass caches
+    explicitly are trusted (the warm-start path seeds both caches from a
+    point estimate); ``refresh`` restores cache consistency for one mode
+    after its parameters change.
     """
 
-    __slots__ = ("gamma", "delta", "expect", "gexpect")
+    __slots__ = ("gamma", "delta", "expect", "elog")
 
-    def __init__(self, gamma, delta, expect=None, gexpect=None):
+    def __init__(self, gamma, delta, expect=None, elog=None):
         gamma = [np.ascontiguousarray(g, dtype=np.float64) for g in gamma]
         delta = [np.ascontiguousarray(d, dtype=np.float64) for d in delta]
         if len(gamma) != len(delta):
@@ -107,14 +110,14 @@ class VariationalState:
                 raise ValueError(f"mode {m}: variational parameters must be positive")
         self.gamma = gamma
         self.delta = delta
-        if expect is None or gexpect is None:
+        if expect is None or elog is None:
             self.expect = [None] * len(gamma)
-            self.gexpect = [None] * len(gamma)
+            self.elog = [None] * len(gamma)
             for m in range(len(gamma)):
                 self.refresh(m)
         else:
             self.expect = [np.ascontiguousarray(e, dtype=np.float64) for e in expect]
-            self.gexpect = [np.ascontiguousarray(g, dtype=np.float64) for g in gexpect]
+            self.elog = [np.ascontiguousarray(e, dtype=np.float64) for e in elog]
 
     @property
     def n_modes(self) -> int:
@@ -131,14 +134,14 @@ class VariationalState:
     def refresh(self, mode: int) -> None:
         g, d = self.gamma[mode], self.delta[mode]
         self.expect[mode] = g / d
-        self.gexpect[mode] = np.exp(digamma(g)) / d
+        self.elog[mode] = digamma(g) - np.log(d)
 
     def copy(self) -> "VariationalState":
         return VariationalState(
             [g.copy() for g in self.gamma],
             [d.copy() for d in self.delta],
             [e.copy() for e in self.expect],
-            [g.copy() for g in self.gexpect],
+            [e.copy() for e in self.elog],
         )
 
 
@@ -166,11 +169,12 @@ def update_gamma(
     """Shape update for one mode: alpha plus this mode's allocated counts.
 
     Each stored entry splits its count across components proportionally to
-    the geometric-expectation products; zero cells allocate nothing, so the
-    sweep touches only stored entries.  Refreshes the mode's caches.
+    the geometric-expectation products, taken in log space; zero cells
+    allocate nothing, so the sweep touches only stored entries.  Refreshes
+    the mode's caches.
     """
     new = np.full(state.gamma[mode].shape, hyper.alpha)
-    bad = _allocate(state.gexpect, t.coords, t.values, mode, new)
+    bad = _allocate(state.elog, t, mode, new)
     if bad is not None:
         raise NumericalDegeneracyError(
             f"all-component geometric mass vanished at entry {bad}"
@@ -246,15 +250,16 @@ def compute_elbo(
 
     Uses the auxiliary-count tightening: the count term is the stored
     entries' counts times the log of their summed geometric-expectation
-    products, the reconstruction mass is the closed-form sum of arithmetic
-    expectation products, and each factor adds its Gamma prior cross-entropy
-    and entropy.  Raises if any named term goes non-finite.
+    products (a log-sum-exp of the summed expected log factors), the
+    reconstruction mass is the closed-form sum of arithmetic expectation
+    products, and each factor adds its Gamma prior cross-entropy and
+    entropy.  Raises if any named term goes non-finite.
     """
-    totals = _entry_products(state.gexpect, t.coords).sum(axis=1)
-    if np.any(totals <= 0.0) or not np.all(np.isfinite(totals)):
+    shares, log_mass = _count_shares(state.elog, t)
+    if shares is None:
         raise NumericalError("ELBO count term is non-finite (zero geometric mass)")
     y = t.values.astype(np.float64)
-    count_term = float(np.dot(y, np.log(totals)) - gammaln(y + 1.0).sum())
+    count_term = float((y * log_mass).sum() - gammaln(y + 1.0).sum())
     mass = (region or Region.whole(state.shape)).sum_recon(state.expect)
     prior = 0.0
     for m in range(state.n_modes):
@@ -305,12 +310,13 @@ def point_estimate(state: VariationalState, kind: str) -> FactorSet:
 
     ``kind`` selects the arithmetic expectations gamma/delta or the
     geometric expectations exp(digamma(gamma))/delta; the geometric ones
-    are never larger and are the recommended choice for prediction.
+    are never larger and are the recommended choice for prediction.  At a
+    small shape a geometric expectation can underflow to exactly 0.
     """
     if kind == "arithmetic":
         return FactorSet([e.copy() for e in state.expect])
     if kind == "geometric":
-        return FactorSet([g.copy() for g in state.gexpect])
+        return FactorSet([np.exp(e) for e in state.elog])
     raise ValueError(f"kind must be 'arithmetic' or 'geometric', got {kind!r}")
 
 
@@ -335,7 +341,7 @@ def infer_heldout_time_factors(
         state.gamma[m] = trained.gamma[m].copy()
         state.delta[m] = trained.delta[m].copy()
         state.expect[m] = trained.expect[m].copy()
-        state.gexpect[m] = trained.gexpect[m].copy()
+        state.elog[m] = trained.elog[m].copy()
 
     def sweep():
         update_gamma(state, observed, time_mode, hyper)

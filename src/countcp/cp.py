@@ -4,7 +4,10 @@ The reconstruction of cell c is sum_k prod_m factors[m][c_m, k].  Both
 objectives run over the cells of a ``masking.Region``; a call without one
 means the whole tensor (``Region.whole``).  They cost only
 O(nnz * K + sum_m shape[m] * K): the region's sum of the reconstruction
-factorizes into per-mode column sums.
+factorizes into per-mode column sums.  ``_allocate`` is the Poisson count
+allocation behind both the BPTF shape update and the KL update: a
+per-entry softmax over summed log factors, added into factor rows with the
+tensor's cached per-mode incidence matrices.
 """
 
 from __future__ import annotations
@@ -69,29 +72,71 @@ def _entry_products(mats, coords, skip=None) -> np.ndarray:
     return parts
 
 
-def _allocate(mats, coords, values, mode, out):
-    """Poisson count allocation: add each entry's count to ``out[coords[:, mode]]``,
-    split across components in proportion to the entry's product row.
+# A component whose summed log factor lies more than 700 below its entry's
+# largest gets a share of exactly 0: clamping there keeps ``exp`` clear of
+# subnormals, which slow it several-fold, and subtracting the clamp's own
+# weight zeroes it while leaving every weight above exp(-664) unchanged.
+_LOG_FLOOR = -700.0
+_FLOOR_WEIGHT = float(np.exp(_LOG_FLOOR))
+# Per-entry (n, K) work runs in blocks of about this many (entry, component)
+# cells, so that its several elementwise passes over a block run in cache.
+_BLOCK_CELLS = 1 << 16
 
-    Returns the coordinate of the first entry whose row sums to zero or a
-    non-finite value, leaving ``out`` untouched, or None.
+
+def _count_shares(logs, t: SparseCountTensor):
+    """Each stored count of ``t`` split across components by a softmax of
+    the entry's summed log factors (per-mode rows, summed in ascending mode
+    order; each entry is max-shifted).
+
+    Returns (shares, log_mass): the (nnz, K) shares and each entry's log of
+    its summed exp log factors.  ``shares`` is None if some entry has no
+    mass or a non-finite log factor; ``log_mass`` then ends in the block
+    holding the first such entry.
     """
-    parts = _entry_products(mats, coords)
-    totals = parts.sum(axis=1)
-    bad = ~np.isfinite(totals) | (totals <= 0.0)
-    if bad.any():
-        return tuple(int(c) for c in coords[np.argmax(bad)])
-    parts *= (values / totals)[:, None]
-    np.add.at(out, coords[:, mode], parts)
+    coords = t.coords
+    n, k = coords.shape[0], logs[0].shape[1]
+    shares, log_mass = np.empty((n, k)), np.empty(n)
+    step = max(1, _BLOCK_CELLS // k)
+    for lo in range(0, n, step):
+        c, parts, top = coords[lo:lo + step], shares[lo:lo + step], log_mass[lo:lo + step]
+        parts[...] = logs[0][c[:, 0]]
+        for m in range(1, len(logs)):
+            parts += logs[m][c[:, m]]
+        parts.max(axis=1, out=top)
+        if not np.all(np.isfinite(top)):
+            return None, log_mass[:lo + len(top)]
+        parts -= top[:, None]
+        np.maximum(parts, _LOG_FLOOR, out=parts)
+        np.exp(parts, out=parts)
+        parts -= _FLOOR_WEIGHT
+        total = parts.sum(axis=1)
+        parts *= (t.values[lo:lo + step] / total)[:, None]
+        top += np.log(total)
+    return shares, log_mass
+
+
+def _allocate(logs, t: SparseCountTensor, mode, out):
+    """Poisson count allocation: add each stored count of ``t``, split by
+    ``_count_shares``, into ``out`` at its ``mode`` index.
+
+    Returns the coordinate of the first entry with no mass or a non-finite
+    log factor, leaving ``out`` untouched, or None.
+    """
+    shares, log_mass = _count_shares(logs, t)
+    if shares is None:
+        return tuple(int(c) for c in t.coords[np.argmax(~np.isfinite(log_mass))])
+    out += t._incidence_matrix(mode) @ shares
     return None
 
 
 def reconstruct_entries(f: FactorSet, coords) -> np.ndarray:
     """Vectorized reconstruction at an (n, M) array of coordinates."""
     coords = np.asarray(coords, dtype=np.int64)
-    if coords.size == 0:
-        return np.zeros(0)
-    return _entry_products(f.factors, coords).sum(axis=1)
+    out = np.empty(coords.shape[0])
+    step = max(1, _BLOCK_CELLS // f.k)
+    for lo in range(0, coords.shape[0], step):
+        out[lo:lo + step] = _entry_products(f.factors, coords[lo:lo + step]).sum(axis=1)
+    return out
 
 
 def reconstruct_dense(f: FactorSet) -> np.ndarray:
@@ -114,8 +159,8 @@ def total_recon_mass(f: FactorSet, region: Region | None = None) -> float:
 
 
 def _entry_recon_and_values(f: FactorSet, t: SparseCountTensor, region: Region):
-    coords, values = region.filter_entries(t)
-    return reconstruct_entries(f, coords), values.astype(np.float64)
+    part = region.restrict(t)
+    return reconstruct_entries(f, part.coords), part.values.astype(np.float64)
 
 
 def poisson_log_likelihood(f: FactorSet, t: SparseCountTensor, region=None) -> float:
@@ -133,7 +178,7 @@ def poisson_log_likelihood(f: FactorSet, t: SparseCountTensor, region=None) -> f
     yhat, y = _entry_recon_and_values(f, t, region)
     if np.any(yhat == 0.0):
         return float("-inf")
-    ll = float(np.dot(y, np.log(yhat)) - gammaln(y + 1.0).sum())
+    ll = float((y * np.log(yhat)).sum() - gammaln(y + 1.0).sum())
     return ll - total_recon_mass(f, region)
 
 
@@ -151,7 +196,7 @@ def generalized_kl(t: SparseCountTensor, f: FactorSet, region=None) -> float:
     yhat, y = _entry_recon_and_values(f, t, region)
     if np.any(yhat == 0.0):
         return float("inf")
-    entry_part = float(np.dot(y, np.log(y) - np.log(yhat)) - y.sum())
+    entry_part = float((y * (np.log(y) - np.log(yhat))).sum() - y.sum())
     return entry_part + total_recon_mass(f, region)
 
 

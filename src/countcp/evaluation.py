@@ -85,8 +85,8 @@ def region_metrics(f: FactorSet, truth: SparseCountTensor, region: Region) -> di
     n_cells = region.n_cells
     if n_cells == 0:
         raise SpecValidationError("metrics over an empty region are undefined")
-    coords, values = region.filter_entries(truth)
-    y = values.astype(np.float64)
+    part = region.restrict(truth)
+    coords, y = part.coords, part.values.astype(np.float64)
     yhat_nz = reconstruct_entries(f, coords)
     nz_err = float(np.abs(yhat_nz - y).sum())
     # closed form, clamped against rounding when the region is all non-zero
@@ -285,9 +285,8 @@ def _run_seed(spec: ExperimentSpec, trainers, sorted_t, masks, seed: int) -> lis
     regions = [Region.from_mask(ts.test.shape, mask).invert() for mask in masks]
     splits = []
     for region in regions:
-        _, heldout_values = region.filter_entries(ts.test)
         try:
-            vmr = vmr_of_counts(heldout_values)
+            vmr = vmr_of_counts(region.restrict(ts.test).values)
         except UndefinedStatisticError:
             vmr = math.nan
         splits.append(SplitScores(seed, region.density(ts.test), vmr))

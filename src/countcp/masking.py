@@ -99,15 +99,18 @@ class Region:
         inside = self._in_rows[coords[:, 0]] & self._in_cols[coords[:, 1]]
         return ~inside if self.complement else inside
 
-    def filter_entries(self, t: SparseCountTensor):
-        """Stored entries of ``t`` that fall inside the region.
+    def restrict(self, t: SparseCountTensor) -> SparseCountTensor:
+        """The stored entries of ``t`` inside the region, as a tensor.
 
-        A region over every actor pair returns the tensor's own arrays.
+        Returns ``t`` itself, with its cached incidence matrices, when no
+        entry lies outside the region.
         """
         if self.n_pairs == self.shape[0] * self.shape[1]:
-            return t.coords, t.values
+            return t
         keep = self.contains(t.coords)
-        return t.coords[keep], t.values[keep]
+        if keep.all():
+            return t
+        return SparseCountTensor(t.shape, t.coords[keep], t.values[keep], t.mode_labels)
 
     def density(self, t: SparseCountTensor) -> float:
         """Fraction of the region's cells that are non-zero in ``t``."""
@@ -238,14 +241,7 @@ def apply_mask(slice_tensor: SparseCountTensor, mask: CellMask):
     heldout zero cells are described by the region, never materialized.
     """
     observed_region = Region.from_mask(slice_tensor.shape, mask)
-    keep = observed_region.contains(slice_tensor.coords)
-    observed = SparseCountTensor(
-        slice_tensor.shape,
-        slice_tensor.coords[keep],
-        slice_tensor.values[keep],
-        slice_tensor.mode_labels,
-    )
-    return observed, observed_region.invert()
+    return observed_region.restrict(slice_tensor), observed_region.invert()
 
 
 def _observed_part(trained_shape, test_slice: SparseCountTensor, mask: CellMask):

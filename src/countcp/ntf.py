@@ -5,11 +5,11 @@ Poisson fit) and squared Euclidean distance.  Both updates take a ratio
 whose numerator touches only stored entries; the denominators are a
 ``masking.Region``'s column-sum or Gram products, so the zero cells never
 cost anything.  The KL numerator times the factors is ``cp._allocate``'s
-count allocation over factors, which the shape update in ``bptf`` makes over
-geometric expectations.  A call without a region means the whole tensor
-(``Region.whole``).  Factors are floored at a small epsilon after every
-sweep so that a zero that the multiplicative rule cannot escape (an
-inadmissible zero) only occurs when the floor is explicitly set to 0.
+count allocation over the log factors, which the shape update in ``bptf``
+makes over the expected log factors.  A call without a region means the
+whole tensor (``Region.whole``).  Factors are floored at a small epsilon
+after every sweep so that a zero that the multiplicative rule cannot escape
+(an inadmissible zero) only occurs when the floor is explicitly set to 0.
 """
 
 from __future__ import annotations
@@ -72,10 +72,10 @@ def squared_error(
     if f.shape != t.shape:
         raise ValueError(f"factor shape {f.shape} != tensor shape {t.shape}")
     region = region or Region.whole(t.shape)
-    coords, values = region.filter_entries(t)
-    y = values.astype(np.float64)
-    yhat = reconstruct_entries(f, coords)
-    return float(np.dot(y, y) - 2.0 * np.dot(y, yhat)) + region.sum_sq_recon(f.factors)
+    part = region.restrict(t)
+    y = part.values.astype(np.float64)
+    yhat = reconstruct_entries(f, part.coords)
+    return float((y * y).sum() - 2.0 * (y * yhat).sum()) + region.sum_sq_recon(f.factors)
 
 
 def _ratio(numer, denom) -> np.ndarray:
@@ -100,9 +100,10 @@ def ntf_kl_sweep(
     under a stored count is an inadmissible zero and raises.
     """
     region = region or Region.whole(t.shape)
-    coords, values = region.filter_entries(t)
     allocated = np.zeros(f.factors[mode].shape)
-    dead = _allocate(f.factors, coords, values, mode, allocated)
+    with np.errstate(divide="ignore"):  # a zero factor is a weight of exactly 0
+        logs = [np.log(m) for m in f.factors]
+    dead = _allocate(logs, region.restrict(t), mode, allocated)
     if dead is not None:
         raise InadmissibleZeroError(f"zero reconstruction under count at entry {dead}")
     ratio = _ratio(allocated, region.other_mode_sums(f.factors, mode))
@@ -123,10 +124,9 @@ def ntf_ls_sweep(
     the Gram-product identity.
     """
     region = region or Region.whole(t.shape)
-    coords, values = region.filter_entries(t)
-    numer = np.zeros(f.factors[mode].shape)
-    other = _entry_products(f.factors, coords, skip=mode)
-    np.add.at(numer, coords[:, mode], other * values[:, None])
+    part = region.restrict(t)
+    other = _entry_products(f.factors, part.coords, skip=mode)
+    numer = part._incidence_matrix(mode) @ (other * part.values[:, None])
     denom = region.gram_denominator(f.factors, mode)
     if np.any((denom == 0.0) & (numer > 0.0)):
         raise DegenerateUpdateError(f"zero Euclidean denominator in mode {mode}")

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
-import operator
 from dataclasses import dataclass
+from math import prod
 from pathlib import Path
 
 import numpy as np
+from scipy.sparse import csr_array
 
 from .errors import (
     ConfigError,
@@ -74,7 +75,7 @@ class SparseCountTensor:
     tensors with the same content compare and serialize identically.
     """
 
-    __slots__ = ("shape", "coords", "values", "mode_labels")
+    __slots__ = ("shape", "coords", "values", "mode_labels", "_incidence")
 
     def __init__(self, shape, coords, values, mode_labels):
         shape = tuple(int(s) for s in shape)
@@ -109,6 +110,7 @@ class SparseCountTensor:
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mode_labels", mode_labels)
+        object.__setattr__(self, "_incidence", [None] * len(shape))
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseCountTensor is immutable")
@@ -144,24 +146,29 @@ class SparseCountTensor:
             dense[tuple(self.coords.T)] = self.values
         return dense
 
-    @classmethod
-    def from_entries(cls, shape, entries, mode_labels=None, sum_duplicates=False):
-        """Build from an iterable of (coordinate, count) pairs.
+    def _incidence_matrix(self, mode: int) -> csr_array:
+        """(shape[mode] x nnz) CSR matrix with a one at (coords[e, mode], e).
 
-        With ``sum_duplicates`` repeated coordinates are aggregated, which is
-        the convention used when loading tensor files.
+        Its product with an (nnz, K) array adds each entry's row into the
+        row of its ``mode`` index, in entry order, as ``np.add.at`` would.
+        Built on first use and kept, since the tensor never changes.
         """
+        if self._incidence[mode] is None:
+            rows = self.coords[:, mode]
+            self._incidence[mode] = csr_array(
+                (np.ones(self.nnz), (rows, np.arange(self.nnz))),
+                shape=(self.shape[mode], self.nnz),
+            )
+        return self._incidence[mode]
+
+    @classmethod
+    def from_entries(cls, shape, entries, mode_labels=None):
+        """Build from an iterable of (coordinate, count) pairs."""
         entries = list(entries)
         coords = np.asarray([e[0] for e in entries], dtype=np.int64).reshape(
             -1, len(shape)
         )
         values = np.asarray([e[1] for e in entries], dtype=np.int64)
-        if sum_duplicates and coords.shape[0]:
-            flat = np.ravel_multi_index(coords.T, shape)
-            uniq, inv = np.unique(flat, return_inverse=True)
-            summed = np.bincount(inv, weights=values.astype(np.float64))
-            coords = np.stack(np.unravel_index(uniq, shape), axis=1)
-            values = summed.astype(np.int64)
         if mode_labels is None:
             mode_labels = default_labels(shape)
         return cls(shape, coords, values, mode_labels)
@@ -459,35 +466,97 @@ def save_tensor(t: SparseCountTensor, path) -> None:
 def load_tensor(path, labels_path=None) -> SparseCountTensor:
     """Read the coordinate-list format; duplicate coordinates are summed.
 
-    Errors name the offending line: a non-integer field, a wrong field
-    count, a mode size below 1, a coordinate outside the shape, or a count
-    outside 1 .. 2**63 - 1.
+    The body is parsed in one ``np.loadtxt`` pass and checked as an array.
+    Errors name the offending line: a non-integer field or one outside the
+    64-bit range, a wrong field count, a mode size below 1, a coordinate
+    outside the shape, or a count below 1.
     """
     path = Path(path)
     with _open_input(path) as fh:
-        lines = [(n, ln) for n, ln in enumerate(fh, start=1) if ln.strip()]
-    if not lines:
+        filled = ((n, ln) for n, ln in enumerate(fh, start=1) if ln.strip())
+        head, text = next(filled, (0, None))
+        has_body = next(filled, None) is not None
+    if text is None:
         raise IngestionError(f"{path}: empty tensor file")
-    n, head = lines[0]
     try:
-        shape = tuple(int(tok) for tok in head.split())
+        shape = tuple(int(tok) for tok in text.split())
         if min(shape) < 1:
             raise ValueError("mode sizes must be positive")
-        entries = []
-        for n, ln in lines[1:]:
-            toks = [int(tok) for tok in ln.split()]
-            if len(toks) != len(shape) + 1:
-                raise ValueError(f"expected {len(shape) + 1} fields, got {len(toks)}")
-            coord, count = toks[:-1], toks[-1]
-            if min(coord) < 0 or not all(map(operator.lt, coord, shape)):
-                raise ValueError(f"coordinate {tuple(coord)} outside shape {shape}")
-            if not 1 <= count < 2**63:
-                raise ValueError(f"count {count} is not in 1 .. 2**63 - 1")
-            entries.append((coord, count))
+        if prod(shape) >= 2**63:
+            raise ValueError("mode sizes multiply to 2**63 or more")
     except ValueError as exc:
-        raise IngestionError(f"{path}: line {n}: {exc}") from exc
-    labels = load_labels(labels_path, shape) if labels_path else None
-    return SparseCountTensor.from_entries(shape, entries, labels, sum_duplicates=True)
+        raise IngestionError(f"{path}: line {head}: {exc}") from exc
+    rows = np.empty((0, len(shape) + 1), dtype=np.int64)
+    if has_body:
+        try:
+            rows = np.loadtxt(path, dtype=np.int64, comments=None, ndmin=2, skiprows=head)
+        except ValueError:
+            rows = None
+    if rows is not None:
+        row, problem = _first_invalid(rows, shape)
+    if rows is None or problem is not None:
+        with _open_input(path) as fh:
+            body = fh.read().split("\n")[head:]
+        filled = [n for n, ln in enumerate(body) if ln.strip()]
+        if rows is None:
+            row, problem = _first_unparsable([body[n] for n in filled], shape)
+        raise IngestionError(f"{path}: line {head + 1 + filled[row]}: {problem}")
+    coords, counts = rows[:, :-1], rows[:, -1]
+    cells, inverse = np.unique(np.ravel_multi_index(coords.T, shape), return_inverse=True)
+    if cells.size < counts.size:
+        if np.bincount(inverse, weights=counts).max() >= 2.0**63:
+            raise IngestionError(f"{path}: repeated coordinates sum past 2**63 - 1")
+        summed = np.zeros(cells.size, dtype=np.int64)
+        np.add.at(summed, inverse, counts)
+        coords, counts = np.stack(np.unravel_index(cells, shape), axis=1), summed
+    labels = load_labels(labels_path, shape) if labels_path else default_labels(shape)
+    return SparseCountTensor(shape, coords, counts, labels)
+
+
+def _first_invalid(rows, shape):
+    """(row, message) for the first parsed row with the wrong field count,
+    a coordinate outside ``shape`` or a count below 1; (None, None) if every
+    row is valid."""
+    if rows.shape[1] != len(shape) + 1:
+        return 0, f"expected {len(shape) + 1} fields, got {rows.shape[1]}"
+    coords, counts = rows[:, :-1], rows[:, -1]
+    outside = ((coords < 0) | (coords >= np.asarray(shape))).any(axis=1)
+    bad = outside | (counts < 1)
+    if not bad.any():
+        return None, None
+    row = int(np.argmax(bad))
+    if outside[row]:
+        return row, f"coordinate {tuple(int(c) for c in coords[row])} outside shape {shape}"
+    return row, f"count {counts[row]} is not in 1 .. 2**63 - 1"
+
+
+def _first_unparsable(lines, shape):
+    """(row, message) for the first invalid one of non-blank ``lines`` that
+    np.loadtxt rejects as a whole.
+
+    Bisects on the number of leading rows that parse, so each probe parses
+    a prefix in one pass; the parsed prefix is then checked as an array, so
+    an invalid row before the unparsable one is still the one reported.
+    """
+    width = len(shape) + 1
+    if len(lines[0].split()) != width:
+        return 0, f"expected {width} fields, got {len(lines[0].split())}"
+    good, bad = 0, len(lines)  # lines[:good] parse, lines[:bad] do not
+    parsed = np.empty((0, width), dtype=np.int64)
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            parsed = np.loadtxt(lines[:mid], dtype=np.int64, comments=None, ndmin=2)
+            good = mid
+        except ValueError:
+            bad = mid
+    row, problem = _first_invalid(parsed, shape)
+    if problem is not None:
+        return row, problem
+    fields = lines[good].split()
+    if len(fields) != width:
+        return good, f"expected {width} fields, got {len(fields)}"
+    return good, f"expected {width} integers in -2**63 .. 2**63 - 1, got {' '.join(fields)}"
 
 
 def save_labels(mode_labels, path) -> None:

@@ -37,7 +37,29 @@ def state_from_point_estimate(factors):
     gamma = [np.maximum(f, 1e-300) for f in factors.factors]
     delta = [np.ones_like(f) for f in factors.factors]
     caches = [f.copy() for f in factors.factors]
-    return VariationalState(gamma, delta, expect=caches, gexpect=[c.copy() for c in caches])
+    with np.errstate(divide="ignore"):
+        elog = [np.log(c) for c in caches]
+    return VariationalState(gamma, delta, expect=caches, elog=elog)
+
+
+def linear_allocate(mats, coords, values, mode, out):
+    """The count allocation in linear space with an ``np.add.at`` scatter:
+    the oracle for ``cp._allocate``, which takes the logs of ``mats``.
+
+    Splits each count across components in proportion to the product of the
+    factor rows its coordinate selects and adds it into ``out``; returns the
+    coordinate of the first entry whose products sum to zero or a non-finite
+    value, leaving ``out`` untouched, or None.
+    """
+    parts = np.ones((coords.shape[0], mats[0].shape[1]))
+    for m, mat in enumerate(mats):
+        parts *= mat[coords[:, m]]
+    totals = parts.sum(axis=1)
+    bad = ~np.isfinite(totals) | (totals <= 0.0)
+    if bad.any():
+        return tuple(int(c) for c in coords[np.argmax(bad)])
+    np.add.at(out, coords[:, mode], parts * (values / totals)[:, None])
+    return None
 
 
 def iter_cell_blocks(region, max_cells=262144):

@@ -22,15 +22,18 @@ from countcp import (
     fit_ntf,
     generalized_kl,
     gini,
+    load_state,
     ntf_kl_sweep,
     point_estimate,
     poisson_log_likelihood,
     run_experiment,
     run_table,
     sample_count_tensor,
+    save_tensor,
     update_delta,
     update_gamma,
 )
+from countcp.cli import main
 from conftest import random_factors, random_tensor, state_from_point_estimate
 from test_bptf import aux_variable_gamma_oracle
 
@@ -367,3 +370,21 @@ def test_criterion_10_sweep_time_linear_in_nnz():
         10, "per-sweep time scales linearly in stored entries", ok,
         f" (ratio {ratio:.2f}: {t_small * 1e3:.0f}ms vs {t_large * 1e3:.0f}ms)",
     )
+
+
+def test_small_alpha_fit_converges(tmp_path):
+    # the bench's small-alpha fit: at alpha = 1e-3 exp(digamma(alpha)) underflows,
+    # so the allocation must run in log space
+    t, _ = sample_count_tensor((20, 20, 5, 30), 5, Hyperparameters.default(4), seed=0)
+    save_tensor(t, tmp_path / "tensor.txt")
+    code = main([
+        "fit", "--tensor", str(tmp_path / "tensor.txt"), "--model", "bptf", "--k", "10",
+        "--alpha", "1e-3", "--max-iterations", "100", "--seed", "0",
+        "--output-dir", str(tmp_path / "out"),
+    ])
+    assert code == 0
+    elbos = np.loadtxt(tmp_path / "out" / "trace.txt", ndmin=2)[:, 1]
+    assert len(elbos) > 3 and np.all(np.diff(elbos) >= 0.0)
+    state, _ = load_state(tmp_path / "out" / "state")
+    for factors in point_estimate(state, "geometric").factors:
+        assert np.all(np.isfinite(factors)) and factors.min() >= 0.0

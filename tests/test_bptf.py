@@ -66,7 +66,7 @@ class TestInitState:
         for m in range(4):
             assert np.all(state.gamma[m] > 0) and np.all(state.delta[m] > 0)
             assert np.all(state.gamma[m] < 0.2)  # alpha + jitter < 2*alpha
-            assert np.all(state.gexpect[m] <= state.expect[m])
+            assert np.all(np.exp(state.elog[m]) <= state.expect[m])
             assert np.allclose(
                 state.expect[m], state.gamma[m] / state.delta[m], rtol=1e-15
             )
@@ -125,7 +125,7 @@ class TestUpdateGamma:
         state = randomized_state(t.shape, 3, rng)
         parts = np.ones((t.nnz, 3))
         for m in range(4):
-            parts *= state.gexpect[m][t.coords[:, m]]
+            parts *= np.exp(state.elog[m])[t.coords[:, m]]
         alloc = t.values[:, None] * parts / parts.sum(axis=1, keepdims=True)
         assert np.allclose(alloc.sum(axis=1), t.values, rtol=1e-12)
 
@@ -133,7 +133,7 @@ class TestUpdateGamma:
         t = SparseCountTensor.from_entries((1, 1, 1, 1), [((0, 0, 0, 0), 2)])
         hyper = Hyperparameters.default(4)
         state = make_state(t.shape, 1, hyper, seed=0)
-        state.gexpect[0][:] = 0.0
+        state.elog[0][:] = -np.inf
         with pytest.raises(NumericalDegeneracyError, match=r"\(0, 0, 0, 0\)"):
             update_gamma(state, t, 1, hyper)
 
@@ -477,7 +477,7 @@ class TestHeldoutInference:
             assert np.array_equal(heldout.gamma[m], state.gamma[m])
             assert np.array_equal(heldout.delta[m], state.delta[m])
             assert np.array_equal(heldout.expect[m], state.expect[m])
-            assert np.array_equal(heldout.gexpect[m], state.gexpect[m])
+            assert np.array_equal(heldout.elog[m], state.elog[m])
 
     def test_beats_prior_mean_baseline_on_generative_data(self, rng):
         from countcp import sample_count_tensor, split_time

@@ -4,19 +4,27 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import digamma
 
 from countcp import (
+    CellMask,
     FactorSet,
+    FitConfig,
+    Hyperparameters,
     Region,
     SparseCountTensor,
+    fit,
     generalized_kl,
+    infer_heldout_time_factors,
+    init_state,
     load_factors,
     poisson_log_likelihood,
     reconstruct_dense,
     reconstruct_entries,
     save_factors,
 )
-from conftest import random_factors, random_tensor
+from countcp.cp import _allocate
+from conftest import linear_allocate, random_factors, random_tensor
 
 
 def loop_reconstruct(f, coord):
@@ -183,6 +191,51 @@ class TestMaskedObjectives:
             kl += (y * math.log(y / yhat) - y if y > 0 else 0.0) + yhat
         assert poisson_log_likelihood(f, t, region) == pytest.approx(ll, rel=1e-12)
         assert generalized_kl(t, f, region) == pytest.approx(kl, rel=1e-12)
+
+
+def geometric(gamma, delta):
+    """Linear-space geometric expectations exp(digamma(gamma)) / delta."""
+    return [np.exp(digamma(g)) / d for g, d in zip(gamma, delta)]
+
+
+class TestAllocate:
+    """The log-space allocation against the linear ``np.add.at`` oracle."""
+
+    @pytest.mark.parametrize("mode", range(4))
+    @pytest.mark.parametrize("model", ["bptf", "ntf-kl"])
+    def test_matches_linear_oracle(self, rng, model, mode):
+        # the last index of every mode has no entries
+        inner = random_tensor((5, 4, 3, 6), rng, nnz=60)
+        shape = (6, 5, 4, 7)
+        t = SparseCountTensor.from_entries(shape, zip(inner.coords, inner.values))
+        if model == "bptf":
+            hyper = Hyperparameters.default(4, alpha=0.1)
+            state = init_state(shape, FitConfig(k=3, seed=4), hyper)
+            logs, mats, start = state.elog, geometric(state.gamma, state.delta), 0.1
+        else:
+            mats = random_factors(shape, 3, rng).factors
+            logs, start = [np.log(m) for m in mats], 0.0
+        got = np.full((shape[mode], 3), start)
+        want = got.copy()
+        assert _allocate(logs, t, mode, got) is None
+        assert linear_allocate(mats, t.coords, t.values, mode, want) is None
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+        assert np.all(got[-1] == start)
+
+    def test_heldout_inference_allocates_the_observed_entries(self, rng):
+        train = random_tensor((6, 6, 3, 5), rng, nnz=80)
+        test = random_tensor((6, 6, 3, 4), rng, nnz=60)
+        state, hyper, _ = fit(train, FitConfig(k=3, max_iterations=5, seed=1))
+        mask = CellMask(rows=range(3), cols=range(4))
+        config = FitConfig(k=3, max_iterations=1, seed=2)
+        heldout, _ = infer_heldout_time_factors(state, hyper, test, mask, config)
+        fresh = init_state(test.shape, config, hyper)
+        mats = geometric(state.gamma[:3] + fresh.gamma[3:], state.delta[:3] + fresh.delta[3:])
+        keep = Region.from_mask(test.shape, mask).contains(test.coords)
+        assert 0 < keep.sum() < test.nnz
+        want = np.full((4, 3), hyper.alpha)
+        assert linear_allocate(mats, test.coords[keep], test.values[keep], 3, want) is None
+        np.testing.assert_allclose(heldout.gamma[3], want, rtol=1e-12, atol=0)
 
 
 class TestFactorFiles:

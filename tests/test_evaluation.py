@@ -232,7 +232,7 @@ def reference_split(spec, sorted_t, mask, seed):
     ts = split_time(sorted_t, spec.test_fraction, seed)
     region = Region.from_mask(ts.test.shape, mask).invert()
     try:
-        vmr = vmr_of_counts(region.filter_entries(ts.test)[1])
+        vmr = vmr_of_counts(region.restrict(ts.test).values)
     except UndefinedStatisticError:
         vmr = math.nan
     models = {}

@@ -79,6 +79,20 @@ class TestKlSweep:
             np.testing.assert_allclose(updated.factors[mode], expected, rtol=1e-12, atol=0)
             f = updated
 
+    def test_exact_zero_factors_stay_exactly_zero(self, rng):
+        shape = KL_SHAPES["4-mode"]
+        t = random_tensor(shape, rng, nnz=60)
+        mats = [m.copy() for m in random_factors(shape, 3, rng).factors]
+        for m, row in [(0, 1), (0, 3), (1, 2), (2, 0), (3, 1)]:
+            mats[m][row, 0] = 0.0
+        f = FactorSet(mats)
+        for mode in range(len(shape)):
+            updated = ntf_kl_sweep(f, t, mode, epsilon_floor=0.0)
+            expected = kl_update_oracle(f, t, mode, Region.whole(shape), 0.0)
+            np.testing.assert_allclose(updated.factors[mode], expected, rtol=1e-12, atol=0)
+            assert np.all(updated.factors[mode][f.factors[mode] == 0.0] == 0.0)
+            f = updated
+
     def test_perfect_reconstruction_is_a_fixed_point(self):
         t, f = perfect_instance()
         for mode in range(4):

@@ -283,6 +283,48 @@ class TestFiles:
         assert t.nnz == 1
         assert t.values[0] == 7
 
+    @pytest.mark.parametrize(
+        "text, line, message",
+        [
+            ("3 3 2\n\n0 1 0 2\n\n\n0 1 x 1\n", 6, "integers"),
+            ("3 3 2\n" + "0 1 0 2\n" * 10_000 + "\n0 3 1 1\n", 10_003, "outside shape"),
+            ("3 3 2\n" + "0 1 0 2\n" * 10_000 + "0 1 0 2 5\n", 10_002, "fields"),
+            ("3 3 2\n0 1 0 2\n1 1 1 9223372036854775808\n", 3, "integers"),
+            ("3 3 2\n0 1 0 2\n#0 1 0 2\n", 3, "integers"),
+            ("\n3 3 2\n0 1 0 2\n1 1 1\n", 4, "expected 4 fields, got 3"),
+            ("3 3 2\n\n1 1 1\n0 1 0 2\n", 3, "expected 4 fields, got 3"),
+            ("3 3 2\n0 1 0 0\n1 1 1 x\n", 2, "count 0"),
+            ("3 3 2\n0 1 0 1_0\n", 2, "integers"),
+            ("\n4294967296 2147483648 1\n0 0 0 1\n", 2, "2\\*\\*63"),
+        ],
+        ids=[
+            "after-blank-lines",
+            "after-10k-good-lines",
+            "field-count-after-10k-good-lines",
+            "count-2**63",
+            "hash-line",
+            "too-few-fields",
+            "first-row-too-few-fields",
+            "invalid-row-before-unparsable-row",
+            "digit-grouping",
+            "cells-past-int64",
+        ],
+    )
+    def test_malformed_line_is_named(self, tmp_path, text, line, message):
+        (tmp_path / "t.txt").write_text(text)
+        with pytest.raises(IngestionError, match=rf"line {line}: .*{message}"):
+            load_tensor(tmp_path / "t.txt")
+
+    def test_counts_up_to_2_63_minus_1_load_exactly(self, tmp_path):
+        (tmp_path / "t.txt").write_text("2 2\n0 1 9223372036854775807\n1 1 9007199254740993\n")
+        assert load_tensor(tmp_path / "t.txt").values.tolist() == [2**63 - 1, 2**53 + 1]
+
+    def test_repeated_lines_summing_past_int64_are_rejected(self, tmp_path):
+        big = 2**62
+        (tmp_path / "t.txt").write_text(f"2 2\n0 1 {big}\n0 1 {big}\n")
+        with pytest.raises(IngestionError, match="sum past"):
+            load_tensor(tmp_path / "t.txt")
+
     def test_labels_round_trip_preserves_spaces(self, tmp_path):
         labels = [["North Korea", "South Korea"], ["x"]]
         save_labels(labels, tmp_path / "labels.txt")
