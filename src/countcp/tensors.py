@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import datetime as _dt
+import warnings
 from dataclasses import dataclass
 from math import prod
 from pathlib import Path
@@ -489,7 +490,7 @@ def load_tensor(path, labels_path=None) -> SparseCountTensor:
     rows = np.empty((0, len(shape) + 1), dtype=np.int64)
     if has_body:
         try:
-            rows = np.loadtxt(path, dtype=np.int64, comments=None, ndmin=2, skiprows=head)
+            rows = _parse_int_rows(path, skiprows=head)
         except ValueError:
             rows = None
     if rows is not None:
@@ -504,13 +505,42 @@ def load_tensor(path, labels_path=None) -> SparseCountTensor:
     coords, counts = rows[:, :-1], rows[:, -1]
     cells, inverse = np.unique(np.ravel_multi_index(coords.T, shape), return_inverse=True)
     if cells.size < counts.size:
-        if np.bincount(inverse, weights=counts).max() >= 2.0**63:
+        if _sums_past_int64(inverse, counts, cells.size):
             raise IngestionError(f"{path}: repeated coordinates sum past 2**63 - 1")
         summed = np.zeros(cells.size, dtype=np.int64)
         np.add.at(summed, inverse, counts)
         coords, counts = np.stack(np.unravel_index(cells, shape), axis=1), summed
     labels = load_labels(labels_path, shape) if labels_path else default_labels(shape)
     return SparseCountTensor(shape, coords, counts, labels)
+
+
+def _parse_int_rows(source, skiprows=0):
+    """One ``np.loadtxt`` pass reading every field as an int64.
+
+    Older NumPy parses a field such as ``2.7`` or ``1e3`` through a float
+    and truncates it, warning only with a DeprecationWarning; raising that
+    warning makes such a field a ValueError like any other bad one.
+    """
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        return np.loadtxt(source, dtype=np.int64, comments=None, ndmin=2, skiprows=skiprows)
+
+
+def _sums_past_int64(inverse, counts, n_cells) -> bool:
+    """Whether the positive ``counts`` summed per cell (``inverse`` maps
+    each count to its cell) exceed 2**63 - 1 in some cell.
+
+    A float64 sum of positive terms is within a factor 1 + nnz * 2**-52 of
+    the exact one, so only a cell it puts at 2**62 or more can overflow;
+    those cells are summed exactly as Python ints.
+    """
+    near = np.bincount(inverse, weights=counts, minlength=n_cells) >= 2.0**62
+    if not near.any():
+        return False
+    pick = near[inverse]
+    exact = np.zeros(n_cells, dtype=object)
+    np.add.at(exact, inverse[pick], counts[pick].astype(object))
+    return max(exact[near]) > 2**63 - 1
 
 
 def _first_invalid(rows, shape):
@@ -546,7 +576,7 @@ def _first_unparsable(lines, shape):
     while bad - good > 1:
         mid = (good + bad) // 2
         try:
-            parsed = np.loadtxt(lines[:mid], dtype=np.int64, comments=None, ndmin=2)
+            parsed = _parse_int_rows(lines[:mid])
             good = mid
         except ValueError:
             bad = mid

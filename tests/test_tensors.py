@@ -295,6 +295,9 @@ class TestFiles:
             ("3 3 2\n\n1 1 1\n0 1 0 2\n", 3, "expected 4 fields, got 3"),
             ("3 3 2\n0 1 0 0\n1 1 1 x\n", 2, "count 0"),
             ("3 3 2\n0 1 0 1_0\n", 2, "integers"),
+            ("3 3 2\n0 1 0 2\n0 1 0 1.5\n", 3, "integers"),
+            ("3 3 2\n0 1 0 2\n0 1 0 1e3\n", 3, "integers"),
+            ("3 3 2\n0 1 0 2\n0.9 1 0 2\n", 3, "integers"),
             ("\n4294967296 2147483648 1\n0 0 0 1\n", 2, "2\\*\\*63"),
         ],
         ids=[
@@ -307,6 +310,9 @@ class TestFiles:
             "first-row-too-few-fields",
             "invalid-row-before-unparsable-row",
             "digit-grouping",
+            "fractional-count",
+            "exponent-count",
+            "fractional-coordinate",
             "cells-past-int64",
         ],
     )
@@ -319,11 +325,27 @@ class TestFiles:
         (tmp_path / "t.txt").write_text("2 2\n0 1 9223372036854775807\n1 1 9007199254740993\n")
         assert load_tensor(tmp_path / "t.txt").values.tolist() == [2**63 - 1, 2**53 + 1]
 
-    def test_repeated_lines_summing_past_int64_are_rejected(self, tmp_path):
-        big = 2**62
-        (tmp_path / "t.txt").write_text(f"2 2\n0 1 {big}\n0 1 {big}\n")
+    @pytest.mark.parametrize(
+        "repeats",
+        [
+            (2**62, 2**62),
+            (2**62 + 500, 2**62 - 499),
+            # sums to 2**63 + 62, but to 2**63 - 1024 in float64
+            (4857954895381391758, 4279854239067877888, 85562902405506224),
+        ],
+    )
+    def test_repeated_lines_summing_past_int64_are_rejected(self, tmp_path, repeats):
+        body = "".join(f"0 1 {c}\n" for c in repeats)
+        (tmp_path / "t.txt").write_text("2 2\n1 1 5\n" + body)
         with pytest.raises(IngestionError, match="sum past"):
             load_tensor(tmp_path / "t.txt")
+
+    @pytest.mark.parametrize("repeats", [(2**62, 2**62 - 1), (2**62 - 1, 2**61, 2**61)])
+    def test_repeated_lines_summing_to_int64_max_load_exactly(self, tmp_path, repeats):
+        body = "".join(f"0 1 {c}\n" for c in repeats)
+        (tmp_path / "t.txt").write_text("2 2\n1 1 5\n" + body)
+        t = load_tensor(tmp_path / "t.txt")
+        assert t.values.tolist() == [2**63 - 1, 5]
 
     def test_labels_round_trip_preserves_spaces(self, tmp_path):
         labels = [["North Korea", "South Korea"], ["x"]]
