@@ -1,17 +1,18 @@
 """Build a sparse count tensor from a toy dyadic event log.
 
-Walks the ingestion path end to end: parse records, aggregate them into a
-sender x receiver x action x time tensor with monthly bins, inspect its
-sparsity statistics, sort actors by activity, and round-trip the tensor
-through its text format.
+Walks the ingestion path end to end: encode records into a columnar event
+table, aggregate it into a sender x receiver x action x time tensor with
+monthly bins, inspect its sparsity statistics, sort actors by activity, and
+round-trip the tensor through its text format.
 """
 
 import datetime as dt
+import math
 import tempfile
 from pathlib import Path
 
 from countcp import (
-    EventRecord,
+    EventTable,
     density,
     ingest_events,
     load_tensor,
@@ -31,12 +32,14 @@ raw_events = [
     ("Cedonia", "Cedonia", "Consult", "2001-03-07"),  # self-action, dropped
     ("Abaria", "Cedonia", "Consult", "2001-03-30"),
 ]
-records = [
-    EventRecord(s, r, a, dt.datetime.fromisoformat(ts)) for s, r, a, ts in raw_events
-]
+events = EventTable.from_records(
+    (s, r, a, dt.datetime.fromisoformat(ts)) for s, r, a, ts in raw_events
+)
+print(f"event table: {len(events)} events, {len(events.senders)} senders, "
+      f"{len(events.actions)} action types")
 
 tensor = ingest_events(
-    records,
+    events,
     bin_width="month",
     date_range=(dt.date(2001, 1, 1), dt.date(2001, 3, 31)),
     drop_self_actions=True,
@@ -45,7 +48,7 @@ print("shape:", tensor.shape)
 print("actors:", tensor.mode_labels[0])
 print("actions:", tensor.mode_labels[2])
 print("time steps:", tensor.mode_labels[3])
-print(f"stored entries: {tensor.nnz} of {4 * 4 * 3 * 3} cells")
+print(f"stored entries: {tensor.nnz} of {math.prod(tensor.shape)} cells")
 print(f"density: {density(tensor):.4f}")
 print(f"variance-to-mean ratio of the counts: {vmr_nonzero(tensor):.3f}")
 

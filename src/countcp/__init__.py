@@ -1,7 +1,7 @@
 """CP factorization toolkit for sparse count tensors.
 
 Builds four-way (sender, receiver, action, time) count tensors from dyadic
-event records, factorizes them with Bayesian Poisson CP factorization or
+event tables, factorizes them with Bayesian Poisson CP factorization or
 multiplicative-update baselines, evaluates heldout prediction under the
 strong-generalization protocol, and ranks inferred components by the
 sparsity of their time profiles.
@@ -60,9 +60,6 @@ from .errors import (
 from .evaluation import (
     EvalReport,
     ExperimentSpec,
-    ham_z,
-    mae,
-    mae_nz,
     region_metrics,
     run_experiment,
     run_table,
@@ -80,7 +77,7 @@ from .ntf import (
 )
 from .synth import expected_total_count, sample_count_tensor, sample_factors
 from .tensors import (
-    EventRecord,
+    EventTable,
     SparseCountTensor,
     TimeSplit,
     density,
@@ -93,7 +90,6 @@ from .tensors import (
     sort_by_activity,
     split_time,
     vmr_nonzero,
-    write_event_file,
 )
 
 __version__ = "0.1.0"

@@ -154,11 +154,11 @@ def _echo_config(args, out: Path) -> None:
 
 
 def cmd_ingest(args) -> int:
-    records = read_event_file(_require(args, "events"))
+    events = read_event_file(_require(args, "events"))
     start = _parse_date(_require(args, "start"))
     end = _parse_date(_require(args, "end"))
     tensor = ingest_events(
-        records,
+        events,
         bin_width=args.bin_width,
         date_range=(start, end),
         drop_self_actions=args.drop_self_actions,

@@ -1,17 +1,23 @@
-"""Sparse M-way count tensors built from dyadic event records.
+"""Sparse M-way count tensors built from dyadic event tables.
 
 A tensor is stored in coordinate form: an (nnz, M) integer coordinate array
 plus an (nnz,) array of positive counts; zero cells are implicit.  The
 canonical four-way layout is sender x receiver x action x time, with the
 time mode last, but all operations here work for any M >= 1 unless they
 explicitly involve the actor or time modes.
+
+Events are held in columns (``EventTable``); ``read_event_file`` fills
+one in a single CSV pass, and ``ingest_events`` aggregates it with array
+operations only.
 """
 
 from __future__ import annotations
 
 import csv
 import datetime as _dt
+import operator
 import warnings
+from contextlib import contextmanager
 from dataclasses import dataclass
 from math import prod
 from pathlib import Path
@@ -29,33 +35,6 @@ from .errors import (
 )
 
 BIN_WIDTHS = ("day", "week", "month")
-
-
-@dataclass(frozen=True)
-class EventRecord:
-    """One dyadic event: sender took an action of some type toward receiver.
-
-    All label fields must be non-empty strings; the timestamp is a parsed
-    date-time interpreted in UTC (naive timestamps are taken as UTC).
-    """
-
-    sender: str
-    receiver: str
-    action: str
-    timestamp: _dt.datetime
-
-    def __post_init__(self):
-        for name in ("sender", "receiver", "action"):
-            if not getattr(self, name):
-                raise IngestionError(f"event record has empty {name!r} field")
-        if not isinstance(self.timestamp, _dt.datetime):
-            raise IngestionError("event record timestamp must be a datetime")
-
-    def utc_date(self) -> _dt.date:
-        ts = self.timestamp
-        if ts.tzinfo is not None:
-            ts = ts.astimezone(_dt.timezone.utc)
-        return ts.date()
 
 
 class SparseCountTensor:
@@ -184,15 +163,77 @@ def default_labels(shape) -> list[list[str]]:
 # Event ingestion
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, eq=False)
+class EventTable:
+    """Dyadic events in columns: sender took an action toward receiver.
 
-def _parse_timestamp(text: str) -> _dt.datetime:
+    ``sender``, ``receiver`` and ``action`` are int64 codes into the label
+    lists ``senders``, ``receivers`` and ``actions``, each in order of first
+    appearance; ``days`` holds each event's UTC date as an int64 day ordinal
+    (``date.toordinal``).  ``len(table)`` is the number of events.
+    """
+
+    sender: np.ndarray
+    receiver: np.ndarray
+    action: np.ndarray
+    days: np.ndarray
+    senders: list
+    receivers: list
+    actions: list
+
+    def __len__(self) -> int:
+        return len(self.days)
+
+    @classmethod
+    def from_records(cls, records) -> EventTable:
+        """Build from an iterable of (sender, receiver, action, datetime).
+
+        Every label must be non-empty.  A naive datetime is taken as UTC.
+        """
+        label_codes, codes, days = ({}, {}, {}), [], []
+        for sender, receiver, action, timestamp in records:
+            labels = (sender, receiver, action)
+            codes.append(tuple(map(_code, labels, label_codes, EVENT_COLUMNS[:3])))
+            if not isinstance(timestamp, _dt.datetime):
+                raise IngestionError("event record timestamp must be a datetime")
+            days.append(_utc_ordinal(timestamp))
+        return _event_table(label_codes, codes, days)
+
+
+def _event_table(label_codes, codes, days) -> EventTable:
+    """The table of the three label-to-code dicts, each event's code triple
+    and each event's day ordinal."""
+    codes = np.array(codes, dtype=np.int64).reshape(-1, 3)
+    return EventTable(*codes.T, np.array(days, dtype=np.int64), *map(list, label_codes))
+
+
+def _code(label, codes: dict, name: str) -> int:
+    """The label's code in a label-to-code dict, added if new; empty is an error."""
+    if not label:
+        raise IngestionError(f"event record has empty {name!r} field")
+    return codes.setdefault(label, len(codes))
+
+
+def _utc_ordinal(timestamp: _dt.datetime) -> int:
+    """The day ordinal of a datetime's UTC date; naive means UTC."""
+    if timestamp.tzinfo is not None:
+        try:
+            timestamp = timestamp.astimezone(_dt.timezone.utc)
+        except OverflowError as exc:
+            raise IngestionError(f"timestamp {timestamp} has no UTC date") from exc
+    return timestamp.toordinal()
+
+
+def _parse_utc_day(text: str) -> int:
+    """The UTC day ordinal of an ISO-8601 timestamp; a trailing Z means UTC."""
     text = text.strip()
     if text.endswith("Z"):
         text = text[:-1] + "+00:00"
     try:
-        return _dt.datetime.fromisoformat(text)
+        timestamp = _dt.datetime.fromisoformat(text)
     except ValueError as exc:
         raise IngestionError(f"unparseable timestamp {text!r}") from exc
+    return _utc_ordinal(timestamp)
 
 
 def _bin_index(day: _dt.date, start: _dt.date, bin_width: str) -> int:
@@ -215,27 +256,40 @@ def _time_labels(start: _dt.date, n_bins: int, bin_width: str) -> list[str]:
     return [(start + _dt.timedelta(days=step * t)).isoformat() for t in range(n_bins)]
 
 
-def ingest_events(records, bin_width, date_range, drop_self_actions=True):
-    """Aggregate dyadic event records into a four-way count tensor.
+def _recode(*columns):
+    """The sorted labels that (labels, codes) columns use, and each column's
+    codes mapped onto that sorted list."""
+    union = sorted({labels[c] for labels, codes in columns for c in np.unique(codes).tolist()})
+    index = {label: i for i, label in enumerate(union)}
+    return union, [
+        np.array([index.get(label, -1) for label in labels], dtype=np.int64)[codes]
+        for labels, codes in columns
+    ]
+
+
+def ingest_events(table, bin_width, date_range, drop_self_actions=True):
+    """Aggregate an event table into a four-way count tensor.
 
     Parameters
     ----------
-    records : list of EventRecord
+    table : EventTable
     bin_width : {"day", "week", "month"}
         Time-step granularity.  Bins are anchored at the first day of
         ``date_range``; "month" means calendar month.
     date_range : (date, date)
-        Inclusive start and end dates; records outside are dropped.
+        Inclusive start and end dates, compared with each event's UTC date;
+        events outside are dropped.
     drop_self_actions : bool
-        Drop records whose sender equals their receiver, leaving the
+        Drop events whose sender equals their receiver, leaving the
         diagonal of every sender-receiver slice empty.
 
     Returns
     -------
     SparseCountTensor
         Shape (actors, actors, actions, time steps).  The actor modes share
-        one label set: the union of senders and receivers observed in the
-        retained records, in sorted order.  Counts are exact multiplicities.
+        one label set: the union of senders and receivers of the retained
+        events, in sorted order; so do the actions.  Counts are exact
+        multiplicities, found by one ``np.unique`` on raveled indices.
     """
     if bin_width not in BIN_WIDTHS:
         raise ConfigError(f"bin_width must be one of {BIN_WIDTHS}, got {bin_width!r}")
@@ -246,35 +300,31 @@ def ingest_events(records, bin_width, date_range, drop_self_actions=True):
         end = end.date()
     if start > end:
         raise ConfigError(f"empty date range {start}..{end}")
-    if not records:
+    if not len(table):
         raise EmptyTensorError("no event records supplied")
 
-    kept = []
-    for rec in records:
-        day = rec.utc_date()
-        if day < start or day > end:
-            continue
-        if drop_self_actions and rec.sender == rec.receiver:
-            continue
-        kept.append((rec, day))
-    if not kept:
+    keep = (table.days >= start.toordinal()) & (table.days <= end.toordinal())
+    if drop_self_actions:
+        as_sender = {label: c for c, label in enumerate(table.senders)}
+        same = [as_sender.get(label, -1) for label in table.receivers]
+        keep &= table.sender != np.array(same, dtype=np.int64)[table.receiver]
+    if not keep.any():
         raise EmptyTensorError("no event records remain after filtering")
 
-    actors = sorted({r.sender for r, _ in kept} | {r.receiver for r, _ in kept})
-    actions = sorted({r.action for r, _ in kept})
-    actor_ix = {a: i for i, a in enumerate(actors)}
-    action_ix = {a: i for i, a in enumerate(actions)}
+    actors, (sender, receiver) = _recode(
+        (table.senders, table.sender[keep]), (table.receivers, table.receiver[keep])
+    )
+    actions, (action,) = _recode((table.actions, table.action[keep]))
+    days, inverse = np.unique(table.days[keep], return_inverse=True)
+    bins = [_bin_index(_dt.date.fromordinal(d), start, bin_width) for d in days.tolist()]
     n_bins = _bin_index(end, start, bin_width) + 1
 
-    raw = np.empty((len(kept), 4), dtype=np.int64)
-    for row, (rec, day) in enumerate(kept):
-        raw[row, 0] = actor_ix[rec.sender]
-        raw[row, 1] = actor_ix[rec.receiver]
-        raw[row, 2] = action_ix[rec.action]
-        raw[row, 3] = _bin_index(day, start, bin_width)
-
     shape = (len(actors), len(actors), len(actions), n_bins)
-    coords, counts = np.unique(raw, axis=0, return_counts=True)
+    flat = np.ravel_multi_index(
+        (sender, receiver, action, np.array(bins, dtype=np.int64)[inverse]), shape
+    )
+    cells, counts = np.unique(flat, return_counts=True)
+    coords = np.stack(np.unravel_index(cells, shape), axis=1)
     labels = [actors, list(actors), actions, _time_labels(start, n_bins, bin_width)]
     return SparseCountTensor(shape, coords, counts, labels)
 
@@ -399,69 +449,91 @@ def split_time(t: SparseCountTensor, test_fraction: float, seed: int) -> TimeSpl
 # ---------------------------------------------------------------------------
 
 EVENT_COLUMNS = ("sender", "receiver", "action", "timestamp")
+_SAVE_BLOCK = 2**16  # rows formatted per write in save_tensor
 
 
+@contextmanager
 def _open_input(path: Path, **kwargs):
-    """Open an input file for reading; failing to open it is a data error."""
+    """Open an input file to read inside the block.  A file that cannot be
+    opened, or whose bytes do not decode, is a data error naming it."""
     try:
-        return path.open(**kwargs)
+        fh = path.open(**kwargs)
     except OSError as exc:
         raise IngestionError(f"{path}: cannot open: {exc.strerror or exc}") from exc
+    with fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            # a streaming decoder knows only the offset in its chunk
+            data = path.read_bytes()
+            try:
+                data.decode(exc.encoding)
+            except UnicodeDecodeError as whole:
+                exc = whole
+            line = data.count(b"\n", 0, exc.start) + 1
+            raise IngestionError(f"{path}: line {line}: not {exc.encoding} text") from exc
 
 
-def read_event_file(path) -> list[EventRecord]:
-    """Read a delimited event file: header row, then one record per line.
+def read_event_file(path) -> EventTable:
+    """Read a CSV event file into an EventTable in one ``csv.reader`` pass.
 
-    Required columns: sender, receiver, action, timestamp (ISO-8601).
-    Errors identify the offending line number.
+    The header names sender, receiver, action and timestamp columns in any
+    order, among others; a repeated name means its last column, and a short
+    row reads missing fields as empty.  Blank lines are skipped, labels are
+    stripped and must not be empty, and each distinct ISO-8601 timestamp is
+    parsed once.  Errors name the line of the first bad row; within a row a
+    bad timestamp is reported before an empty label.
     """
     path = Path(path)
-    records = []
+    label_codes, codes, days = ({}, {}, {}), [], []
+    codes_of, day_of = {}, {}  # caches keyed by the text as read
     with _open_input(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise IngestionError(f"{path}: empty event file")
-        missing = [c for c in EVENT_COLUMNS if c not in reader.fieldnames]
+        missing = [c for c in EVENT_COLUMNS if c not in header]
         if missing:
             raise IngestionError(f"{path}: header is missing columns {missing}")
+        *where, at = [len(header) - 1 - header[::-1].index(c) for c in EVENT_COLUMNS]
+        pick, width = operator.itemgetter(*where), max(*where, at) + 1
         for row in reader:
-            line = reader.line_num
+            if not row:
+                continue
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            labels, stamp = pick(row), row[at]
             try:
-                records.append(
-                    EventRecord(
-                        sender=(row["sender"] or "").strip(),
-                        receiver=(row["receiver"] or "").strip(),
-                        action=(row["action"] or "").strip(),
-                        timestamp=_parse_timestamp(row["timestamp"] or ""),
-                    )
-                )
+                day = day_of.get(stamp)
+                if day is None:
+                    day = day_of[stamp] = _parse_utc_day(stamp)
+                code = codes_of.get(labels)
+                if code is None:
+                    stripped = [label.strip() for label in labels]
+                    code = tuple(map(_code, stripped, label_codes, EVENT_COLUMNS[:3]))
+                    codes_of[labels] = code
             except IngestionError as exc:
-                raise IngestionError(f"{path}: line {line}: {exc}") from exc
-    return records
-
-
-def write_event_file(records, path) -> None:
-    path = Path(path)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(EVENT_COLUMNS)
-        for rec in records:
-            writer.writerow(
-                [rec.sender, rec.receiver, rec.action, rec.timestamp.isoformat()]
-            )
+                raise IngestionError(f"{path}: line {reader.line_num}: {exc}") from exc
+            codes.append(code)
+            days.append(day)
+    return _event_table(label_codes, codes, days)
 
 
 def save_tensor(t: SparseCountTensor, path) -> None:
     """Write the coordinate-list text format.
 
     First line holds the mode sizes; each further line is one entry as
-    0-based coordinates followed by its count.  Round-trips exactly.
+    0-based coordinates followed by its count.  Round-trips exactly.  Rows
+    are written in blocks, each formatted by one ``%`` over a repeated row
+    template.
     """
     path = Path(path)
+    rows = np.column_stack([t.coords, t.values])
+    template = " ".join(["%d"] * rows.shape[1]) + "\n"
     with path.open("w") as fh:
         fh.write(" ".join(str(s) for s in t.shape) + "\n")
-        for row, v in zip(t.coords, t.values):
-            fh.write(" ".join(str(c) for c in row) + f" {v}\n")
+        for block in np.split(rows, range(_SAVE_BLOCK, len(rows), _SAVE_BLOCK)):
+            fh.write((template * len(block)) % tuple(block.ravel().tolist()))
 
 
 def load_tensor(path, labels_path=None) -> SparseCountTensor:

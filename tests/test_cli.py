@@ -228,6 +228,36 @@ class TestMalformedInputFiles:
         assert len(err) == 1 and err[0].startswith("data error:")
         assert str(tmp_path / "nope") in err[0] and "cannot open" in err[0]
 
+    @pytest.mark.parametrize(
+        "command, name, text, bad_line",
+        [
+            ("fit", "tensor.txt", "3 3 2\n0 1 0 2\n@ 1 0 1\n", 3),
+            ("fit", "tensor.txt", "3 3 2\n" + "0 1 0 2\n" * 10_000 + "@ 1 0 1\n", 10_002),
+            ("fit", "labels.txt", GOOD_LABELS.replace("0\t1\tL0.1", "0\t1\tL0.@"), 2),
+            ("ingest", "events.csv", EVENTS.replace("Cedonia", "C@donia"), 5),
+            ("explore", "manifest.txt", "modes = 4\nk = @\n", 2),
+        ],
+        ids=["tensor", "tensor-past-first-chunk", "labels", "events", "manifest"],
+    )
+    def test_non_utf8_input_exits_2(self, tmp_path, capsys, command, name, text, bad_line):
+        (tmp_path / "tensor.txt").write_text("3 3 2\n0 1 0 2\n")
+        (tmp_path / "labels.txt").write_text(GOOD_LABELS)
+        (tmp_path / "events.csv").write_text(EVENTS)
+        (tmp_path / "state").mkdir()
+        bad = tmp_path / ("state" if name == "manifest.txt" else "") / name
+        bad.write_bytes(text.encode().replace(b"@", b"\xff\xfe"))
+        argv = {
+            "fit": ["fit", "--tensor", str(tmp_path / "tensor.txt"),
+                    "--labels", str(tmp_path / "labels.txt"), "--model", "bptf", "--k", "1"],
+            "ingest": ["ingest", "--events", str(tmp_path / "events.csv"),
+                       "--start", "2001-01-01", "--end", "2001-03-31"],
+            "explore": ["explore", "--state", str(tmp_path / "state")],
+        }[command]
+        code = main([*argv, "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"data error: {bad}: line {bad_line}: not utf-8 text"]
+
     @pytest.mark.parametrize("model", ["bptf", "ntf-kl", "ntf-ls"])
     def test_one_mode_tensor_exits_2(self, tmp_path, capsys, model):
         (tmp_path / "tensor.txt").write_text("3\n0 2\n2 1\n")

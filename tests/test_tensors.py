@@ -7,7 +7,7 @@ import pytest
 
 from countcp import (
     EmptyTensorError,
-    EventRecord,
+    EventTable,
     IngestionError,
     LabelMismatchError,
     SparseCountTensor,
@@ -23,13 +23,22 @@ from countcp import (
     sort_by_activity,
     split_time,
     vmr_nonzero,
-    write_event_file,
 )
-from conftest import random_tensor
+from conftest import random_tensor, write_event_file
 
 
 def ev(sender, receiver, action, when):
-    return EventRecord(sender, receiver, action, dt.datetime.fromisoformat(when))
+    return (sender, receiver, action, dt.datetime.fromisoformat(when))
+
+
+def ingest(events, *args, **kwargs):
+    return ingest_events(EventTable.from_records(events), *args, **kwargs)
+
+
+def assert_tables_equal(a, b):
+    for name in ("sender", "receiver", "action", "days"):
+        assert getattr(a, name).tolist() == getattr(b, name).tolist(), name
+    assert (a.senders, a.receivers, a.actions) == (b.senders, b.receivers, b.actions)
 
 
 JAN = (dt.date(2001, 1, 1), dt.date(2001, 3, 31))
@@ -38,7 +47,7 @@ JAN = (dt.date(2001, 1, 1), dt.date(2001, 3, 31))
 class TestIngest:
     def test_multiplicity_counts_repeat_events(self):
         records = [ev("a", "b", "talk", "2001-01-05")] * 3
-        t = ingest_events(records, "month", JAN)
+        t = ingest(records, "month", JAN)
         assert t.shape == (2, 2, 1, 3)
         assert t.nnz == 1
         assert t.values[0] == 3
@@ -48,13 +57,13 @@ class TestIngest:
             ev("a", "a", "talk", "2001-01-05"),
             ev("a", "b", "talk", "2001-01-06"),
         ]
-        t = ingest_events(records, "month", JAN, drop_self_actions=True)
+        t = ingest(records, "month", JAN, drop_self_actions=True)
         assert t.nnz == 1
         assert not np.any(t.coords[:, 0] == t.coords[:, 1])
 
     def test_self_actions_kept_when_requested(self):
         records = [ev("a", "a", "talk", "2001-01-05")]
-        t = ingest_events(records, "month", JAN, drop_self_actions=False)
+        t = ingest(records, "month", JAN, drop_self_actions=False)
         assert t.nnz == 1
         assert t.coords[0, 0] == t.coords[0, 1]
 
@@ -63,7 +72,7 @@ class TestIngest:
             ev("a", "b", "talk", "1995-01-02"),
             ev("b", "a", "talk", "2012-12-30"),
         ]
-        t = ingest_events(
+        t = ingest(
             records, "month", (dt.date(1995, 1, 1), dt.date(2012, 12, 31))
         )
         assert t.shape[3] == 216
@@ -75,7 +84,7 @@ class TestIngest:
             ev("c", "a", "x", "2001-01-05"),
             ev("b", "c", "y", "2001-02-05"),
         ]
-        t = ingest_events(records, "month", JAN)
+        t = ingest(records, "month", JAN)
         assert t.mode_labels[0] == ["a", "b", "c"]
         assert t.mode_labels[0] == t.mode_labels[1]
 
@@ -85,17 +94,17 @@ class TestIngest:
             ev("a", "b", "x", "2001-02-01"),
             ev("a", "b", "x", "2001-04-01"),
         ]
-        t = ingest_events(records, "month", JAN)
+        t = ingest(records, "month", JAN)
         assert t.total_count == 1
         assert t.coords[0, 3] == 1
 
     def test_week_and_day_binning(self):
         rng_dates = (dt.date(2001, 1, 1), dt.date(2001, 1, 15))
         records = [ev("a", "b", "x", "2001-01-01"), ev("a", "b", "x", "2001-01-08")]
-        by_week = ingest_events(records, "week", rng_dates)
+        by_week = ingest(records, "week", rng_dates)
         assert by_week.shape[3] == 3
         assert sorted(by_week.coords[:, 3]) == [0, 1]
-        by_day = ingest_events(records, "day", rng_dates)
+        by_day = ingest(records, "day", rng_dates)
         assert by_day.shape[3] == 15
         assert sorted(by_day.coords[:, 3]) == [0, 7]
 
@@ -106,20 +115,20 @@ class TestIngest:
             ev("a", "b", "x", "2001-03-05"),
             ev("c", "a", "x", "2001-01-07"),
         ]
-        t1 = ingest_events(records, "month", JAN)
+        t1 = ingest(records, "month", JAN)
         shuffled = list(records)
         rng.shuffle(shuffled)
-        t2 = ingest_events(shuffled, "month", JAN)
+        t2 = ingest(shuffled, "month", JAN)
         assert t1 == t2
 
     def test_everything_filtered_is_an_error(self):
         records = [ev("a", "a", "x", "2001-01-05")]
         with pytest.raises(EmptyTensorError):
-            ingest_events(records, "month", JAN, drop_self_actions=True)
+            ingest(records, "month", JAN, drop_self_actions=True)
 
     def test_timezone_aware_timestamps_fold_to_utc(self):
         records = [ev("a", "b", "x", "2001-01-31T23:30:00-05:00")]
-        t = ingest_events(records, "month", JAN)
+        t = ingest(records, "month", JAN)
         assert t.coords[0, 3] == 1  # 04:30 UTC on Feb 1
 
 
@@ -359,7 +368,8 @@ class TestFiles:
         ]
         write_event_file(records, tmp_path / "events.csv")
         back = read_event_file(tmp_path / "events.csv")
-        assert back == records
+        assert len(back) == 2
+        assert_tables_equal(back, EventTable.from_records(records))
 
     def test_bad_timestamp_reports_line(self, tmp_path):
         (tmp_path / "events.csv").write_text(
