@@ -35,7 +35,7 @@ raw_events = [
 events = EventTable.from_records(
     (s, r, a, dt.datetime.fromisoformat(ts)) for s, r, a, ts in raw_events
 )
-print(f"event table: {len(events)} events, {len(events.senders)} senders, "
+print(f"event table: {len(events)} events, {len(events.actors)} actors, "
       f"{len(events.actions)} action types")
 
 tensor = ingest_events(

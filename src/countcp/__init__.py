@@ -60,6 +60,9 @@ from .errors import (
 from .evaluation import (
     EvalReport,
     ExperimentSpec,
+    ham_z,
+    mae,
+    mae_nz,
     region_metrics,
     run_experiment,
     run_table,

@@ -35,8 +35,44 @@ METRIC_NAMES = ("mae", "mae_nz", "ham_z")
 
 
 # ---------------------------------------------------------------------------
-# Region metrics
+# Point metrics
 # ---------------------------------------------------------------------------
+
+
+def mae(predictions, truth) -> float:
+    """Mean absolute error over every cell of a region, zeros included."""
+    predictions = np.asarray(predictions, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
+    if predictions.size == 0:
+        raise SpecValidationError("MAE over an empty region is undefined")
+    return float(np.abs(predictions - truth).mean())
+
+
+def mae_nz(predictions, truth) -> float:
+    """Mean absolute error restricted to cells with a non-zero true count.
+
+    Returns NaN (an undefined-metric marker, not an error) when the region
+    holds no non-zero cells.
+    """
+    predictions = np.asarray(predictions, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
+    keep = truth > 0
+    if not keep.any():
+        return math.nan
+    return float(np.abs(predictions[keep] - truth[keep]).mean())
+
+
+def ham_z(predictions, truth) -> float:
+    """Fraction of truly zero cells predicted strictly above 0.5.
+
+    Returns NaN when the region holds no zero cells.
+    """
+    predictions = np.asarray(predictions, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
+    zero = truth == 0
+    if not zero.any():
+        return math.nan
+    return float((predictions[zero] > 0.5).mean())
 
 
 def region_metrics(f: FactorSet, truth: SparseCountTensor, region: Region) -> dict:

@@ -167,8 +167,8 @@ def default_labels(shape) -> list[list[str]]:
 class EventTable:
     """Dyadic events in columns: sender took an action toward receiver.
 
-    ``sender``, ``receiver`` and ``action`` are int64 codes into the label
-    lists ``senders``, ``receivers`` and ``actions``, each in order of first
+    ``sender`` and ``receiver`` are int64 codes into the one label list
+    ``actors``, and ``action`` into ``actions``, each in order of first
     appearance; ``days`` holds each event's UTC date as an int64 day ordinal
     (``date.toordinal``).  ``len(table)`` is the number of events.
     """
@@ -177,8 +177,7 @@ class EventTable:
     receiver: np.ndarray
     action: np.ndarray
     days: np.ndarray
-    senders: list
-    receivers: list
+    actors: list
     actions: list
 
     def __len__(self) -> int:
@@ -190,7 +189,7 @@ class EventTable:
 
         Every label must be non-empty.  A naive datetime is taken as UTC.
         """
-        label_codes, codes, days = ({}, {}, {}), [], []
+        label_codes, codes, days = _label_codes(), [], []
         for sender, receiver, action, timestamp in records:
             labels = (sender, receiver, action)
             codes.append(tuple(map(_code, labels, label_codes, EVENT_COLUMNS[:3])))
@@ -200,11 +199,19 @@ class EventTable:
         return _event_table(label_codes, codes, days)
 
 
+def _label_codes():
+    """Label-to-code dicts for the sender, receiver and action fields; the
+    two actor fields share one."""
+    actors = {}
+    return actors, actors, {}
+
+
 def _event_table(label_codes, codes, days) -> EventTable:
-    """The table of the three label-to-code dicts, each event's code triple
-    and each event's day ordinal."""
+    """The table of the label-to-code dicts, each event's code triple and
+    each event's day ordinal."""
     codes = np.array(codes, dtype=np.int64).reshape(-1, 3)
-    return EventTable(*codes.T, np.array(days, dtype=np.int64), *map(list, label_codes))
+    actors, _, actions = label_codes
+    return EventTable(*codes.T, np.array(days, dtype=np.int64), list(actors), list(actions))
 
 
 def _code(label, codes: dict, name: str) -> int:
@@ -256,15 +263,12 @@ def _time_labels(start: _dt.date, n_bins: int, bin_width: str) -> list[str]:
     return [(start + _dt.timedelta(days=step * t)).isoformat() for t in range(n_bins)]
 
 
-def _recode(*columns):
-    """The sorted labels that (labels, codes) columns use, and each column's
-    codes mapped onto that sorted list."""
-    union = sorted({labels[c] for labels, codes in columns for c in np.unique(codes).tolist()})
-    index = {label: i for i, label in enumerate(union)}
-    return union, [
-        np.array([index.get(label, -1) for label in labels], dtype=np.int64)[codes]
-        for labels, codes in columns
-    ]
+def _recode(labels, codes):
+    """The sorted labels that ``codes`` use, and the codes mapped onto them."""
+    used = sorted(np.unique(codes).tolist(), key=labels.__getitem__)
+    remap = np.empty(len(labels), dtype=np.int64)
+    remap[used] = np.arange(len(used))
+    return [labels[c] for c in used], remap[codes]
 
 
 def ingest_events(table, bin_width, date_range, drop_self_actions=True):
@@ -305,16 +309,14 @@ def ingest_events(table, bin_width, date_range, drop_self_actions=True):
 
     keep = (table.days >= start.toordinal()) & (table.days <= end.toordinal())
     if drop_self_actions:
-        as_sender = {label: c for c, label in enumerate(table.senders)}
-        same = [as_sender.get(label, -1) for label in table.receivers]
-        keep &= table.sender != np.array(same, dtype=np.int64)[table.receiver]
+        keep &= table.sender != table.receiver
     if not keep.any():
         raise EmptyTensorError("no event records remain after filtering")
 
     actors, (sender, receiver) = _recode(
-        (table.senders, table.sender[keep]), (table.receivers, table.receiver[keep])
+        table.actors, np.stack([table.sender[keep], table.receiver[keep]])
     )
-    actions, (action,) = _recode((table.actions, table.action[keep]))
+    actions, action = _recode(table.actions, table.action[keep])
     days, inverse = np.unique(table.days[keep], return_inverse=True)
     bins = [_bin_index(_dt.date.fromordinal(d), start, bin_width) for d in days.tolist()]
     n_bins = _bin_index(end, start, bin_width) + 1
@@ -480,13 +482,13 @@ def read_event_file(path) -> EventTable:
     The header names sender, receiver, action and timestamp columns in any
     order, among others; a repeated name means its last column, and a short
     row reads missing fields as empty.  Blank lines are skipped, labels are
-    stripped and must not be empty, and each distinct ISO-8601 timestamp is
-    parsed once.  Errors name the line of the first bad row; within a row a
-    bad timestamp is reported before an empty label.
+    stripped and must not be empty, and each ISO-8601 timestamp is kept as
+    its UTC day ordinal.  Errors name the line of the first bad row; within
+    a row a bad timestamp is reported before an empty label.
     """
     path = Path(path)
-    label_codes, codes, days = ({}, {}, {}), [], []
-    codes_of, day_of = {}, {}  # caches keyed by the text as read
+    label_codes, codes, days = _label_codes(), [], []
+    codes_of = {}  # code triples keyed by the label fields as read
     with _open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -504,9 +506,7 @@ def read_event_file(path) -> EventTable:
                 row += [""] * (width - len(row))
             labels, stamp = pick(row), row[at]
             try:
-                day = day_of.get(stamp)
-                if day is None:
-                    day = day_of[stamp] = _parse_utc_day(stamp)
+                day = _parse_utc_day(stamp)
                 code = codes_of.get(labels)
                 if code is None:
                     stripped = [label.strip() for label in labels]

@@ -3,7 +3,6 @@ paths that the faster library paths are checked against."""
 
 import csv
 import datetime as dt
-import math
 from dataclasses import dataclass
 from math import prod
 from pathlib import Path
@@ -17,7 +16,6 @@ from countcp import (
     FactorSet,
     IngestionError,
     SparseCountTensor,
-    SpecValidationError,
     VariationalState,
 )
 from countcp.tensors import BIN_WIDTHS, EVENT_COLUMNS
@@ -245,45 +243,3 @@ def oracle_save_tensor(t, path) -> None:
         fh.write(" ".join(str(s) for s in t.shape) + "\n")
         for row, v in zip(t.coords, t.values):
             fh.write(" ".join(str(c) for c in row) + f" {v}\n")
-
-
-# ---------------------------------------------------------------------------
-# Dense point metrics over every cell of a region: the oracle for
-# countcp.evaluation.region_metrics, which never materializes zero cells
-# ---------------------------------------------------------------------------
-
-
-def mae(predictions, truth) -> float:
-    """Mean absolute error over every cell of a region, zeros included."""
-    predictions = np.asarray(predictions, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if predictions.size == 0:
-        raise SpecValidationError("MAE over an empty region is undefined")
-    return float(np.abs(predictions - truth).mean())
-
-
-def mae_nz(predictions, truth) -> float:
-    """Mean absolute error restricted to cells with a non-zero true count.
-
-    Returns NaN (an undefined-metric marker, not an error) when the region
-    holds no non-zero cells.
-    """
-    predictions = np.asarray(predictions, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    keep = truth > 0
-    if not keep.any():
-        return math.nan
-    return float(np.abs(predictions[keep] - truth[keep]).mean())
-
-
-def ham_z(predictions, truth) -> float:
-    """Fraction of truly zero cells predicted strictly above 0.5.
-
-    Returns NaN when the region holds no zero cells.
-    """
-    predictions = np.asarray(predictions, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    zero = truth == 0
-    if not zero.any():
-        return math.nan
-    return float((predictions[zero] > 0.5).mean())

@@ -20,8 +20,11 @@ from countcp import (
     UndefinedStatisticError,
     fit,
     fit_ntf,
+    ham_z,
     infer_heldout_time_factors,
     infer_heldout_time_factors_ntf,
+    mae,
+    mae_nz,
     point_estimate,
     region_metrics,
     run_experiment,
@@ -34,7 +37,7 @@ from countcp import (
     write_report_text,
 )
 from countcp.tensors import vmr_of_counts
-from conftest import ham_z, mae, mae_nz, random_factors, random_tensor
+from conftest import random_factors, random_tensor
 
 
 class TestPointMetrics:

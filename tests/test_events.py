@@ -191,10 +191,8 @@ class TestEventTable:
         table = EventTable.from_records(
             [("B", "A", "x", when), ("A", "C", "y", dt.datetime(2001, 2, 5))]
         )
-        assert (table.senders, table.receivers, table.actions) == (
-            ["B", "A"], ["A", "C"], ["x", "y"],
-        )
-        assert table.sender.tolist() == [0, 1] and table.receiver.tolist() == [0, 1]
+        assert (table.actors, table.actions) == (["B", "A", "C"], ["x", "y"])
+        assert table.sender.tolist() == [0, 1] and table.receiver.tolist() == [1, 2]
         assert table.days.tolist() == [dt.date(2001, 2, 6).toordinal(),
                                        dt.date(2001, 2, 5).toordinal()]
 

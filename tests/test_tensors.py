@@ -38,7 +38,7 @@ def ingest(events, *args, **kwargs):
 def assert_tables_equal(a, b):
     for name in ("sender", "receiver", "action", "days"):
         assert getattr(a, name).tolist() == getattr(b, name).tolist(), name
-    assert (a.senders, a.receivers, a.actions) == (b.senders, b.receivers, b.actions)
+    assert (a.actors, a.actions) == (b.actors, b.actions)
 
 
 JAN = (dt.date(2001, 1, 1), dt.date(2001, 3, 31))
