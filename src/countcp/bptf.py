@@ -255,8 +255,8 @@ def compute_elbo(
     products, and each factor adds its Gamma prior cross-entropy and
     entropy.  Raises if any named term goes non-finite.
     """
-    shares, log_mass = _count_shares(state.elog, t)
-    if shares is None:
+    log_mass, _ = _count_shares(state.elog, t)
+    if not np.all(np.isfinite(log_mass)):
         raise NumericalError("ELBO count term is non-finite (zero geometric mass)")
     y = t.values.astype(np.float64)
     count_term = float((y * log_mass).sum() - gammaln(y + 1.0).sum())

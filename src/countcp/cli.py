@@ -81,8 +81,14 @@ def read_config_file(path) -> dict:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file {path} does not exist")
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ConfigError(f"{path}: line {line}: not utf-8 text") from exc
     out = {}
-    for ln, raw in enumerate(path.read_text().splitlines(), start=1):
+    for ln, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

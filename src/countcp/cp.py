@@ -6,8 +6,8 @@ means the whole tensor (``Region.whole``).  They cost only
 O(nnz * K + sum_m shape[m] * K): the region's sum of the reconstruction
 factorizes into per-mode column sums.  ``_allocate`` is the Poisson count
 allocation behind both the BPTF shape update and the KL update: a
-per-entry softmax over summed log factors, added into factor rows with the
-tensor's cached per-mode incidence matrices.
+per-entry softmax over summed log factors, run block by block over the
+tensor's cached block plan (``SparseCountTensor._block_plan``).
 """
 
 from __future__ import annotations
@@ -83,36 +83,36 @@ _FLOOR_WEIGHT = float(np.exp(_LOG_FLOOR))
 _BLOCK_CELLS = 1 << 16
 
 
-def _count_shares(logs, t: SparseCountTensor):
+def _count_shares(logs, t: SparseCountTensor, mode=None):
     """Each stored count of ``t`` split across components by a softmax of
     the entry's summed log factors (per-mode rows, summed in ascending mode
-    order; each entry is max-shifted).
+    order; each entry is max-shifted), over the tensor's block plan.
 
-    Returns (shares, log_mass): the (nnz, K) shares and each entry's log of
-    its summed exp log factors.  ``shares`` is None if some entry has no
-    mass or a non-finite log factor; ``log_mass`` then ends in the block
-    holding the first such entry.
+    Returns (log_mass, allocated): each entry's log of its summed exp log
+    factors and, given a ``mode``, the split counts summed per ``mode``
+    index (else None).  If some entry has no mass or a non-finite log
+    factor, ``log_mass`` ends in the block holding the first such entry.
     """
-    coords = t.coords
-    n, k = coords.shape[0], logs[0].shape[1]
-    shares, log_mass = np.empty((n, k)), np.empty(n)
-    step = max(1, _BLOCK_CELLS // k)
-    for lo in range(0, n, step):
-        c, parts, top = coords[lo:lo + step], shares[lo:lo + step], log_mass[lo:lo + step]
-        parts[...] = logs[0][c[:, 0]]
-        for m in range(1, len(logs)):
-            parts += logs[m][c[:, m]]
-        parts.max(axis=1, out=top)
+    k, table, log_mass = logs[0].shape[1], np.concatenate(logs), np.empty(t.nnz)
+    allocated = None if mode is None else np.zeros((t.shape[mode], k))
+    for rows, gather, incidence in t._block_plan(max(1, _BLOCK_CELLS // k)):
+        parts, top = gather @ table, log_mass[rows]
+        # a loop over columns: numpy's row-wise max is slow on short rows
+        top[...] = parts[:, 0]
+        for j in range(1, k):
+            np.maximum(top, parts[:, j], out=top)
         if not np.all(np.isfinite(top)):
-            return None, log_mass[:lo + len(top)]
+            return log_mass[:rows.stop], allocated
         parts -= top[:, None]
         np.maximum(parts, _LOG_FLOOR, out=parts)
         np.exp(parts, out=parts)
         parts -= _FLOOR_WEIGHT
         total = parts.sum(axis=1)
-        parts *= (t.values[lo:lo + step] / total)[:, None]
+        if mode is not None:
+            parts *= (t.values[rows] / total)[:, None]
+            allocated += incidence[mode] @ parts
         top += np.log(total)
-    return shares, log_mass
+    return log_mass, allocated
 
 
 def _allocate(logs, t: SparseCountTensor, mode, out):
@@ -122,10 +122,11 @@ def _allocate(logs, t: SparseCountTensor, mode, out):
     Returns the coordinate of the first entry with no mass or a non-finite
     log factor, leaving ``out`` untouched, or None.
     """
-    shares, log_mass = _count_shares(logs, t)
-    if shares is None:
-        return tuple(int(c) for c in t.coords[np.argmax(~np.isfinite(log_mass))])
-    out += t._incidence_matrix(mode) @ shares
+    log_mass, allocated = _count_shares(logs, t, mode)
+    bad = ~np.isfinite(log_mass)
+    if bad.any():
+        return tuple(int(c) for c in t.coords[np.argmax(bad)])
+    out += allocated
     return None
 
 

@@ -102,7 +102,7 @@ class Region:
     def restrict(self, t: SparseCountTensor) -> SparseCountTensor:
         """The stored entries of ``t`` inside the region, as a tensor.
 
-        Returns ``t`` itself, with its cached incidence matrices, when no
+        Returns ``t`` itself, with its cached block plans, when no
         entry lies outside the region.
         """
         if self.n_pairs == self.shape[0] * self.shape[1]:

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cp import (
+    _BLOCK_CELLS,
     FactorSet,
     _allocate,
     _ascend,
@@ -125,8 +126,11 @@ def ntf_ls_sweep(
     """
     region = region or Region.whole(t.shape)
     part = region.restrict(t)
-    other = _entry_products(f.factors, part.coords, skip=mode)
-    numer = part._incidence_matrix(mode) @ (other * part.values[:, None])
+    numer = np.zeros(f.factors[mode].shape)
+    for rows, _, incidence in part._block_plan(max(1, _BLOCK_CELLS // f.k)):
+        other = _entry_products(f.factors, part.coords[rows], skip=mode)
+        other *= part.values[rows, None]
+        numer += incidence[mode] @ other
     denom = region.gram_denominator(f.factors, mode)
     if np.any((denom == 0.0) & (numer > 0.0)):
         raise DegenerateUpdateError(f"zero Euclidean denominator in mode {mode}")

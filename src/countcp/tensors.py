@@ -55,7 +55,7 @@ class SparseCountTensor:
     tensors with the same content compare and serialize identically.
     """
 
-    __slots__ = ("shape", "coords", "values", "mode_labels", "_incidence")
+    __slots__ = ("shape", "coords", "values", "mode_labels", "_plans")
 
     def __init__(self, shape, coords, values, mode_labels):
         shape = tuple(int(s) for s in shape)
@@ -90,7 +90,7 @@ class SparseCountTensor:
         object.__setattr__(self, "coords", coords)
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mode_labels", mode_labels)
-        object.__setattr__(self, "_incidence", [None] * len(shape))
+        object.__setattr__(self, "_plans", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("SparseCountTensor is immutable")
@@ -126,20 +126,28 @@ class SparseCountTensor:
             dense[tuple(self.coords.T)] = self.values
         return dense
 
-    def _incidence_matrix(self, mode: int) -> csr_array:
-        """(shape[mode] x nnz) CSR matrix with a one at (coords[e, mode], e).
+    def _block_plan(self, step: int) -> list:
+        """(rows, gather, incidence) per block of ``step`` stored entries.
 
-        Its product with an (nnz, K) array adds each entry's row into the
-        row of its ``mode`` index, in entry order, as ``np.add.at`` would.
-        Built on first use and kept, since the tensor never changes.
+        ``gather`` has one 1.0 per mode in each row, at the entry's index
+        offset by the sizes of the modes before it: its product with the
+        per-mode tables stacked in mode order sums each entry's rows in
+        ascending mode order.  ``incidence[m] @ x`` adds each row of ``x``
+        into the row of its entry's ``m`` index, in entry order.  Built on
+        first use and kept, since the tensor never changes.
         """
-        if self._incidence[mode] is None:
-            rows = self.coords[:, mode]
-            self._incidence[mode] = csr_array(
-                (np.ones(self.nnz), (rows, np.arange(self.nnz))),
-                shape=(self.shape[mode], self.nnz),
-            )
-        return self._incidence[mode]
+        if step not in self._plans:
+            offsets, plan = np.cumsum((0,) + self.shape[:-1]), []
+            for lo in range(0, self.nnz, step):
+                c = self.coords[lo:lo + step]
+                n, ones = c.shape[0], np.ones(c.size)
+                starts = np.arange(0, c.size + 1, self.ndim)
+                gather = csr_array((ones, (c + offsets).ravel(), starts), (n, sum(self.shape)))
+                incidence = [csr_array((ones[:n], c[:, m], np.arange(n + 1)), (n, size)).T
+                             for m, size in enumerate(self.shape)]
+                plan.append((slice(lo, lo + n), gather, incidence))
+            self._plans[step] = plan
+        return self._plans[step]
 
     @classmethod
     def from_entries(cls, shape, entries, mode_labels=None):
@@ -491,31 +499,34 @@ def read_event_file(path) -> EventTable:
     codes_of = {}  # code triples keyed by the label fields as read
     with _open_input(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise IngestionError(f"{path}: empty event file")
-        missing = [c for c in EVENT_COLUMNS if c not in header]
-        if missing:
-            raise IngestionError(f"{path}: header is missing columns {missing}")
-        *where, at = [len(header) - 1 - header[::-1].index(c) for c in EVENT_COLUMNS]
-        pick, width = operator.itemgetter(*where), max(*where, at) + 1
-        for row in reader:
-            if not row:
-                continue
-            if len(row) < width:
-                row += [""] * (width - len(row))
-            labels, stamp = pick(row), row[at]
-            try:
-                day = _parse_utc_day(stamp)
-                code = codes_of.get(labels)
-                if code is None:
-                    stripped = [label.strip() for label in labels]
-                    code = tuple(map(_code, stripped, label_codes, EVENT_COLUMNS[:3]))
-                    codes_of[labels] = code
-            except IngestionError as exc:
-                raise IngestionError(f"{path}: line {reader.line_num}: {exc}") from exc
-            codes.append(code)
-            days.append(day)
+        try:
+            header = next(reader, None)
+            if header is None:
+                raise IngestionError(f"{path}: empty event file")
+            missing = [c for c in EVENT_COLUMNS if c not in header]
+            if missing:
+                raise IngestionError(f"{path}: header is missing columns {missing}")
+            *where, at = [len(header) - 1 - header[::-1].index(c) for c in EVENT_COLUMNS]
+            pick, width = operator.itemgetter(*where), max(*where, at) + 1
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) < width:
+                    row += [""] * (width - len(row))
+                labels, stamp = pick(row), row[at]
+                try:
+                    day = _parse_utc_day(stamp)
+                    code = codes_of.get(labels)
+                    if code is None:
+                        stripped = [label.strip() for label in labels]
+                        code = tuple(map(_code, stripped, label_codes, EVENT_COLUMNS[:3]))
+                        codes_of[labels] = code
+                except IngestionError as exc:
+                    raise IngestionError(f"{path}: line {reader.line_num}: {exc}") from exc
+                codes.append(code)
+                days.append(day)
+        except csv.Error as exc:  # a row the reader cannot split, such as an oversized field
+            raise IngestionError(f"{path}: line {reader.line_num}: {exc}") from exc
     return _event_table(label_codes, codes, days)
 
 

@@ -258,6 +258,16 @@ class TestMalformedInputFiles:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"data error: {bad}: line {bad_line}: not utf-8 text"]
 
+    def test_oversized_event_field_exits_2(self, tmp_path, capsys):
+        # the csv module refuses fields over 131,072 characters
+        events = tmp_path / "events.csv"
+        events.write_text(f"sender,receiver,action,timestamp\nA,B,{'x' * 200_000},2001-01-10\n")
+        code = main(["ingest", "--events", str(events), "--start", "2001-01-01",
+                     "--end", "2001-03-31", "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"data error: {events}: line 2: field larger than field limit (131072)"]
+
     @pytest.mark.parametrize("model", ["bptf", "ntf-kl", "ntf-ls"])
     def test_one_mode_tensor_exits_2(self, tmp_path, capsys, model):
         (tmp_path / "tensor.txt").write_text("3\n0 2\n2 1\n")
@@ -577,6 +587,14 @@ class TestConfigFile:
         code = main(["synth", "--config", str(config)])
         assert code == 1
         assert "warp_speed" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_a_config_error(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_bytes(b"shape = 6,6,2,5\n\xff\xfek = 2\n")
+        code = main(["synth", "--config", str(config), "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: {config}: line 2: not utf-8 text"]
 
     def test_missing_required_option_is_a_usage_error(self, capsys):
         code = main(["ingest"])

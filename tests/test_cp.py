@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import digamma
+from scipy.special import digamma, logsumexp
 
 from countcp import (
     CellMask,
@@ -23,7 +23,10 @@ from countcp import (
     reconstruct_entries,
     save_factors,
 )
+from countcp import cp
+from countcp.bptf import compute_elbo
 from countcp.cp import _allocate
+from countcp.ntf import ntf_ls_sweep
 from conftest import linear_allocate, random_factors, random_tensor
 
 
@@ -236,6 +239,92 @@ class TestAllocate:
         want = np.full((4, 3), hyper.alpha)
         assert linear_allocate(mats, test.coords[keep], test.values[keep], 3, want) is None
         np.testing.assert_allclose(heldout.gamma[3], want, rtol=1e-12, atol=0)
+
+
+class TestMultiBlock:
+    """The kernel over a tensor of 61 entries in blocks of 20: three full
+    blocks and a ragged last one of a single entry."""
+
+    STEP = 20
+
+    @pytest.fixture
+    def tensor(self, rng):
+        # the extra entry sorts last and is alone in mode 0's last index
+        inner = random_tensor((5, 4, 3, 6), rng, nnz=60)
+        entries = [*zip(inner.coords, inner.values), ((5, 0, 0, 0), 4)]
+        return SparseCountTensor.from_entries((6, 4, 3, 6), entries)
+
+    def small_blocks(self, monkeypatch, k):
+        monkeypatch.setattr(cp, "_BLOCK_CELLS", self.STEP * k)
+
+    @pytest.mark.parametrize("k", [1, 6, 50])
+    def test_allocation_matches_linear_oracle(self, rng, monkeypatch, tensor, k):
+        self.small_blocks(monkeypatch, k)
+        assert len(tensor._block_plan(self.STEP)) == 4
+        mats = random_factors(tensor.shape, k, rng).factors
+        logs = [np.log(m) for m in mats]
+        for mode in range(4):
+            got, want = np.zeros((tensor.shape[mode], k)), np.zeros((tensor.shape[mode], k))
+            assert _allocate(logs, tensor, mode, got) is None
+            assert linear_allocate(mats, tensor.coords, tensor.values, mode, want) is None
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+
+    def test_no_mass_in_last_block_leaves_out_untouched(self, rng, monkeypatch, tensor):
+        self.small_blocks(monkeypatch, 6)
+        mats = [m.copy() for m in random_factors(tensor.shape, 6, rng).factors]
+        mats[0][5] = 0.0
+        with np.errstate(divide="ignore"):
+            logs = [np.log(m) for m in mats]
+        for mode in range(4):
+            out = rng.uniform(size=(tensor.shape[mode], 6))
+            before = out.copy()
+            assert _allocate(logs, tensor, mode, out) == (5, 0, 0, 0)
+            assert np.array_equal(out, before)
+
+    def test_elbo_agrees_across_block_sizes(self, monkeypatch, tensor):
+        hyper = Hyperparameters.default(4, alpha=0.1)
+        state = init_state(tensor.shape, FitConfig(k=6, seed=3), hyper)
+        whole = compute_elbo(state, tensor, hyper)
+        self.small_blocks(monkeypatch, 6)
+        assert compute_elbo(state, tensor, hyper) == pytest.approx(whole, rel=1e-12, abs=0)
+
+    def test_ls_sweep_agrees_across_block_sizes(self, rng, monkeypatch, tensor):
+        f = random_factors(tensor.shape, 6, rng)
+        whole = [ntf_ls_sweep(f, tensor, mode).factors[mode] for mode in range(4)]
+        self.small_blocks(monkeypatch, 6)
+        for mode in range(4):
+            got = ntf_ls_sweep(f, tensor, mode).factors[mode]
+            np.testing.assert_allclose(got, whole[mode], rtol=1e-12, atol=0)
+
+    def test_sparse_gather_equals_ascending_mode_sum(self, rng, tensor):
+        # wide exponents make the sum's rounding depend on its order
+        logs = [rng.normal(scale=300.0, size=(s, 6)) for s in tensor.shape]
+        logs[1][2, :3] = -np.inf
+        logs[3][rng.integers(6, size=4), rng.integers(6, size=4)] = -np.inf
+        table = np.concatenate(logs)
+        plan = tensor._block_plan(self.STEP)
+        assert [rows.stop - rows.start for rows, _, _ in plan] == [20, 20, 20, 1]
+        sums = []
+        for rows, gather, _ in plan:
+            c = tensor.coords[rows]
+            want = logs[0][c[:, 0]] + logs[1][c[:, 1]] + logs[2][c[:, 2]] + logs[3][c[:, 3]]
+            assert np.array_equal(gather @ table, want)
+            sums.append(want)
+        assert np.isneginf(np.concatenate(sums)).any()
+
+    def test_log_mass_is_the_log_sum_exp(self, rng, monkeypatch, tensor):
+        # each column is some entry's top weight, thousands above the rest:
+        # a shift by anything but each entry's exact maximum overflows exp
+        logs = [rng.normal(scale=300.0, size=(s, 6)) for s in tensor.shape]
+        logs[3][np.arange(6), np.arange(6)] += 5000.0
+        self.small_blocks(monkeypatch, 6)
+        log_mass, _ = cp._count_shares(logs, tensor)
+        c = tensor.coords
+        sums = logs[0][c[:, 0]] + logs[1][c[:, 1]] + logs[2][c[:, 2]] + logs[3][c[:, 3]]
+        top_two = np.sort(sums, axis=1)[:, -2:]
+        far_ahead = top_two[:, 1] - top_two[:, 0] > 710.0
+        assert set(np.argmax(sums[far_ahead], axis=1)) == set(range(6))
+        np.testing.assert_allclose(log_mass, logsumexp(sums, axis=1), rtol=1e-12, atol=0)
 
 
 class TestFactorFiles:
