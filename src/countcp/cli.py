@@ -160,11 +160,13 @@ def _echo_config(args, out: Path) -> None:
 
 
 def cmd_ingest(args) -> int:
-    events = read_event_file(_require(args, "events"))
+    events = _require(args, "events")
     start = _parse_date(_require(args, "start"))
     end = _parse_date(_require(args, "end"))
+    if start > end:  # checked before the event file is read
+        raise ConfigError(f"empty date range {start}..{end}")
     tensor = ingest_events(
-        events,
+        read_event_file(events),
         bin_width=args.bin_width,
         date_range=(start, end),
         drop_self_actions=args.drop_self_actions,

@@ -7,8 +7,9 @@ time mode last, but all operations here work for any M >= 1 unless they
 explicitly involve the actor or time modes.
 
 Events are held in columns (``EventTable``); ``read_event_file`` fills
-one in a single CSV pass, and ``ingest_events`` aggregates it with array
-operations only.
+one in a single CSV pass that keeps two ints per row (a day ordinal and the
+index of its distinct label triple), and ``ingest_events`` aggregates it with
+array operations only.
 """
 
 from __future__ import annotations
@@ -71,13 +72,16 @@ class SparseCountTensor:
             if coords.min() < 0 or np.any(coords >= np.asarray(shape)):
                 raise ValueError("coordinate out of range for shape")
             flat = np.ravel_multi_index(coords.T, shape)
-            order = np.argsort(flat, kind="stable")
-            flat = flat[order]
-            if flat.size > 1 and np.any(flat[1:] == flat[:-1]):
-                dup = coords[order][np.nonzero(flat[1:] == flat[:-1])[0][0]]
-                raise ValueError(f"duplicate coordinate {tuple(dup)}")
-            coords = coords[order]
-            values = values[order]
+            if np.any(flat[1:] <= flat[:-1]):
+                order = np.argsort(flat, kind="stable")
+                flat = flat[order]
+                if np.any(flat[1:] == flat[:-1]):
+                    dup = coords[order][np.nonzero(flat[1:] == flat[:-1])[0][0]]
+                    raise ValueError(f"duplicate coordinate {tuple(dup)}")
+                coords, values = coords[order], values[order]
+            else:  # already sorted and distinct, as any subset of a tensor's
+                # entries is; copied as the reorder would, so no caller holds them
+                coords, values = coords.copy(), values.copy()
         if len(mode_labels) != len(shape):
             raise ValueError("need one label list per mode")
         mode_labels = [list(map(str, lab)) for lab in mode_labels]
@@ -217,7 +221,7 @@ def _label_codes():
 def _event_table(label_codes, codes, days) -> EventTable:
     """The table of the label-to-code dicts, each event's code triple and
     each event's day ordinal."""
-    codes = np.array(codes, dtype=np.int64).reshape(-1, 3)
+    codes = np.asarray(codes, dtype=np.int64).reshape(-1, 3)
     actors, _, actions = label_codes
     return EventTable(*codes.T, np.array(days, dtype=np.int64), list(actors), list(actions))
 
@@ -240,12 +244,13 @@ def _utc_ordinal(timestamp: _dt.datetime) -> int:
 
 
 def _parse_utc_day(text: str) -> int:
-    """The UTC day ordinal of an ISO-8601 timestamp; a trailing Z means UTC."""
+    """The UTC day ordinal of an ISO-8601 timestamp, read with surrounding
+    whitespace stripped; a trailing Z means UTC.  An error quotes the
+    stripped text as the file holds it."""
     text = text.strip()
-    if text.endswith("Z"):
-        text = text[:-1] + "+00:00"
+    iso = text[:-1] + "+00:00" if text.endswith("Z") else text
     try:
-        timestamp = _dt.datetime.fromisoformat(text)
+        timestamp = _dt.datetime.fromisoformat(iso)
     except ValueError as exc:
         raise IngestionError(f"unparseable timestamp {text!r}") from exc
     return _utc_ordinal(timestamp)
@@ -493,10 +498,17 @@ def read_event_file(path) -> EventTable:
     stripped and must not be empty, and each ISO-8601 timestamp is kept as
     its UTC day ordinal.  Errors name the line of the first bad row; within
     a row a bad timestamp is reported before an empty label.
+
+    Each timestamp goes to ``datetime.fromisoformat`` as read; only one it
+    rejects is stripped, has a trailing Z read as UTC (which Python 3.11+
+    reads itself) and is tried again by ``_parse_utc_day``.  Each distinct
+    label triple is stripped, checked and encoded once; a row keeps the
+    index of its triple, and one gather builds the code columns.
     """
     path = Path(path)
-    label_codes, codes, days = _label_codes(), [], []
-    codes_of = {}  # code triples keyed by the label fields as read
+    label_codes, days, which = _label_codes(), [], []
+    triples, index_of = [], {}  # distinct code triples; their indices keyed by the labels as read
+    fromisoformat = _dt.datetime.fromisoformat
     with _open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -509,24 +521,33 @@ def read_event_file(path) -> EventTable:
             *where, at = [len(header) - 1 - header[::-1].index(c) for c in EVENT_COLUMNS]
             pick, width = operator.itemgetter(*where), max(*where, at) + 1
             for row in reader:
-                if not row:
-                    continue
                 if len(row) < width:
+                    if not row:
+                        continue
                     row += [""] * (width - len(row))
                 labels, stamp = pick(row), row[at]
                 try:
-                    day = _parse_utc_day(stamp)
-                    code = codes_of.get(labels)
-                    if code is None:
+                    # fromisoformat rejects surrounding whitespace, so a stamp
+                    # it reads as is reads the same stripped
+                    try:
+                        timestamp = fromisoformat(stamp)
+                    except ValueError:
+                        day = _parse_utc_day(stamp)
+                    else:
+                        day = (timestamp.toordinal() if timestamp.tzinfo is None
+                               else _utc_ordinal(timestamp))
+                    index = index_of.get(labels)
+                    if index is None:
                         stripped = [label.strip() for label in labels]
-                        code = tuple(map(_code, stripped, label_codes, EVENT_COLUMNS[:3]))
-                        codes_of[labels] = code
+                        triples.append(tuple(map(_code, stripped, label_codes, EVENT_COLUMNS[:3])))
+                        index = index_of[labels] = len(triples) - 1
                 except IngestionError as exc:
                     raise IngestionError(f"{path}: line {reader.line_num}: {exc}") from exc
-                codes.append(code)
                 days.append(day)
+                which.append(index)
         except csv.Error as exc:  # a row the reader cannot split, such as an oversized field
             raise IngestionError(f"{path}: line {reader.line_num}: {exc}") from exc
+    codes = np.array(triples, dtype=np.int64).reshape(-1, 3)[np.array(which, dtype=np.int64)]
     return _event_table(label_codes, codes, days)
 
 

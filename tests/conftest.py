@@ -147,10 +147,9 @@ class EventRecord:
 
 def _oracle_timestamp(text: str) -> dt.datetime:
     text = text.strip()
-    if text.endswith("Z"):
-        text = text[:-1] + "+00:00"
+    iso = text[:-1] + "+00:00" if text.endswith("Z") else text
     try:
-        return dt.datetime.fromisoformat(text)
+        return dt.datetime.fromisoformat(iso)
     except ValueError as exc:
         raise IngestionError(f"unparseable timestamp {text!r}") from exc
 

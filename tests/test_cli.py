@@ -392,6 +392,13 @@ class TestInvalidOptionValues:
         assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 1
         assert one_error_line(capsys)
 
+    def test_ingest_empty_date_range_exits_1_before_reading_events(self, tmp_path, capsys):
+        (tmp_path / "events.csv").write_bytes(b"sender,receiver\n\xff\xfe,x,,garbage\n")
+        argv = ["ingest", "--events", str(tmp_path / "events.csv"),
+                "--start", "2001-03-01", "--end", "2001-01-01", "--output-dir", str(tmp_path / "out")]
+        assert main(argv) == 1
+        assert one_error_line(capsys)
+
     @pytest.mark.parametrize(
         "extra",
         [["--k", "0"], ["--max-iterations", "0"], ["--alpha", "-1"], ["--seeds", "-1"],

@@ -159,3 +159,41 @@ class TestReports:
             assert len(panel) == 1 + 3
             time_panel = (out / f"{stem}_time.txt").read_text().splitlines()
             assert len(time_panel) == 1 + 6
+
+
+def oracle_json_report(summary) -> str:
+    """The report as ``json.dumps(payload, indent=2)`` wrote it."""
+    def sig4(value):
+        return float(f"{value:.4g}")
+
+    payload = {
+        "component": summary.component,
+        "gini": sig4(summary.gini),
+        "top": {p: [[lab, sig4(val)] for lab, val in rows] for p, rows in summary.top.items()},
+        "time": [[lab, sig4(val)] for lab, val in zip(summary.time_labels, summary.time_values)],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+class TestJsonReports:
+    LABELS = ['say "hi"', "back\\slash", "tab\tnew\nline\x01\x1f", "Côte d’Ivoire", "北京",
+              "emoji \U0001f600", "", "/"]
+
+    @pytest.mark.parametrize("top_n", [0, 3, 100])
+    @pytest.mark.parametrize("shape", [(8, 8, 3, 6), (8, 3, 2, 5, 4), (8,)], ids=["4-way", "5-way", "time-only"])
+    def test_bytes_match_json_dumps(self, rng, tmp_path, shape, top_n):
+        special = [1.7976931348623157e308, 0.0, 1e-05, 1e20, 1.23456789, 5e-324, 2.5e-7, 123456.0, 0.5]
+        factors = []
+        for m, size in enumerate(shape):
+            f = rng.uniform(0.0, 3.0, size=(size, 3))
+            f[:, 1] = special[:size] if m < len(shape) - 1 else special[1:size + 1]  # no inf gini
+            f[m % size, 2] = 0.0
+            factors.append(f)
+        labels = [[self.LABELS[(i + m) % len(self.LABELS)] + str(i) * (m % 2) for i in range(size)]
+                  for m, size in enumerate(shape)]
+        f = FactorSet(factors)
+        out = write_component_reports(f, labels, tmp_path, top_n=top_n)
+        for k in range(f.k):
+            expected = oracle_json_report(summarize(f, labels, k, top_n=top_n))
+            assert (out / f"component_{k:03d}.json").read_text() == expected
+

@@ -82,6 +82,9 @@ class TestAgainstOracle:
             "",
             "\nsender,receiver,action,timestamp\nA,B,x,2001-02-05\n",
             "sender,receiver,action\nA,B,x\n",
+            HEADER + "A,B,x,2001-02-05T10:00:00Z\nA,B,x, 2001-01-30T23:30:00-05:00 \n"
+            "A,B,x,2001-02-05 \nA,B,x,2001-01-31T00:00:00.5Z\nA,B,x,2001-W06-1\n"
+            "A,B,x,20010205T1000\nA,B,x,2001-03-01T23:00:00Z\t\n",
         ],
         ids=[
             "quoted-fields", "reordered-and-extra-columns", "duplicated-name-last-wins",
@@ -91,6 +94,7 @@ class TestAgainstOracle:
             "blank-lines-before-bad-row", "multi-line-quoted-field", "short-row",
             "date-with-z", "only-self-actions", "only-out-of-range", "header-only",
             "header-and-blank-lines", "empty-file", "blank-first-line", "missing-column",
+            "stamps-read-as-is-or-stripped",
         ],
     )
     @pytest.mark.parametrize("bin_width", BIN_WIDTHS)
@@ -112,7 +116,7 @@ class TestAgainstOracle:
 
 LABELS = st.sampled_from(["AA", "BB", "CC", " AA", "BB  ", "C,C", 'D"D'])
 BAD_LABELS = st.sampled_from(["", "  "])
-BAD_STAMPS = st.sampled_from(["garbage", "", "2001-02-30", "2001-13-01T00:00"])
+BAD_STAMPS = st.sampled_from(["garbage", "", "2001-02-30", "2001-13-01T00:00", "2001-13-01Z"])
 
 
 @st.composite
@@ -137,21 +141,30 @@ def event_files(draw):
     names = draw(st.permutations(names))
 
     def timestamp():
+        """Extended, compact or week-date forms, some with a clock, fractional
+        seconds and an offset, with surrounding whitespace.  Flawed files
+        also get hour 24, a lowercase z and an offset followed by Z."""
         if flawed():
             return draw(BAD_STAMPS)
         day = start + dt.timedelta(days=draw(st.integers(-2, span + 2)))
-        text = day.isoformat()
+        form = draw(st.sampled_from(["extended"] * 4 + ["compact", "week"]))
+        if form == "week":
+            text = "%04d-W%02d-%d" % tuple(day.isocalendar())
+        else:
+            text = day.strftime("%Y%m%d") if form == "compact" else day.isoformat()
         sep = draw(st.sampled_from(["", "T", " "]))
         if sep:
-            hour = draw(st.sampled_from([0, 1, 12, 22, 23]))
-            text += f"{sep}{hour:02d}:{draw(st.integers(0, 59)):02d}:00"
+            hour = 24 if flawed() else draw(st.sampled_from([0, 1, 12, 22, 23]))
+            minute = draw(st.integers(0, 59))
+            clock = f"{hour:02d}{minute:02d}" if form == "compact" else f"{hour:02d}:{minute:02d}:00"
+            text += sep + clock + draw(st.sampled_from(["", "", ".5", ".123456"]))
             offset = draw(st.sampled_from(["", "Z", "+", "-"]))
             if offset == "Z":
-                text += "Z"
+                text += "z" if flawed() else "Z"
             elif offset:
                 hours, minutes = draw(st.integers(0, 14)), draw(st.sampled_from([0, 30]))
-                text += f"{offset}{hours:02d}:{minutes:02d}"
-        return draw(st.sampled_from(["", " "])) + text
+                text += f"{offset}{hours:02d}:{minutes:02d}" + ("Z" if flawed() else "")
+        return draw(st.sampled_from(["", " "])) + text + draw(st.sampled_from(["", "", " ", "\t"]))
 
     def value(name):
         if name == "timestamp":
@@ -208,6 +221,13 @@ class TestEventTable:
     def test_from_records_checks_each_record(self, record, message):
         with pytest.raises(IngestionError, match=message):
             EventTable.from_records([("A", "B", "x", dt.datetime(2001, 1, 1)), record])
+
+    @pytest.mark.parametrize("stamp", ["2001-13-01T00:00:00Z", " 2001-13-01T00:00:00Z\t"])
+    def test_bad_z_stamp_is_quoted_as_the_file_holds_it(self, tmp_path, stamp):
+        (tmp_path / "events.csv").write_text(HEADER + f"A,B,x,2001-02-05\nA,B,x,{stamp}\n")
+        with pytest.raises(IngestionError) as caught:
+            read_event_file(tmp_path / "events.csv")
+        assert str(caught.value).endswith("line 3: unparseable timestamp '2001-13-01T00:00:00Z'")
 
     def test_offset_leaving_the_calendar_is_a_data_error(self, tmp_path):
         (tmp_path / "events.csv").write_text(HEADER + "A,B,x,9999-12-31T23:00:00-02:00\n")

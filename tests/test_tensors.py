@@ -1,6 +1,7 @@
 """Tensor construction, statistics, splitting, and file round-trips."""
 
 import datetime as dt
+import re
 
 import numpy as np
 import pytest
@@ -136,6 +137,22 @@ class TestInvariants:
     def test_duplicate_coordinates_rejected(self):
         with pytest.raises(ValueError, match="duplicate"):
             SparseCountTensor((2, 2), [[0, 1], [0, 1]], [1, 2], [["a", "b"]] * 2)
+
+    def test_duplicate_error_names_the_coordinate(self):
+        named = re.escape(f"duplicate coordinate {tuple(np.array([1, 0]))}")
+        with pytest.raises(ValueError, match=named):
+            SparseCountTensor((2, 2), [[1, 0], [0, 1], [1, 0]], [1, 2, 3], [["a", "b"]] * 2)
+
+    def test_any_entry_order_gives_one_tensor_that_shares_no_memory(self, rng):
+        t = random_tensor((5, 6, 3, 4), rng, nnz=40)
+        shuffle = rng.permutation(t.nnz)
+        coords, values = t.coords.copy(), t.values.copy()
+        for c, v in ((coords, values), (coords[shuffle], values[shuffle])):
+            built = SparseCountTensor(t.shape, c, v, t.mode_labels)
+            assert built == t
+            assert not np.shares_memory(built.coords, c)
+            assert not np.shares_memory(built.values, v)
+        assert coords.flags.writeable and values.flags.writeable
 
     def test_zero_counts_rejected(self):
         with pytest.raises(ValueError, match="counts"):
