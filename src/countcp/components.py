@@ -8,9 +8,7 @@ by the Gini coefficient of the time column surfaces them first.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii as _json_string
 from pathlib import Path
 
 import numpy as np
@@ -129,38 +127,6 @@ def _format_summary(summary: ComponentSummary) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _json_number(value: float) -> str:
-    """A float as ``json.dumps`` writes it."""
-    return repr(value) if math.isfinite(value) else json.dumps(value)
-
-
-def _json_pairs(pairs, pad: str) -> str:
-    """``[[label, value], ...]`` as ``json.dumps(..., indent=2)`` writes it
-    at indent ``pad``, values rounded by ``_sig4``."""
-    if not pairs:
-        return "[]"
-    item = f"{pad}  [\n{pad}    %s,\n{pad}    %s\n{pad}  ]"
-    rows = [item % (_json_string(label), _json_number(_sig4(value))) for label, value in pairs]
-    return "[\n" + ",\n".join(rows) + f"\n{pad}]"
-
-
-def _format_json(summary: ComponentSummary) -> str:
-    """The JSON report, byte for byte what ``json.dumps(payload, indent=2)``
-    writes for the payload ``{"component", "gini", "top": {panel: pairs},
-    "time": pairs}``.  With ``indent`` set, json runs its pure-Python
-    encoder, which costs several times this fixed-shape writer."""
-    panels = [f"    {_json_string(panel)}: {_json_pairs(pairs, '    ')}"
-              for panel, pairs in summary.top.items()]
-    top = "{\n" + ",\n".join(panels) + "\n  }" if panels else "{}"
-    profile = _json_pairs(list(zip(summary.time_labels, summary.time_values.tolist())), "  ")
-    return (
-        f'{{\n  "component": {summary.component},\n'
-        f'  "gini": {_json_number(_sig4(summary.gini))},\n'
-        f'  "top": {top},\n'
-        f'  "time": {profile}\n}}\n'
-    )
-
-
 def write_component_reports(
     f: FactorSet, mode_labels, directory, top_n: int = 10
 ) -> Path:
@@ -177,7 +143,13 @@ def write_component_reports(
         index_lines.append(f"{rank}\t{k}\t{summary.gini:.4g}")
         stem = f"component_{k:03d}"
         (directory / f"{stem}.txt").write_text(_format_summary(summary))
-        (directory / f"{stem}.json").write_text(_format_json(summary))
+        payload = {
+            "component": summary.component,
+            "gini": _sig4(summary.gini),
+            "top": {p: [[lab, _sig4(val)] for lab, val in rows] for p, rows in summary.top.items()},
+            "time": [[lab, _sig4(val)] for lab, val in zip(summary.time_labels, summary.time_values)],
+        }
+        (directory / f"{stem}.json").write_text(json.dumps(payload, indent=2) + "\n")
         for panel, rows in summary.top.items():
             lines = ["rank\tlabel\tvalue"]
             lines += [f"{i}\t{lab}\t{val:.6g}" for i, (lab, val) in enumerate(rows, 1)]

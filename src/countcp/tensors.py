@@ -72,16 +72,13 @@ class SparseCountTensor:
             if coords.min() < 0 or np.any(coords >= np.asarray(shape)):
                 raise ValueError("coordinate out of range for shape")
             flat = np.ravel_multi_index(coords.T, shape)
-            if np.any(flat[1:] <= flat[:-1]):
-                order = np.argsort(flat, kind="stable")
-                flat = flat[order]
-                if np.any(flat[1:] == flat[:-1]):
-                    dup = coords[order][np.nonzero(flat[1:] == flat[:-1])[0][0]]
-                    raise ValueError(f"duplicate coordinate {tuple(dup)}")
-                coords, values = coords[order], values[order]
-            else:  # already sorted and distinct, as any subset of a tensor's
-                # entries is; copied as the reorder would, so no caller holds them
-                coords, values = coords.copy(), values.copy()
+            order = np.argsort(flat, kind="stable")
+            flat = flat[order]
+            if flat.size > 1 and np.any(flat[1:] == flat[:-1]):
+                dup = coords[order][np.nonzero(flat[1:] == flat[:-1])[0][0]]
+                raise ValueError(f"duplicate coordinate {tuple(int(i) for i in dup)}")
+            coords = coords[order]
+            values = values[order]
         if len(mode_labels) != len(shape):
             raise ValueError("need one label list per mode")
         mode_labels = [list(map(str, lab)) for lab in mode_labels]

@@ -162,7 +162,8 @@ class TestReports:
 
 
 def oracle_json_report(summary) -> str:
-    """The report as ``json.dumps(payload, indent=2)`` wrote it."""
+    """The JSON report, its payload built here from the summary apart from
+    the writer's own code."""
     def sig4(value):
         return float(f"{value:.4g}")
 

@@ -139,8 +139,7 @@ class TestInvariants:
             SparseCountTensor((2, 2), [[0, 1], [0, 1]], [1, 2], [["a", "b"]] * 2)
 
     def test_duplicate_error_names_the_coordinate(self):
-        named = re.escape(f"duplicate coordinate {tuple(np.array([1, 0]))}")
-        with pytest.raises(ValueError, match=named):
+        with pytest.raises(ValueError, match=re.escape("duplicate coordinate (1, 0)")):
             SparseCountTensor((2, 2), [[1, 0], [0, 1], [1, 0]], [1, 2, 3], [["a", "b"]] * 2)
 
     def test_any_entry_order_gives_one_tensor_that_shares_no_memory(self, rng):
