@@ -69,7 +69,7 @@ from .evaluation import (
     write_report_json,
     write_report_text,
 )
-from .masking import CellMask, Region, apply_mask, top_block_mask
+from .masking import CellMask, Region, top_block_mask
 from .ntf import (
     NtfConfig,
     fit_ntf,

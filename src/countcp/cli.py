@@ -15,13 +15,14 @@ import sys
 from pathlib import Path
 
 from . import bptf as _bptf
-from . import ntf as _ntf
 from .components import write_component_reports
 from .cp import load_factors, save_factors, write_trace
 from .errors import ConfigError, CountCPError, DataError, NumericalError
 from .evaluation import (
     ExperimentSpec,
     MODEL_NAMES,
+    _hyperparameters,
+    _trainer,
     run_table,
     write_report_json,
     write_report_text,
@@ -190,55 +191,32 @@ def cmd_ingest(args) -> int:
 
 def cmd_fit(args) -> int:
     tensor = load_tensor(_require(args, "tensor"), args.labels)
-    model = _require(args, "model")
+    _, train = _trainer(
+        _require(args, "model"), tensor.ndim, k=args.k, max_iterations=args.max_iterations,
+        tolerance=args.tolerance, alpha=args.alpha, beta=_parse_floats(args.beta),
+        learn_beta=args.learn_beta, epsilon_floor=args.epsilon_floor,
+    )
     out = _out_dir(args)
-    if model == "bptf":
-        config = _bptf.FitConfig(
-            k=args.k,
-            max_iterations=args.max_iterations,
-            relative_elbo_tolerance=args.tolerance,
-            seed=args.seed,
-            learn_beta=args.learn_beta,
-        )
-        beta = _parse_floats(args.beta)
-        if len(beta) == 1:
-            beta = beta * tensor.ndim
-        if len(beta) != tensor.ndim:
-            raise ConfigError(f"--beta needs 1 or {tensor.ndim} values")
-        hyper = _bptf.Hyperparameters(alpha=args.alpha, beta=tuple(beta))
-        state, hyper, trace = _bptf.fit(tensor, config, hyper)
-        label, bundle = "elbo", out / "state"
-        _bptf.save_state(state, hyper, bundle)
-    elif model in ("ntf-kl", "ntf-ls"):
-        config = _ntf.NtfConfig(
-            k=args.k,
-            max_iterations=args.max_iterations,
-            relative_objective_tolerance=args.tolerance,
-            seed=args.seed,
-            cost=model.split("-")[1],
-            epsilon_floor=args.epsilon_floor,
-        )
-        factors, trace = _ntf.fit_ntf(tensor, config)
-        label, bundle = "objective", out / "factors"
-        save_factors(factors, bundle, tensor.mode_labels)
-    else:
-        raise ConfigError(f"unknown model {model!r}; use bptf, ntf-kl or ntf-ls")
-    write_trace(trace, out / "trace.txt")
+    fitted = train(tensor, args.seed)
+    bundle = fitted.save(out)
+    write_trace(fitted.trace, out / "trace.txt")
     _echo_config(args, out)
-    print(f"{label} {trace.values[-1]:.10g}")
-    print(f"iterations {trace.n_iterations} converged {trace.converged}")
+    print(f"{fitted.objective} {fitted.trace.values[-1]:.10g}")
+    print(f"iterations {fitted.trace.n_iterations} converged {fitted.trace.converged}")
     print(f"wrote {bundle} and {out / 'trace.txt'}")
     return 0
 
 
 def _parse_tensor_specs(specs) -> dict:
-    tensors = {}
+    paths = {}
     for item in specs:
         label, _, path = item.partition("=")
         if not path:
             path, label = label, Path(label).stem
-        tensors[label] = load_tensor(path)
-    return tensors
+        if label in paths:
+            raise ConfigError(f"--tensor label {label!r} is given twice")
+        paths[label] = path
+    return {label: load_tensor(path) for label, path in paths.items()}
 
 
 def cmd_eval(args) -> int:
@@ -310,12 +288,7 @@ def cmd_explore(args) -> int:
 
 def cmd_synth(args) -> int:
     shape = tuple(_parse_ints(_require(args, "shape")))
-    beta = _parse_floats(args.beta)
-    if len(beta) == 1:
-        beta = beta * len(shape)
-    if len(beta) != len(shape):
-        raise ConfigError(f"--beta needs 1 or {len(shape)} values")
-    hyper = _bptf.Hyperparameters(alpha=args.alpha, beta=tuple(beta))
+    hyper = _hyperparameters(args.alpha, _parse_floats(args.beta), len(shape))
     tensor, factors = sample_count_tensor(shape, args.k, hyper, args.seed)
     out = _out_dir(args)
     save_tensor(tensor, out / "tensor.txt")

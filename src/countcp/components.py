@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .cp import FactorSet
-from .errors import CountCPError
+from .errors import ConfigError, CountCPError
 
 MODE_PANELS = ("sender", "receiver", "action")
 
@@ -78,6 +78,8 @@ def summarize(
     chronological time vector for component ``k``."""
     if not 0 <= k < f.k:
         raise ValueError(f"component {k} out of range for K={f.k}")
+    if top_n < 0:
+        raise ConfigError(f"top_n must be non-negative, got {top_n}")
     if time_mode is None:
         time_mode = f.ndim - 1
     top = {}

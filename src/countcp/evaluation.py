@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -24,13 +25,12 @@ import numpy as np
 
 from . import bptf as _bptf
 from . import ntf as _ntf
-from .cp import FactorSet, reconstruct_entries
-from .errors import SpecValidationError, UndefinedStatisticError
+from .cp import FactorSet, Trace, reconstruct_entries, save_factors
+from .errors import ConfigError, SpecValidationError, UndefinedStatisticError
 from .masking import Region, top_block_mask
 from .tensors import SparseCountTensor, sort_by_activity, split_time, vmr_of_counts
 
 MODEL_NAMES = ("ntf-ls", "ntf-kl", "bptf-geo", "bptf-ari")
-_BPTF_KINDS = {"bptf-geo": "geometric", "bptf-ari": "arithmetic"}
 METRIC_NAMES = ("mae", "mae_nz", "ham_z")
 
 
@@ -137,6 +137,8 @@ class ExperimentSpec:
             raise SpecValidationError("at least one split seed is required")
         if min(self.seeds) < 0:
             raise SpecValidationError("split seeds must be non-negative")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise SpecValidationError(f"test_fraction must be in (0, 1), got {self.test_fraction}")
         unknown = [m for m in self.models if m not in MODEL_NAMES]
         if unknown:
             raise SpecValidationError(f"unknown models {unknown}")
@@ -220,58 +222,88 @@ def _validate_spec(spec: ExperimentSpec, t: SparseCountTensor) -> None:
         raise SpecValidationError("mask leaves an empty heldout region")
 
 
-def _fit_bptf(train, seed, config, hyper, kinds):
-    """Fit BPTF once; returns a predictor from (test slice, mask) to the
-    point estimates named in ``kinds``."""
-    config = replace(config, seed=seed)
-    state, learned_hyper, _ = _bptf.fit(train, config, hyper)
+@dataclass
+class _Fitted:
+    """One model family fitted to one tensor: the trace of its ``objective``
+    ("elbo" or "objective"), ``save(directory)``, which writes its bundle in
+    ``directory`` and returns the bundle's path, and ``predict(test, mask)``,
+    which maps each scored model name to its heldout FactorSet."""
 
-    def predict(test, mask):
-        heldout, _ = _bptf.infer_heldout_time_factors(
-            state, learned_hyper, test, mask, config
-        )
-        return {name: _bptf.point_estimate(heldout, kind) for name, kind in kinds.items()}
-
-    return predict
+    trace: Trace
+    objective: str
+    save: Callable
+    predict: Callable
 
 
-def _fit_ntf(train, seed, config):
-    """Fit one multiplicative-update baseline once; returns its predictor."""
-    config = replace(config, seed=seed)
-    factors, _ = _ntf.fit_ntf(train, config)
-
-    def predict(test, mask):
-        heldout, _ = _ntf.infer_heldout_time_factors_ntf(factors, test, mask, config)
-        return {f"ntf-{config.cost}": heldout}
-
-    return predict
+def _hyperparameters(alpha, beta, n_modes):
+    """BPTF hyperparameters from ``--alpha`` and 1 or ``n_modes`` ``--beta`` values."""
+    beta = tuple(beta) * n_modes if len(beta) == 1 else tuple(beta)
+    if len(beta) != n_modes:
+        raise ConfigError(f"--beta needs 1 or {n_modes} values")
+    return _bptf.Hyperparameters(alpha=alpha, beta=beta)
 
 
-def _trainers(spec: ExperimentSpec, n_modes: int) -> list:
-    """(model names, train) pairs for the spec's models, fitted in this order.
+def _bptf_trainer(names, n_modes, k, max_iterations, tolerance, alpha, beta=(1.0,),
+                  learn_beta=True, **_):
+    config = _bptf.FitConfig(k, max_iterations, tolerance, learn_beta=learn_beta)
+    hyper = _hyperparameters(alpha, beta, n_modes)
+    kinds = {"bptf-geo": "geometric", "bptf-ari": "arithmetic"}
 
-    ``train(tensor, seed)`` fits once and returns a predictor.  Every model
-    config is built here, so an invalid value fails before the first fit.
-    """
-    bptf_config = _bptf.FitConfig(
-        k=spec.k,
-        max_iterations=spec.max_iterations,
-        relative_elbo_tolerance=spec.tolerance,
-    )
-    hyper = _bptf.Hyperparameters.default(n_modes, alpha=spec.alpha)
-    kinds = {name: kind for name, kind in _BPTF_KINDS.items() if name in spec.models}
-    fit_bptf = partial(_fit_bptf, config=bptf_config, hyper=hyper, kinds=kinds)
-    trainers = [(tuple(kinds), fit_bptf)]
-    for cost in _ntf.COSTS:
-        config = _ntf.NtfConfig(
-            k=spec.k,
-            max_iterations=spec.max_iterations,
-            relative_objective_tolerance=spec.tolerance,
-            cost=cost,
-            epsilon_floor=spec.epsilon_floor,
-        )
-        trainers.append(((f"ntf-{cost}",), partial(_fit_ntf, config=config)))
-    return [(names, fit) for names, fit in trainers if set(names) & set(spec.models)]
+    def train(tensor, seed):
+        seeded = replace(config, seed=seed)
+        state, learned, trace = _bptf.fit(tensor, seeded, hyper)
+
+        def predict(test, mask):
+            heldout, _ = _bptf.infer_heldout_time_factors(state, learned, test, mask, seeded)
+            return {name: _bptf.point_estimate(heldout, kinds[name]) for name in names}
+
+        def save(out):
+            return _bptf.save_state(state, learned, out / "state")
+
+        return _Fitted(trace, "elbo", save, predict)
+
+    return train
+
+
+def _ntf_trainer(names, n_modes, k, max_iterations, tolerance, epsilon_floor, cost, **_):
+    config = _ntf.NtfConfig(k, max_iterations, tolerance, cost=cost, epsilon_floor=epsilon_floor)
+
+    def train(tensor, seed):
+        seeded = replace(config, seed=seed)
+        factors, trace = _ntf.fit_ntf(tensor, seeded)
+
+        def predict(test, mask):
+            heldout, _ = _ntf.infer_heldout_time_factors_ntf(factors, test, mask, seeded)
+            return dict.fromkeys(names, heldout)
+
+        def save(out):
+            return save_factors(factors, out / "factors", tensor.mode_labels)
+
+        return _Fitted(trace, "objective", save, predict)
+
+    return train
+
+
+# ``fit --model`` name -> (the model names its heldout predictions are scored
+# as, its trainer builder); the harness fits the families in this order
+_MODELS = {
+    "bptf": (("bptf-geo", "bptf-ari"), _bptf_trainer),
+    "ntf-kl": (("ntf-kl",), partial(_ntf_trainer, cost="kl")),
+    "ntf-ls": (("ntf-ls",), partial(_ntf_trainer, cost="ls")),
+}
+
+
+def _trainer(model, n_modes, wanted=MODEL_NAMES, **options):
+    """(names, train) for one ``fit --model`` family: the model names in
+    ``wanted`` that it is scored as, and ``train(tensor, seed) -> _Fitted``.
+    ``options`` are ``countcp fit``'s k, max_iterations, tolerance, alpha,
+    beta, learn_beta and epsilon_floor; the config is built here, so an
+    invalid value raises ConfigError before any fit."""
+    if model not in _MODELS:
+        raise ConfigError(f"unknown model {model!r}; use bptf, ntf-kl or ntf-ls")
+    scored, build = _MODELS[model]
+    names = tuple(name for name in scored if name in wanted)
+    return names, build(names, n_modes, **options)
 
 
 def _failure(exc: Exception) -> str:
@@ -293,7 +325,7 @@ def _run_seed(spec: ExperimentSpec, trainers, sorted_t, masks, seed: int) -> lis
 
     for names, train in trainers:
         try:
-            predict = train(ts.train, seed)
+            predict = train(ts.train, seed).predict
         except Exception as exc:  # recorded in every row, not fatal for other models
             for split in splits:
                 split.failures.update(dict.fromkeys(names, _failure(exc)))
@@ -358,6 +390,8 @@ def run_table(
     and may run on worker threads; results are assembled in seed order, so
     identical inputs give a bit-identical report either way.
     """
+    keys = ("k", "max_iterations", "tolerance", "alpha", "epsilon_floor")
+    options = {key: getattr(base_spec, key) for key in keys}
     sources = []
     for source, tensor in tensors.items():
         specs = [
@@ -372,7 +406,9 @@ def run_table(
         ]
         for spec in specs:
             _validate_spec(spec, tensor)
-        sources.append((specs, tensor, _trainers(base_spec, tensor.ndim)))
+        # every family's config is built, fitted or not
+        trainers = [_trainer(m, tensor.ndim, base_spec.models, **options) for m in _MODELS]
+        sources.append((specs, tensor, [(names, t) for names, t in trainers if names]))
 
     rows = []
     for specs, tensor, trainers in sources:

@@ -233,17 +233,6 @@ def _gram(mat):
     return mat.T @ mat
 
 
-def apply_mask(slice_tensor: SparseCountTensor, mask: CellMask):
-    """Partition a slice's cells into observed entries and a heldout region.
-
-    Returns a tensor holding only the stored entries of the observed region
-    (same shape and labels as the input) plus the heldout region object;
-    heldout zero cells are described by the region, never materialized.
-    """
-    observed_region = Region.from_mask(slice_tensor.shape, mask)
-    return observed_region.restrict(slice_tensor), observed_region.invert()
-
-
 def _observed_part(trained_shape, test_slice: SparseCountTensor, mask: CellMask):
     """Observed entries and region of a test slice, for heldout time inference."""
     if test_slice.ndim != len(trained_shape) or test_slice.shape[:-1] != trained_shape[:-1]:
@@ -251,5 +240,4 @@ def _observed_part(trained_shape, test_slice: SparseCountTensor, mask: CellMask)
     region = Region.from_mask(test_slice.shape, mask)
     if region.n_cells == 0:
         raise EmptyRegionError("mask leaves no observed cells")
-    observed, _ = apply_mask(test_slice, mask)
-    return observed, region
+    return region.restrict(test_slice), region

@@ -9,6 +9,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import countcp.bptf
+import countcp.ntf
+from countcp import (
+    FitConfig,
+    Hyperparameters,
+    NtfConfig,
+    load_tensor,
+    save_factors,
+    save_state,
+    write_trace,
+)
 from countcp.cli import main
 
 EVENTS = """sender,receiver,action,timestamp
@@ -146,6 +157,39 @@ def fit_files(directory, tensor_text, labels):
 GOOD_LABELS = labels_text((3, 3, 2))
 TOKENS = st.one_of(st.integers(-3, 9).map(str), st.sampled_from(["", "x", "1.5"]))
 FUZZ = settings(max_examples=60, deadline=None, database=None, derandomize=True)
+
+
+class TestFitMatchesLibrary:
+    @pytest.mark.parametrize("model", ["bptf", "ntf-kl", "ntf-ls"])
+    def test_bundle_and_trace_bytes_equal_the_library_path(self, synth_tensor, tmp_path, model):
+        cli_out, lib_out = tmp_path / "cli", tmp_path / "lib"
+        code = main(["fit", "--tensor", str(synth_tensor / "tensor.txt"),
+                     "--labels", str(synth_tensor / "labels.txt"), "--model", model,
+                     "--k", "3", "--max-iterations", "6", "--tolerance", "1e-6",
+                     "--seed", "4", "--alpha", "0.4", "--beta", "1,2,0.5,3",
+                     "--no-learn-beta", "--epsilon-floor", "1e-3",
+                     "--output-dir", str(cli_out)])
+        assert code == 0
+        tensor = load_tensor(synth_tensor / "tensor.txt", synth_tensor / "labels.txt")
+        if model == "bptf":
+            config = FitConfig(k=3, max_iterations=6, relative_elbo_tolerance=1e-6, seed=4,
+                               learn_beta=False)
+            hyper = Hyperparameters(alpha=0.4, beta=(1.0, 2.0, 0.5, 3.0))
+            state, hyper, trace = countcp.bptf.fit(tensor, config, hyper)
+            save_state(state, hyper, lib_out / "state")
+        else:
+            config = NtfConfig(k=3, max_iterations=6, relative_objective_tolerance=1e-6, seed=4,
+                               cost=model[len("ntf-"):], epsilon_floor=1e-3)
+            factors, trace = countcp.ntf.fit_ntf(tensor, config)
+            save_factors(factors, lib_out / "factors", tensor.mode_labels)
+        write_trace(trace, lib_out / "trace.txt")
+        (cli_out / "fit_config.txt").unlink()
+        assert tree_bytes(cli_out) == tree_bytes(lib_out)
+
+
+def tree_bytes(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*"))
+            if p.is_file()}
 
 
 class TestMalformedFitInput:
@@ -402,22 +446,50 @@ class TestInvalidOptionValues:
     @pytest.mark.parametrize(
         "extra",
         [["--k", "0"], ["--max-iterations", "0"], ["--alpha", "-1"], ["--seeds", "-1"],
-         ["--n-primes", ""]],
-        ids=["k-0", "max-iterations-0", "alpha-negative", "seed-negative", "n-primes-empty"],
+         ["--n-primes", ""], ["--test-fraction", "1.5"]],
+        ids=["k-0", "max-iterations-0", "alpha-negative", "seed-negative", "n-primes-empty",
+             "test-fraction-1.5"],
     )
     def test_eval_exits_1_before_any_fit(self, synth_tensor, tmp_path, capsys,
                                          monkeypatch, extra):
-        import countcp.evaluation as ev
-
         def no_fit(*args, **kwargs):
             raise AssertionError("a model was fitted")
 
-        monkeypatch.setattr(ev, "_fit_bptf", no_fit)
-        monkeypatch.setattr(ev, "_fit_ntf", no_fit)
+        monkeypatch.setattr(countcp.bptf, "fit", no_fit)
+        monkeypatch.setattr(countcp.ntf, "fit_ntf", no_fit)
         code = main(["eval", "--tensor", str(synth_tensor / "tensor.txt"),
                      "--n-primes", "3", *extra, "--output-dir", str(tmp_path / "out")])
         assert code == 1
         assert one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "specs, label",
+        [(["a/tensor.txt", "b/tensor.txt"], "tensor"), (["x=a/tensor.txt", "x=b/tensor.txt"], "x")],
+        ids=["path-stems", "explicit-labels"],
+    )
+    def test_eval_repeated_source_label_exits_1_before_any_load(self, tmp_path, capsys,
+                                                                 monkeypatch, specs, label):
+        monkeypatch.chdir(tmp_path)
+        for sub in "ab":  # a tensor that loads would exit 2
+            (tmp_path / sub).mkdir()
+            (tmp_path / sub / "tensor.txt").write_text("not a tensor\n")
+        argv = ["eval", "--n-primes", "2", "--output-dir", "out"]
+        assert main(argv + [arg for spec in specs for arg in ("--tensor", spec)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and len(err.splitlines()) == 1
+        assert repr(label) in err
+
+    def test_explore_negative_top_n_exits_1_before_any_report(self, synth_tensor, tmp_path,
+                                                              capsys):
+        fit_out, explore_out = tmp_path / "fit", tmp_path / "explore"
+        assert main(["fit", "--tensor", str(synth_tensor / "tensor.txt"), "--model", "bptf",
+                     "--k", "2", "--max-iterations", "2", "--output-dir", str(fit_out)]) == 0
+        code = main(["explore", "--state", str(fit_out / "state"),
+                     "--labels", str(synth_tensor / "labels.txt"), "--top-n", "-1",
+                     "--output-dir", str(explore_out)])
+        assert code == 1
+        assert one_error_line(capsys)
+        assert not any(p.is_file() for p in explore_out.rglob("*"))
 
 
 def drop_line(text, key):
@@ -517,13 +589,11 @@ class TestEvalCommand:
         assert code == 1
 
     def test_every_model_failing_exits_3(self, synth_tensor, tmp_path, monkeypatch, capsys):
-        import countcp.evaluation as ev
-
         def boom(*args, **kwargs):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setattr(ev, "_fit_bptf", boom)
-        monkeypatch.setattr(ev, "_fit_ntf", boom)
+        monkeypatch.setattr(countcp.bptf, "fit", boom)
+        monkeypatch.setattr(countcp.ntf, "fit_ntf", boom)
         code = main(
             [
                 "eval",

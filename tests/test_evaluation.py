@@ -211,14 +211,12 @@ class TestRunExperiment:
         assert "bptf-geo:mae" in header
 
     def test_model_failure_is_recorded_not_fatal(self, monkeypatch):
-        import countcp.evaluation as ev
-
         t = small_generative_tensor()
 
         def boom(*args, **kwargs):
             raise RuntimeError("synthetic failure")
 
-        monkeypatch.setattr(ev, "_fit_ntf", boom)
+        monkeypatch.setattr(countcp.ntf, "fit_ntf", boom)
         spec = self.spec(models=("bptf-geo", "ntf-kl"))
         report = run_experiment(spec, t)
         sc = report.scenarios[0]
@@ -328,14 +326,14 @@ class TestRunTable:
         assert calls == {"bptf": 2, "ntf": 4}
 
     def test_training_failure_is_recorded_in_every_row_of_its_seed(self, monkeypatch):
-        real = countcp.evaluation._fit_ntf
+        real = countcp.ntf.fit_ntf
 
-        def fail_on_seed_one(train, seed, config):
-            if seed == 1:
+        def fail_on_seed_one(train, config):
+            if config.seed == 1:
                 raise RuntimeError(f"synthetic {config.cost} failure")
-            return real(train, seed, config)
+            return real(train, config)
 
-        monkeypatch.setattr(countcp.evaluation, "_fit_ntf", fail_on_seed_one)
+        monkeypatch.setattr(countcp.ntf, "fit_ntf", fail_on_seed_one)
         report = run_table(self.base, {"gen": small_generative_tensor()}, (2, 3))
         for sc in report.scenarios:
             first, second = sc.splits

@@ -7,7 +7,6 @@ from countcp import (
     CellMask,
     FactorSet,
     Region,
-    apply_mask,
     reconstruct_entries,
     top_block_mask,
 )
@@ -36,23 +35,31 @@ def dense_region_mask(region):
     return grid
 
 
+def partition(t, mask):
+    """The stored entries of ``t`` that ``mask`` observes, and the heldout region."""
+    observed = Region.from_mask(t.shape, mask)
+    return observed.restrict(t), observed.invert()
+
+
 class TestApplyMask:
+    """A mask's observed entries (``Region.restrict``) and heldout region (``invert``)."""
+
     def test_full_mask_observes_everything(self, rng):
         t = random_tensor((4, 4, 2, 1), rng, nnz=10)
-        observed, heldout = apply_mask(t, CellMask(range(4), range(4)))
+        observed, heldout = partition(t, CellMask(range(4), range(4)))
         assert observed == t
         assert heldout.n_cells == 0
 
     def test_block_heldout_pair_count(self, rng):
         t = random_tensor((4, 4, 3, 1), rng, nnz=10)
-        _, heldout = apply_mask(t, top_block_mask(2))
+        _, heldout = partition(t, top_block_mask(2))
         assert heldout.n_pairs == 4 * 4 - 2 * 2
         assert heldout.n_cells == 12 * 3
 
     def test_complement_flag_swaps_the_partition(self, rng):
         t = random_tensor((4, 4, 3, 1), rng, nnz=12)
-        obs_a, held_a = apply_mask(t, top_block_mask(2, complement=False))
-        obs_b, held_b = apply_mask(t, top_block_mask(2, complement=True))
+        obs_a, held_a = partition(t, top_block_mask(2, complement=False))
+        obs_b, held_b = partition(t, top_block_mask(2, complement=True))
         assert held_a.n_cells + held_b.n_cells == 4 * 4 * 3
         assert obs_a.nnz + obs_b.nnz == t.nnz
         # the two observed sets partition the entries
@@ -63,7 +70,7 @@ class TestApplyMask:
     def test_partition_covers_all_cells_disjointly(self, rng):
         t = random_tensor((5, 5, 2, 2), rng, nnz=20)
         mask = CellMask(rows=(0, 2, 3), cols=(1, 2), complement=False)
-        observed, heldout = apply_mask(t, mask)
+        observed, heldout = partition(t, mask)
         obs_region = Region.from_mask(t.shape, mask)
         dense_obs = dense_region_mask(obs_region)
         dense_held = dense_region_mask(heldout)
