@@ -9,7 +9,9 @@ count allocation, in log space over the log geometric expectations where the
 KL update in ``ntf`` allocates over log factors, so it holds for any shape
 ``alpha`` > 0 however small.  The evidence lower bound uses the standard
 auxiliary-count tightening, so the count term needs only the stored entries
-and the reconstruction mass has a closed form.
+and the reconstruction mass has a closed form.  The kernel pass behind the
+count term also allocates the next shape update's counts, and heldout
+inference does its frozen modes' work once per call, not once per sweep.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from .cp import (
     _allocate,
     _ascend,
     _count_shares,
+    _FrozenModes,
     _mode_matrices,
     _reading_bundle,
     save_matrix,
@@ -91,7 +94,9 @@ class VariationalState:
     itself underflows, its log does not.  Callers that pass caches
     explicitly are trusted (the warm-start path seeds both caches from a
     point estimate); ``refresh`` restores cache consistency for one mode
-    after its parameters change.
+    after its parameters change.  The updates and the ELBO read the caches,
+    not gamma and delta, so an ELBO is only that of gamma and delta when
+    the caches are consistent.
     """
 
     __slots__ = ("gamma", "delta", "expect", "elog")
@@ -173,15 +178,25 @@ def update_gamma(
     allocate nothing, so the sweep touches only stored entries.  Refreshes
     the mode's caches.
     """
+    _update_shape(state, t, mode, hyper)
+    return state
+
+
+def _update_shape(state, t, mode, hyper, allocated=None, frozen=None):
+    """``update_gamma``, taking the counts ``allocated`` to ``mode`` by an
+    earlier kernel pass over the same ``state.elog`` when one is given;
+    ``frozen`` is passed on to ``cp._count_shares``."""
     new = np.full(state.gamma[mode].shape, hyper.alpha)
-    bad = _allocate(state.elog, t, mode, new)
-    if bad is not None:
-        raise NumericalDegeneracyError(
-            f"all-component geometric mass vanished at entry {bad}"
-        )
+    if allocated is not None:
+        new += allocated
+    else:
+        bad = _allocate(state.elog, t, mode, new, frozen)
+        if bad is not None:
+            raise NumericalDegeneracyError(
+                f"all-component geometric mass vanished at entry {bad}"
+            )
     state.gamma[mode] = new
     state.refresh(mode)
-    return state
 
 
 def update_delta(
@@ -199,12 +214,15 @@ def update_delta(
     Refreshes the mode's caches.
     """
     region = region or Region.whole(state.shape)
-    new = hyper.rate(mode) + region.other_mode_sums(state.expect, mode)
+    _set_rate(state, mode, hyper.rate(mode) + region.other_mode_sums(state.expect, mode))
+    return state
+
+
+def _set_rate(state, mode, new):
     if not np.all(np.isfinite(new)):
         raise NumericalDegeneracyError(f"rate update overflowed in mode {mode}")
     state.delta[mode] = new
     state.refresh(mode)
-    return state
 
 
 def update_beta(
@@ -229,15 +247,45 @@ def _gamma_prior_terms(state: VariationalState, hyper: Hyperparameters, mode: in
     g, d = state.gamma[mode], state.delta[mode]
     rate = hyper.rate(mode)
     alpha = hyper.alpha
-    elog = digamma(g) - np.log(d)
     cross = (
         alpha * np.log(rate)
         - gammaln(alpha)
-        + (alpha - 1.0) * elog
-        - rate * (g / d)
+        + (alpha - 1.0) * state.elog[mode]
+        - rate * state.expect[mode]
     )
     entropy = g - np.log(d) + gammaln(g) + (1.0 - g) * digamma(g)
     return float(cross.sum()), float(entropy.sum())
+
+
+def _elbo(log_mass, y, log_y_factorials, mass, priors) -> float:
+    """The ELBO from its terms: each stored entry's log geometric mass, the
+    counts and the sum of their log factorials, the reconstruction mass, and
+    each mode's (prior cross-entropy, entropy).  Raises if any named term
+    goes non-finite, checking them in that order."""
+    if not np.all(np.isfinite(log_mass)):
+        raise NumericalError("ELBO count term is non-finite (zero geometric mass)")
+    count_term = float((y * log_mass).sum() - log_y_factorials)
+    prior = 0.0
+    for m, (cross, entropy) in enumerate(priors):
+        for name, value in (("prior cross-entropy", cross), ("entropy", entropy)):
+            if not np.isfinite(value):
+                raise NumericalError(f"ELBO {name} term is non-finite in mode {m}")
+        prior += cross + entropy
+    elbo = count_term - mass + prior
+    if not np.isfinite(elbo):
+        raise NumericalError("ELBO reconstruction-mass term is non-finite")
+    return elbo
+
+
+def _elbo_pass(state, t, hyper, region, mode=None):
+    """``compute_elbo`` and, from the same kernel pass, the counts allocated
+    to ``mode`` (None without one): state.elog is what the next shape update
+    of ``mode`` would read, so that update can take them."""
+    log_mass, allocated = _count_shares(state.elog, t, mode)
+    y = t.values.astype(np.float64)
+    priors = [_gamma_prior_terms(state, hyper, m) for m in range(state.n_modes)]
+    value = _elbo(log_mass, y, gammaln(y + 1.0).sum(), region.sum_recon(state.expect), priors)
+    return value, allocated
 
 
 def compute_elbo(
@@ -255,23 +303,7 @@ def compute_elbo(
     products, and each factor adds its Gamma prior cross-entropy and
     entropy.  Raises if any named term goes non-finite.
     """
-    log_mass, _ = _count_shares(state.elog, t)
-    if not np.all(np.isfinite(log_mass)):
-        raise NumericalError("ELBO count term is non-finite (zero geometric mass)")
-    y = t.values.astype(np.float64)
-    count_term = float((y * log_mass).sum() - gammaln(y + 1.0).sum())
-    mass = (region or Region.whole(state.shape)).sum_recon(state.expect)
-    prior = 0.0
-    for m in range(state.n_modes):
-        cross, entropy = _gamma_prior_terms(state, hyper, m)
-        for name, value in (("prior cross-entropy", cross), ("entropy", entropy)):
-            if not np.isfinite(value):
-                raise NumericalError(f"ELBO {name} term is non-finite in mode {m}")
-        prior += cross + entropy
-    elbo = count_term - mass + prior
-    if not np.isfinite(elbo):
-        raise NumericalError("ELBO reconstruction-mass term is non-finite")
-    return elbo
+    return _elbo_pass(state, t, hyper, region or Region.whole(state.shape))[0]
 
 
 def fit(t: SparseCountTensor, config: FitConfig, hyper: Hyperparameters | None = None):
@@ -282,23 +314,33 @@ def fit(t: SparseCountTensor, config: FitConfig, hyper: Hyperparameters | None =
     are then re-fit.  Stops when the relative ELBO change drops below the
     tolerance or after ``max_iterations`` sweeps; non-convergence is
     reported in the trace, not raised.  Returns (state, hyper, trace).
+
+    Each sweep's ELBO pass also allocates the next sweep's mode-0 counts
+    (re-fitting beta leaves ``elog`` alone): M kernel passes a sweep, not
+    M + 1, after the first.
     """
     if hyper is None:
         hyper = Hyperparameters.default(t.ndim)
     state = init_state(t.shape, config, hyper)
     region = Region.whole(t.shape)
     betas = []
+    allocated = None
 
     def sweep():
-        nonlocal hyper
+        nonlocal hyper, allocated
         for mode in range(t.ndim):
-            update_gamma(state, t, mode, hyper)
+            if allocated is None:  # the public update, which bench/spans.py times
+                update_gamma(state, t, mode, hyper)
+            else:
+                _update_shape(state, t, mode, hyper, allocated)
+                allocated = None
             update_delta(state, t, mode, hyper, region=region)
         if config.learn_beta:
             for mode in range(t.ndim):
                 hyper = update_beta(state, mode, hyper)
         betas.append(hyper.beta)
-        return compute_elbo(state, t, hyper, region=region)
+        value, allocated = _elbo_pass(state, t, hyper, region, 0)
+        return value
 
     trace = _ascend(sweep, config.max_iterations, config.relative_elbo_tolerance)
     trace.betas = betas
@@ -333,6 +375,13 @@ def infer_heldout_time_factors(
     only the observed region of the test slices feeds the time-mode shape
     and rate sums.  Returns the fitted state (its last-mode gamma/delta are
     the per-test-step parameters) and the trace of its ELBO on that region.
+
+    The frozen modes' work is done once per call: each observed entry's
+    summed frozen log rows (``cp._FrozenModes``, nnz_obs * K * 8 bytes),
+    the time rate (the frozen modes' mass never changes), the region's
+    frozen column-sum product and the frozen modes' prior terms.  A sweep
+    then costs one kernel pass over the observed entries, O(nnz_obs * K),
+    whose ELBO also allocates the next sweep's shape update.
     """
     observed, region = _observed_part(trained.shape, test_slice, mask)
     time_mode = trained.n_modes - 1
@@ -342,11 +391,22 @@ def infer_heldout_time_factors(
         state.delta[m] = trained.delta[m].copy()
         state.expect[m] = trained.expect[m].copy()
         state.elog[m] = trained.elog[m].copy()
+    frozen = _FrozenModes(observed, logs=state.elog[:time_mode])
+    rate = hyper.rate(time_mode) + region.other_mode_sums(state.expect, time_mode)
+    column_sums = region._frozen_part(state.expect)
+    priors = [_gamma_prior_terms(state, hyper, m) for m in range(time_mode)]
+    y = observed.values.astype(np.float64)
+    log_y_factorials = gammaln(y + 1.0).sum()
+    allocated = None
 
     def sweep():
-        update_gamma(state, observed, time_mode, hyper)
-        update_delta(state, observed, time_mode, hyper, region=region)
-        return compute_elbo(state, observed, hyper, region=region)
+        nonlocal allocated
+        _update_shape(state, observed, time_mode, hyper, allocated, frozen)
+        _set_rate(state, time_mode, rate)
+        log_mass, allocated = _count_shares(state.elog, observed, time_mode, frozen)
+        mass = float((column_sums * state.expect[time_mode].sum(axis=0)).sum())
+        terms = [*priors, _gamma_prior_terms(state, hyper, time_mode)]
+        return _elbo(log_mass, y, log_y_factorials, mass, terms)
 
     trace = _ascend(sweep, config.max_iterations, config.relative_elbo_tolerance)
     return state, trace

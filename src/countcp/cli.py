@@ -143,7 +143,10 @@ def _require(args, name: str):
 
 def _out_dir(args) -> Path:
     out = Path(args.output_dir or f"countcp_{args.command}")
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"{out}: cannot make output directory: {exc.strerror or exc}") from exc
     return out
 
 

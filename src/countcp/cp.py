@@ -6,14 +6,17 @@ means the whole tensor (``Region.whole``).  They cost only
 O(nnz * K + sum_m shape[m] * K): the region's sum of the reconstruction
 factorizes into per-mode column sums.  ``_allocate`` is the Poisson count
 allocation behind both the BPTF shape update and the KL update: a
-per-entry softmax over summed log factors, run block by block over the
-tensor's cached block plan (``SparseCountTensor._block_plan``).
+per-entry softmax over summed log factors, run block by block.  In training
+the tensor's cached gather matrices sum the log rows
+(``SparseCountTensor._block_gather``); in heldout inference a per-entry
+prefix of the frozen modes (``_FrozenModes``) plus the time row does.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -35,13 +38,7 @@ class FactorSet:
             raise ValueError("factor set needs at least one mode")
         k = factors[0].shape[1] if factors[0].ndim == 2 else -1
         for m, f in enumerate(factors):
-            if f.ndim != 2 or f.shape[1] != k:
-                raise ValueError(f"mode {m}: every factor matrix needs K columns")
-            if not np.all(np.isfinite(f)):
-                raise ValueError(f"mode {m}: factors must be finite")
-            if f.min(initial=0.0) < 0.0:
-                raise ValueError(f"mode {m}: factors must be non-negative")
-            f.setflags(write=False)
+            _check_factor(m, f, k)
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "k", k)
 
@@ -57,9 +54,27 @@ class FactorSet:
         return len(self.factors)
 
     def replace_mode(self, mode: int, matrix) -> "FactorSet":
-        mats = [f for f in self.factors]
-        mats[mode] = matrix
-        return FactorSet(mats)
+        """A copy with one mode's matrix replaced.  Only that matrix is
+        checked: the others were when this set was built, and are read-only."""
+        mats = list(self.factors)
+        mats[mode] = np.ascontiguousarray(matrix, dtype=np.float64)
+        _check_factor(mode, mats[mode], self.k)
+        out = object.__new__(FactorSet)
+        object.__setattr__(out, "factors", mats)
+        object.__setattr__(out, "k", self.k)
+        return out
+
+
+def _check_factor(m, f, k):
+    """Raise unless ``f`` is a finite non-negative matrix of ``k`` columns;
+    then make it read-only."""
+    if f.ndim != 2 or f.shape[1] != k:
+        raise ValueError(f"mode {m}: every factor matrix needs K columns")
+    if not np.all(np.isfinite(f)):
+        raise ValueError(f"mode {m}: factors must be finite")
+    if f.min(initial=0.0) < 0.0:
+        raise ValueError(f"mode {m}: factors must be non-negative")
+    f.setflags(write=False)
 
 
 def _entry_products(mats, coords, skip=None) -> np.ndarray:
@@ -83,20 +98,72 @@ _FLOOR_WEIGHT = float(np.exp(_LOG_FLOOR))
 _BLOCK_CELLS = 1 << 16
 
 
-def _count_shares(logs, t: SparseCountTensor, mode=None):
+def _block_step(k: int) -> int:
+    """Stored entries per block of per-entry (n, K) work."""
+    return max(1, _BLOCK_CELLS // k)
+
+
+class _FrozenModes:
+    """The stored entries of ``t`` with every mode but the last frozen.
+
+    Heldout inference updates only the last (time) mode, so the frozen
+    modes' per-entry work is done once here: ``logs`` sums each entry's
+    frozen log rows onto 0.0 in ascending mode order, as the block plan's
+    gather does, and ``products`` multiplies its frozen factor rows as
+    ``_entry_products`` does.  Adding, or multiplying by, the entry's
+    last-mode row then gives the bits of the whole sum or product.  Each
+    prefix, built only when its inputs are given, takes nnz * K * 8 bytes;
+    at small K that is less than the gather and non-last incidence
+    matrices the tensor then never builds.
+    """
+
+    def __init__(self, t: SparseCountTensor, mats=None, logs=None):
+        self.t, self.last = t, t.coords[:, -1]
+        self.products = None if mats is None else _entry_products(mats, t.coords)
+        self.logs = None
+        if logs is not None:
+            self.logs = np.zeros((t.nnz, logs[0].shape[1]))
+            for m, log in enumerate(logs):
+                self.logs += log[t.coords[:, m]]
+
+    def summed_logs(self, last_logs, step):
+        """Each block's summed log rows, given the last mode's log rows."""
+        return (self.logs[rows] + last_logs[self.last[rows]] for rows in self.t._block_rows(step))
+
+    def recon(self, last) -> np.ndarray:
+        """Each entry's reconstruction (``reconstruct_entries``' bits), given
+        the last mode's factors."""
+        out = np.empty(self.t.nnz)
+        for rows in self.t._block_rows(_block_step(last.shape[1])):
+            out[rows] = (self.products[rows] * last[self.last[rows]]).sum(axis=1)
+        return out
+
+
+def _count_shares(logs, t: SparseCountTensor, mode=None, frozen=None):
     """Each stored count of ``t`` split across components by a softmax of
     the entry's summed log factors (per-mode rows, summed in ascending mode
-    order; each entry is max-shifted), over the tensor's block plan.
+    order; each entry is max-shifted), block by block.
 
+    The block plan's gather sums the rows; with ``frozen`` (a
+    ``_FrozenModes`` of ``t``) each entry's frozen log prefix plus its row
+    of ``logs[-1]``, the only table then read, gives the same bits.
     Returns (log_mass, allocated): each entry's log of its summed exp log
     factors and, given a ``mode``, the split counts summed per ``mode``
     index (else None).  If some entry has no mass or a non-finite log
     factor, ``log_mass`` ends in the block holding the first such entry.
     """
-    k, table, log_mass = logs[0].shape[1], np.concatenate(logs), np.empty(t.nnz)
+    k = logs[-1].shape[1]
+    step = _block_step(k)
+    if frozen is None:
+        table = np.concatenate(logs)
+        summed = (gather @ table for gather in t._block_gather(step))
+    else:
+        summed = frozen.summed_logs(logs[-1], step)
+    log_mass = np.empty(t.nnz)
     allocated = None if mode is None else np.zeros((t.shape[mode], k))
-    for rows, gather, incidence in t._block_plan(max(1, _BLOCK_CELLS // k)):
-        parts, top = gather @ table, log_mass[rows]
+    scatter = repeat(None) if mode is None else t._block_incidence(step, mode)
+    for rows, parts, incidence in zip(t._block_rows(step), summed, scatter):
+        top = log_mass[rows]
         # a loop over columns: numpy's row-wise max is slow on short rows
         top[...] = parts[:, 0]
         for j in range(1, k):
@@ -108,21 +175,21 @@ def _count_shares(logs, t: SparseCountTensor, mode=None):
         np.exp(parts, out=parts)
         parts -= _FLOOR_WEIGHT
         total = parts.sum(axis=1)
-        if mode is not None:
+        if incidence is not None:
             parts *= (t.values[rows] / total)[:, None]
-            allocated += incidence[mode] @ parts
+            allocated += incidence @ parts
         top += np.log(total)
     return log_mass, allocated
 
 
-def _allocate(logs, t: SparseCountTensor, mode, out):
+def _allocate(logs, t: SparseCountTensor, mode, out, frozen=None):
     """Poisson count allocation: add each stored count of ``t``, split by
     ``_count_shares``, into ``out`` at its ``mode`` index.
 
     Returns the coordinate of the first entry with no mass or a non-finite
     log factor, leaving ``out`` untouched, or None.
     """
-    log_mass, allocated = _count_shares(logs, t, mode)
+    log_mass, allocated = _count_shares(logs, t, mode, frozen)
     bad = ~np.isfinite(log_mass)
     if bad.any():
         return tuple(int(c) for c in t.coords[np.argmax(bad)])
@@ -134,7 +201,7 @@ def reconstruct_entries(f: FactorSet, coords) -> np.ndarray:
     """Vectorized reconstruction at an (n, M) array of coordinates."""
     coords = np.asarray(coords, dtype=np.int64)
     out = np.empty(coords.shape[0])
-    step = max(1, _BLOCK_CELLS // f.k)
+    step = _block_step(f.k)
     for lo in range(0, coords.shape[0], step):
         out[lo:lo + step] = _entry_products(f.factors, coords[lo:lo + step]).sum(axis=1)
     return out
@@ -195,10 +262,15 @@ def generalized_kl(t: SparseCountTensor, f: FactorSet, region=None) -> float:
         raise ValueError(f"factor shape {f.shape} != tensor shape {t.shape}")
     region = region or Region.whole(t.shape)
     yhat, y = _entry_recon_and_values(f, t, region)
+    return _kl_from_recon(y, yhat, total_recon_mass(f, region))
+
+
+def _kl_from_recon(y, yhat, mass) -> float:
+    """Generalized KL from the stored counts, their reconstructions and the
+    region's reconstruction mass."""
     if np.any(yhat == 0.0):
         return float("inf")
-    entry_part = float((y * (np.log(y) - np.log(yhat))).sum() - y.sum())
-    return entry_part + total_recon_mass(f, region)
+    return float((y * (np.log(y) - np.log(yhat))).sum() - y.sum()) + mass
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,10 @@ and test, fit each model on the training tensor, infer time factors for
 each test slice from the observed part of an actor-pair mask, then score
 the reconstruction of the heldout part.  Scores are averaged over several
 random splits.  Each split is fitted once per model and shared by every
-mask scored on it.  Zero cells of the heldout region are never
+mask scored on it.  Heldout inference does its frozen modes' work once per
+call (per-entry prefixes of nnz_obs * K * 8 bytes, twice for NTF-KL, and
+the frozen column-sum, Gram and prior terms), then O(nnz_obs * K) per
+sweep for the time mode.  Zero cells of the heldout region are never
 materialized: the absolute-error mass over zeros has a closed form, and
 the thresholded count takes one matrix product per actor row against the
 Khatri-Rao product of the remaining modes.
@@ -382,7 +385,8 @@ def run_table(
 
     ``tensors`` maps a source label to its tensor; ``scenarios`` selects
     whether the dense block, its complement, or both are predicted.  Every
-    spec and model config is validated before the first fit.  Per source
+    spec, and the config of every model family that ``models`` asks for, is
+    validated before the first fit.  Per source
     and split seed, the tensor is split once and each model fitted once;
     the fits serve every block size and side, which differ only in heldout
     inference and scoring.  A model failure is recorded per model and per
@@ -406,9 +410,12 @@ def run_table(
         ]
         for spec in specs:
             _validate_spec(spec, tensor)
-        # every family's config is built, fitted or not
-        trainers = [_trainer(m, tensor.ndim, base_spec.models, **options) for m in _MODELS]
-        sources.append((specs, tensor, [(names, t) for names, t in trainers if names]))
+        trainers = [
+            _trainer(model, tensor.ndim, base_spec.models, **options)
+            for model, (scored, _) in _MODELS.items()
+            if set(scored) & set(base_spec.models)
+        ]
+        sources.append((specs, tensor, trainers))
 
     rows = []
     for specs, tensor, trainers in sources:

@@ -110,7 +110,7 @@ class Region:
         keep = self.contains(t.coords)
         if keep.all():
             return t
-        return SparseCountTensor(t.shape, t.coords[keep], t.values[keep], t.mode_labels)
+        return t._subset(keep)
 
     def density(self, t: SparseCountTensor) -> float:
         """Fraction of the region's cells that are non-zero in ``t``."""
@@ -187,6 +187,19 @@ class Region:
         """Sum of the squared CP reconstruction over the region."""
         return float(self._times_tail(self._pair_part(mats, _gram), mats, _gram).sum())
 
+    def _frozen_part(self, mats, squared=False) -> np.ndarray:
+        """The column-sum (or, ``squared``, Gram) product of every mode but
+        the last, the time mode of heldout inference.
+
+        The last mode is never an actor mode, so its column sums times this
+        part give ``component_sums``, and its Gram times this part
+        ``sum_sq_recon``'s, with the same bits; its factors times this part
+        are its ``gram_denominator``, and this part is each row of its
+        ``other_mode_sums``.
+        """
+        reduce = _gram if squared else _colsum
+        return self._times_tail(self._pair_part(mats, reduce), mats, reduce, len(self.shape) - 1)
+
     def gram_denominator(self, mats, mode: int) -> np.ndarray:
         """Row-wise sums of (other-mode factor product) * reconstruction.
 
@@ -237,6 +250,8 @@ def _observed_part(trained_shape, test_slice: SparseCountTensor, mask: CellMask)
     """Observed entries and region of a test slice, for heldout time inference."""
     if test_slice.ndim != len(trained_shape) or test_slice.shape[:-1] != trained_shape[:-1]:
         raise ValueError("test slice shape disagrees with the trained model")
+    if test_slice.ndim < 3:
+        raise ValueError("heldout inference needs two actor modes and a time mode")
     region = Region.from_mask(test_slice.shape, mask)
     if region.n_cells == 0:
         raise EmptyRegionError("mask leaves no observed cells")

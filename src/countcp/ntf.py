@@ -10,6 +10,8 @@ makes over the expected log factors.  A call without a region means the
 whole tensor (``Region.whole``).  Factors are floored at a small epsilon
 after every sweep so that a zero that the multiplicative rule cannot escape
 (an inadmissible zero) only occurs when the floor is explicitly set to 0.
+Heldout inference does its frozen modes' work once per call, so a sweep
+costs O(nnz_obs * K) for the time mode alone.
 """
 
 from __future__ import annotations
@@ -19,11 +21,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cp import (
-    _BLOCK_CELLS,
     FactorSet,
     _allocate,
     _ascend,
+    _block_step,
     _entry_products,
+    _FrozenModes,
+    _kl_from_recon,
     generalized_kl,
     reconstruct_entries,
     total_recon_mass,
@@ -76,7 +80,13 @@ def squared_error(
     part = region.restrict(t)
     y = part.values.astype(np.float64)
     yhat = reconstruct_entries(f, part.coords)
-    return float((y * y).sum() - 2.0 * (y * yhat).sum()) + region.sum_sq_recon(f.factors)
+    return _squared_error_from_recon(y, yhat, region.sum_sq_recon(f.factors))
+
+
+def _squared_error_from_recon(y, yhat, sq_mass) -> float:
+    """Squared error from the stored counts, their reconstructions and the
+    region's summed squared reconstruction."""
+    return float((y * y).sum() - 2.0 * (y * yhat).sum()) + sq_mass
 
 
 def _ratio(numer, denom) -> np.ndarray:
@@ -101,14 +111,23 @@ def ntf_kl_sweep(
     under a stored count is an inadmissible zero and raises.
     """
     region = region or Region.whole(t.shape)
-    allocated = np.zeros(f.factors[mode].shape)
-    with np.errstate(divide="ignore"):  # a zero factor is a weight of exactly 0
-        logs = [np.log(m) for m in f.factors]
-    dead = _allocate(logs, region.restrict(t), mode, allocated)
-    if dead is not None:
-        raise InadmissibleZeroError(f"zero reconstruction under count at entry {dead}")
+    allocated = _kl_allocation(_logs(f.factors), region.restrict(t), mode)
     ratio = _ratio(allocated, region.other_mode_sums(f.factors, mode))
     return f.replace_mode(mode, np.maximum(ratio, epsilon_floor))
+
+
+def _logs(mats):
+    with np.errstate(divide="ignore"):  # a zero factor is a weight of exactly 0
+        return [np.log(m) for m in mats]
+
+
+def _kl_allocation(logs, t, mode, frozen=None):
+    """The KL numerator times the factors: ``cp._allocate`` of the counts."""
+    allocated = np.zeros((t.shape[mode], logs[-1].shape[1]))
+    dead = _allocate(logs, t, mode, allocated, frozen)
+    if dead is not None:
+        raise InadmissibleZeroError(f"zero reconstruction under count at entry {dead}")
+    return allocated
 
 
 def ntf_ls_sweep(
@@ -126,16 +145,27 @@ def ntf_ls_sweep(
     """
     region = region or Region.whole(t.shape)
     part = region.restrict(t)
-    numer = np.zeros(f.factors[mode].shape)
-    for rows, _, incidence in part._block_plan(max(1, _BLOCK_CELLS // f.k)):
-        other = _entry_products(f.factors, part.coords[rows], skip=mode)
-        other *= part.values[rows, None]
-        numer += incidence[mode] @ other
+    numer = _ls_numerator(
+        part, mode, f.k, lambda rows: _entry_products(f.factors, part.coords[rows], skip=mode)
+    )
     denom = region.gram_denominator(f.factors, mode)
+    return f.replace_mode(mode, _ls_update(f.factors[mode], numer, denom, mode, epsilon_floor))
+
+
+def _ls_numerator(part, mode, k, other):
+    """Each stored count times ``other(rows)``, the other modes' factor
+    products over a block of entries, summed per ``mode`` index."""
+    step = _block_step(k)
+    numer = np.zeros((part.shape[mode], k))
+    for rows, incidence in zip(part._block_rows(step), part._block_incidence(step, mode)):
+        numer += incidence @ (other(rows) * part.values[rows, None])
+    return numer
+
+
+def _ls_update(current, numer, denom, mode, epsilon_floor):
     if np.any((denom == 0.0) & (numer > 0.0)):
         raise DegenerateUpdateError(f"zero Euclidean denominator in mode {mode}")
-    updated = np.maximum(f.factors[mode] * _ratio(numer, denom), epsilon_floor)
-    return f.replace_mode(mode, updated)
+    return np.maximum(current * _ratio(numer, denom), epsilon_floor)
 
 
 def _objective(t, f, cost, region=None):
@@ -188,6 +218,13 @@ def infer_heldout_time_factors_ntf(
     mode is updated, with both the numerator and denominator restricted to
     the observed region.  Returns (FactorSet, Trace) where the
     factor set's time matrix holds one row per test step.
+
+    The frozen modes' work is done once per call: each observed entry's
+    frozen factor product (``cp._FrozenModes``, nnz_obs * K * 8 bytes; KL
+    adds its frozen log sum, as much again), the update's denominator part
+    (column-sum or Gram products) and the objective's frozen mass; the
+    Euclidean numerator does not change, so it is taken once too.  A sweep
+    then costs O(nnz_obs * K) for the time mode alone.
     """
     observed, observed_region = _observed_part(trained.shape, test_slice, mask)
     time_mode = trained.ndim - 1
@@ -199,13 +236,54 @@ def infer_heldout_time_factors_ntf(
     if mass > 0.0 and total > 0.0:
         f = f.replace_mode(time_mode, time0 * (total / mass))
 
-    update = ntf_kl_sweep if config.cost == "kl" else ntf_ls_sweep
+    heldout = _heldout_kl if config.cost == "kl" else _heldout_ls
+    update = heldout(f.factors, observed, observed_region, config.epsilon_floor)
 
     def sweep():
         nonlocal f
-        f = update(f, observed, time_mode, region=observed_region,
-                   epsilon_floor=config.epsilon_floor)
-        return _objective(observed, f, config.cost, region=observed_region)
+        f, objective = update(f)
+        return objective
 
     trace = _ascend(sweep, config.max_iterations, config.relative_objective_tolerance)
     return f, trace
+
+
+def _heldout_kl(mats, observed, region, epsilon_floor):
+    """``update(f) -> (f, objective)``: the KL update of the last mode and
+    its objective, with the work of the other modes of ``mats`` taken once."""
+    time_mode = len(mats) - 1
+    frozen = _FrozenModes(observed, mats[:time_mode], _logs(mats[:time_mode]))
+    denom = region.other_mode_sums(mats, time_mode)
+    column_sums = region._frozen_part(mats)
+    y = observed.values.astype(np.float64)
+
+    def update(f):
+        allocated = _kl_allocation(_logs(f.factors[time_mode:]), observed, time_mode, frozen)
+        f = f.replace_mode(time_mode, np.maximum(_ratio(allocated, denom), epsilon_floor))
+        time = f.factors[time_mode]
+        mass = float((column_sums * time.sum(axis=0)).sum())
+        return f, _kl_from_recon(y, frozen.recon(time), mass)
+
+    return update
+
+
+def _heldout_ls(mats, observed, region, epsilon_floor):
+    """``update(f) -> (f, objective)``: the Euclidean update of the last
+    mode and its objective, with the work of the other modes of ``mats``
+    taken once; the numerator reads only those modes."""
+    time_mode = len(mats) - 1
+    frozen = _FrozenModes(observed, mats[:time_mode])
+    numer = _ls_numerator(observed, time_mode, mats[0].shape[1],
+                          lambda rows: frozen.products[rows])
+    grams = region._frozen_part(mats, squared=True)
+    y = observed.values.astype(np.float64)
+
+    def update(f):
+        time = f.factors[time_mode]
+        time = _ls_update(time, numer, time @ grams, time_mode, epsilon_floor)
+        f = f.replace_mode(time_mode, time)
+        time = f.factors[time_mode]
+        sq_mass = float((grams * (time.T @ time)).sum())
+        return f, _squared_error_from_recon(y, frozen.recon(time), sq_mass)
+
+    return update

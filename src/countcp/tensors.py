@@ -127,28 +127,56 @@ class SparseCountTensor:
             dense[tuple(self.coords.T)] = self.values
         return dense
 
-    def _block_plan(self, step: int) -> list:
-        """(rows, gather, incidence) per block of ``step`` stored entries.
+    def _subset(self, keep) -> "SparseCountTensor":
+        """The stored entries a boolean ``keep`` selects, with this tensor's
+        shape and labels.  A selection of sorted, distinct, valid entries
+        stays so, so ``__init__``'s checks and sort are not repeated."""
+        coords, values = self.coords[keep], self.values[keep]
+        coords.setflags(write=False)
+        values.setflags(write=False)
+        out = object.__new__(SparseCountTensor)
+        for name, value in (("shape", self.shape), ("coords", coords), ("values", values),
+                            ("mode_labels", self.mode_labels), ("_plans", {})):
+            object.__setattr__(out, name, value)
+        return out
 
-        ``gather`` has one 1.0 per mode in each row, at the entry's index
-        offset by the sizes of the modes before it: its product with the
-        per-mode tables stacked in mode order sums each entry's rows in
-        ascending mode order.  ``incidence[m] @ x`` adds each row of ``x``
-        into the row of its entry's ``m`` index, in entry order.  Built on
-        first use and kept, since the tensor never changes.
+    def _block_rows(self, step: int) -> list:
+        """The stored entries in blocks of ``step``, as slices in entry order."""
+        return [slice(lo, min(lo + step, self.nnz)) for lo in range(0, self.nnz, step)]
+
+    def _block_gather(self, step: int) -> list:
+        """One gather matrix per block of ``_block_rows(step)``.
+
+        It has one 1.0 per mode in each row, at the entry's index offset by
+        the sizes of the modes before it: its product with the per-mode
+        tables stacked in mode order sums each entry's rows in ascending
+        mode order.  Built on first use and kept, since the tensor never
+        changes; so is ``_block_incidence``.
         """
-        if step not in self._plans:
-            offsets, plan = np.cumsum((0,) + self.shape[:-1]), []
-            for lo in range(0, self.nnz, step):
-                c = self.coords[lo:lo + step]
-                n, ones = c.shape[0], np.ones(c.size)
+        key = ("gather", step)
+        if key not in self._plans:
+            offsets, width, plan = np.cumsum((0,) + self.shape[:-1]), sum(self.shape), []
+            for rows in self._block_rows(step):
+                c = self.coords[rows]
                 starts = np.arange(0, c.size + 1, self.ndim)
-                gather = csr_array((ones, (c + offsets).ravel(), starts), (n, sum(self.shape)))
-                incidence = [csr_array((ones[:n], c[:, m], np.arange(n + 1)), (n, size)).T
-                             for m, size in enumerate(self.shape)]
-                plan.append((slice(lo, lo + n), gather, incidence))
-            self._plans[step] = plan
-        return self._plans[step]
+                plan.append(csr_array((np.ones(c.size), (c + offsets).ravel(), starts),
+                                      (c.shape[0], width)))
+            self._plans[key] = plan
+        return self._plans[key]
+
+    def _block_incidence(self, step: int, mode: int) -> list:
+        """One incidence matrix of ``mode`` per block of ``_block_rows(step)``:
+        ``incidence @ x`` adds each row of ``x`` into the row of its entry's
+        ``mode`` index, in entry order."""
+        key = ("incidence", step, mode)
+        if key not in self._plans:
+            plan = []
+            for rows in self._block_rows(step):
+                n = rows.stop - rows.start
+                plan.append(csr_array((np.ones(n), self.coords[rows, mode], np.arange(n + 1)),
+                                      (n, self.shape[mode])).T)
+            self._plans[key] = plan
+        return self._plans[key]
 
     @classmethod
     def from_entries(cls, shape, entries, mode_labels=None):

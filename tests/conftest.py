@@ -3,7 +3,7 @@ paths that the faster library paths are checked against."""
 
 import csv
 import datetime as dt
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import prod
 from pathlib import Path
 
@@ -12,12 +12,25 @@ import pytest
 
 from countcp import (
     ConfigError,
+    EmptyRegionError,
     EmptyTensorError,
     FactorSet,
+    Hyperparameters,
     IngestionError,
+    Region,
     SparseCountTensor,
     VariationalState,
+    compute_elbo,
+    generalized_kl,
+    init_state,
+    ntf_kl_sweep,
+    ntf_ls_sweep,
+    squared_error,
+    update_beta,
+    update_delta,
+    update_gamma,
 )
+from countcp.cp import _ascend
 from countcp.tensors import BIN_WIDTHS, EVENT_COLUMNS
 
 
@@ -73,6 +86,92 @@ def linear_allocate(mats, coords, values, mode, out):
         return tuple(int(c) for c in coords[np.argmax(bad)])
     np.add.at(out, coords[:, mode], parts * (values / totals)[:, None])
     return None
+
+
+# ---------------------------------------------------------------------------
+# Heldout inference and the BPTF fit as they ran before the frozen-prefix and
+# fused-ELBO paths: every sweep through the public updates, each over the
+# block plan's gather, kept as the oracles of those paths
+# ---------------------------------------------------------------------------
+
+
+def oracle_bptf_fit(t, config, hyper=None):
+    """``bptf.fit`` with a separate kernel pass for every shape update and
+    for every ELBO."""
+    if hyper is None:
+        hyper = Hyperparameters.default(t.ndim)
+    state = init_state(t.shape, config, hyper)
+    region = Region.whole(t.shape)
+    betas = []
+
+    def sweep():
+        nonlocal hyper
+        for mode in range(t.ndim):
+            update_gamma(state, t, mode, hyper)
+            update_delta(state, t, mode, hyper, region=region)
+        if config.learn_beta:
+            for mode in range(t.ndim):
+                hyper = update_beta(state, mode, hyper)
+        betas.append(hyper.beta)
+        return compute_elbo(state, t, hyper, region=region)
+
+    trace = _ascend(sweep, config.max_iterations, config.relative_elbo_tolerance)
+    trace.betas = betas
+    return state, hyper, trace
+
+
+def _oracle_observed(test_slice, mask):
+    region = Region.from_mask(test_slice.shape, mask)
+    if region.n_cells == 0:
+        raise EmptyRegionError("mask leaves no observed cells")
+    return region.restrict(test_slice), region
+
+
+def oracle_infer_heldout_bptf(trained, hyper, test_slice, mask, config):
+    """``bptf.infer_heldout_time_factors`` redoing the frozen modes' work,
+    and running two kernel passes, every sweep."""
+    observed, region = _oracle_observed(test_slice, mask)
+    time_mode = trained.n_modes - 1
+    state = init_state(test_slice.shape, replace(config, k=trained.k), hyper)
+    for m in range(time_mode):
+        state.gamma[m] = trained.gamma[m].copy()
+        state.delta[m] = trained.delta[m].copy()
+        state.expect[m] = trained.expect[m].copy()
+        state.elog[m] = trained.elog[m].copy()
+
+    def sweep():
+        update_gamma(state, observed, time_mode, hyper)
+        update_delta(state, observed, time_mode, hyper, region=region)
+        return compute_elbo(state, observed, hyper, region=region)
+
+    trace = _ascend(sweep, config.max_iterations, config.relative_elbo_tolerance)
+    return state, trace
+
+
+def oracle_infer_heldout_ntf(trained, test_slice, mask, config):
+    """``ntf.infer_heldout_time_factors_ntf`` through the public sweeps and
+    objectives, redoing the frozen modes' work every sweep."""
+    observed, observed_region = _oracle_observed(test_slice, mask)
+    time_mode = trained.ndim - 1
+    rng = np.random.default_rng(config.seed)
+    time0 = rng.uniform(0.0, 1.0, size=(test_slice.shape[time_mode], config.k))
+    f = FactorSet(list(trained.factors[:time_mode]) + [time0])
+    mass = observed_region.sum_recon(f.factors)
+    total = float(observed.values.sum())
+    if mass > 0.0 and total > 0.0:
+        f = f.replace_mode(time_mode, time0 * (total / mass))
+    update, objective = (
+        (ntf_kl_sweep, generalized_kl) if config.cost == "kl" else (ntf_ls_sweep, squared_error)
+    )
+
+    def sweep():
+        nonlocal f
+        f = update(f, observed, time_mode, region=observed_region,
+                   epsilon_floor=config.epsilon_floor)
+        return objective(observed, f, region=observed_region)
+
+    trace = _ascend(sweep, config.max_iterations, config.relative_objective_tolerance)
+    return f, trace
 
 
 def iter_cell_blocks(region, max_cells=262144):

@@ -479,6 +479,55 @@ class TestInvalidOptionValues:
         assert err.startswith("error:") and len(err.splitlines()) == 1
         assert repr(label) in err
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [(["--tolerance", "0"], "relative_objective_tolerance must be positive"),
+         (["--max-iterations", "0"], "max_iterations must be positive")],
+        ids=["tolerance-0", "max-iterations-0"],
+    )
+    def test_eval_ntf_only_reports_its_own_config_error(self, synth_tensor, tmp_path, capsys,
+                                                        monkeypatch, extra, message):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a model was fitted")
+
+        monkeypatch.setattr(countcp.bptf, "fit", no_fit)
+        monkeypatch.setattr(countcp.ntf, "fit_ntf", no_fit)
+        code = main(["eval", "--tensor", str(synth_tensor / "tensor.txt"), "--n-primes", "3",
+                     "--models", "ntf-kl", *extra, "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_eval_bptf_config_error_is_unchanged(self, synth_tensor, tmp_path, capsys):
+        code = main(["eval", "--tensor", str(synth_tensor / "tensor.txt"), "--n-primes", "3",
+                     "--models", "ntf-kl,bptf-geo", "--tolerance", "0",
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: relative_elbo_tolerance must be positive\n"
+
+    def test_eval_ntf_only_ignores_alpha(self, synth_tensor, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["eval", "--tensor", str(synth_tensor / "tensor.txt"), "--n-primes", "3",
+                     "--seeds", "0", "--models", "ntf-kl", "--alpha", "-1", "--k", "2",
+                     "--max-iterations", "3", "--output-dir", str(out)])
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        assert "ntf-kl:mae" in (out / "report.txt").read_text()
+
+    @pytest.mark.parametrize("command", ["synth", "fit", "eval"])
+    def test_unmakeable_output_dir_exits_2(self, synth_tensor, tmp_path, capsys, command):
+        (tmp_path / "afile").write_text("")
+        argv = {
+            "synth": ["synth", "--shape", "4,4,2"],
+            "fit": ["fit", "--tensor", str(synth_tensor / "tensor.txt"), "--model", "ntf-kl",
+                    "--k", "2", "--max-iterations", "2"],
+            "eval": ["eval", "--tensor", str(synth_tensor / "tensor.txt"), "--n-primes", "3",
+                     "--seeds", "0", "--k", "2", "--max-iterations", "2", "--models", "ntf-ls"],
+        }[command]
+        assert main([*argv, "--output-dir", str(tmp_path / "afile" / "sub")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("data error:") and "cannot make output directory" in err[0]
+
     def test_explore_negative_top_n_exits_1_before_any_report(self, synth_tensor, tmp_path,
                                                               capsys):
         fit_out, explore_out = tmp_path / "fit", tmp_path / "explore"

@@ -260,7 +260,7 @@ class TestMultiBlock:
     @pytest.mark.parametrize("k", [1, 6, 50])
     def test_allocation_matches_linear_oracle(self, rng, monkeypatch, tensor, k):
         self.small_blocks(monkeypatch, k)
-        assert len(tensor._block_plan(self.STEP)) == 4
+        assert len(tensor._block_rows(self.STEP)) == 4
         mats = random_factors(tensor.shape, k, rng).factors
         logs = [np.log(m) for m in mats]
         for mode in range(4):
@@ -302,10 +302,10 @@ class TestMultiBlock:
         logs[1][2, :3] = -np.inf
         logs[3][rng.integers(6, size=4), rng.integers(6, size=4)] = -np.inf
         table = np.concatenate(logs)
-        plan = tensor._block_plan(self.STEP)
-        assert [rows.stop - rows.start for rows, _, _ in plan] == [20, 20, 20, 1]
+        blocks = tensor._block_rows(self.STEP)
+        assert [rows.stop - rows.start for rows in blocks] == [20, 20, 20, 1]
         sums = []
-        for rows, gather, _ in plan:
+        for rows, gather in zip(blocks, tensor._block_gather(self.STEP)):
             c = tensor.coords[rows]
             want = logs[0][c[:, 0]] + logs[1][c[:, 1]] + logs[2][c[:, 2]] + logs[3][c[:, 3]]
             assert np.array_equal(gather @ table, want)

@@ -7,6 +7,7 @@ from countcp import (
     CellMask,
     FactorSet,
     Region,
+    SparseCountTensor,
     reconstruct_entries,
     top_block_mask,
 )
@@ -77,6 +78,16 @@ class TestApplyMask:
         assert np.all(dense_obs ^ dense_held)
         inside = obs_region.contains(t.coords)
         assert observed.nnz == int(inside.sum())
+
+    @pytest.mark.parametrize("complement", [False, True])
+    def test_restrict_equals_a_tensor_built_from_the_kept_entries(self, rng, complement):
+        t = random_tensor((5, 5, 2, 3), rng, nnz=40)
+        region = Region(t.shape, (0, 2, 3), (1, 2), complement=complement)
+        part = region.restrict(t)
+        keep = region.contains(t.coords)
+        assert 0 < part.nnz < t.nnz
+        assert part == SparseCountTensor(t.shape, t.coords[keep], t.values[keep], t.mode_labels)
+        assert not part.coords.flags.writeable and not part.values.flags.writeable
 
 
 class TestRegionSums:
