@@ -35,7 +35,6 @@ from .cp import (
     generalized_kl,
     load_factors,
     poisson_log_likelihood,
-    reconstruct_dense,
     reconstruct_entries,
     save_factors,
     total_recon_mass,
@@ -60,16 +59,13 @@ from .errors import (
 from .evaluation import (
     EvalReport,
     ExperimentSpec,
-    ham_z,
-    mae,
-    mae_nz,
     region_metrics,
     run_experiment,
     run_table,
     write_report_json,
     write_report_text,
 )
-from .masking import CellMask, Region, top_block_mask
+from .masking import Region
 from .ntf import (
     NtfConfig,
     fit_ntf,

@@ -34,7 +34,7 @@ from .cp import (
     write_manifest,
 )
 from .errors import ConfigError, IngestionError, NumericalDegeneracyError, NumericalError
-from .masking import CellMask, Region, _observed_part
+from .masking import Region, _observed_part
 from .tensors import SparseCountTensor
 
 
@@ -104,6 +104,8 @@ class VariationalState:
     def __init__(self, gamma, delta, expect=None, elog=None):
         gamma = [np.ascontiguousarray(g, dtype=np.float64) for g in gamma]
         delta = [np.ascontiguousarray(d, dtype=np.float64) for d in delta]
+        if not gamma:
+            raise ValueError("variational state needs at least one mode")
         if len(gamma) != len(delta):
             raise ValueError("need one gamma and one delta matrix per mode")
         for m, (g, d) in enumerate(zip(gamma, delta)):
@@ -366,15 +368,16 @@ def infer_heldout_time_factors(
     trained: VariationalState,
     hyper: Hyperparameters,
     test_slice: SparseCountTensor,
-    mask: CellMask,
+    region: Region,
     config: FitConfig,
 ):
     """Infer time-mode variational parameters for unseen slices.
 
     All non-time modes stay frozen at the trained parameters (bit for bit);
-    only the observed region of the test slices feeds the time-mode shape
-    and rate sums.  Returns the fitted state (its last-mode gamma/delta are
-    the per-test-step parameters) and the trace of its ELBO on that region.
+    only the test slices' observed ``region``, a ``Region`` bound to their
+    shape (else ValueError), feeds the time-mode shape and rate sums.
+    Returns the fitted state (its last-mode gamma/delta are the per-test-step
+    parameters) and the trace of its ELBO on that region.
 
     The frozen modes' work is done once per call: each observed entry's
     summed frozen log rows (``cp._FrozenModes``, nnz_obs * K * 8 bytes),
@@ -383,7 +386,7 @@ def infer_heldout_time_factors(
     then costs one kernel pass over the observed entries, O(nnz_obs * K),
     whose ELBO also allocates the next sweep's shape update.
     """
-    observed, region = _observed_part(trained.shape, test_slice, mask)
+    observed = _observed_part(trained.shape, test_slice, region)
     time_mode = trained.n_modes - 1
     state = init_state(test_slice.shape, replace(config, k=trained.k), hyper)
     for m in range(time_mode):

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import bptf as _bptf
 from .components import write_component_reports
-from .cp import load_factors, save_factors, write_trace
+from .cp import _key_values, load_factors, save_factors, write_manifest, write_trace
 from .errors import ConfigError, CountCPError, DataError, NumericalError
 from .evaluation import (
     ExperimentSpec,
@@ -88,16 +88,7 @@ def read_config_file(path) -> dict:
     except UnicodeDecodeError as exc:
         line = data.count(b"\n", 0, exc.start) + 1
         raise ConfigError(f"{path}: line {line}: not utf-8 text") from exc
-    out = {}
-    for ln, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}: line {ln}: expected 'key = value'")
-        key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
-    return out
+    return _key_values(text.splitlines(), path, ConfigError)
 
 
 def _apply_config_defaults(subparser, config: dict) -> None:
@@ -151,11 +142,8 @@ def _out_dir(args) -> Path:
 
 
 def _echo_config(args, out: Path) -> None:
-    resolved = {
-        k: v for k, v in sorted(vars(args).items()) if k not in ("command", "func")
-    }
-    lines = [f"{key} = {value}" for key, value in resolved.items()]
-    (out / f"{args.command}_config.txt").write_text("\n".join(lines) + "\n")
+    resolved = [(k, v) for k, v in sorted(vars(args).items()) if k not in ("command", "func")]
+    write_manifest(out / f"{args.command}_config.txt", resolved)
 
 
 # ---------------------------------------------------------------------------

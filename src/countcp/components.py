@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .cp import FactorSet
-from .errors import ConfigError, CountCPError
+from .errors import ConfigError, CountCPError, UndefinedStatisticError
 
 MODE_PANELS = ("sender", "receiver", "action")
 
@@ -47,11 +47,17 @@ def rank_components(f: FactorSet, time_mode: int | None = None) -> list[int]:
     """Component indices by descending Gini of their time columns.
 
     Ties (and all-zero columns, which score 0) break by component index.
+    Fewer than two time steps give no Gini: UndefinedStatisticError.
     """
     if time_mode is None:
         time_mode = f.ndim - 1
     if not 0 <= time_mode < f.ndim:
         raise ValueError(f"invalid time mode {time_mode}")
+    if f.shape[time_mode] < 2:
+        raise UndefinedStatisticError(
+            f"ranking components by time-factor gini needs at least 2 time steps, "
+            f"got {f.shape[time_mode]}"
+        )
     scores = np.zeros(f.k)
     for k in range(f.k):
         value = gini(f.factors[time_mode][:, k])

@@ -207,17 +207,6 @@ def reconstruct_entries(f: FactorSet, coords) -> np.ndarray:
     return out
 
 
-def reconstruct_dense(f: FactorSet) -> np.ndarray:
-    """Materialize the full reconstruction; only for small shapes."""
-    out = np.zeros(f.shape)
-    for k in range(f.k):
-        term = f.factors[0][:, k]
-        for m in range(1, f.ndim):
-            term = np.multiply.outer(term, f.factors[m][:, k])
-        out += term
-    return out
-
-
 def total_recon_mass(f: FactorSet, region: Region | None = None) -> float:
     """Sum of the reconstruction over a region's cells (default: every cell).
 
@@ -339,23 +328,31 @@ def write_trace(trace: Trace, path) -> None:
 
 
 def write_manifest(path, pairs) -> None:
+    """Write (key, value) pairs as a flat file of ``key = value`` lines."""
     with Path(path).open("w") as fh:
         for key, value in pairs:
             fh.write(f"{key} = {value}\n")
 
 
-def read_manifest(path) -> dict:
+def _key_values(lines, path, error) -> dict:
+    """The pairs of a flat ``key = value`` file read as ``lines``, numbered
+    from 1.  Blank and '#' lines are skipped; any other line without '='
+    raises ``error`` naming ``path`` and the line."""
     out = {}
-    with _open_input(Path(path)) as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise IngestionError(f"{path}: line {ln}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+    for ln, raw in enumerate(lines, start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise error(f"{path}: line {ln}: expected 'key = value'")
+        key, _, value = line.partition("=")
+        out[key.strip()] = value.strip()
     return out
+
+
+def read_manifest(path) -> dict:
+    with _open_input(Path(path)) as fh:
+        return _key_values(fh, path, IngestionError)
 
 
 def save_factors(f: FactorSet, directory, mode_labels=None) -> Path:

@@ -2,10 +2,11 @@
 
 The protocol: sort actors by overall activity, split time steps into train
 and test, fit each model on the training tensor, infer time factors for
-each test slice from the observed part of an actor-pair mask, then score
-the reconstruction of the heldout part.  Scores are averaged over several
-random splits.  Each split is fitted once per model and shared by every
-mask scored on it.  Heldout inference does its frozen modes' work once per
+each test slice from its observed region (the top-n' actor block or its
+complement, a ``masking.Region``), then score the reconstruction over the
+other region, the heldout one.  Scores are averaged over several random
+splits.  Each split is fitted once per model and shared by every region
+scored on it.  Heldout inference does its frozen modes' work once per
 call (per-entry prefixes of nnz_obs * K * 8 bytes, twice for NTF-KL, and
 the frozen column-sum, Gram and prior terms), then O(nnz_obs * K) per
 sweep for the time mode.  Zero cells of the heldout region are never
@@ -30,7 +31,7 @@ from . import bptf as _bptf
 from . import ntf as _ntf
 from .cp import FactorSet, Trace, reconstruct_entries, save_factors
 from .errors import ConfigError, SpecValidationError, UndefinedStatisticError
-from .masking import Region, top_block_mask
+from .masking import Region
 from .tensors import SparseCountTensor, sort_by_activity, split_time, vmr_of_counts
 
 MODEL_NAMES = ("ntf-ls", "ntf-kl", "bptf-geo", "bptf-ari")
@@ -38,44 +39,8 @@ METRIC_NAMES = ("mae", "mae_nz", "ham_z")
 
 
 # ---------------------------------------------------------------------------
-# Point metrics
+# Region metrics
 # ---------------------------------------------------------------------------
-
-
-def mae(predictions, truth) -> float:
-    """Mean absolute error over every cell of a region, zeros included."""
-    predictions = np.asarray(predictions, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    if predictions.size == 0:
-        raise SpecValidationError("MAE over an empty region is undefined")
-    return float(np.abs(predictions - truth).mean())
-
-
-def mae_nz(predictions, truth) -> float:
-    """Mean absolute error restricted to cells with a non-zero true count.
-
-    Returns NaN (an undefined-metric marker, not an error) when the region
-    holds no non-zero cells.
-    """
-    predictions = np.asarray(predictions, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    keep = truth > 0
-    if not keep.any():
-        return math.nan
-    return float(np.abs(predictions[keep] - truth[keep]).mean())
-
-
-def ham_z(predictions, truth) -> float:
-    """Fraction of truly zero cells predicted strictly above 0.5.
-
-    Returns NaN when the region holds no zero cells.
-    """
-    predictions = np.asarray(predictions, dtype=np.float64)
-    truth = np.asarray(truth, dtype=np.float64)
-    zero = truth == 0
-    if not zero.any():
-        return math.nan
-    return float((predictions[zero] > 0.5).mean())
 
 
 def region_metrics(f: FactorSet, truth: SparseCountTensor, region: Region) -> dict:
@@ -208,6 +173,13 @@ class EvalReport:
 # ---------------------------------------------------------------------------
 
 
+def _observed_region(spec: ExperimentSpec, shape) -> Region:
+    """The cells of a tensor of ``shape`` that ``spec`` observes: the top
+    n' x n' actor block, or, when the block is predicted, its complement."""
+    top = range(spec.n_prime)
+    return Region(shape, top, top, complement=not spec.predict_complement)
+
+
 def _validate_spec(spec: ExperimentSpec, t: SparseCountTensor) -> None:
     if t.ndim < 3:
         raise SpecValidationError("the harness needs actor, actor and time modes")
@@ -216,9 +188,7 @@ def _validate_spec(spec: ExperimentSpec, t: SparseCountTensor) -> None:
         raise SpecValidationError("actor modes must have equal size")
     if not 1 <= spec.n_prime <= n:
         raise SpecValidationError(f"n_prime must be in [1, {n}], got {spec.n_prime}")
-    observed = Region(
-        t.shape, range(spec.n_prime), range(spec.n_prime), not spec.predict_complement
-    )
+    observed = _observed_region(spec, t.shape)
     if observed.n_cells == 0:
         raise SpecValidationError("mask leaves no observed cells")
     if observed.invert().n_cells == 0:
@@ -229,8 +199,9 @@ def _validate_spec(spec: ExperimentSpec, t: SparseCountTensor) -> None:
 class _Fitted:
     """One model family fitted to one tensor: the trace of its ``objective``
     ("elbo" or "objective"), ``save(directory)``, which writes its bundle in
-    ``directory`` and returns the bundle's path, and ``predict(test, mask)``,
-    which maps each scored model name to its heldout FactorSet."""
+    ``directory`` and returns the bundle's path, and ``predict(test, observed)``,
+    which maps each scored model name to its FactorSet inferred from the
+    ``observed`` region of ``test``."""
 
     trace: Trace
     objective: str
@@ -256,8 +227,8 @@ def _bptf_trainer(names, n_modes, k, max_iterations, tolerance, alpha, beta=(1.0
         seeded = replace(config, seed=seed)
         state, learned, trace = _bptf.fit(tensor, seeded, hyper)
 
-        def predict(test, mask):
-            heldout, _ = _bptf.infer_heldout_time_factors(state, learned, test, mask, seeded)
+        def predict(test, observed):
+            heldout, _ = _bptf.infer_heldout_time_factors(state, learned, test, observed, seeded)
             return {name: _bptf.point_estimate(heldout, kinds[name]) for name in names}
 
         def save(out):
@@ -275,8 +246,8 @@ def _ntf_trainer(names, n_modes, k, max_iterations, tolerance, epsilon_floor, co
         seeded = replace(config, seed=seed)
         factors, trace = _ntf.fit_ntf(tensor, seeded)
 
-        def predict(test, mask):
-            heldout, _ = _ntf.infer_heldout_time_factors_ntf(factors, test, mask, seeded)
+        def predict(test, observed):
+            heldout, _ = _ntf.infer_heldout_time_factors_ntf(factors, test, observed, seeded)
             return dict.fromkeys(names, heldout)
 
         def save(out):
@@ -313,11 +284,13 @@ def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _run_seed(spec: ExperimentSpec, trainers, sorted_t, masks, seed: int) -> list:
-    """One split seed: split once, fit each model once, then infer and score
-    every mask's heldout region.  Returns one SplitScores per mask."""
-    ts = split_time(sorted_t, spec.test_fraction, seed)
-    regions = [Region.from_mask(ts.test.shape, mask).invert() for mask in masks]
+def _run_seed(specs, trainers, sorted_t, seed: int) -> list:
+    """One split seed: split once, fit each model once, then infer from
+    every spec's observed region and score its heldout region.  Returns one
+    SplitScores per spec."""
+    ts = split_time(sorted_t, specs[0].test_fraction, seed)
+    observed = [_observed_region(spec, ts.test.shape) for spec in specs]
+    regions = [region.invert() for region in observed]
     splits = []
     for region in regions:
         try:
@@ -333,9 +306,9 @@ def _run_seed(spec: ExperimentSpec, trainers, sorted_t, masks, seed: int) -> lis
             for split in splits:
                 split.failures.update(dict.fromkeys(names, _failure(exc)))
             continue
-        for split, mask, region in zip(splits, masks, regions):
+        for split, seen, region in zip(splits, observed, regions):
             try:
-                for name, f in predict(ts.test, mask).items():
+                for name, f in predict(ts.test, seen).items():
                     split.model_metrics[name] = region_metrics(f, ts.test, region)
             except Exception as exc:
                 split.failures.update(dict.fromkeys(names, _failure(exc)))
@@ -422,12 +395,9 @@ def run_table(
         if not specs:
             continue
         sorted_t, _ = sort_by_activity(tensor)
-        masks = [
-            top_block_mask(s.n_prime, complement=not s.predict_complement) for s in specs
-        ]
 
         def run_seed(seed):
-            return _run_seed(base_spec, trainers, sorted_t, masks, seed)
+            return _run_seed(specs, trainers, sorted_t, seed)
 
         if max_workers > 1 and len(base_spec.seeds) > 1:
             with ThreadPoolExecutor(max_workers=max_workers) as pool:

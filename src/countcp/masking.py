@@ -1,15 +1,15 @@
-"""Actor-pair cell masks and the region arithmetic behind masked sums.
+"""Actor-block cell regions and the closed-form sums taken over them.
 
-A mask names index sets on the two actor modes; it selects either their
-block product or everything outside it, across all remaining modes.  The
-``Region`` class realizes a mask against a concrete tensor shape and knows
-how to take the sums that fitting and evaluation need in closed form, so
-the (usually enormous) zero part of a region is never materialized.
+A ``Region`` names index sets on the two actor modes of a tensor shape; it
+selects either their block product or everything outside it, across all
+remaining modes.  The heldout harness observes one region of each test
+slice and scores the other, and the model code takes its sums over a
+region in closed form, so the (usually enormous) zero part of a region is
+never materialized.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import prod
 
 import numpy as np
@@ -18,31 +18,8 @@ from .errors import DataError, EmptyRegionError
 from .tensors import SparseCountTensor
 
 
-@dataclass(frozen=True)
-class CellMask:
-    """Index sets over the two actor modes plus a complement flag.
-
-    With ``complement`` False the mask selects the block product
-    rows x cols; with True it selects every actor pair outside that block.
-    """
-
-    rows: tuple
-    cols: tuple
-    complement: bool = False
-
-    def __post_init__(self):
-        object.__setattr__(self, "rows", tuple(sorted(set(int(r) for r in self.rows))))
-        object.__setattr__(self, "cols", tuple(sorted(set(int(c) for c in self.cols))))
-
-
-def top_block_mask(n_prime: int, complement: bool = False) -> CellMask:
-    """Mask for the upper-left n' x n' actor block (tensor sorted by activity)."""
-    idx = tuple(range(n_prime))
-    return CellMask(rows=idx, cols=idx, complement=complement)
-
-
 class Region:
-    """A mask bound to a tensor shape: a set of cells with fast summations.
+    """A set of cells of one tensor shape, with fast summations.
 
     The cell set is {(i, j, ...) : (i, j) in P} where P is either the block
     rows x cols or its complement over the actor modes, crossed with the
@@ -65,10 +42,6 @@ class Region:
         self._in_rows[self.rows] = True
         self._in_cols = np.zeros(self.shape[1], dtype=bool)
         self._in_cols[self.cols] = True
-
-    @classmethod
-    def from_mask(cls, shape, mask: CellMask) -> "Region":
-        return cls(shape, mask.rows, mask.cols, mask.complement)
 
     @classmethod
     def whole(cls, shape) -> "Region":
@@ -246,13 +219,15 @@ def _gram(mat):
     return mat.T @ mat
 
 
-def _observed_part(trained_shape, test_slice: SparseCountTensor, mask: CellMask):
-    """Observed entries and region of a test slice, for heldout time inference."""
+def _observed_part(trained_shape, test_slice: SparseCountTensor, observed: Region):
+    """The stored entries of a test slice inside its ``observed`` region, for
+    heldout time inference; ``observed`` must be bound to the slice's shape."""
     if test_slice.ndim != len(trained_shape) or test_slice.shape[:-1] != trained_shape[:-1]:
         raise ValueError("test slice shape disagrees with the trained model")
     if test_slice.ndim < 3:
         raise ValueError("heldout inference needs two actor modes and a time mode")
-    region = Region.from_mask(test_slice.shape, mask)
-    if region.n_cells == 0:
+    if observed.shape != test_slice.shape:
+        raise ValueError(f"observed region is bound to shape {observed.shape}, not {test_slice.shape}")
+    if observed.n_cells == 0:
         raise EmptyRegionError("mask leaves no observed cells")
-    return region.restrict(test_slice), region
+    return observed.restrict(test_slice)

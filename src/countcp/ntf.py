@@ -33,7 +33,7 @@ from .cp import (
     total_recon_mass,
 )
 from .errors import ConfigError, DegenerateUpdateError, InadmissibleZeroError
-from .masking import CellMask, Region, _observed_part
+from .masking import Region, _observed_part
 from .tensors import SparseCountTensor
 
 COSTS = ("kl", "ls")
@@ -209,15 +209,16 @@ def fit_ntf(t: SparseCountTensor, config: NtfConfig):
 def infer_heldout_time_factors_ntf(
     trained: FactorSet,
     test_slice: SparseCountTensor,
-    mask: CellMask,
+    region: Region,
     config: NtfConfig,
 ):
     """Point-estimate time factors for unseen slices from the observed region.
 
     All non-time modes stay frozen at the trained factors; only the time
     mode is updated, with both the numerator and denominator restricted to
-    the observed region.  Returns (FactorSet, Trace) where the
-    factor set's time matrix holds one row per test step.
+    the observed ``region``, a ``Region`` bound to the slices' shape (else
+    ValueError).  Returns (FactorSet, Trace) where the factor set's time
+    matrix holds one row per test step.
 
     The frozen modes' work is done once per call: each observed entry's
     frozen factor product (``cp._FrozenModes``, nnz_obs * K * 8 bytes; KL
@@ -226,18 +227,18 @@ def infer_heldout_time_factors_ntf(
     Euclidean numerator does not change, so it is taken once too.  A sweep
     then costs O(nnz_obs * K) for the time mode alone.
     """
-    observed, observed_region = _observed_part(trained.shape, test_slice, mask)
+    observed = _observed_part(trained.shape, test_slice, region)
     time_mode = trained.ndim - 1
     rng = np.random.default_rng(config.seed)
     time0 = rng.uniform(0.0, 1.0, size=(test_slice.shape[time_mode], config.k))
     f = FactorSet(list(trained.factors[:time_mode]) + [time0])
-    mass = observed_region.sum_recon(f.factors)
+    mass = region.sum_recon(f.factors)
     total = float(observed.values.sum())
     if mass > 0.0 and total > 0.0:
         f = f.replace_mode(time_mode, time0 * (total / mass))
 
     heldout = _heldout_kl if config.cost == "kl" else _heldout_ls
-    update = heldout(f.factors, observed, observed_region, config.epsilon_floor)
+    update = heldout(f.factors, observed, region, config.epsilon_floor)
 
     def sweep():
         nonlocal f

@@ -120,13 +120,6 @@ class SparseCountTensor:
     def __repr__(self):
         return f"SparseCountTensor(shape={self.shape}, nnz={self.nnz})"
 
-    def todense(self) -> np.ndarray:
-        """Materialize the full tensor; only sensible for small shapes."""
-        dense = np.zeros(self.shape, dtype=np.int64)
-        if self.nnz:
-            dense[tuple(self.coords.T)] = self.values
-        return dense
-
     def _subset(self, keep) -> "SparseCountTensor":
         """The stored entries a boolean ``keep`` selects, with this tensor's
         shape and labels.  A selection of sorted, distinct, valid entries
@@ -224,7 +217,8 @@ class EventTable:
     def from_records(cls, records) -> EventTable:
         """Build from an iterable of (sender, receiver, action, datetime).
 
-        Every label must be non-empty.  A naive datetime is taken as UTC.
+        Every label must be non-empty and hold no tab or line break.  A naive
+        datetime is taken as UTC.
         """
         label_codes, codes, days = _label_codes(), [], []
         for sender, receiver, action, timestamp in records:
@@ -252,9 +246,13 @@ def _event_table(label_codes, codes, days) -> EventTable:
 
 
 def _code(label, codes: dict, name: str) -> int:
-    """The label's code in a label-to-code dict, added if new; empty is an error."""
+    """The label's code in a label-to-code dict, added if new.  An empty
+    label is an error, and so is one holding a tab or line break, which the
+    tab-separated labels file could not hold."""
     if not label:
         raise IngestionError(f"event record has empty {name!r} field")
+    if "\t" in label or "\n" in label or "\r" in label:
+        raise IngestionError(f"event record {name!r} field holds a tab or line break")
     return codes.setdefault(label, len(codes))
 
 
@@ -520,8 +518,9 @@ def read_event_file(path) -> EventTable:
     The header names sender, receiver, action and timestamp columns in any
     order, among others; a repeated name means its last column, and a short
     row reads missing fields as empty.  Blank lines are skipped, labels are
-    stripped and must not be empty, and each ISO-8601 timestamp is kept as
-    its UTC day ordinal.  Errors name the line of the first bad row; within
+    stripped and must neither be empty nor hold a tab or line break (a
+    quoted field can), and each ISO-8601 timestamp is kept as its UTC day
+    ordinal.  Errors name the line of the first bad row; within
     a row a bad timestamp is reported before an empty label.
 
     Each timestamp goes to ``datetime.fromisoformat`` as read; only one it

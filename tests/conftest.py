@@ -3,6 +3,7 @@ paths that the faster library paths are checked against."""
 
 import csv
 import datetime as dt
+import math
 from dataclasses import dataclass, replace
 from math import prod
 from pathlib import Path
@@ -19,6 +20,7 @@ from countcp import (
     IngestionError,
     Region,
     SparseCountTensor,
+    SpecValidationError,
     VariationalState,
     compute_elbo,
     generalized_kl,
@@ -47,6 +49,72 @@ def random_tensor(shape, rng, nnz=None, max_count=9, labels=None):
 
 def _labels(shape):
     return [[str(i) for i in range(s)] for s in shape]
+
+
+# ---------------------------------------------------------------------------
+# Dense oracles: the full tensor, the full reconstruction and the point
+# metrics over materialized cells, for small shapes only
+# ---------------------------------------------------------------------------
+
+
+def todense(t):
+    """Materialize the full tensor; only sensible for small shapes."""
+    dense = np.zeros(t.shape, dtype=np.int64)
+    if t.nnz:
+        dense[tuple(t.coords.T)] = t.values
+    return dense
+
+
+def reconstruct_dense(f):
+    """Materialize the full reconstruction; only for small shapes."""
+    out = np.zeros(f.shape)
+    for k in range(f.k):
+        term = f.factors[0][:, k]
+        for m in range(1, f.ndim):
+            term = np.multiply.outer(term, f.factors[m][:, k])
+        out += term
+    return out
+
+
+def mae(predictions, truth) -> float:
+    """Mean absolute error over every cell of a region, zeros included."""
+    predictions = np.asarray(predictions, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
+    if predictions.size == 0:
+        raise SpecValidationError("MAE over an empty region is undefined")
+    return float(np.abs(predictions - truth).mean())
+
+
+def mae_nz(predictions, truth) -> float:
+    """Mean absolute error restricted to cells with a non-zero true count.
+
+    Returns NaN (an undefined-metric marker, not an error) when the region
+    holds no non-zero cells.
+    """
+    predictions = np.asarray(predictions, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
+    keep = truth > 0
+    if not keep.any():
+        return math.nan
+    return float(np.abs(predictions[keep] - truth[keep]).mean())
+
+
+def ham_z(predictions, truth) -> float:
+    """Fraction of truly zero cells predicted strictly above 0.5.
+
+    Returns NaN when the region holds no zero cells.
+    """
+    predictions = np.asarray(predictions, dtype=np.float64)
+    truth = np.asarray(truth, dtype=np.float64)
+    zero = truth == 0
+    if not zero.any():
+        return math.nan
+    return float((predictions[zero] > 0.5).mean())
+
+
+def top_block(shape, n_prime, complement=False):
+    """The upper-left n' x n' actor block of ``shape``, or its complement."""
+    return Region(shape, range(n_prime), range(n_prime), complement)
 
 
 def random_factors(shape, k, rng, low=0.1, high=2.0):
@@ -120,17 +188,16 @@ def oracle_bptf_fit(t, config, hyper=None):
     return state, hyper, trace
 
 
-def _oracle_observed(test_slice, mask):
-    region = Region.from_mask(test_slice.shape, mask)
+def _oracle_observed(test_slice, region):
     if region.n_cells == 0:
         raise EmptyRegionError("mask leaves no observed cells")
-    return region.restrict(test_slice), region
+    return region.restrict(test_slice)
 
 
-def oracle_infer_heldout_bptf(trained, hyper, test_slice, mask, config):
+def oracle_infer_heldout_bptf(trained, hyper, test_slice, region, config):
     """``bptf.infer_heldout_time_factors`` redoing the frozen modes' work,
     and running two kernel passes, every sweep."""
-    observed, region = _oracle_observed(test_slice, mask)
+    observed = _oracle_observed(test_slice, region)
     time_mode = trained.n_modes - 1
     state = init_state(test_slice.shape, replace(config, k=trained.k), hyper)
     for m in range(time_mode):
@@ -148,10 +215,10 @@ def oracle_infer_heldout_bptf(trained, hyper, test_slice, mask, config):
     return state, trace
 
 
-def oracle_infer_heldout_ntf(trained, test_slice, mask, config):
+def oracle_infer_heldout_ntf(trained, test_slice, observed_region, config):
     """``ntf.infer_heldout_time_factors_ntf`` through the public sweeps and
     objectives, redoing the frozen modes' work every sweep."""
-    observed, observed_region = _oracle_observed(test_slice, mask)
+    observed = _oracle_observed(test_slice, observed_region)
     time_mode = trained.ndim - 1
     rng = np.random.default_rng(config.seed)
     time0 = rng.uniform(0.0, 1.0, size=(test_slice.shape[time_mode], config.k))

@@ -8,7 +8,6 @@ from scipy import stats
 from scipy.special import betaln, digamma, gammaln, logsumexp, roots_genlaguerre
 
 from countcp import (
-    CellMask,
     FitConfig,
     Hyperparameters,
     NumericalDegeneracyError,
@@ -22,14 +21,20 @@ from countcp import (
     load_state,
     ntf_kl_sweep,
     point_estimate,
-    reconstruct_dense,
     save_state,
     update_beta,
     update_delta,
     update_gamma,
     write_trace,
 )
-from conftest import random_factors, random_tensor, state_from_point_estimate
+from conftest import (
+    random_factors,
+    random_tensor,
+    reconstruct_dense,
+    state_from_point_estimate,
+    todense,
+    top_block,
+)
 
 EULER_MASCHERONI = 0.5772156649015328606
 
@@ -367,7 +372,7 @@ class TestFit:
         t, _ = sample_count_tensor((6, 6, 3, 8), 3, hyper, seed=11)
         config = FitConfig(k=3, max_iterations=60, seed=0)
         state, _, _ = fit(t, config, hyper)
-        dense = t.todense().astype(float)
+        dense = todense(t).astype(float)
         fitted = reconstruct_dense(point_estimate(state, "arithmetic"))
         prior = reconstruct_dense(
             point_estimate(init_state(t.shape, config, hyper, jitter=0.0), "arithmetic")
@@ -449,14 +454,14 @@ class TestHeldoutInference:
             ((4, 4, a, s), 3) for a in range(2) for s in range(2)
         ]
         test = SparseCountTensor.from_entries(test.shape, entries_outside, test.mode_labels)
-        mask = CellMask(rows=[0, 1], cols=[0, 1])
-        heldout, _ = infer_heldout_time_factors(state, hyper, test, mask, config)
+        region = top_block(test.shape, 2)
+        heldout, _ = infer_heldout_time_factors(state, hyper, test, region, config)
         assert np.all(heldout.gamma[3] == hyper.alpha)
 
     def test_full_mask_equals_unmasked_fit(self, rng):
         state, hyper, test, config = self.build_split(rng)
-        full_mask = CellMask(rows=range(5), cols=range(5))
-        heldout, trace = infer_heldout_time_factors(state, hyper, test, full_mask, config)
+        full = top_block(test.shape, 5)
+        heldout, trace = infer_heldout_time_factors(state, hyper, test, full, config)
 
         manual = init_state(test.shape, config, hyper)
         for m in range(3):
@@ -471,8 +476,8 @@ class TestHeldoutInference:
 
     def test_frozen_modes_stay_bit_identical(self, rng):
         state, hyper, test, config = self.build_split(rng)
-        mask = CellMask(rows=range(3), cols=range(3))
-        heldout, _ = infer_heldout_time_factors(state, hyper, test, mask, config)
+        region = top_block(test.shape, 3)
+        heldout, _ = infer_heldout_time_factors(state, hyper, test, region, config)
         for m in range(3):
             assert np.array_equal(heldout.gamma[m], state.gamma[m])
             assert np.array_equal(heldout.delta[m], state.delta[m])
@@ -487,12 +492,12 @@ class TestHeldoutInference:
         ts = split_time(t, 0.2, seed=1)
         config = FitConfig(k=3, max_iterations=50, seed=2)
         state, learned, _ = fit(ts.train, config, hyper)
-        mask = CellMask(rows=range(4), cols=range(4), complement=True)
+        observed = top_block(ts.test.shape, 4, complement=True)
         heldout_state, _ = infer_heldout_time_factors(
-            state, learned, ts.test, mask, config
+            state, learned, ts.test, observed, config
         )
-        region = Region.from_mask(ts.test.shape, mask).invert()
-        dense = ts.test.todense().astype(float)
+        region = observed.invert()
+        dense = todense(ts.test).astype(float)
         grid = np.zeros(ts.test.shape, dtype=bool)
         pair = np.zeros(ts.test.shape[:2], dtype=bool)
         pair[np.ix_(region.rows, region.cols)] = True
@@ -513,9 +518,15 @@ class TestHeldoutInference:
         from countcp import EmptyRegionError
 
         state, hyper, test, config = self.build_split(rng)
-        empty_mask = CellMask(rows=[], cols=[])
+        empty = Region(test.shape, rows=[], cols=[])
         with pytest.raises(EmptyRegionError):
-            infer_heldout_time_factors(state, hyper, test, empty_mask, config)
+            infer_heldout_time_factors(state, hyper, test, empty, config)
+
+    def test_region_of_another_shape_is_an_error(self, rng):
+        state, hyper, test, config = self.build_split(rng)
+        other = top_block(test.shape[:3] + (test.shape[3] + 1,), 3)
+        with pytest.raises(ValueError, match="observed region is bound to shape"):
+            infer_heldout_time_factors(state, hyper, test, other, config)
 
 
 class TestStateFiles:

@@ -54,6 +54,16 @@ def run_ingest(tmp_path, extra=()):
 
 
 class TestIngestCommand:
+    def test_label_with_a_tab_exits_2_naming_the_line(self, tmp_path, capsys):
+        (tmp_path / "events.csv").write_text(EVENTS.replace("Abaria,Bedoria,Consult,2001-01-10",
+                                                            '"A\tX",Bedoria,Consult,2001-01-10'))
+        code, out = run_ingest(tmp_path)
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"data error: {tmp_path / 'events.csv'}: line 2: "
+                       "event record 'sender' field holds a tab or line break"]
+        assert not (out / "labels.txt").exists()
+
     def test_toy_events_echo_shape(self, tmp_path, capsys):
         code, out = run_ingest(tmp_path)
         assert code == 0
@@ -677,6 +687,39 @@ class TestExploreCommand:
         assert code == 0
         assert (explore_out / "index.txt").exists()
         assert (explore_out / "component_000_time.txt").exists()
+
+    @pytest.mark.parametrize("modes", ["0", "-1"])
+    def test_state_of_no_modes_exits_2(self, synth_tensor, tmp_path, capsys, modes):
+        bundle = tmp_path / "state"
+        bundle.mkdir()
+        (bundle / "manifest.txt").write_text(
+            f"modes = {modes}\nk = 2\nshape = \nalpha = 0.1\nbeta = \n"
+        )
+        code = main(["explore", "--state", str(bundle),
+                     "--labels", str(synth_tensor / "labels.txt"),
+                     "--output-dir", str(tmp_path / "explore")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"data error: {bundle}: variational state needs at least one mode"]
+
+    @pytest.mark.parametrize("option, model", [("--state", "bptf"), ("--factors", "ntf-kl")])
+    def test_one_time_step_exits_2_before_any_report(self, tmp_path, capsys, option, model):
+        code, ingested = run_ingest(tmp_path, ["--end", "2001-01-31"])
+        assert code == 0
+        assert load_tensor(ingested / "tensor.txt").shape[-1] == 1
+        fit_out, explore_out = tmp_path / "fit", tmp_path / "explore"
+        assert main(["fit", "--tensor", str(ingested / "tensor.txt"),
+                     "--labels", str(ingested / "labels.txt"), "--model", model,
+                     "--k", "2", "--max-iterations", "3", "--output-dir", str(fit_out)]) == 0
+        capsys.readouterr()
+        code = main(["explore", option, str(fit_out / option.lstrip("-")),
+                     "--labels", str(ingested / "labels.txt"),
+                     "--output-dir", str(explore_out)])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["data error: ranking components by time-factor gini needs at least "
+                       "2 time steps, got 1"]
+        assert not any(p.is_file() for p in explore_out.rglob("*"))
 
     def test_missing_labels_is_an_error(self, synth_tensor, tmp_path, capsys):
         fit_out = tmp_path / "fit"

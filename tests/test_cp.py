@@ -7,7 +7,6 @@ import pytest
 from scipy.special import digamma, logsumexp
 
 from countcp import (
-    CellMask,
     FactorSet,
     FitConfig,
     Hyperparameters,
@@ -19,7 +18,6 @@ from countcp import (
     init_state,
     load_factors,
     poisson_log_likelihood,
-    reconstruct_dense,
     reconstruct_entries,
     save_factors,
 )
@@ -27,7 +25,7 @@ from countcp import cp
 from countcp.bptf import compute_elbo
 from countcp.cp import _allocate
 from countcp.ntf import ntf_ls_sweep
-from conftest import linear_allocate, random_factors, random_tensor
+from conftest import linear_allocate, random_factors, random_tensor, reconstruct_dense, todense
 
 
 def loop_reconstruct(f, coord):
@@ -42,7 +40,7 @@ def loop_reconstruct(f, coord):
 
 
 def dense_poisson_ll(t, f):
-    dense_y = t.todense().astype(float)
+    dense_y = todense(t).astype(float)
     dense_yhat = reconstruct_dense(f)
     total = 0.0
     for y, yhat in zip(dense_y.ravel(), dense_yhat.ravel()):
@@ -56,7 +54,7 @@ def dense_poisson_ll(t, f):
 
 
 def dense_kl(t, f):
-    dense_y = t.todense().astype(float)
+    dense_y = todense(t).astype(float)
     dense_yhat = reconstruct_dense(f)
     total = 0.0
     for y, yhat in zip(dense_y.ravel(), dense_yhat.ravel()):
@@ -180,7 +178,7 @@ class TestMaskedObjectives:
         t = random_tensor(shape, rng, nnz=25)
         f = random_factors(shape, 2, rng)
         region = Region(shape, rows=[0, 1], cols=[0, 1, 2], complement=complement)
-        dense_y = t.todense().astype(float)
+        dense_y = todense(t).astype(float)
         dense_yhat = reconstruct_dense(f)
         ll = kl = 0.0
         for coord in np.ndindex(*shape):
@@ -229,12 +227,12 @@ class TestAllocate:
         train = random_tensor((6, 6, 3, 5), rng, nnz=80)
         test = random_tensor((6, 6, 3, 4), rng, nnz=60)
         state, hyper, _ = fit(train, FitConfig(k=3, max_iterations=5, seed=1))
-        mask = CellMask(rows=range(3), cols=range(4))
+        region = Region(test.shape, rows=range(3), cols=range(4))
         config = FitConfig(k=3, max_iterations=1, seed=2)
-        heldout, _ = infer_heldout_time_factors(state, hyper, test, mask, config)
+        heldout, _ = infer_heldout_time_factors(state, hyper, test, region, config)
         fresh = init_state(test.shape, config, hyper)
         mats = geometric(state.gamma[:3] + fresh.gamma[3:], state.delta[:3] + fresh.delta[3:])
-        keep = Region.from_mask(test.shape, mask).contains(test.coords)
+        keep = region.contains(test.coords)
         assert 0 < keep.sum() < test.nnz
         want = np.full((4, 3), hyper.alpha)
         assert linear_allocate(mats, test.coords[keep], test.values[keep], 3, want) is None

@@ -20,11 +20,8 @@ from countcp import (
     UndefinedStatisticError,
     fit,
     fit_ntf,
-    ham_z,
     infer_heldout_time_factors,
     infer_heldout_time_factors_ntf,
-    mae,
-    mae_nz,
     point_estimate,
     region_metrics,
     run_experiment,
@@ -32,12 +29,20 @@ from countcp import (
     sample_count_tensor,
     sort_by_activity,
     split_time,
-    top_block_mask,
     write_report_json,
     write_report_text,
 )
 from countcp.tensors import vmr_of_counts
-from conftest import random_factors, random_tensor
+from conftest import (
+    ham_z,
+    mae,
+    mae_nz,
+    random_factors,
+    random_tensor,
+    reconstruct_dense,
+    todense,
+    top_block,
+)
 
 
 class TestPointMetrics:
@@ -104,10 +109,8 @@ class TestRegionMetrics:
         if complement:
             pair = ~pair
         grid[...] = pair.reshape(pair.shape + (1, 1))
-        from countcp import reconstruct_dense
-
         dense_pred = reconstruct_dense(f)[grid]
-        dense_truth = t.todense().astype(float)[grid]
+        dense_truth = todense(t).astype(float)[grid]
         assert scores["mae"] == pytest.approx(mae(dense_pred, dense_truth), rel=1e-12)
         assert scores["mae_nz"] == pytest.approx(
             mae_nz(dense_pred, dense_truth), rel=1e-12
@@ -225,10 +228,11 @@ class TestRunExperiment:
         assert "synthetic failure" in sc.failures["ntf-kl"]
 
 
-def reference_split(spec, sorted_t, mask, seed):
+def reference_split(spec, sorted_t, complement, seed):
     """One split as the per-scenario harness scored it: every model refitted."""
     ts = split_time(sorted_t, spec.test_fraction, seed)
-    region = Region.from_mask(ts.test.shape, mask).invert()
+    observed = top_block(ts.test.shape, spec.n_prime, complement)
+    region = observed.invert()
     try:
         vmr = vmr_of_counts(region.restrict(ts.test).values)
     except UndefinedStatisticError:
@@ -240,7 +244,7 @@ def reference_split(spec, sorted_t, mask, seed):
     )
     hyper = Hyperparameters.default(ts.train.ndim, alpha=spec.alpha)
     state, hyper, _ = fit(ts.train, config, hyper)
-    heldout, _ = infer_heldout_time_factors(state, hyper, ts.test, mask, config)
+    heldout, _ = infer_heldout_time_factors(state, hyper, ts.test, observed, config)
     for name, kind in (("bptf-geo", "geometric"), ("bptf-ari", "arithmetic")):
         if name in spec.models:
             models[name] = region_metrics(point_estimate(heldout, kind), ts.test, region)
@@ -252,7 +256,7 @@ def reference_split(spec, sorted_t, mask, seed):
                 epsilon_floor=spec.epsilon_floor,
             )
             factors, _ = fit_ntf(ts.train, ntf_config)
-            inferred, _ = infer_heldout_time_factors_ntf(factors, ts.test, mask, ntf_config)
+            inferred, _ = infer_heldout_time_factors_ntf(factors, ts.test, observed, ntf_config)
             models[f"ntf-{cost}"] = region_metrics(inferred, ts.test, region)
     return {
         "seed": seed, "density": region.density(ts.test), "vmr": vmr,
@@ -272,8 +276,8 @@ def reference_table(base, tensors, n_primes, scenarios):
                     base, source=source, n_prime=n_prime,
                     predict_complement=side == "complement",
                 )
-                mask = top_block_mask(n_prime, complement=side == "block")
-                splits = [reference_split(spec, sorted_t, mask, s) for s in spec.seeds]
+                complement = side == "block"
+                splits = [reference_split(spec, sorted_t, complement, s) for s in spec.seeds]
                 rows.append({
                     "label": spec.scenario_label(),
                     "density": float(np.mean([sp["density"] for sp in splits])),

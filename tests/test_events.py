@@ -222,6 +222,31 @@ class TestEventTable:
         with pytest.raises(IngestionError, match=message):
             EventTable.from_records([("A", "B", "x", dt.datetime(2001, 1, 1)), record])
 
+    @pytest.mark.parametrize("field", range(3))
+    @pytest.mark.parametrize("inner", ["\t", "\n", "\r", "\r\n"])
+    def test_from_records_rejects_a_label_the_labels_file_cannot_hold(self, field, inner):
+        record = ["A", "B", "x", dt.datetime(2001, 1, 1)]
+        record[field] = f"Q{inner}R"
+        with pytest.raises(IngestionError,
+                           match=f"'{EVENT_COLUMNS[field]}' field holds a tab or line break"):
+            EventTable.from_records([("A", "B", "x", dt.datetime(2001, 1, 1)), tuple(record)])
+
+    @pytest.mark.parametrize("field", range(3))
+    @pytest.mark.parametrize("inner, line", [("\t", 3), ("\n", 4), ("\r", 4), ("\r\n", 4)])
+    def test_quoted_label_with_a_tab_or_line_break_names_its_line(self, tmp_path, field,
+                                                                   inner, line):
+        row = ["A", "B", "x", "2001-02-05"]
+        row[field] = f'"Q{inner}R"'
+        (tmp_path / "events.csv").write_bytes(
+            (HEADER + "A,B,x,2001-02-05\n" + ",".join(row) + "\n").encode()
+        )
+        with pytest.raises(IngestionError) as caught:
+            read_event_file(tmp_path / "events.csv")
+        assert str(caught.value) == (
+            f"{tmp_path / 'events.csv'}: line {line}: "
+            f"event record '{EVENT_COLUMNS[field]}' field holds a tab or line break"
+        )
+
     @pytest.mark.parametrize("stamp", ["2001-13-01T00:00:00Z", " 2001-13-01T00:00:00Z\t"])
     def test_bad_z_stamp_is_quoted_as_the_file_holds_it(self, tmp_path, stamp):
         (tmp_path / "events.csv").write_text(HEADER + f"A,B,x,2001-02-05\nA,B,x,{stamp}\n")

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 import countcp.bptf
 from countcp import (
-    CellMask,
     FactorSet,
     FitConfig,
     Hyperparameters,
@@ -25,7 +24,6 @@ from countcp import (
     fit_ntf,
     infer_heldout_time_factors,
     infer_heldout_time_factors_ntf,
-    top_block_mask,
 )
 from countcp import cp
 from conftest import (
@@ -34,6 +32,7 @@ from conftest import (
     oracle_infer_heldout_ntf,
     random_factors,
     random_tensor,
+    top_block,
 )
 
 
@@ -86,19 +85,19 @@ def block_entries(step, k):
     return nullcontext() if step is None else mock.patch.object(cp, "_BLOCK_CELLS", step * k)
 
 
-def check_heldout(family, trained, test, mask, k, seed, iterations, tolerance,
+def check_heldout(family, trained, test, region, k, seed, iterations, tolerance,
                   alpha=0.1, floor=1e-12):
     if family == "bptf":
         hyper = Hyperparameters(alpha=alpha, beta=(1.0, 0.5, 2.0, 1.5)[:test.ndim])
         config = FitConfig(k=k, max_iterations=iterations, relative_elbo_tolerance=tolerance,
                            seed=seed)
-        assert_same_bptf(outcome(infer_heldout_time_factors, trained, hyper, test, mask, config),
-                         outcome(oracle_infer_heldout_bptf, trained, hyper, test, mask, config))
+        assert_same_bptf(outcome(infer_heldout_time_factors, trained, hyper, test, region, config),
+                         outcome(oracle_infer_heldout_bptf, trained, hyper, test, region, config))
     else:
         config = NtfConfig(k=k, max_iterations=iterations, relative_objective_tolerance=tolerance,
                            seed=seed, cost=family, epsilon_floor=floor)
-        assert_same_ntf(outcome(infer_heldout_time_factors_ntf, trained, test, mask, config),
-                        outcome(oracle_infer_heldout_ntf, trained, test, mask, config))
+        assert_same_ntf(outcome(infer_heldout_time_factors_ntf, trained, test, region, config),
+                        outcome(oracle_infer_heldout_ntf, trained, test, region, config))
 
 
 @st.composite
@@ -108,15 +107,15 @@ def heldout_cases(draw):
     cells = int(np.prod(shape))
     if draw(st.booleans()):
         n_prime = draw(st.sampled_from([1, n]) | st.integers(1, n))
-        mask = top_block_mask(n_prime, complement=draw(st.booleans()))
+        region = top_block(shape, n_prime, complement=draw(st.booleans()))
     else:
         actors = st.sets(st.integers(0, n - 1))
-        mask = CellMask(draw(actors), draw(actors), draw(st.booleans()))
+        region = Region(shape, draw(actors), draw(actors), draw(st.booleans()))
     return dict(
         family=draw(st.sampled_from(["bptf", "kl", "ls"])),
         shape=shape,
         nnz=draw(st.integers(1, cells)),
-        mask=mask,
+        region=region,
         k=draw(st.integers(1, 4)),
         seed=draw(st.integers(0, 2**16)),
         iterations=draw(st.integers(1, 6)),
@@ -138,7 +137,7 @@ class TestHeldoutMatchesOracle:
         else:
             trained = random_factors(trained_shape, case["k"], rng)
         with block_entries(case["step"], case["k"]):
-            check_heldout(case["family"], trained, test, case["mask"], case["k"], case["seed"],
+            check_heldout(case["family"], trained, test, case["region"], case["k"], case["seed"],
                           case["iterations"], case["tolerance"])
 
     @pytest.mark.parametrize("family", ["bptf", "kl", "ls"])
@@ -146,16 +145,16 @@ class TestHeldoutMatchesOracle:
     def test_several_blocks_with_a_ragged_last_one(self, rng, family, k):
         train = random_tensor((6, 6, 3, 8), rng, nnz=200)
         test = random_tensor((6, 6, 3, 5), rng, nnz=120)
-        mask = top_block_mask(4, complement=True)
+        region = top_block(test.shape, 4, complement=True)
         if family == "bptf":
             trained, _, _ = fit(train, FitConfig(k=k, max_iterations=10, seed=1))
         else:
             trained, _ = fit_ntf(train, NtfConfig(k=k, max_iterations=10, seed=1, cost=family))
-        observed = Region.from_mask(test.shape, mask).restrict(test)
+        observed = region.restrict(test)
         assert observed.nnz % 7 and observed.nnz > 3 * 7
         with block_entries(7, k):
             assert len(observed._block_rows(cp._block_step(k))) > 3
-            check_heldout(family, trained, test, mask, k, seed=2, iterations=8,
+            check_heldout(family, trained, test, region, k, seed=2, iterations=8,
                           tolerance=1e-12)
 
     def test_bptf_at_small_alpha(self, rng):
@@ -164,8 +163,8 @@ class TestHeldoutMatchesOracle:
         test = random_tensor((5, 5, 2, 3), rng, nnz=30)
         trained, learned, _ = fit(train, FitConfig(k=4, max_iterations=30, seed=0), hyper)
         assert np.any(np.exp(trained.elog[0]) == 0.0)  # geometric expectations underflow
-        for mask in (top_block_mask(2), top_block_mask(3, complement=True)):
-            check_heldout("bptf", trained, test, mask, 4, seed=1, iterations=10,
+        for region in (top_block(test.shape, 2), top_block(test.shape, 3, complement=True)):
+            check_heldout("bptf", trained, test, region, 4, seed=1, iterations=10,
                           tolerance=1e-12, alpha=learned.alpha)
 
     def test_kl_zero_floor_with_a_zero_factor_column(self, rng):
@@ -174,12 +173,12 @@ class TestHeldoutMatchesOracle:
         mats[1][:, 2] = 0.0
         trained = FactorSet(mats)
         test = random_tensor((5, 5, 2, 4), rng, nnz=50)
-        mask = top_block_mask(3, complement=True)
-        observed = Region.from_mask(test.shape, mask).restrict(test)
+        region = top_block(test.shape, 3, complement=True)
+        observed = region.restrict(test)
         with np.errstate(divide="ignore"):
             frozen = cp._FrozenModes(observed, mats[:3], [np.log(m) for m in mats[:3]])
         assert np.isneginf(frozen.logs[:, 2]).all()
-        check_heldout("kl", trained, test, mask, 3, seed=4, iterations=6, tolerance=1e-12,
+        check_heldout("kl", trained, test, region, 3, seed=4, iterations=6, tolerance=1e-12,
                       floor=0.0)
 
 
@@ -193,13 +192,13 @@ class TestHeldoutErrors:
         trained = VariationalState(trained.gamma, trained.delta, trained.expect, elog)
         test = random_tensor((4, 4, 2, 3), rng, nnz=30)
         hit = test.coords[test.coords[:, 0] == 2][0]
-        mask = top_block_mask(4)
+        region = top_block(test.shape, 4)
         hyper = Hyperparameters.default(4)
         config = FitConfig(k=2, max_iterations=3)
         want = (NumericalDegeneracyError,
                 f"all-component geometric mass vanished at entry {tuple(int(c) for c in hit)}")
-        assert outcome(oracle_infer_heldout_bptf, trained, hyper, test, mask, config) == want
-        assert outcome(infer_heldout_time_factors, trained, hyper, test, mask, config) == want
+        assert outcome(oracle_infer_heldout_bptf, trained, hyper, test, region, config) == want
+        assert outcome(infer_heldout_time_factors, trained, hyper, test, region, config) == want
 
     def test_inadmissible_zero_names_the_entry(self, rng):
         mats = [m.copy() for m in random_factors((4, 4, 2, 3), 2, rng).factors]
@@ -207,12 +206,12 @@ class TestHeldoutErrors:
         trained = FactorSet(mats)
         test = random_tensor((4, 4, 2, 3), rng, nnz=30)
         hit = test.coords[test.coords[:, 1] == 3][0]
-        mask = top_block_mask(4)
+        region = top_block(test.shape, 4)
         config = NtfConfig(k=2, max_iterations=3, cost="kl", epsilon_floor=0.0)
         want = (InadmissibleZeroError,
                 f"zero reconstruction under count at entry {tuple(int(c) for c in hit)}")
-        assert outcome(oracle_infer_heldout_ntf, trained, test, mask, config) == want
-        assert outcome(infer_heldout_time_factors_ntf, trained, test, mask, config) == want
+        assert outcome(oracle_infer_heldout_ntf, trained, test, region, config) == want
+        assert outcome(infer_heldout_time_factors_ntf, trained, test, region, config) == want
 
 
 class TestFusedFit:
@@ -276,9 +275,9 @@ class TestKernelPasses:
         test = random_tensor((5, 5, 2, 4), rng, nnz=40)
         calls = self.count_passes(monkeypatch)
         config = FitConfig(k=3, max_iterations=5, relative_elbo_tolerance=1e-15)
-        # a mask observing every cell hands inference the test tensor itself
+        # a region of every cell hands inference the test tensor itself
         infer_heldout_time_factors(trained, Hyperparameters.default(4), test,
-                                   top_block_mask(5), config)
+                                   top_block(test.shape, 5), config)
         assert len(calls) == 1 + 5 and all(frozen is not None for frozen in calls)
         assert set(test._plans) == {("incidence", cp._block_step(3), 3)}
 
@@ -287,5 +286,5 @@ class TestKernelPasses:
         trained = random_factors((5, 5, 2, 3), 3, rng)
         test = random_tensor((5, 5, 2, 4), rng, nnz=40)
         config = NtfConfig(k=3, max_iterations=4, cost=cost)
-        infer_heldout_time_factors_ntf(trained, test, top_block_mask(5), config)
+        infer_heldout_time_factors_ntf(trained, test, top_block(test.shape, 5), config)
         assert set(test._plans) == {("incidence", cp._block_step(3), 3)}

@@ -1,17 +1,15 @@
-"""Cell masks and region sums, checked against dense enumeration."""
+"""Cell regions and region sums, checked against dense enumeration."""
 
 import numpy as np
 import pytest
 
 from countcp import (
-    CellMask,
     FactorSet,
     Region,
     SparseCountTensor,
     reconstruct_entries,
-    top_block_mask,
 )
-from conftest import iter_cell_blocks, random_factors, random_tensor
+from conftest import iter_cell_blocks, random_factors, random_tensor, top_block
 
 
 # a third ``complement`` input: the whole tensor, as the complement of nothing
@@ -36,9 +34,8 @@ def dense_region_mask(region):
     return grid
 
 
-def partition(t, mask):
-    """The stored entries of ``t`` that ``mask`` observes, and the heldout region."""
-    observed = Region.from_mask(t.shape, mask)
+def partition(t, observed):
+    """The stored entries of ``t`` in the ``observed`` region, and the heldout region."""
     return observed.restrict(t), observed.invert()
 
 
@@ -47,20 +44,20 @@ class TestApplyMask:
 
     def test_full_mask_observes_everything(self, rng):
         t = random_tensor((4, 4, 2, 1), rng, nnz=10)
-        observed, heldout = partition(t, CellMask(range(4), range(4)))
+        observed, heldout = partition(t, top_block(t.shape, 4))
         assert observed == t
         assert heldout.n_cells == 0
 
     def test_block_heldout_pair_count(self, rng):
         t = random_tensor((4, 4, 3, 1), rng, nnz=10)
-        _, heldout = partition(t, top_block_mask(2))
+        _, heldout = partition(t, top_block(t.shape, 2))
         assert heldout.n_pairs == 4 * 4 - 2 * 2
         assert heldout.n_cells == 12 * 3
 
     def test_complement_flag_swaps_the_partition(self, rng):
         t = random_tensor((4, 4, 3, 1), rng, nnz=12)
-        obs_a, held_a = partition(t, top_block_mask(2, complement=False))
-        obs_b, held_b = partition(t, top_block_mask(2, complement=True))
+        obs_a, held_a = partition(t, top_block(t.shape, 2, complement=False))
+        obs_b, held_b = partition(t, top_block(t.shape, 2, complement=True))
         assert held_a.n_cells + held_b.n_cells == 4 * 4 * 3
         assert obs_a.nnz + obs_b.nnz == t.nnz
         # the two observed sets partition the entries
@@ -70,9 +67,8 @@ class TestApplyMask:
 
     def test_partition_covers_all_cells_disjointly(self, rng):
         t = random_tensor((5, 5, 2, 2), rng, nnz=20)
-        mask = CellMask(rows=(0, 2, 3), cols=(1, 2), complement=False)
-        observed, heldout = partition(t, mask)
-        obs_region = Region.from_mask(t.shape, mask)
+        obs_region = Region(t.shape, rows=(0, 2, 3), cols=(1, 2), complement=False)
+        observed, heldout = partition(t, obs_region)
         dense_obs = dense_region_mask(obs_region)
         dense_held = dense_region_mask(heldout)
         assert np.all(dense_obs ^ dense_held)

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from countcp import (
-    CellMask,
     DegenerateUpdateError,
     FactorSet,
     InadmissibleZeroError,
@@ -17,10 +16,9 @@ from countcp import (
     ntf_kl_sweep,
     ntf_ls_sweep,
     poisson_log_likelihood,
-    reconstruct_dense,
     squared_error,
 )
-from conftest import random_factors, random_tensor
+from conftest import random_factors, random_tensor, reconstruct_dense, todense, top_block
 
 
 def perfect_instance():
@@ -157,7 +155,7 @@ class TestLsSweep:
     def test_objective_never_increases_and_matches_dense_oracle(self, rng):
         t = random_tensor((3, 3, 2, 4), rng, nnz=30)
         f = random_factors(t.shape, 2, rng)
-        dense = t.todense().astype(float)
+        dense = todense(t).astype(float)
         value = squared_error(t, f)
         assert value == pytest.approx(
             ((dense - reconstruct_dense(f)) ** 2).sum(), rel=1e-12
@@ -238,7 +236,7 @@ class TestHeldoutInferenceNtf:
 
     def test_full_mask_matches_unmasked_updates(self, rng):
         trained, test, config = self.fit_trained(rng)
-        full = CellMask(rows=range(5), cols=range(5))
+        full = top_block(test.shape, 5)
         inferred, _ = infer_heldout_time_factors_ntf(trained, test, full, config)
 
         rng2 = np.random.default_rng(config.seed)
@@ -260,8 +258,8 @@ class TestHeldoutInferenceNtf:
 
     def test_frozen_modes_unchanged(self, rng):
         trained, test, config = self.fit_trained(rng, cost="ls")
-        mask = CellMask(rows=range(3), cols=range(3))
-        inferred, _ = infer_heldout_time_factors_ntf(trained, test, mask, config)
+        region = top_block(test.shape, 3)
+        inferred, _ = infer_heldout_time_factors_ntf(trained, test, region, config)
         for m in range(3):
             assert np.array_equal(inferred.factors[m], trained.factors[m])
 
@@ -269,16 +267,23 @@ class TestHeldoutInferenceNtf:
         trained, test, config = self.fit_trained(rng)
         entries = [((4, 4, 0, 0), 2)]
         test = SparseCountTensor.from_entries(test.shape, entries, test.mode_labels)
-        mask = CellMask(rows=[0, 1], cols=[0, 1])
-        inferred, _ = infer_heldout_time_factors_ntf(trained, test, mask, config)
+        region = top_block(test.shape, 2)
+        inferred, _ = infer_heldout_time_factors_ntf(trained, test, region, config)
         assert np.all(inferred.factors[3] == config.epsilon_floor)
 
     def test_heldout_mae_is_finite(self, rng):
         from countcp import region_metrics
 
         trained, test, config = self.fit_trained(rng)
-        mask = CellMask(rows=range(3), cols=range(3), complement=True)
-        inferred, _ = infer_heldout_time_factors_ntf(trained, test, mask, config)
-        heldout = Region.from_mask(test.shape, mask).invert()
+        observed = top_block(test.shape, 3, complement=True)
+        inferred, _ = infer_heldout_time_factors_ntf(trained, test, observed, config)
+        heldout = observed.invert()
         scores = region_metrics(inferred, test, heldout)
         assert np.isfinite(scores["mae"]) and scores["mae"] >= 0.0
+
+    @pytest.mark.parametrize("cost", ["kl", "ls"])
+    def test_region_of_another_shape_is_an_error(self, rng, cost):
+        trained, test, config = self.fit_trained(rng, cost=cost)
+        other = top_block(test.shape[:3] + (test.shape[3] + 1,), 3)
+        with pytest.raises(ValueError, match="observed region is bound to shape"):
+            infer_heldout_time_factors_ntf(trained, test, other, config)

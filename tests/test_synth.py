@@ -9,6 +9,7 @@ from countcp import (
     expected_total_count,
     sample_count_tensor,
 )
+from conftest import reconstruct_dense, todense
 
 
 class TestSampleCountTensor:
@@ -50,11 +51,9 @@ class TestSampleCountTensor:
 
     def test_true_factors_reproduce_poisson_means(self):
         # with huge counts the empirical cell mean tracks the reconstruction
-        from countcp import reconstruct_dense
-
         hyper = Hyperparameters(alpha=20.0, beta=(0.05, 0.05, 0.05, 0.05))
         t, f = sample_count_tensor((3, 3, 2, 2), 1, hyper, seed=0)
-        dense = t.todense().astype(float)
+        dense = todense(t).astype(float)
         recon = reconstruct_dense(f)
         ratio = dense[recon > 1000] / recon[recon > 1000]
         assert np.all(np.abs(ratio - 1.0) < 0.2)

@@ -25,7 +25,7 @@ from countcp import (
     split_time,
     vmr_nonzero,
 )
-from conftest import random_tensor, write_event_file
+from conftest import random_tensor, todense, write_event_file
 
 
 def ev(sender, receiver, action, when):
@@ -246,8 +246,8 @@ class TestSortByActivity:
         assert sorted_t.total_count == t.total_count
         assert sorted_t.nnz == t.nnz
         # entry multiset preserved under the relabeling
-        dense_old = t.todense()
-        dense_new = sorted_t.todense()
+        dense_old = todense(t)
+        dense_new = todense(sorted_t)
         assert np.array_equal(dense_new, dense_old[np.ix_(perm, perm)])
 
     def test_mismatched_actor_labels_rejected(self):
