@@ -93,8 +93,9 @@ class VariationalState:
     geometric expectations; at a small shape the geometric expectation
     itself underflows, its log does not.  Callers that pass caches
     explicitly are trusted (the warm-start path seeds both caches from a
-    point estimate); ``refresh`` restores cache consistency for one mode
-    after its parameters change.  The updates and the ELBO read the caches,
+    point estimate), and a mode whose two caches are not both given is
+    refreshed; ``refresh`` restores cache consistency for one mode after
+    its parameters change.  The updates and the ELBO read the caches,
     not gamma and delta, so an ELBO is only that of gamma and delta when
     the caches are consistent.
     """
@@ -118,13 +119,12 @@ class VariationalState:
         self.gamma = gamma
         self.delta = delta
         if expect is None or elog is None:
-            self.expect = [None] * len(gamma)
-            self.elog = [None] * len(gamma)
-            for m in range(len(gamma)):
+            expect = elog = [None] * len(gamma)
+        self.expect = [None if e is None else np.ascontiguousarray(e, dtype=np.float64) for e in expect]
+        self.elog = [None if e is None else np.ascontiguousarray(e, dtype=np.float64) for e in elog]
+        for m in range(len(gamma)):
+            if self.expect[m] is None or self.elog[m] is None:
                 self.refresh(m)
-        else:
-            self.expect = [np.ascontiguousarray(e, dtype=np.float64) for e in expect]
-            self.elog = [np.ascontiguousarray(e, dtype=np.float64) for e in elog]
 
     @property
     def n_modes(self) -> int:
@@ -160,14 +160,16 @@ def init_state(shape, config: FitConfig, hyper: Hyperparameters, jitter: float =
     ``jitter=0`` the state sits exactly at the prior, where the arithmetic
     expectation is the prior mean 1 / beta[m].  Deterministic per seed.
     """
-    rng = np.random.default_rng(config.seed)
-    gamma, delta = [], []
-    for m, size in enumerate(shape):
-        gamma.append(
-            hyper.alpha + rng.uniform(0.0, hyper.alpha * jitter, size=(size, config.k))
-        )
-        delta.append(np.full((size, config.k), hyper.rate(m)))
+    gamma = list(_initial_shapes(shape, config, hyper, jitter))
+    delta = [np.full(g.shape, hyper.rate(m)) for m, g in enumerate(gamma)]
     return VariationalState(gamma, delta)
+
+
+def _initial_shapes(shape, config, hyper, jitter=1.0):
+    """``init_state``'s gamma matrices, drawn mode by mode in mode order."""
+    rng = np.random.default_rng(config.seed)
+    for size in shape:
+        yield hyper.alpha + rng.uniform(0.0, hyper.alpha * jitter, size=(size, config.k))
 
 
 def update_gamma(
@@ -379,21 +381,25 @@ def infer_heldout_time_factors(
     Returns the fitted state (its last-mode gamma/delta are the per-test-step
     parameters) and the trace of its ELBO on that region.
 
-    The frozen modes' work is done once per call: each observed entry's
-    summed frozen log rows (``cp._FrozenModes``, nnz_obs * K * 8 bytes),
-    the time rate (the frozen modes' mass never changes), the region's
-    frozen column-sum product and the frozen modes' prior terms.  A sweep
+    The state's frozen modes share the trained state's arrays and caches;
+    its time mode starts where ``init_state`` would start it for the test
+    shape (the frozen modes' draws are made, in order, and dropped).  The
+    frozen modes' work is done once per call: each observed entry's summed
+    frozen log rows (``cp._FrozenModes``, nnz_obs * K * 8 bytes), the time
+    rate (the frozen modes' mass never changes), the region's frozen
+    column-sum product and the frozen modes' prior terms.  A sweep
     then costs one kernel pass over the observed entries, O(nnz_obs * K),
     whose ELBO also allocates the next sweep's shape update.
     """
     observed = _observed_part(trained.shape, test_slice, region)
     time_mode = trained.n_modes - 1
-    state = init_state(test_slice.shape, replace(config, k=trained.k), hyper)
-    for m in range(time_mode):
-        state.gamma[m] = trained.gamma[m].copy()
-        state.delta[m] = trained.delta[m].copy()
-        state.expect[m] = trained.expect[m].copy()
-        state.elog[m] = trained.elog[m].copy()
+    *_, time_gamma = _initial_shapes(test_slice.shape, replace(config, k=trained.k), hyper)
+    state = VariationalState(
+        trained.gamma[:time_mode] + [time_gamma],
+        trained.delta[:time_mode] + [np.full(time_gamma.shape, hyper.rate(time_mode))],
+        trained.expect[:time_mode] + [None],
+        trained.elog[:time_mode] + [None],
+    )
     frozen = _FrozenModes(observed, logs=state.elog[:time_mode])
     rate = hyper.rate(time_mode) + region.other_mode_sums(state.expect, time_mode)
     column_sums = region._frozen_part(state.expect)

@@ -81,9 +81,9 @@ def _entry_products(mats, coords, skip=None) -> np.ndarray:
     """(n, K) product, in ascending mode order, of the factor rows each
     coordinate selects, leaving out mode ``skip``."""
     modes = [m for m in range(len(mats)) if m != skip]
-    parts = mats[modes[0]][coords[:, modes[0]]]
+    parts = np.take(mats[modes[0]], coords[:, modes[0]], axis=0)
     for m in modes[1:]:
-        parts *= mats[m][coords[:, m]]
+        parts *= np.take(mats[m], coords[:, m], axis=0)
     return parts
 
 
@@ -124,18 +124,21 @@ class _FrozenModes:
         if logs is not None:
             self.logs = np.zeros((t.nnz, logs[0].shape[1]))
             for m, log in enumerate(logs):
-                self.logs += log[t.coords[:, m]]
+                self.logs += np.take(log, t.coords[:, m], axis=0)
 
     def summed_logs(self, last_logs, step):
         """Each block's summed log rows, given the last mode's log rows."""
-        return (self.logs[rows] + last_logs[self.last[rows]] for rows in self.t._block_rows(step))
+        return (
+            self.logs[rows] + np.take(last_logs, self.last[rows], axis=0)
+            for rows in self.t._block_rows(step)
+        )
 
     def recon(self, last) -> np.ndarray:
         """Each entry's reconstruction (``reconstruct_entries``' bits), given
         the last mode's factors."""
         out = np.empty(self.t.nnz)
         for rows in self.t._block_rows(_block_step(last.shape[1])):
-            out[rows] = (self.products[rows] * last[self.last[rows]]).sum(axis=1)
+            out[rows] = (self.products[rows] * np.take(last, self.last[rows], axis=0)).sum(axis=1)
         return out
 
 

@@ -27,6 +27,7 @@ from countcp import (
     init_state,
     ntf_kl_sweep,
     ntf_ls_sweep,
+    reconstruct_entries,
     squared_error,
     update_beta,
     update_delta,
@@ -266,6 +267,41 @@ def iter_cell_blocks(region, max_cells=262144):
         block[:, 1] = np.repeat(jj[lo:hi], tail_cells)
         block[:, 2:] = np.tile(tail_grid, (hi - lo, 1))
         yield block
+
+
+def enumerated_count_above(region, mats, threshold):
+    """Cell-by-cell oracle for Region.count_recon_above."""
+    f = FactorSet(mats)
+    return sum(
+        int((reconstruct_entries(f, block) > threshold).sum())
+        for block in iter_cell_blocks(region, max_cells=50)
+    )
+
+
+def oracle_count_recon_above(region, mats, threshold):
+    """``Region.count_recon_above`` as it ran before its bounds: every cell
+    of the region reconstructed, one matrix product per actor row against
+    the Khatri-Rao product of modes 2..; the oracle of the pruned count."""
+    k = mats[0].shape[1]
+    tail = np.ones((1, k))
+    for m in range(2, len(region.shape)):
+        tail = (tail[:, None, :] * mats[m][None, :, :]).reshape(-1, k)
+    in_rows = np.zeros(region.shape[0], dtype=bool)
+    in_rows[region.rows] = True
+    in_cols = np.zeros(region.shape[1], dtype=bool)
+    in_cols[region.cols] = True
+    if region.complement:
+        block_row_cols = np.flatnonzero(~in_cols)
+        other_row_cols = np.arange(region.shape[1])
+    else:
+        block_row_cols, other_row_cols = region.cols, region.cols[:0]
+    count = 0
+    for i in range(region.shape[0]):
+        cols = block_row_cols if in_rows[i] else other_row_cols
+        if cols.size:
+            recon = (mats[0][i] * mats[1][cols]) @ tail.T
+            count += int(np.count_nonzero(recon > threshold))
+    return count
 
 
 @pytest.fixture

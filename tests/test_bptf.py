@@ -77,6 +77,17 @@ class TestInitState:
             )
 
 
+    def test_a_mode_without_both_caches_is_refreshed(self):
+        hyper = Hyperparameters.default(4)
+        state = make_state((3, 3, 2, 4), 2, hyper, seed=5)
+        expect = [e * 2.0 for e in state.expect]  # given caches are trusted
+        built = VariationalState(state.gamma, state.delta, expect[:3] + [None], state.elog)
+        for m in range(3):
+            assert built.expect[m] is expect[m] and built.elog[m] is state.elog[m]
+        assert np.array_equal(built.expect[3], state.expect[3])
+        assert np.array_equal(built.elog[3], state.elog[3])
+
+
 def aux_variable_gamma_oracle(state, t, mode, alpha):
     """Latent-source oracle: per-entry multinomial allocations in log space."""
     n, k = state.gamma[mode].shape
@@ -483,6 +494,24 @@ class TestHeldoutInference:
             assert np.array_equal(heldout.delta[m], state.delta[m])
             assert np.array_equal(heldout.expect[m], state.expect[m])
             assert np.array_equal(heldout.elog[m], state.elog[m])
+
+    def test_frozen_modes_share_the_trained_arrays_and_time_starts_at_init_state(self, rng):
+        state, hyper, test, config = self.build_split(rng)
+        trained = state.copy()
+        config = FitConfig(k=2, max_iterations=1, seed=7)
+        heldout, _ = infer_heldout_time_factors(state, hyper, test, top_block(test.shape, 3), config)
+        for name in ("gamma", "delta", "expect", "elog"):
+            for m in range(3):
+                assert getattr(heldout, name)[m] is getattr(state, name)[m]
+            for got, want in zip(getattr(state, name), getattr(trained, name)):
+                assert np.array_equal(got, want)  # the trained state is unchanged
+        # one sweep's shape update from init_state's time mode, as a fresh state would run it
+        fresh = init_state(test.shape, config, hyper)
+        for m in range(3):
+            fresh.gamma[m], fresh.delta[m] = state.gamma[m], state.delta[m]
+            fresh.expect[m], fresh.elog[m] = state.expect[m], state.elog[m]
+        update_gamma(fresh, top_block(test.shape, 3).restrict(test), 3, hyper)
+        assert np.array_equal(heldout.gamma[3], fresh.gamma[3])
 
     def test_beats_prior_mean_baseline_on_generative_data(self, rng):
         from countcp import sample_count_tensor, split_time

@@ -1,6 +1,7 @@
 """Reconstruction and objective functions against brute-force oracles."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -323,6 +324,47 @@ class TestMultiBlock:
         far_ahead = top_two[:, 1] - top_two[:, 0] > 710.0
         assert set(np.argmax(sums[far_ahead], axis=1)) == set(range(6))
         np.testing.assert_allclose(log_mass, logsumexp(sums, axis=1), rtol=1e-12, atol=0)
+
+
+def fancy_products(mats, coords, skip=None):
+    """``cp._entry_products`` with fancy-index row gathers."""
+    modes = [m for m in range(len(mats)) if m != skip]
+    parts = mats[modes[0]][coords[:, modes[0]]]
+    for m in modes[1:]:
+        parts *= mats[m][coords[:, m]]
+    return parts
+
+
+def same_bits(got, want):
+    return got.shape == want.shape and got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestRowGathers:
+    """Row gathers by ``np.take`` copy the rows that fancy indexing does."""
+
+    @pytest.mark.parametrize("nnz", [0, 1, 157])
+    def test_take_gathers_match_fancy_indexing(self, rng, nnz):
+        shape = (5, 6, 3, 9)
+        mats = random_factors(shape, 4, rng).factors
+        t = random_tensor(shape, rng, nnz=nnz)
+        assert t.nnz == nnz
+        for skip in (None, 0, 1, 3):
+            assert same_bits(cp._entry_products(mats, t.coords, skip), fancy_products(mats, t.coords, skip))
+        logs = [np.log(m) for m in mats]
+        frozen = cp._FrozenModes(t, mats[:3], logs[:3])
+        assert same_bits(frozen.products, fancy_products(mats[:3], t.coords))
+        assert same_bits(frozen.logs, sum((log[t.coords[:, m]] for m, log in enumerate(logs[:3])),
+                                          np.zeros((nnz, 4))))
+        want = np.empty(nnz)
+        summed = []
+        for rows in t._block_rows(7):
+            want[rows] = (frozen.products[rows] * mats[3][t.coords[rows, 3]]).sum(axis=1)
+            summed.append(frozen.logs[rows] + logs[3][t.coords[rows, 3]])
+        with mock.patch.object(cp, "_BLOCK_CELLS", 7 * 4):
+            assert same_bits(frozen.recon(mats[3]), want)
+        got = list(frozen.summed_logs(logs[3], 7))
+        assert len(got) == len(summed)
+        assert all(same_bits(g, w) for g, w in zip(got, summed))
 
 
 class TestFactorFiles:

@@ -1,7 +1,12 @@
 """Cell regions and region sums, checked against dense enumeration."""
 
+from contextlib import ExitStack, nullcontext
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from countcp import (
     FactorSet,
@@ -9,7 +14,15 @@ from countcp import (
     SparseCountTensor,
     reconstruct_entries,
 )
-from conftest import iter_cell_blocks, random_factors, random_tensor, top_block
+from countcp import masking
+from conftest import (
+    enumerated_count_above,
+    iter_cell_blocks,
+    oracle_count_recon_above,
+    random_factors,
+    random_tensor,
+    top_block,
+)
 
 
 # a third ``complement`` input: the whole tensor, as the complement of nothing
@@ -188,15 +201,6 @@ class TestRegionSums:
         assert list(iter_cell_blocks(region)) == []
 
 
-def enumerated_count_above(region, mats, threshold):
-    """Cell-by-cell oracle for Region.count_recon_above."""
-    f = FactorSet(mats)
-    return sum(
-        int((reconstruct_entries(f, block) > threshold).sum())
-        for block in iter_cell_blocks(region, max_cells=50)
-    )
-
-
 class TestCountReconAbove:
     @pytest.mark.parametrize("shape", [(6, 5, 4), (5, 6, 3, 2), (4, 5, 2, 3, 2)])
     @pytest.mark.parametrize("complement", [False, True, WHOLE])
@@ -221,3 +225,135 @@ class TestCountReconAbove:
         region = Region(shape, rows=[0, 2], cols=[1], complement=True)
         assert region.count_recon_above(mats, 0.5) == 2 * 4  # row 2's two pairs
         assert enumerated_count_above(region, mats, 0.5) == 2 * 4
+        assert oracle_count_recon_above(region, mats, 0.5) == 2 * 4
+
+
+def chunk_cells(n):
+    """Patch the count's chunk size to ``n`` cells (None: leave it)."""
+    return nullcontext() if n is None else mock.patch.object(masking, "_CHUNK_CELLS", n)
+
+
+def forbid(*names):
+    """Make each named ``masking._Cells`` method raise if it is called."""
+    stack = ExitStack()
+    for name in names:
+        stack.enter_context(mock.patch.object(
+            masking._Cells, name, side_effect=AssertionError(f"{name} was called")))
+    return stack
+
+
+def row_values(region, mats, i):
+    """Actor row ``i``'s cells as the oracle reconstructs them."""
+    k = mats[0].shape[1]
+    tail = np.ones((1, k))
+    for mat in mats[2:]:
+        tail = (tail[:, None, :] * mat[None, :, :]).reshape(-1, k)
+    grid = dense_region_mask(Region(region.shape[:2], region.rows, region.cols, region.complement))
+    return (mats[0][i] * mats[1][grid[i]]) @ tail.T
+
+
+@st.composite
+def count_cases(draw):
+    """Gamma(0.4) factors, whose cells spread over orders of magnitude, so
+    that a threshold at a quantile of the region's cells has pair and pair x
+    action bounds on both sides of it."""
+    n_modes = draw(st.integers(3, 5))
+    shape = (draw(st.integers(1, 7)), draw(st.integers(1, 7)))
+    shape += tuple(draw(st.integers(1, 4)) for _ in range(n_modes - 2))
+    k = draw(st.sampled_from([1, 2, 3, 6]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mats = [rng.gamma(0.4, 1.0, size=(s, k)) for s in shape]
+    for m, col in draw(st.lists(st.tuples(st.integers(0, n_modes - 1), st.integers(0, k - 1)),
+                                max_size=2)):
+        mats[m][:, col] = 0.0  # a zero factor column
+    kind = draw(st.sampled_from([False, True, "whole"]))
+    actors = [st.sets(st.integers(0, n - 1)) for n in shape[:2]]
+    region = make_region(shape, draw(actors[0]), draw(actors[1]), kind)
+    return dict(
+        mats=mats, region=region, chunk=draw(st.sampled_from([None, 1, 7, 64])),
+        threshold=draw(st.sampled_from(["quantile", "tie", 0.0, -1.0, -np.inf]) | st.floats(0, 1)),
+        quantile=draw(st.floats(0.0, 1.0)),
+        row=draw(st.integers(0, shape[0] - 1)),
+    )
+
+
+class TestPrunedCountMatchesOracle:
+    """``count_recon_above`` prunes by bounds; its count is the row-product
+    oracle's (``conftest.oracle_count_recon_above``) exactly."""
+
+    @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(case=count_cases())
+    def test_drawn_factors_regions_and_thresholds(self, case):
+        region, mats, threshold = case["region"], case["mats"], case["threshold"]
+        if threshold == "quantile":
+            cells = np.concatenate(
+                [reconstruct_entries(FactorSet(mats), b) for b in iter_cell_blocks(region)] or [[0.0]])
+            threshold = float(np.quantile(cells, case["quantile"]))
+        elif threshold == "tie":  # a cell's own value, in the oracle's arithmetic
+            values = row_values(region, mats, case["row"])
+            threshold = float(values.flat[int(case["quantile"] * (values.size - 1))]) if values.size else 0.5
+        with chunk_cells(case["chunk"]):
+            got = region.count_recon_above(mats, threshold)
+        assert got == oracle_count_recon_above(region, mats, threshold)
+
+    @pytest.mark.parametrize("complement", [False, True, WHOLE])
+    def test_all_pairs_pruned(self, rng, complement):
+        shape = (6, 5, 3, 4)
+        mats = random_factors(shape, 3, rng, low=0.0, high=1.0).factors
+        region = make_region(shape, [0, 2, 3], [1, 4], complement)
+        # above every pair's bound: nothing is reconstructed or counted
+        with forbid("row", "_count"):
+            assert region.count_recon_above(mats, 3.0 * 4.0) == 0
+        assert oracle_count_recon_above(region, mats, 3.0 * 4.0) == 0
+
+    @pytest.mark.parametrize("complement", [False, True, WHOLE])
+    @pytest.mark.parametrize("threshold", [0.0, -1.0])
+    def test_no_pair_pruned(self, rng, complement, threshold):
+        shape = (6, 5, 3, 4)
+        mats = random_factors(shape, 3, rng, low=0.1, high=1.0).factors
+        region = make_region(shape, [0, 2, 3], [1, 4], complement)
+        assert region.count_recon_above(mats, threshold) == region.n_cells
+        assert oracle_count_recon_above(region, mats, threshold) == region.n_cells
+
+    @pytest.mark.parametrize("shape", [(7, 8, 3), (7, 8, 3, 5), (7, 8, 2, 3, 2)])
+    @pytest.mark.parametrize("chunk", [None, 1, 50])
+    def test_rows_with_few_surviving_pairs_are_refined(self, rng, shape, chunk):
+        # only the pairs of actor 0 in mode 1 can cross the thresholds, so no
+        # row is reconstructed whole; ties at the oracle's own cell values
+        # are decided by the row product
+        k = 24
+        mats = [rng.uniform(0.5, 1.0, size=(s, k)) for s in shape]
+        mats[0] = rng.uniform(0.0, 0.1, size=(shape[0], k))
+        mats[1] = rng.uniform(0.0, 0.001, size=(shape[1], k))
+        mats[1][0] = rng.uniform(1.0, 2.0, size=k)
+        # rows 1 and 4 do not pair with actor 0: their other pairs are pruned
+        region = Region(shape, rows=[1, 4], cols=[0, 3], complement=True)
+        values = np.sort(np.concatenate(
+            [row_values(region, mats, i)[0] for i in range(shape[0]) if i not in (1, 4)]))
+        assert values[0] > 0.01
+        between = (values[:-1] + values[1:]) / 2
+        thresholds = [*between[::3], *rng.choice(values, 8)]
+        with chunk_cells(chunk), forbid("row"):
+            got = [region.count_recon_above(mats, t) for t in between[::3]]
+        with chunk_cells(chunk):
+            got += [region.count_recon_above(mats, t) for t in thresholds[len(got):]]
+        assert got == [oracle_count_recon_above(region, mats, t) for t in thresholds]
+
+    def test_an_overflowing_bound_keeps_its_pair(self):
+        # the pair bound of actor 0 is 0 * inf (NaN), yet some of its cells
+        # are finite and above the threshold
+        shape = (2, 2, 2, 2)
+        mats = [np.ones((s, 2)) for s in shape]
+        mats[0][0, 0] = 0.0
+        mats[2][0, 0] = mats[3][0, 0] = 1e200
+        region = Region.whole(shape)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert region.count_recon_above(mats, 0.5) == oracle_count_recon_above(region, mats, 0.5)
+            assert 0 < oracle_count_recon_above(region, mats, 0.5) < region.n_cells
+
+    def test_empty_block(self, rng):
+        shape = (4, 5, 2, 3)
+        mats = random_factors(shape, 2, rng).factors
+        for region in (Region(shape, [], [1, 2]), Region(shape, [0], [])):
+            with forbid("row", "_count"):
+                assert region.count_recon_above(mats, -1.0) == 0
