@@ -12,7 +12,8 @@ the frozen column-sum, Gram and prior terms), then O(nnz_obs * K) per
 sweep for the time mode.  Zero cells of the heldout region are never
 materialized: the absolute-error mass over zeros has a closed form, and
 the thresholded count (``Region.count_recon_above``) costs O(n0 * n1 * K)
-for its actor-pair bounds plus the cells that survive them.
+for its actor-pair bounds plus the cells of the actor rows that survive
+them.
 """
 
 from __future__ import annotations
@@ -48,9 +49,8 @@ def region_metrics(f: FactorSet, truth: SparseCountTensor, region: Region) -> di
 
     The absolute error over zero cells is the region's reconstruction mass
     minus the mass on non-zero cells; the 0.5-threshold count over the
-    region reconstructs only the cells that its pair and pair x action
-    bounds leave, O(n0 * n1 * K) plus those cells, so nothing dense is
-    built.
+    region reconstructs only the actor rows that its pair bounds leave,
+    O(n0 * n1 * K) plus those rows' cells, so nothing dense is built.
     """
     n_cells = region.n_cells
     if n_cells == 0:

@@ -10,7 +10,6 @@ never materialized.
 
 from __future__ import annotations
 
-from functools import cached_property
 from math import prod
 
 import numpy as np
@@ -193,157 +192,76 @@ class Region:
 
         A cell's reconstruction sums, over components, its actor pair's
         product ``mats[0][i] * mats[1][j]`` times its row of the Khatri-Rao
-        product of modes 2.. (the tail).  Two bounds prune the cells: a
-        pair's, ``mats[0] * top`` times ``mats[1]`` with ``top`` the product
-        of every later mode's column maxima (one (n0 x K) @ (K x n1) matrix
-        product), and a pair and action's, the pair's product times the tail
-        with every mode from 3 on replaced by its column maxima.  Where a
-        bound, widened by a rounding slack, is at most ``threshold``, no
-        cell under it exceeds the threshold.  A row with no surviving pair
-        is skipped; a row where at least half of its region pairs survive is
-        reconstructed whole, in one matrix product against the tail; the
-        other rows' surviving pairs meet the pair x action bound first.
-        Cost: O(n0 * n1 * K) for the pair bounds plus the reconstructed
-        pairs and cells, not O(cells * K).
-
-        The count is that of every row reconstructed whole, exactly: a
-        refined cell within the slack of ``threshold``, where the summation
-        order BLAS picks for a matrix shape could decide it, is decided by
-        its row's product.
+        product of modes 2.. (the tail).  Every cell of pair (i, j) is at
+        most the pair's bound, entry (i, j) of ``(mats[0] * top) @
+        mats[1].T`` with ``top`` the product of every later mode's column
+        maxima: one (n0 x K) @ (K x n1) matrix product.  An actor row none
+        of whose region pairs has a bound above the threshold, after a
+        rounding margin, is skipped; every other row reconstructs its
+        region cells in one matrix product against the tail.  Cost:
+        O(n0 * n1 * K) for the bounds plus the cells of the surviving rows,
+        not O(cells * K).  The count is exact: no cell of a skipped row
+        exceeds the threshold.
         """
         if self.n_cells == 0:
             return 0
-        cells = _Cells(self, mats, threshold)
-        if self.complement:
-            rows, cols = np.arange(self.shape[0]), np.arange(self.shape[1])
-            first, second = mats[0] * cells.top, mats[1]
-        else:
-            rows, cols = self.rows, self.cols
-            first, second = np.take(mats[0], rows, axis=0) * cells.top, np.take(mats[1], cols, axis=0)
-        count = 0
-        step = max(1, _CHUNK_CELLS // cols.size)
+        k = mats[0].shape[1]
+        top = np.ones(k)  # multiplied in the tail's order
+        for mat in mats[2:]:
+            top = top * mat.max(axis=0)
+        # Rounding is monotone, so each tail row is at most ``top`` term by
+        # term in floating point too.  Rounding moves a result by at most a
+        # relative u = eps / 2, or by 2**-1075 where it is subnormal.  A cell
+        # (its products grouped as (a * b) * tail) and its pair bound
+        # ((a * top) * b) take K + 1 roundings each, in any summation order,
+        # so the cell is at most (1 + 2 (K + 1) u) times the bound plus
+        # 2**-1075 (2 K + sum(top) + K max(mats[1])).  ``rel`` and ``floor``
+        # allow four times that, which also covers the two roundings of
+        # ``cut``.  The bound's bits, which BLAS may sum in an order that
+        # moves with the thread count, thus decide only which rows are
+        # reconstructed, never the count.
+        rel = 1.0 + 4.0 * (k + 1) * np.finfo(np.float64).eps
+        floor = 2.0 ** -1073 * (2 * k + float(top.sum()) + k * float(mats[1].max(initial=0.0)))
+        cut = (threshold - floor) / rel
+        rows = np.arange(self.shape[0]) if self.complement else self.rows
+        first = mats[0] * top
+        live = []
+        step = max(1, _CHUNK_PAIRS // self.shape[1])
         for lo in range(0, rows.size, step):
             chunk = rows[lo:lo + step]
-            live = cells.survive(first[lo:lo + step] @ second.T)
-            row_pairs = cols.size
-            if self.complement:
-                live[self._in_rows[chunk]] &= ~self._in_cols
-                row_pairs = cols.size - self.cols.size * self._in_rows[chunk]
-            n_live = np.count_nonzero(live, axis=1)
-            whole = (n_live > 0) & (n_live * 2 >= row_pairs)
-            for i in chunk[whole]:
-                count += int(np.count_nonzero(cells.row(i)[1] > threshold))
-            live[whole] = False
-            r, c = np.nonzero(live)
-            count += cells.count_refined(chunk[r], cols[c])
-        return count
-
-
-# ``count_recon_above`` bounds a chunk of actor rows, and refines a chunk of
-# pairs, of at most about this many bounds, products or cells at a time.
-_CHUNK_CELLS = 1 << 16
-
-
-class _Cells:
-    """The tail, bounds and rounding slack of one ``count_recon_above``."""
-
-    def __init__(self, region, mats, threshold):
-        k = mats[0].shape[1]
-        self.region, self.mats, self.threshold = region, mats, threshold
-        self.top = np.ones(k)  # multiplied in the tail's order
-        for mat in mats[2:]:
-            self.top = self.top * mat.max(axis=0)
-        # Rounding moves a result by at most a relative u = eps / 2, or by
-        # 2**-1075 where it is subnormal.  A cell (its products grouped as
-        # (a * b) * tail) and its pair bound ((a * top) * b) take K + 1
-        # roundings each, so the cell is at most (1 + 2 (K + 1) u) times
-        # the bound plus 2**-1075 (2 K + sum(top) + K max(mats[1])); a pair
-        # x action bound and the same cell summed in another order differ
-        # by less.  ``rel`` and ``floor`` allow four times that, which also
-        # covers the two roundings of ``cut``.
-        self.rel = 1.0 + 4.0 * (k + 1) * np.finfo(np.float64).eps
-        self.floor = 2.0 ** -1073 * (2 * k + float(self.top.sum()) + k * float(mats[1].max(initial=0.0)))
-        self.cut = (threshold - self.floor) / self.rel
-
-    def survive(self, bound):
-        """Where ``bound * rel + floor`` may exceed the threshold."""
-        return ~(bound <= self.cut)
-
-    @cached_property
-    def tail(self):
-        """The Khatri-Rao product of modes 2.., the first one's index
-        slowest, multiplied in mode order onto ones."""
-        k = self.mats[0].shape[1]
-        out = np.ones((1, k))
-        for mat in self.mats[2:]:
-            out = (out[:, None, :] * mat[None, :, :]).reshape(-1, k)
-        return out
-
-    @cached_property
-    def action_top(self):
-        """One row per action (mode-2 index): the tail with every mode from
-        3 on replaced by its column maxima, multiplied in the tail's order."""
-        out = np.ones((1, self.mats[0].shape[1]))
-        for m, mat in enumerate(self.mats[2:]):
-            out = out * (mat.max(axis=0) if m else mat)
-        return out
-
-    @cached_property
-    def _col_sets(self):
-        """The mode-1 indices, and their rows of mats[1], that an actor row
-        pairs with: a row in the block, and any other row."""
-        region = self.region
-        if region.complement:
-            col_sets = (np.flatnonzero(~region._in_cols), np.arange(region.shape[1]))
-        else:
-            col_sets = (region.cols, region.cols[:0])
-        return [(cols, self.mats[1][cols]) for cols in col_sets]
-
-    def row(self, i):
-        """Actor row ``i``'s region columns and their cells' reconstructions,
-        in one matrix product against the tail."""
-        cols, second = self._col_sets[0 if self.region._in_rows[i] else 1]
-        return cols, (self.mats[0][i] * second) @ self.tail.T
-
-    def count_refined(self, ii, jj):
-        """Cells above the threshold of the pairs ``(ii, jj)``, reconstructed
-        against the tail rows of the actions that survive the pair x action
-        bound for some pair of a chunk, a chunk of pairs at a time."""
-        if not ii.size:
+            in_region = (self._in_rows[chunk, None] & self._in_cols) != self.complement
+            # not ``> cut``: a bound that overflows to NaN keeps its pair
+            survive = ~(np.take(first, chunk, axis=0) @ mats[1].T <= cut) & in_region
+            live.append(chunk[survive.any(axis=1)])
+        live = np.concatenate(live)
+        if not live.size:
             return 0
-        k = self.tail.shape[1]
-        blocks = np.arange(len(self.tail)).reshape(len(self.action_top), -1)
-        step = max(1, _CHUNK_CELLS // max(k, len(self.tail)))
+        tail = _khatri_rao_tail(mats)
+        if self.complement:
+            block_row_cols, other_row_cols = np.flatnonzero(~self._in_cols), np.arange(self.shape[1])
+        else:
+            block_row_cols, other_row_cols = self.cols, self.cols[:0]
+        inside, outside = (np.take(mats[1], cols, axis=0) for cols in (block_row_cols, other_row_cols))
         count = 0
-        for lo in range(0, ii.size, step):
-            i, j = ii[lo:lo + step], jj[lo:lo + step]
-            pairs = np.take(self.mats[0], i, axis=0) * np.take(self.mats[1], j, axis=0)
-            cells, tail_ix = pairs @ self.action_top.T, blocks.ravel()
-            if blocks.shape[1] > 1:  # else the action bound is the cell itself
-                survive = self.survive(cells)
-                keep, acts = np.flatnonzero(survive.any(axis=1)), np.flatnonzero(survive.any(axis=0))
-                i, j, tail_ix = i[keep], j[keep], blocks[acts].ravel()
-                cells = np.take(pairs, keep, axis=0) @ np.take(self.tail, tail_ix, axis=0).T
-            count += self._count(cells, i, j, tail_ix)
+        for i in live.tolist():
+            recon = (mats[0][i] * (inside if self._in_rows[i] else outside)) @ tail.T
+            count += int(np.count_nonzero(recon > threshold))
         return count
 
-    def _count(self, cells, ii, jj, tail_ix):
-        """Entries of ``cells`` above the threshold: the reconstructions of
-        the pairs ``(ii, jj)`` (rows) at the tail rows ``tail_ix``
-        (columns).  An entry within the slack of the threshold is decided by
-        its actor row's product."""
-        hi = (self.threshold + self.floor) / (2.0 - self.rel)
-        count = int(np.count_nonzero(cells > hi))
-        if np.count_nonzero(cells >= self.cut) == count:
-            return count
-        rows = {}
-        for r, c in zip(*np.nonzero((cells >= self.cut) & ~(cells > hi))):
-            i = int(ii[r])
-            if i not in rows:
-                rows[i] = self.row(i)
-            cols, values = rows[i]
-            count += int(values[np.searchsorted(cols, jj[r]), tail_ix[c]] > self.threshold)
-        return count
+
+# ``count_recon_above`` bounds a chunk of actor rows of at most about this
+# many pairs at a time.
+_CHUNK_PAIRS = 1 << 16
+
+
+def _khatri_rao_tail(mats):
+    """The Khatri-Rao product of modes 2.., the first one's index slowest,
+    multiplied in mode order onto ones."""
+    k = mats[0].shape[1]
+    tail = np.ones((1, k))
+    for mat in mats[2:]:
+        tail = (tail[:, None, :] * mat[None, :, :]).reshape(-1, k)
+    return tail
 
 
 def _colsum(mat):

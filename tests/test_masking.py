@@ -1,6 +1,6 @@
 """Cell regions and region sums, checked against dense enumeration."""
 
-from contextlib import ExitStack, nullcontext
+from contextlib import nullcontext
 from unittest import mock
 
 import numpy as np
@@ -228,18 +228,15 @@ class TestCountReconAbove:
         assert oracle_count_recon_above(region, mats, 0.5) == 2 * 4
 
 
-def chunk_cells(n):
-    """Patch the count's chunk size to ``n`` cells (None: leave it)."""
-    return nullcontext() if n is None else mock.patch.object(masking, "_CHUNK_CELLS", n)
+def chunk_pairs(n):
+    """Patch the count's chunk size to ``n`` pairs (None: leave it)."""
+    return nullcontext() if n is None else mock.patch.object(masking, "_CHUNK_PAIRS", n)
 
 
-def forbid(*names):
-    """Make each named ``masking._Cells`` method raise if it is called."""
-    stack = ExitStack()
-    for name in names:
-        stack.enter_context(mock.patch.object(
-            masking._Cells, name, side_effect=AssertionError(f"{name} was called")))
-    return stack
+def no_reconstruction():
+    """Make the count raise if it builds the tail to reconstruct any row."""
+    return mock.patch.object(
+        masking, "_khatri_rao_tail", side_effect=AssertionError("a row was reconstructed"))
 
 
 def row_values(region, mats, i):
@@ -255,8 +252,8 @@ def row_values(region, mats, i):
 @st.composite
 def count_cases(draw):
     """Gamma(0.4) factors, whose cells spread over orders of magnitude, so
-    that a threshold at a quantile of the region's cells has pair and pair x
-    action bounds on both sides of it."""
+    that a threshold at a quantile of the region's cells has pair bounds on
+    both sides of it."""
     n_modes = draw(st.integers(3, 5))
     shape = (draw(st.integers(1, 7)), draw(st.integers(1, 7)))
     shape += tuple(draw(st.integers(1, 4)) for _ in range(n_modes - 2))
@@ -278,8 +275,8 @@ def count_cases(draw):
 
 
 class TestPrunedCountMatchesOracle:
-    """``count_recon_above`` prunes by bounds; its count is the row-product
-    oracle's (``conftest.oracle_count_recon_above``) exactly."""
+    """``count_recon_above`` prunes actor rows by pair bounds; its count is
+    the row-product oracle's (``conftest.oracle_count_recon_above``) exactly."""
 
     @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(case=count_cases())
@@ -292,7 +289,7 @@ class TestPrunedCountMatchesOracle:
         elif threshold == "tie":  # a cell's own value, in the oracle's arithmetic
             values = row_values(region, mats, case["row"])
             threshold = float(values.flat[int(case["quantile"] * (values.size - 1))]) if values.size else 0.5
-        with chunk_cells(case["chunk"]):
+        with chunk_pairs(case["chunk"]):
             got = region.count_recon_above(mats, threshold)
         assert got == oracle_count_recon_above(region, mats, threshold)
 
@@ -302,7 +299,7 @@ class TestPrunedCountMatchesOracle:
         mats = random_factors(shape, 3, rng, low=0.0, high=1.0).factors
         region = make_region(shape, [0, 2, 3], [1, 4], complement)
         # above every pair's bound: nothing is reconstructed or counted
-        with forbid("row", "_count"):
+        with no_reconstruction():
             assert region.count_recon_above(mats, 3.0 * 4.0) == 0
         assert oracle_count_recon_above(region, mats, 3.0 * 4.0) == 0
 
@@ -317,27 +314,43 @@ class TestPrunedCountMatchesOracle:
 
     @pytest.mark.parametrize("shape", [(7, 8, 3), (7, 8, 3, 5), (7, 8, 2, 3, 2)])
     @pytest.mark.parametrize("chunk", [None, 1, 50])
-    def test_rows_with_few_surviving_pairs_are_refined(self, rng, shape, chunk):
-        # only the pairs of actor 0 in mode 1 can cross the thresholds, so no
-        # row is reconstructed whole; ties at the oracle's own cell values
-        # are decided by the row product
+    def test_rows_without_a_surviving_pair_are_skipped(self, rng, shape, chunk):
+        # only actor 0 of mode 0 has pairs that can cross the thresholds:
+        # every other pair's bound is at most 24 * 0.001 * 0.1, below them
+        # all, so those rows are skipped; thresholds sit between actor 0's
+        # cell values and on them, where ties are not counted
         k = 24
         mats = [rng.uniform(0.5, 1.0, size=(s, k)) for s in shape]
-        mats[0] = rng.uniform(0.0, 0.1, size=(shape[0], k))
-        mats[1] = rng.uniform(0.0, 0.001, size=(shape[1], k))
-        mats[1][0] = rng.uniform(1.0, 2.0, size=k)
-        # rows 1 and 4 do not pair with actor 0: their other pairs are pruned
+        mats[0] = rng.uniform(0.0, 0.001, size=(shape[0], k))
+        mats[0][0] = rng.uniform(1.0, 2.0, size=k)
+        mats[1] = rng.uniform(0.0, 0.1, size=(shape[1], k))
         region = Region(shape, rows=[1, 4], cols=[0, 3], complement=True)
-        values = np.sort(np.concatenate(
-            [row_values(region, mats, i)[0] for i in range(shape[0]) if i not in (1, 4)]))
+        values = np.sort(row_values(region, mats, 0).ravel())
         assert values[0] > 0.01
-        between = (values[:-1] + values[1:]) / 2
-        thresholds = [*between[::3], *rng.choice(values, 8)]
-        with chunk_cells(chunk), forbid("row"):
-            got = [region.count_recon_above(mats, t) for t in between[::3]]
-        with chunk_cells(chunk):
-            got += [region.count_recon_above(mats, t) for t in thresholds[len(got):]]
+        thresholds = [*((values[:-1] + values[1:]) / 2)[::3], *rng.choice(values, 8)]
+        with chunk_pairs(chunk), mock.patch.object(
+                masking, "_khatri_rao_tail", wraps=masking._khatri_rao_tail) as tail:
+            got = [region.count_recon_above(mats, t) for t in thresholds]
+        assert tail.call_count == len(thresholds)  # actor 0's row survives each time
         assert got == [oracle_count_recon_above(region, mats, t) for t in thresholds]
+
+    @pytest.mark.parametrize("complement", [False, True, WHOLE])
+    @pytest.mark.parametrize("scale", [1.0, 2.0 ** -1050])
+    def test_thresholds_at_the_pair_bounds(self, rng, complement, scale):
+        # with one index in every later mode, each cell's tail row is ``top``,
+        # so a cell and its pair's bound differ by rounding alone and a
+        # threshold at a bound's value has cells an ulp on either side of it;
+        # the small scale makes the cells subnormal
+        shape = (5, 6, 1, 1)
+        region = make_region(shape, [0, 2], [1, 3, 4], complement)
+        for _ in range(10):
+            k = int(rng.integers(2, 9))
+            mats = [rng.gamma(0.5, 1.0, size=(s, k)) for s in shape]
+            mats[0] *= scale
+            bounds = (mats[0] * (mats[2][0] * mats[3][0])) @ mats[1].T
+            for threshold in bounds.ravel():
+                assert region.count_recon_above(mats, threshold) == oracle_count_recon_above(
+                    region, mats, threshold)
 
     def test_an_overflowing_bound_keeps_its_pair(self):
         # the pair bound of actor 0 is 0 * inf (NaN), yet some of its cells
@@ -355,5 +368,5 @@ class TestPrunedCountMatchesOracle:
         shape = (4, 5, 2, 3)
         mats = random_factors(shape, 2, rng).factors
         for region in (Region(shape, [], [1, 2]), Region(shape, [0], [])):
-            with forbid("row", "_count"):
+            with no_reconstruction():
                 assert region.count_recon_above(mats, -1.0) == 0
