@@ -10,8 +10,9 @@ KL update in ``ntf`` allocates over log factors, so it holds for any shape
 ``alpha`` > 0 however small.  The evidence lower bound uses the standard
 auxiliary-count tightening, so the count term needs only the stored entries
 and the reconstruction mass has a closed form.  The kernel pass behind the
-count term also allocates the next shape update's counts, and heldout
-inference does its frozen modes' work once per call, not once per sweep.
+count term also allocates the next shape update's counts.  One driver runs
+the sweeps: over every mode for a fit, over the time mode alone, with the
+other modes frozen, for heldout inference.
 """
 
 from __future__ import annotations
@@ -51,10 +52,10 @@ class Hyperparameters:
 
     def __post_init__(self):
         object.__setattr__(self, "beta", tuple(float(b) for b in self.beta))
-        if not self.alpha > 0:
-            raise ConfigError("alpha must be positive")
-        if any(b <= 0 for b in self.beta):
-            raise ConfigError("every beta must be positive")
+        if not 0 < self.alpha < np.inf:
+            raise ConfigError("alpha must be positive and finite")
+        if not all(0 < b < np.inf for b in self.beta):
+            raise ConfigError("every beta must be positive and finite")
 
     @classmethod
     def default(cls, n_modes: int, alpha: float = 0.1, beta: float = 1.0):
@@ -218,15 +219,12 @@ def update_delta(
     Refreshes the mode's caches.
     """
     region = region or Region.whole(state.shape)
-    _set_rate(state, mode, hyper.rate(mode) + region.other_mode_sums(state.expect, mode))
-    return state
-
-
-def _set_rate(state, mode, new):
+    new = hyper.rate(mode) + region.other_mode_sums(state.expect, mode)
     if not np.all(np.isfinite(new)):
         raise NumericalDegeneracyError(f"rate update overflowed in mode {mode}")
     state.delta[mode] = new
     state.refresh(mode)
+    return state
 
 
 def update_beta(
@@ -281,17 +279,6 @@ def _elbo(log_mass, y, log_y_factorials, mass, priors) -> float:
     return elbo
 
 
-def _elbo_pass(state, t, hyper, region, mode=None):
-    """``compute_elbo`` and, from the same kernel pass, the counts allocated
-    to ``mode`` (None without one): state.elog is what the next shape update
-    of ``mode`` would read, so that update can take them."""
-    log_mass, allocated = _count_shares(state.elog, t, mode)
-    y = t.values.astype(np.float64)
-    priors = [_gamma_prior_terms(state, hyper, m) for m in range(state.n_modes)]
-    value = _elbo(log_mass, y, gammaln(y + 1.0).sum(), region.sum_recon(state.expect), priors)
-    return value, allocated
-
-
 def compute_elbo(
     state: VariationalState,
     t: SparseCountTensor,
@@ -307,7 +294,11 @@ def compute_elbo(
     products, and each factor adds its Gamma prior cross-entropy and
     entropy.  Raises if any named term goes non-finite.
     """
-    return _elbo_pass(state, t, hyper, region or Region.whole(state.shape))[0]
+    region = region or Region.whole(state.shape)
+    log_mass, _ = _count_shares(state.elog, t)
+    y = t.values.astype(np.float64)
+    priors = [_gamma_prior_terms(state, hyper, m) for m in range(state.n_modes)]
+    return _elbo(log_mass, y, gammaln(y + 1.0).sum(), region.sum_recon(state.expect), priors)
 
 
 def fit(t: SparseCountTensor, config: FitConfig, hyper: Hyperparameters | None = None):
@@ -318,37 +309,56 @@ def fit(t: SparseCountTensor, config: FitConfig, hyper: Hyperparameters | None =
     are then re-fit.  Stops when the relative ELBO change drops below the
     tolerance or after ``max_iterations`` sweeps; non-convergence is
     reported in the trace, not raised.  Returns (state, hyper, trace).
-
-    Each sweep's ELBO pass also allocates the next sweep's mode-0 counts
-    (re-fitting beta leaves ``elog`` alone): M kernel passes a sweep, not
-    M + 1, after the first.
     """
     if hyper is None:
         hyper = Hyperparameters.default(t.ndim)
     state = init_state(t.shape, config, hyper)
-    region = Region.whole(t.shape)
+    hyper, trace, betas = _ascend_modes(
+        state, t, hyper, Region.whole(t.shape), config, range(t.ndim), learn_beta=config.learn_beta
+    )
+    trace.betas = betas
+    return state, hyper, trace
+
+
+def _ascend_modes(state, t, hyper, region, config, modes, frozen=None, learn_beta=False):
+    """Coordinate ascent of ``modes`` (ascending) of ``state`` over the
+    stored entries of ``t``, all inside ``region``: per sweep each mode's
+    shape then rate update, then with ``learn_beta`` those modes' rate
+    multipliers, then the ELBO.  Returns (hyper, trace, the betas in force
+    per sweep).
+
+    ``frozen``, a ``cp._FrozenModes`` of ``t`` over every mode but the last,
+    is passed on to the kernel passes; ``modes`` must then be the last mode
+    alone.  The other modes' prior terms and the counts' log factorials are
+    taken once.  Each ELBO pass also allocates the next sweep's first-mode
+    counts (re-fitting beta leaves ``elog`` alone): one kernel pass per mode
+    a sweep, after the first sweep's extra one.
+    """
+    priors = [
+        None if m in modes else _gamma_prior_terms(state, hyper, m) for m in range(state.n_modes)
+    ]
+    y = t.values.astype(np.float64)
+    log_y_factorials = gammaln(y + 1.0).sum()
     betas = []
     allocated = None
 
     def sweep():
         nonlocal hyper, allocated
-        for mode in range(t.ndim):
-            if allocated is None:  # the public update, which bench/spans.py times
-                update_gamma(state, t, mode, hyper)
-            else:
-                _update_shape(state, t, mode, hyper, allocated)
-                allocated = None
+        for mode in modes:
+            _update_shape(state, t, mode, hyper, allocated, frozen)
+            allocated = None
             update_delta(state, t, mode, hyper, region=region)
-        if config.learn_beta:
-            for mode in range(t.ndim):
+        if learn_beta:
+            for mode in modes:
                 hyper = update_beta(state, mode, hyper)
         betas.append(hyper.beta)
-        value, allocated = _elbo_pass(state, t, hyper, region, 0)
-        return value
+        log_mass, allocated = _count_shares(state.elog, t, modes[0], frozen)
+        for mode in modes:
+            priors[mode] = _gamma_prior_terms(state, hyper, mode)
+        return _elbo(log_mass, y, log_y_factorials, region.sum_recon(state.expect), priors)
 
     trace = _ascend(sweep, config.max_iterations, config.relative_elbo_tolerance)
-    trace.betas = betas
-    return state, hyper, trace
+    return hyper, trace, betas
 
 
 def point_estimate(state: VariationalState, kind: str) -> FactorSet:
@@ -383,13 +393,13 @@ def infer_heldout_time_factors(
 
     The state's frozen modes share the trained state's arrays and caches;
     its time mode starts where ``init_state`` would start it for the test
-    shape (the frozen modes' draws are made, in order, and dropped).  The
-    frozen modes' work is done once per call: each observed entry's summed
-    frozen log rows (``cp._FrozenModes``, nnz_obs * K * 8 bytes), the time
-    rate (the frozen modes' mass never changes), the region's frozen
-    column-sum product and the frozen modes' prior terms.  A sweep
-    then costs one kernel pass over the observed entries, O(nnz_obs * K),
-    whose ELBO also allocates the next sweep's shape update.
+    shape (the frozen modes' draws are made, in order, and dropped).  A
+    sweep is ``fit``'s own sweep over the time mode alone, without beta
+    re-fits; what never changes is taken once per call: each observed
+    entry's summed frozen log rows (``cp._FrozenModes``, nnz_obs * K * 8
+    bytes) and the frozen modes' prior terms.  A sweep then costs one kernel
+    pass over the observed entries, O(nnz_obs * K), whose ELBO also
+    allocates the next sweep's shape update.
     """
     observed = _observed_part(trained.shape, test_slice, region)
     time_mode = trained.n_modes - 1
@@ -401,23 +411,7 @@ def infer_heldout_time_factors(
         trained.elog[:time_mode] + [None],
     )
     frozen = _FrozenModes(observed, logs=state.elog[:time_mode])
-    rate = hyper.rate(time_mode) + region.other_mode_sums(state.expect, time_mode)
-    column_sums = region._frozen_part(state.expect)
-    priors = [_gamma_prior_terms(state, hyper, m) for m in range(time_mode)]
-    y = observed.values.astype(np.float64)
-    log_y_factorials = gammaln(y + 1.0).sum()
-    allocated = None
-
-    def sweep():
-        nonlocal allocated
-        _update_shape(state, observed, time_mode, hyper, allocated, frozen)
-        _set_rate(state, time_mode, rate)
-        log_mass, allocated = _count_shares(state.elog, observed, time_mode, frozen)
-        mass = float((column_sums * state.expect[time_mode].sum(axis=0)).sum())
-        terms = [*priors, _gamma_prior_terms(state, hyper, time_mode)]
-        return _elbo(log_mass, y, log_y_factorials, mass, terms)
-
-    trace = _ascend(sweep, config.max_iterations, config.relative_elbo_tolerance)
+    _, trace, _ = _ascend_modes(state, observed, hyper, region, config, [time_mode], frozen)
     return state, trace
 
 

@@ -8,8 +8,11 @@ factorizes into per-mode column sums.  ``_allocate`` is the Poisson count
 allocation behind both the BPTF shape update and the KL update: a
 per-entry softmax over summed log factors, run block by block.  In training
 the tensor's cached gather matrices sum the log rows
-(``SparseCountTensor._block_gather``); in heldout inference a per-entry
-prefix of the frozen modes (``_FrozenModes``) plus the time row does.
+(``SparseCountTensor._block_gather``); in heldout inference, which runs
+each fitter's own sweeps over the time mode alone, a per-entry prefix of
+the frozen modes (``_FrozenModes``) plus the time row does, and the NTF
+objective reads its reconstructions from the same prefix.  ``_ascend``
+runs every fitter's sweeps to convergence.
 """
 
 from __future__ import annotations

@@ -6,12 +6,12 @@ each test slice from its observed region (the top-n' actor block or its
 complement, a ``masking.Region``), then score the reconstruction over the
 other region, the heldout one.  Scores are averaged over several random
 splits.  Each split is fitted once per model and shared by every region
-scored on it.  Heldout inference does its frozen modes' work once per
-call (per-entry prefixes of nnz_obs * K * 8 bytes, twice for NTF-KL, and
-the frozen column-sum, Gram and prior terms), then O(nnz_obs * K) per
-sweep for the time mode.  Zero cells of the heldout region are never
-materialized: the absolute-error mass over zeros has a closed form, and
-the thresholded count (``Region.count_recon_above``) costs O(n0 * n1 * K)
+scored on it.  Heldout inference runs each model's fit loop over the
+time mode alone, with per-entry prefixes of the frozen modes (nnz_obs *
+K * 8 bytes, twice for NTF-KL) taken once per call: O(nnz_obs * K) per
+sweep.  Zero cells of the heldout region are never materialized: the
+absolute-error mass over zeros has a closed form, and the thresholded
+count (``Region.count_recon_above``) costs O(n0 * n1 * K)
 for its actor-pair bounds plus the cells of the actor rows that survive
 them.
 """

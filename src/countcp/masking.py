@@ -160,19 +160,6 @@ class Region:
         """Sum of the squared CP reconstruction over the region."""
         return float(self._times_tail(self._pair_part(mats, _gram), mats, _gram).sum())
 
-    def _frozen_part(self, mats, squared=False) -> np.ndarray:
-        """The column-sum (or, ``squared``, Gram) product of every mode but
-        the last, the time mode of heldout inference.
-
-        The last mode is never an actor mode, so its column sums times this
-        part give ``component_sums``, and its Gram times this part
-        ``sum_sq_recon``'s, with the same bits; its factors times this part
-        are its ``gram_denominator``, and this part is each row of its
-        ``other_mode_sums``.
-        """
-        reduce = _gram if squared else _colsum
-        return self._times_tail(self._pair_part(mats, reduce), mats, reduce, len(self.shape) - 1)
-
     def gram_denominator(self, mats, mode: int) -> np.ndarray:
         """Row-wise sums of (other-mode factor product) * reconstruction.
 

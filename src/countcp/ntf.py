@@ -10,8 +10,9 @@ makes over the expected log factors.  A call without a region means the
 whole tensor (``Region.whole``).  Factors are floored at a small epsilon
 after every sweep so that a zero that the multiplicative rule cannot escape
 (an inadmissible zero) only occurs when the floor is explicitly set to 0.
-Heldout inference does its frozen modes' work once per call, so a sweep
-costs O(nnz_obs * K) for the time mode alone.
+One driver runs the sweeps: over every mode for a fit, over the time mode
+alone, with the other modes frozen, for heldout inference, whose frozen
+per-entry products cost O(nnz_obs * K) once per call.
 """
 
 from __future__ import annotations
@@ -61,8 +62,8 @@ class NtfConfig:
             raise ConfigError("seed must be non-negative")
         if self.cost not in COSTS:
             raise ConfigError(f"cost must be one of {COSTS}, got {self.cost!r}")
-        if self.epsilon_floor < 0:
-            raise ConfigError("epsilon_floor must be non-negative")
+        if not 0 <= self.epsilon_floor < np.inf:
+            raise ConfigError("epsilon_floor must be non-negative and finite")
 
 
 def squared_error(
@@ -111,7 +112,17 @@ def ntf_kl_sweep(
     under a stored count is an inadmissible zero and raises.
     """
     region = region or Region.whole(t.shape)
-    allocated = _kl_allocation(_logs(f.factors), region.restrict(t), mode)
+    return _kl_step(f, region.restrict(t), mode, region, epsilon_floor)
+
+
+def _kl_step(f, part, mode, region, epsilon_floor, frozen=None):
+    """``ntf_kl_sweep`` over ``part``, stored entries all inside ``region``;
+    ``frozen`` is passed on to ``cp._count_shares``.  The numerator times
+    the factors is ``cp._allocate`` of the counts."""
+    allocated = np.zeros((part.shape[mode], f.k))
+    dead = _allocate(_logs(f.factors), part, mode, allocated, frozen)
+    if dead is not None:
+        raise InadmissibleZeroError(f"zero reconstruction under count at entry {dead}")
     ratio = _ratio(allocated, region.other_mode_sums(f.factors, mode))
     return f.replace_mode(mode, np.maximum(ratio, epsilon_floor))
 
@@ -119,15 +130,6 @@ def ntf_kl_sweep(
 def _logs(mats):
     with np.errstate(divide="ignore"):  # a zero factor is a weight of exactly 0
         return [np.log(m) for m in mats]
-
-
-def _kl_allocation(logs, t, mode, frozen=None):
-    """The KL numerator times the factors: ``cp._allocate`` of the counts."""
-    allocated = np.zeros((t.shape[mode], logs[-1].shape[1]))
-    dead = _allocate(logs, t, mode, allocated, frozen)
-    if dead is not None:
-        raise InadmissibleZeroError(f"zero reconstruction under count at entry {dead}")
-    return allocated
 
 
 def ntf_ls_sweep(
@@ -144,32 +146,46 @@ def ntf_ls_sweep(
     the Gram-product identity.
     """
     region = region or Region.whole(t.shape)
-    part = region.restrict(t)
-    numer = _ls_numerator(
-        part, mode, f.k, lambda rows: _entry_products(f.factors, part.coords[rows], skip=mode)
-    )
+    return _ls_step(f, region.restrict(t), mode, region, epsilon_floor)
+
+
+def _ls_step(f, part, mode, region, epsilon_floor, frozen=None):
+    """``ntf_ls_sweep`` over ``part``, stored entries all inside ``region``;
+    with ``frozen`` (a ``cp._FrozenModes``, ``mode`` the last) the numerator
+    reads its entry products."""
+    numer = _ls_numerator(part, f.factors, mode, frozen)
     denom = region.gram_denominator(f.factors, mode)
-    return f.replace_mode(mode, _ls_update(f.factors[mode], numer, denom, mode, epsilon_floor))
+    if np.any((denom == 0.0) & (numer > 0.0)):
+        raise DegenerateUpdateError(f"zero Euclidean denominator in mode {mode}")
+    return f.replace_mode(mode, np.maximum(f.factors[mode] * _ratio(numer, denom), epsilon_floor))
 
 
-def _ls_numerator(part, mode, k, other):
-    """Each stored count times ``other(rows)``, the other modes' factor
-    products over a block of entries, summed per ``mode`` index."""
+def _ls_numerator(part, mats, mode, frozen=None):
+    """Each stored count times the other modes' factor product, summed per
+    ``mode`` index."""
+    k = mats[0].shape[1]
     step = _block_step(k)
     numer = np.zeros((part.shape[mode], k))
     for rows, incidence in zip(part._block_rows(step), part._block_incidence(step, mode)):
-        numer += incidence @ (other(rows) * part.values[rows, None])
+        if frozen is None:
+            other = _entry_products(mats, part.coords[rows], skip=mode)
+        else:
+            other = frozen.products[rows]
+        numer += incidence @ (other * part.values[rows, None])
     return numer
 
 
-def _ls_update(current, numer, denom, mode, epsilon_floor):
-    if np.any((denom == 0.0) & (numer > 0.0)):
-        raise DegenerateUpdateError(f"zero Euclidean denominator in mode {mode}")
-    return np.maximum(current * _ratio(numer, denom), epsilon_floor)
-
-
-def _objective(t, f, cost, region=None):
-    return generalized_kl(t, f, region) if cost == "kl" else squared_error(t, f, region)
+def _objective(t, f, cost, region, frozen=None):
+    """The fit's cost; with ``frozen`` (a ``cp._FrozenModes`` of ``t``, whose
+    entries all lie in ``region``) each entry's reconstruction is its frozen
+    product times its last-mode row, the same bits."""
+    if frozen is None:
+        return generalized_kl(t, f, region) if cost == "kl" else squared_error(t, f, region)
+    y = t.values.astype(np.float64)
+    yhat = frozen.recon(f.factors[-1])
+    if cost == "kl":
+        return _kl_from_recon(y, yhat, region.sum_recon(f.factors))
+    return _squared_error_from_recon(y, yhat, region.sum_sq_recon(f.factors))
 
 
 def init_factors(t: SparseCountTensor, config: NtfConfig) -> FactorSet:
@@ -192,15 +208,22 @@ def fit_ntf(t: SparseCountTensor, config: NtfConfig):
     Sweeps the modes in ascending order and stops when the relative change
     of the cost drops below the tolerance or max_iterations is reached.
     """
-    update = ntf_kl_sweep if config.cost == "kl" else ntf_ls_sweep
-    region = Region.whole(t.shape)
-    f = init_factors(t, config)
+    return _descend(init_factors(t, config), t, Region.whole(t.shape), config, range(t.ndim))
+
+
+def _descend(f, t, region, config, modes, frozen=None):
+    """Multiplicative updates of ``modes`` (ascending) of ``f`` over the
+    stored entries of ``t``, all inside ``region``, then the cost, sweep
+    after sweep (``cp._ascend``).  ``frozen``, a ``cp._FrozenModes`` of
+    ``t`` over every mode but the last, serves the updates and the cost;
+    ``modes`` must then be the last mode alone.  Returns (FactorSet, Trace)."""
+    step = _kl_step if config.cost == "kl" else _ls_step
 
     def sweep():
         nonlocal f
-        for mode in range(t.ndim):
-            f = update(f, t, mode, region, config.epsilon_floor)
-        return _objective(t, f, config.cost, region)
+        for mode in modes:
+            f = step(f, t, mode, region, config.epsilon_floor, frozen)
+        return _objective(t, f, config.cost, region, frozen)
 
     trace = _ascend(sweep, config.max_iterations, config.relative_objective_tolerance)
     return f, trace
@@ -220,12 +243,10 @@ def infer_heldout_time_factors_ntf(
     ValueError).  Returns (FactorSet, Trace) where the factor set's time
     matrix holds one row per test step.
 
-    The frozen modes' work is done once per call: each observed entry's
-    frozen factor product (``cp._FrozenModes``, nnz_obs * K * 8 bytes; KL
-    adds its frozen log sum, as much again), the update's denominator part
-    (column-sum or Gram products) and the objective's frozen mass; the
-    Euclidean numerator does not change, so it is taken once too.  A sweep
-    then costs O(nnz_obs * K) for the time mode alone.
+    A sweep is ``fit_ntf``'s own sweep over the time mode alone.  Each
+    observed entry's frozen factor product (``cp._FrozenModes``, nnz_obs *
+    K * 8 bytes; KL adds its frozen log sum, as much again) is taken once
+    per call, so a sweep costs O(nnz_obs * K) for the time mode alone.
     """
     observed = _observed_part(trained.shape, test_slice, region)
     time_mode = trained.ndim - 1
@@ -236,55 +257,6 @@ def infer_heldout_time_factors_ntf(
     total = float(observed.values.sum())
     if mass > 0.0 and total > 0.0:
         f = f.replace_mode(time_mode, time0 * (total / mass))
-
-    heldout = _heldout_kl if config.cost == "kl" else _heldout_ls
-    update = heldout(f.factors, observed, region, config.epsilon_floor)
-
-    def sweep():
-        nonlocal f
-        f, objective = update(f)
-        return objective
-
-    trace = _ascend(sweep, config.max_iterations, config.relative_objective_tolerance)
-    return f, trace
-
-
-def _heldout_kl(mats, observed, region, epsilon_floor):
-    """``update(f) -> (f, objective)``: the KL update of the last mode and
-    its objective, with the work of the other modes of ``mats`` taken once."""
-    time_mode = len(mats) - 1
-    frozen = _FrozenModes(observed, mats[:time_mode], _logs(mats[:time_mode]))
-    denom = region.other_mode_sums(mats, time_mode)
-    column_sums = region._frozen_part(mats)
-    y = observed.values.astype(np.float64)
-
-    def update(f):
-        allocated = _kl_allocation(_logs(f.factors[time_mode:]), observed, time_mode, frozen)
-        f = f.replace_mode(time_mode, np.maximum(_ratio(allocated, denom), epsilon_floor))
-        time = f.factors[time_mode]
-        mass = float((column_sums * time.sum(axis=0)).sum())
-        return f, _kl_from_recon(y, frozen.recon(time), mass)
-
-    return update
-
-
-def _heldout_ls(mats, observed, region, epsilon_floor):
-    """``update(f) -> (f, objective)``: the Euclidean update of the last
-    mode and its objective, with the work of the other modes of ``mats``
-    taken once; the numerator reads only those modes."""
-    time_mode = len(mats) - 1
-    frozen = _FrozenModes(observed, mats[:time_mode])
-    numer = _ls_numerator(observed, time_mode, mats[0].shape[1],
-                          lambda rows: frozen.products[rows])
-    grams = region._frozen_part(mats, squared=True)
-    y = observed.values.astype(np.float64)
-
-    def update(f):
-        time = f.factors[time_mode]
-        time = _ls_update(time, numer, time @ grams, time_mode, epsilon_floor)
-        f = f.replace_mode(time_mode, time)
-        time = f.factors[time_mode]
-        sq_mass = float((grams * (time.T @ time)).sum())
-        return f, _squared_error_from_recon(y, frozen.recon(time), sq_mass)
-
-    return update
+    mats = f.factors[:time_mode]
+    frozen = _FrozenModes(observed, mats, _logs(mats) if config.cost == "kl" else None)
+    return _descend(f, observed, region, config, [time_mode], frozen)

@@ -473,6 +473,40 @@ class TestInvalidOptionValues:
         assert one_error_line(capsys)
 
     @pytest.mark.parametrize(
+        "command, extra, message",
+        [
+            ("fit", ["--model", "bptf", "--alpha", "inf"], "alpha must be positive and finite"),
+            ("fit", ["--model", "bptf", "--beta", "nan"], "every beta must be positive and finite"),
+            ("fit", ["--model", "bptf", "--beta", "inf"], "every beta must be positive and finite"),
+            ("fit", ["--model", "ntf-kl", "--epsilon-floor", "nan"],
+             "epsilon_floor must be non-negative and finite"),
+            ("fit", ["--model", "ntf-kl", "--epsilon-floor", "inf"],
+             "epsilon_floor must be non-negative and finite"),
+            ("synth", ["--alpha", "inf"], "alpha must be positive and finite"),
+            ("synth", ["--beta", "nan"], "every beta must be positive and finite"),
+            ("eval", ["--n-primes", "3", "--alpha", "inf"], "alpha must be positive and finite"),
+            ("eval", ["--n-primes", "3", "--epsilon-floor", "nan"],
+             "epsilon_floor must be non-negative and finite"),
+        ],
+        ids=["fit-alpha-inf", "fit-beta-nan", "fit-beta-inf", "fit-epsilon-floor-nan",
+             "fit-epsilon-floor-inf", "synth-alpha-inf", "synth-beta-nan", "eval-alpha-inf",
+             "eval-epsilon-floor-nan"],
+    )
+    def test_non_finite_hyperparameter_exits_1(self, synth_tensor, tmp_path, capsys,
+                                               monkeypatch, command, extra, message):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a model was fitted")
+
+        monkeypatch.setattr(countcp.bptf, "fit", no_fit)
+        monkeypatch.setattr(countcp.ntf, "fit_ntf", no_fit)
+        source = (["--shape", "3,3,2"] if command == "synth"
+                  else ["--tensor", str(synth_tensor / "tensor.txt")])
+        capsys.readouterr()
+        code = main([command, *source, *extra, "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize(
         "specs, label",
         [(["a/tensor.txt", "b/tensor.txt"], "tensor"), (["x=a/tensor.txt", "x=b/tensor.txt"], "x")],
         ids=["path-stems", "explicit-labels"],

@@ -88,7 +88,7 @@ def block_entries(step, k):
 def check_heldout(family, trained, test, region, k, seed, iterations, tolerance,
                   alpha=0.1, floor=1e-12):
     if family == "bptf":
-        hyper = Hyperparameters(alpha=alpha, beta=(1.0, 0.5, 2.0, 1.5)[:test.ndim])
+        hyper = Hyperparameters(alpha=alpha, beta=(1.0, 0.5, 2.0, 1.5, 0.8)[:test.ndim])
         config = FitConfig(k=k, max_iterations=iterations, relative_elbo_tolerance=tolerance,
                            seed=seed)
         assert_same_bptf(outcome(infer_heldout_time_factors, trained, hyper, test, region, config),
@@ -103,7 +103,8 @@ def check_heldout(family, trained, test, region, k, seed, iterations, tolerance,
 @st.composite
 def heldout_cases(draw):
     n = draw(st.integers(2, 6))
-    shape = (n, n, draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    middle = draw(st.lists(st.integers(1, 3), min_size=0, max_size=2))  # 3 to 5 modes
+    shape = (n, n, *middle, draw(st.integers(1, 4)))
     cells = int(np.prod(shape))
     if draw(st.booleans()):
         n_prime = draw(st.sampled_from([1, n]) | st.integers(1, n))
@@ -131,7 +132,7 @@ class TestHeldoutMatchesOracle:
     def test_drawn_masks_families_and_block_sizes(self, case):
         rng = np.random.default_rng(case["seed"])
         test = random_tensor(case["shape"], rng, nnz=case["nnz"])
-        trained_shape = case["shape"][:3] + (3,)
+        trained_shape = case["shape"][:-1] + (3,)
         if case["family"] == "bptf":
             trained = random_state(trained_shape, case["k"], rng)
         else:
