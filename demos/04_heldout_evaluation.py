@@ -39,12 +39,12 @@ print(f"scenario {scenario.label}: heldout density {scenario.density:.4f}, "
       f"VMR {scenario.vmr:.1f} ({elapsed:.1f}s)")
 print(f"{'model':10s} {'MAE':>8s} {'MAE-NZ':>8s} {'HAM-Z':>8s}")
 for model in spec.models:
-    scores = scenario.model_metrics[model]
+    scores = scenario.models[model]
     print(f"{model:10s} {scores['mae']:8.4f} {scores['mae_nz']:8.3f} "
           f"{scores['ham_z']:8.4f}")
 
-geo = scenario.model_metrics["bptf-geo"]
-kl = scenario.model_metrics["ntf-kl"]
-ls = scenario.model_metrics["ntf-ls"]
+geo = scenario.models["bptf-geo"]
+kl = scenario.models["ntf-kl"]
+ls = scenario.models["ntf-ls"]
 print("\nBayesian fit predicts the dense block best:",
       geo["mae"] <= kl["mae"] <= ls["mae"])

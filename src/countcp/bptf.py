@@ -34,7 +34,9 @@ from .cp import (
     save_matrix,
     write_manifest,
 )
-from .errors import ConfigError, IngestionError, NumericalDegeneracyError, NumericalError
+from .errors import (
+    ConfigError, EmptyTensorError, IngestionError, NumericalDegeneracyError, NumericalError,
+)
 from .masking import Region, _observed_part
 from .tensors import SparseCountTensor
 
@@ -292,9 +294,12 @@ def compute_elbo(
     products (a log-sum-exp of the summed expected log factors), the
     reconstruction mass is the closed-form sum of arithmetic expectation
     products, and each factor adds its Gamma prior cross-entropy and
-    entropy.  Raises if any named term goes non-finite.
+    entropy.  Both terms cover the cells of ``region`` (default: the whole
+    tensor) alone; stored entries outside it are left out.  Raises if any
+    named term goes non-finite.
     """
     region = region or Region.whole(state.shape)
+    t = region.restrict(t)
     log_mass, _ = _count_shares(state.elog, t)
     y = t.values.astype(np.float64)
     priors = [_gamma_prior_terms(state, hyper, m) for m in range(state.n_modes)]
@@ -309,7 +314,10 @@ def fit(t: SparseCountTensor, config: FitConfig, hyper: Hyperparameters | None =
     are then re-fit.  Stops when the relative ELBO change drops below the
     tolerance or after ``max_iterations`` sweeps; non-convergence is
     reported in the trace, not raised.  Returns (state, hyper, trace).
+    A tensor with no stored entries raises EmptyTensorError.
     """
+    if t.nnz == 0:
+        raise EmptyTensorError(f"cannot fit a tensor with no stored entries (shape {t.shape})")
     if hyper is None:
         hyper = Hyperparameters.default(t.ndim)
     state = init_state(t.shape, config, hyper)

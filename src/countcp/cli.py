@@ -41,7 +41,11 @@ from .tensors import (
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems as ConfigError (exit code 1)."""
+    """argparse that reports usage problems as ConfigError (exit code 1) and
+    reads no abbreviated flag, so ``eval --seed`` is not taken for ``--seeds``."""
+
+    def __init__(self, **kwargs):
+        super().__init__(allow_abbrev=False, **kwargs)
 
     def error(self, message):
         raise ConfigError(message)
@@ -245,7 +249,7 @@ def cmd_eval(args) -> int:
     write_report_json(report, out / "report.json")
     _echo_config(args, out)
     failed = sum(len(sc.failures) for sc in report.scenarios)
-    scored = sum(len(sc.model_metrics) for sc in report.scenarios)
+    scored = sum(len(sc.models) for sc in report.scenarios)
     print((out / "report.txt").read_text(), end="")
     print(f"wrote {out / 'report.txt'} and {out / 'report.json'}")
     if scored == 0 and failed > 0:
@@ -301,9 +305,6 @@ def cmd_synth(args) -> int:
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value config file")
-    common.add_argument("--seed", type=int, default=0, help="random seed")
-    common.add_argument("--threads", type=int, default=1,
-                        help="max worker threads for independent runs")
     common.add_argument("--output-dir", default=None, help="directory for outputs")
 
     parser = _Parser(prog="countcp", description=__doc__)
@@ -332,6 +333,7 @@ def build_parser():
                    help="per-mode rate multipliers (one value or a comma list)")
     p.add_argument("--learn-beta", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--epsilon-floor", type=float, default=1e-12)
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("eval", parents=[common],
@@ -349,6 +351,8 @@ def build_parser():
     p.add_argument("--max-iterations", type=int, default=200)
     p.add_argument("--tolerance", type=float, default=1e-4)
     p.add_argument("--epsilon-floor", type=float, default=1e-12)
+    p.add_argument("--threads", type=int, default=1,
+                   help="max worker threads for independent split seeds")
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("explore", parents=[common],
@@ -368,6 +372,7 @@ def build_parser():
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--beta", default="1.0",
                    help="per-mode rate multipliers (one value or a comma list)")
+    p.add_argument("--seed", type=int, default=0, help="random seed")
     p.set_defaults(func=cmd_synth)
 
     return parser, {name: sp for name, sp in sub.choices.items()}

@@ -43,24 +43,21 @@ def gini(v) -> float:
     return max(0.0, (2.0 * weighted - (n + 1) * total) / (n * total))
 
 
-def rank_components(f: FactorSet, time_mode: int | None = None) -> list[int]:
-    """Component indices by descending Gini of their time columns.
+def rank_components(f: FactorSet) -> list[int]:
+    """Component indices by descending Gini of their time (last-mode) columns.
 
     Ties (and all-zero columns, which score 0) break by component index.
     Fewer than two time steps give no Gini: UndefinedStatisticError.
     """
-    if time_mode is None:
-        time_mode = f.ndim - 1
-    if not 0 <= time_mode < f.ndim:
-        raise ValueError(f"invalid time mode {time_mode}")
-    if f.shape[time_mode] < 2:
+    time = f.factors[-1]
+    if time.shape[0] < 2:
         raise UndefinedStatisticError(
             f"ranking components by time-factor gini needs at least 2 time steps, "
-            f"got {f.shape[time_mode]}"
+            f"got {time.shape[0]}"
         )
     scores = np.zeros(f.k)
     for k in range(f.k):
-        value = gini(f.factors[time_mode][:, k])
+        value = gini(time[:, k])
         scores[k] = 0.0 if np.isnan(value) else value
     order = np.argsort(-scores, kind="stable")
     return [int(k) for k in order]
@@ -77,33 +74,26 @@ class ComponentSummary:
     time_values: np.ndarray
 
 
-def summarize(
-    f: FactorSet, mode_labels, k: int, top_n: int = 10, time_mode: int | None = None
-) -> ComponentSummary:
+def summarize(f: FactorSet, mode_labels, k: int, top_n: int = 10) -> ComponentSummary:
     """Extract the top-n labeled factors per non-time mode and the full
-    chronological time vector for component ``k``."""
+    chronological time (last-mode) vector for component ``k``."""
     if not 0 <= k < f.k:
         raise ValueError(f"component {k} out of range for K={f.k}")
     if top_n < 0:
         raise ConfigError(f"top_n must be non-negative, got {top_n}")
-    if time_mode is None:
-        time_mode = f.ndim - 1
     top = {}
-    for m in range(f.ndim):
-        if m == time_mode:
-            continue
+    for m in range(f.ndim - 1):
         column = f.factors[m][:, k]
-        n = min(top_n, column.size)
-        order = np.argsort(-column, kind="stable")[:n]
+        order = np.argsort(-column, kind="stable")[:top_n]
         panel = MODE_PANELS[m] if m < len(MODE_PANELS) else f"mode{m}"
         top[panel] = [(mode_labels[m][i], float(column[i])) for i in order]
-    time_column = f.factors[time_mode][:, k]
+    time_column = f.factors[-1][:, k]
     score = gini(time_column)
     return ComponentSummary(
         component=k,
         gini=0.0 if np.isnan(score) else float(score),
         top=top,
-        time_labels=list(mode_labels[time_mode]),
+        time_labels=list(mode_labels[-1]),
         time_values=time_column.copy(),
     )
 
@@ -113,60 +103,42 @@ def summarize(
 # ---------------------------------------------------------------------------
 
 
-def _sig4(value: float) -> float:
-    """Round to the 4 significant digits the report files carry."""
-    return float(f"{value:.4g}")
-
-
-def _format_summary(summary: ComponentSummary) -> str:
-    lines = [
-        f"component {summary.component}",
-        f"time-factor gini {summary.gini:.4g}",
-    ]
-    for panel, pairs in summary.top.items():
-        lines.append("")
-        lines.append(f"top {panel} factors:")
-        for label, value in pairs:
-            lines.append(f"  {label}\t{value:.4g}")
-    lines.append("")
-    lines.append("time profile:")
-    for label, value in zip(summary.time_labels, summary.time_values):
-        lines.append(f"  {label}\t{value:.4g}")
-    return "\n".join(lines) + "\n"
+def _write_lines(path: Path, lines) -> None:
+    path.write_text("\n".join(lines) + "\n")
 
 
 def write_component_reports(
     f: FactorSet, mode_labels, directory, top_n: int = 10
 ) -> Path:
     """One plain-text and one JSON report per component, plot-ready panel
-    tables (rank, label, value), and a gini-ranked index file."""
+    tables (rank, label, value), and a gini-ranked index file.
+
+    Each section of a component, its top-n panels then ``time``, adds its
+    lines to the text report, its entry to the JSON report (values to the
+    4 significant digits the text shows) and writes its own table.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     if mode_labels is None:
         raise CountCPError("component reports need mode labels")
-    order = rank_components(f)
     index_lines = ["rank\tcomponent\tgini"]
-    for rank, k in enumerate(order, start=1):
+    for rank, k in enumerate(rank_components(f), start=1):
         summary = summarize(f, mode_labels, k, top_n=top_n)
-        index_lines.append(f"{rank}\t{k}\t{summary.gini:.4g}")
-        stem = f"component_{k:03d}"
-        (directory / f"{stem}.txt").write_text(_format_summary(summary))
-        payload = {
-            "component": summary.component,
-            "gini": _sig4(summary.gini),
-            "top": {p: [[lab, _sig4(val)] for lab, val in rows] for p, rows in summary.top.items()},
-            "time": [[lab, _sig4(val)] for lab, val in zip(summary.time_labels, summary.time_values)],
-        }
+        stem, gini_text = f"component_{k:03d}", f"{summary.gini:.4g}"
+        index_lines.append(f"{rank}\t{k}\t{gini_text}")
+        lines = [f"component {k}", f"time-factor gini {gini_text}"]
+        payload = {"component": k, "gini": float(gini_text), "top": {}}
+        # (heading, name, the JSON object that holds the section, (label, value) rows)
+        sections = [(f"top {p} factors:", p, payload["top"], r) for p, r in summary.top.items()]
+        time_rows = list(zip(summary.time_labels, summary.time_values))
+        sections.append(("time profile:", "time", payload, time_rows))
+        for heading, name, holder, rows in sections:
+            shown = [(label, f"{value:.4g}") for label, value in rows]
+            lines += ["", heading, *(f"  {label}\t{text}" for label, text in shown)]
+            holder[name] = [[label, float(text)] for label, text in shown]
+            table = [f"{i}\t{label}\t{value:.6g}" for i, (label, value) in enumerate(rows, 1)]
+            _write_lines(directory / f"{stem}_{name}.txt", ["rank\tlabel\tvalue", *table])
+        _write_lines(directory / f"{stem}.txt", lines)
         (directory / f"{stem}.json").write_text(json.dumps(payload, indent=2) + "\n")
-        for panel, rows in summary.top.items():
-            lines = ["rank\tlabel\tvalue"]
-            lines += [f"{i}\t{lab}\t{val:.6g}" for i, (lab, val) in enumerate(rows, 1)]
-            (directory / f"{stem}_{panel}.txt").write_text("\n".join(lines) + "\n")
-        lines = ["rank\tlabel\tvalue"]
-        lines += [
-            f"{i}\t{lab}\t{val:.6g}"
-            for i, (lab, val) in enumerate(zip(summary.time_labels, summary.time_values), 1)
-        ]
-        (directory / f"{stem}_time.txt").write_text("\n".join(lines) + "\n")
-    (directory / "index.txt").write_text("\n".join(index_lines) + "\n")
+    _write_lines(directory / "index.txt", index_lines)
     return directory

@@ -22,7 +22,7 @@ import json
 import math
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from pathlib import Path
 
@@ -97,8 +97,6 @@ class ExperimentSpec:
     tolerance: float = 1e-4
     epsilon_floor: float = 1e-12
     source: str = ""
-    date_range: str = ""
-    bin_width: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
@@ -127,7 +125,7 @@ class SplitScores:
     seed: int
     density: float
     vmr: float
-    model_metrics: dict = field(default_factory=dict)
+    models: dict = field(default_factory=dict)
     failures: dict = field(default_factory=dict)
 
 
@@ -136,7 +134,7 @@ class ScenarioResult:
     label: str
     density: float
     vmr: float
-    model_metrics: dict
+    models: dict
     splits: list
     failures: dict = field(default_factory=dict)
 
@@ -144,30 +142,6 @@ class ScenarioResult:
 @dataclass
 class EvalReport:
     scenarios: list
-
-    def to_dict(self) -> dict:
-        out = {"scenarios": []}
-        for sc in self.scenarios:
-            out["scenarios"].append(
-                {
-                    "label": sc.label,
-                    "density": sc.density,
-                    "vmr": sc.vmr,
-                    "models": {m: dict(v) for m, v in sc.model_metrics.items()},
-                    "failures": dict(sc.failures),
-                    "splits": [
-                        {
-                            "seed": sp.seed,
-                            "density": sp.density,
-                            "vmr": sp.vmr,
-                            "models": {m: dict(v) for m, v in sp.model_metrics.items()},
-                            "failures": dict(sp.failures),
-                        }
-                        for sp in sc.splits
-                    ],
-                }
-            )
-        return out
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +285,7 @@ def _run_seed(specs, trainers, sorted_t, seed: int) -> list:
         for split, seen, region in zip(splits, observed, regions):
             try:
                 for name, f in predict(ts.test, seen).items():
-                    split.model_metrics[name] = region_metrics(f, ts.test, region)
+                    split.models[name] = region_metrics(f, ts.test, region)
             except Exception as exc:
                 split.failures.update(dict.fromkeys(names, _failure(exc)))
     return splits
@@ -322,7 +296,7 @@ def _scenario(spec: ExperimentSpec, splits: list) -> ScenarioResult:
     averaged = {}
     failures = {}
     for name in spec.models:
-        rows = [sp.model_metrics[name] for sp in splits if name in sp.model_metrics]
+        rows = [sp.models[name] for sp in splits if name in sp.models]
         if rows:
             averaged[name] = {
                 metric: float(np.mean([row[metric] for row in rows]))
@@ -335,7 +309,7 @@ def _scenario(spec: ExperimentSpec, splits: list) -> ScenarioResult:
         label=spec.scenario_label(),
         density=float(np.mean([sp.density for sp in splits])),
         vmr=float(np.mean([sp.vmr for sp in splits])),
-        model_metrics=averaged,
+        models=averaged,
         splits=splits,
         failures=failures,
     )
@@ -429,7 +403,7 @@ def write_report_text(report: EvalReport, path, models=MODEL_NAMES) -> None:
     MAE / MAE-NZ / HAM-Z triple for each model column group."""
     path = Path(path)
     present = [
-        m for m in models if any(m in sc.model_metrics for sc in report.scenarios)
+        m for m in models if any(m in sc.models for sc in report.scenarios)
     ]
     header = ["scenario", "density", "vmr"]
     for m in present:
@@ -438,7 +412,7 @@ def write_report_text(report: EvalReport, path, models=MODEL_NAMES) -> None:
     for sc in report.scenarios:
         row = [sc.label, _fmt(sc.density), _fmt(sc.vmr)]
         for m in present:
-            scores = sc.model_metrics.get(m)
+            scores = sc.models.get(m)
             if scores is None:
                 row += ["failed"] * 3
             else:
@@ -448,4 +422,6 @@ def write_report_text(report: EvalReport, path, models=MODEL_NAMES) -> None:
 
 
 def write_report_json(report: EvalReport, path) -> None:
-    Path(path).write_text(json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n")
+    """Every field of the report, its scenarios and their splits, as JSON
+    with sorted keys; NaN is written as ``NaN``."""
+    Path(path).write_text(json.dumps(asdict(report), indent=2, sort_keys=True) + "\n")

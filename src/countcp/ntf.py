@@ -33,7 +33,7 @@ from .cp import (
     reconstruct_entries,
     total_recon_mass,
 )
-from .errors import ConfigError, DegenerateUpdateError, InadmissibleZeroError
+from .errors import ConfigError, DegenerateUpdateError, EmptyTensorError, InadmissibleZeroError
 from .masking import Region, _observed_part
 from .tensors import SparseCountTensor
 
@@ -207,7 +207,10 @@ def fit_ntf(t: SparseCountTensor, config: NtfConfig):
 
     Sweeps the modes in ascending order and stops when the relative change
     of the cost drops below the tolerance or max_iterations is reached.
+    A tensor with no stored entries raises EmptyTensorError.
     """
+    if t.nnz == 0:
+        raise EmptyTensorError(f"cannot fit a tensor with no stored entries (shape {t.shape})")
     return _descend(init_factors(t, config), t, Region.whole(t.shape), config, range(t.ndim))
 
 

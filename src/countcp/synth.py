@@ -36,14 +36,7 @@ def expected_total_count(shape, k: int, hyper: Hyperparameters) -> float:
     return mean
 
 
-def sample_count_tensor(
-    shape,
-    k: int,
-    hyper: Hyperparameters,
-    seed: int,
-    mode_labels=None,
-    row_chunk: int = 64,
-):
+def sample_count_tensor(shape, k: int, hyper: Hyperparameters, seed: int, row_chunk: int = 64):
     """Sample (tensor, true factors) from the generative model.
 
     The dense reconstruction is materialized ``row_chunk`` mode-0 rows at a
@@ -59,8 +52,6 @@ def sample_count_tensor(
         raise ConfigError("seed must be non-negative")
     rng = np.random.default_rng(seed)
     factors = sample_factors(shape, k, hyper, rng)
-    if mode_labels is None:
-        mode_labels = default_labels(shape)
 
     coords_parts, values_parts = [], []
     tail_mats = factors.factors[1:]
@@ -85,5 +76,5 @@ def sample_count_tensor(
     else:
         coords = np.zeros((0, len(shape)), dtype=np.int64)
         values = np.zeros(0, dtype=np.int64)
-    tensor = SparseCountTensor(shape, coords, values, mode_labels)
+    tensor = SparseCountTensor(shape, coords, values, default_labels(shape))
     return tensor, factors

@@ -270,7 +270,7 @@ def test_criterion_07_qualitative_table_ordering(harness_report):
     scenario = report.scenarios[0]
     mae_hits = ham_hits = 0
     for sp in scenario.splits:
-        mm = sp.model_metrics
+        mm = sp.models
         if mm["bptf-geo"]["mae"] <= mm["ntf-kl"]["mae"] <= mm["ntf-ls"]["mae"]:
             mae_hits += 1
         if mm["bptf-geo"]["ham_z"] <= mm["ntf-kl"]["ham_z"]:
@@ -299,7 +299,7 @@ def test_criterion_07_qualitative_table_ordering(harness_report):
 
 def test_criterion_08_geometric_beats_arithmetic(harness_report):
     report, _ = harness_report
-    scores = report.scenarios[0].model_metrics
+    scores = report.scenarios[0].models
     geo, ari = scores["bptf-geo"], scores["bptf-ari"]
     ok = geo["mae"] <= ari["mae"] and geo["ham_z"] <= ari["ham_z"]
     _criterion(

@@ -328,6 +328,16 @@ class TestComputeElbo:
             mass *= s / hyper.beta[m]
         assert compute_elbo(state, t, hyper) == pytest.approx(-mass, rel=1e-12)
 
+    def test_entries_outside_the_region_are_left_out(self, rng):
+        shape = (5, 5, 2, 4)
+        t = random_tensor(shape, rng, nnz=60)
+        region = top_block(shape, 2)
+        inside = region.restrict(t)
+        assert 0 < inside.nnz < t.nnz
+        state = randomized_state(shape, 2, rng)
+        hyper = Hyperparameters.default(4)
+        assert compute_elbo(state, t, hyper, region) == compute_elbo(state, inside, hyper, region)
+
     def test_bounded_by_quadrature_evidence(self, rng):
         alpha = 0.5
         hyper = Hyperparameters(alpha=alpha, beta=(1.0, 1.0, 1.0, 1.0))

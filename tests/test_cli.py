@@ -331,6 +331,15 @@ class TestMalformedInputFiles:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["data error: a tensor needs at least two modes, got shape (3,)"]
 
+    @pytest.mark.parametrize("model", ["bptf", "ntf-kl", "ntf-ls"])
+    def test_empty_tensor_exits_2(self, tmp_path, capsys, model):
+        (tmp_path / "tensor.txt").write_text("3 3 2\n")
+        code = main(["fit", "--tensor", str(tmp_path / "tensor.txt"), "--model", model,
+                     "--k", "2", "--output-dir", str(tmp_path / "out")])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["data error: cannot fit a tensor with no stored entries (shape (3, 3, 2))"]
+
     @pytest.mark.parametrize(
         "option, name, corrupt",
         [
@@ -443,6 +452,27 @@ class TestInvalidOptionValues:
     def test_ingest_and_synth_exit_1(self, tmp_path, capsys, argv):
         (tmp_path / "events.csv").write_text(EVENTS)
         argv = [str(tmp_path / "events.csv") if a == "EVENTS" else a for a in argv]
+        assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 1
+        assert one_error_line(capsys)
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["eval", "--tensor", "{synth}/tensor.txt", "--n-primes", "3", "--seeds", "0",
+              "--models", "ntf-ls", "--k", "2", "--max-iterations", "2", "--seed", "1"], ""),
+            (["ingest", "--events", "{events}", "--start", "2001-01-01", "--end", "2001-03-31",
+              "--threads", "2"], ""),
+            (["explore", "--factors", "{synth}/true_factors"], "seed = 1\n"),
+        ],
+        ids=["eval-seed", "ingest-threads", "explore-config-seed"],
+    )
+    def test_flag_or_key_the_command_does_not_read_exits_1(self, synth_tensor, tmp_path,
+                                                           capsys, argv, config):
+        (tmp_path / "events.csv").write_text(EVENTS)
+        argv = [a.format(synth=synth_tensor, events=tmp_path / "events.csv") for a in argv]
+        if config:
+            (tmp_path / "run.cfg").write_text(config)
+            argv += ["--config", str(tmp_path / "run.cfg")]
         assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 1
         assert one_error_line(capsys)
 

@@ -198,3 +198,48 @@ class TestJsonReports:
             expected = oracle_json_report(summarize(f, labels, k, top_n=top_n))
             assert (out / f"component_{k:03d}.json").read_text() == expected
 
+
+
+class TestPinnedReportText:
+    """The summary and the plot-ready tables of a small fixed factor set,
+    byte for byte."""
+
+    FACTORS = [
+        [[0.5, 2.0], [1.25, 0.0], [3.0, 0.125]],
+        [[1.0, 1 / 3], [0.25, 4.0]],
+        [[0.1, 0.2], [0.7, 123456.0]],
+        [[1.0, 0.0], [1.0, 5e-5], [1.0, 2.5]],
+    ]
+    LABELS = [["A", "B", "C"], ["x", "y"], ["talk", "fight"], ["2001-01", "2001-02", "2001-03"]]
+    EXPECTED = {
+        "index.txt": "rank\tcomponent\tgini\n1\t1\t0.6667\n2\t0\t0\n",
+        "component_000.txt": (
+            "component 0\ntime-factor gini 0\n"
+            "\ntop sender factors:\n  C\t3\n  B\t1.25\n"
+            "\ntop receiver factors:\n  x\t1\n  y\t0.25\n"
+            "\ntop action factors:\n  fight\t0.7\n  talk\t0.1\n"
+            "\ntime profile:\n  2001-01\t1\n  2001-02\t1\n  2001-03\t1\n"
+        ),
+        "component_000_sender.txt": "rank\tlabel\tvalue\n1\tC\t3\n2\tB\t1.25\n",
+        "component_000_receiver.txt": "rank\tlabel\tvalue\n1\tx\t1\n2\ty\t0.25\n",
+        "component_000_action.txt": "rank\tlabel\tvalue\n1\tfight\t0.7\n2\ttalk\t0.1\n",
+        "component_000_time.txt": "rank\tlabel\tvalue\n1\t2001-01\t1\n2\t2001-02\t1\n3\t2001-03\t1\n",
+        "component_001.txt": (
+            "component 1\ntime-factor gini 0.6667\n"
+            "\ntop sender factors:\n  A\t2\n  C\t0.125\n"
+            "\ntop receiver factors:\n  y\t4\n  x\t0.3333\n"
+            "\ntop action factors:\n  fight\t1.235e+05\n  talk\t0.2\n"
+            "\ntime profile:\n  2001-01\t0\n  2001-02\t5e-05\n  2001-03\t2.5\n"
+        ),
+        "component_001_sender.txt": "rank\tlabel\tvalue\n1\tA\t2\n2\tC\t0.125\n",
+        "component_001_receiver.txt": "rank\tlabel\tvalue\n1\ty\t4\n2\tx\t0.333333\n",
+        "component_001_action.txt": "rank\tlabel\tvalue\n1\tfight\t123456\n2\ttalk\t0.2\n",
+        "component_001_time.txt": "rank\tlabel\tvalue\n1\t2001-01\t0\n2\t2001-02\t5e-05\n3\t2001-03\t2.5\n",
+    }
+
+    def test_text_files_match_literal_text(self, tmp_path):
+        f = FactorSet([np.array(m) for m in self.FACTORS])
+        out = write_component_reports(f, self.LABELS, tmp_path, top_n=2)
+        texts = {p.name: p.read_text() for p in out.glob("*.txt")}
+        assert texts == self.EXPECTED
+        assert sorted(p.name for p in out.glob("*.json")) == ["component_000.json", "component_001.json"]

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ import countcp.bptf
 import countcp.evaluation
 import countcp.ntf
 from countcp import (
+    EvalReport,
     ExperimentSpec,
     FitConfig,
     Hyperparameters,
@@ -32,6 +33,7 @@ from countcp import (
     write_report_json,
     write_report_text,
 )
+from countcp.evaluation import ScenarioResult, SplitScores
 from countcp.tensors import vmr_of_counts
 from conftest import (
     ham_z,
@@ -146,7 +148,7 @@ class TestRunExperiment:
         report = run_experiment(self.spec(), t)
         assert len(report.scenarios) == 1
         sc = report.scenarios[0]
-        assert set(sc.model_metrics) == {"bptf-geo"}
+        assert set(sc.models) == {"bptf-geo"}
         assert sc.label == "top-3"
         assert len(sc.splits) == 1
         assert 0.0 <= sc.density <= 1.0
@@ -162,27 +164,23 @@ class TestRunExperiment:
         spec = self.spec(models=("ntf-ls", "ntf-kl", "bptf-geo", "bptf-ari"))
         report = run_experiment(spec, t)
         sc = report.scenarios[0]
-        assert set(sc.model_metrics) == set(spec.models)
-        for scores in sc.model_metrics.values():
+        assert set(sc.models) == set(spec.models)
+        for scores in sc.models.values():
             assert scores["mae"] >= 0.0
             assert 0.0 <= scores["ham_z"] <= 1.0
 
     def test_reports_are_deterministic(self):
-        import json
-
         t = small_generative_tensor()
         spec = self.spec(models=("bptf-geo", "ntf-kl"), seeds=(0, 1))
-        a = json.dumps(run_experiment(spec, t).to_dict(), sort_keys=True)
-        b = json.dumps(run_experiment(spec, t).to_dict(), sort_keys=True)
+        a = json.dumps(asdict(run_experiment(spec, t)), sort_keys=True)
+        b = json.dumps(asdict(run_experiment(spec, t)), sort_keys=True)
         assert a == b
 
     def test_worker_threads_do_not_change_the_report(self):
-        import json
-
         t = small_generative_tensor()
         spec = self.spec(models=("bptf-geo",), seeds=(0, 1, 2))
-        serial = json.dumps(run_experiment(spec, t, max_workers=1).to_dict(), sort_keys=True)
-        threaded = json.dumps(run_experiment(spec, t, max_workers=3).to_dict(), sort_keys=True)
+        serial = json.dumps(asdict(run_experiment(spec, t, max_workers=1)), sort_keys=True)
+        threaded = json.dumps(asdict(run_experiment(spec, t, max_workers=3)), sort_keys=True)
         assert serial == threaded
 
     def test_seeds_must_be_non_empty(self):
@@ -223,7 +221,7 @@ class TestRunExperiment:
         spec = self.spec(models=("bptf-geo", "ntf-kl"))
         report = run_experiment(spec, t)
         sc = report.scenarios[0]
-        assert "bptf-geo" in sc.model_metrics
+        assert "bptf-geo" in sc.models
         assert "ntf-kl" in sc.failures
         assert "synthetic failure" in sc.failures["ntf-kl"]
 
@@ -306,7 +304,7 @@ class TestRunTable:
         tensors = {"one": small_generative_tensor(0), "two": small_generative_tensor(1)}
         report = run_table(self.base, tensors, (2, 3), max_workers=max_workers)
         expected = reference_table(self.base, tensors, (2, 3), ("block", "complement"))
-        assert json.dumps(report.to_dict(), sort_keys=True) == json.dumps(
+        assert json.dumps(asdict(report), sort_keys=True) == json.dumps(
             expected, sort_keys=True
         )
 
@@ -341,11 +339,81 @@ class TestRunTable:
         report = run_table(self.base, {"gen": small_generative_tensor()}, (2, 3))
         for sc in report.scenarios:
             first, second = sc.splits
-            assert set(first.model_metrics) == set(self.base.models)
+            assert set(first.models) == set(self.base.models)
             assert first.failures == {}
-            assert set(second.model_metrics) == {"bptf-geo", "bptf-ari"}
+            assert set(second.models) == {"bptf-geo", "bptf-ari"}
             assert second.failures == {
                 "ntf-kl": "RuntimeError: synthetic kl failure",
                 "ntf-ls": "RuntimeError: synthetic ls failure",
             }
             assert sc.failures == second.failures
+
+
+PINNED_REPORT_JSON = """{
+  "scenarios": [
+    {
+      "density": 0.1875,
+      "failures": {
+        "bptf-geo": "RuntimeError: boom"
+      },
+      "label": "gen-top-2c",
+      "models": {
+        "ntf-kl": {
+          "ham_z": 0.25,
+          "mae": 0.75,
+          "mae_nz": NaN
+        }
+      },
+      "splits": [
+        {
+          "density": 0.25,
+          "failures": {
+            "bptf-geo": "RuntimeError: boom"
+          },
+          "models": {
+            "ntf-kl": {
+              "ham_z": 0.5,
+              "mae": 0.5,
+              "mae_nz": NaN
+            }
+          },
+          "seed": 0,
+          "vmr": NaN
+        },
+        {
+          "density": 0.125,
+          "failures": {},
+          "models": {
+            "bptf-geo": {
+              "ham_z": 0.0,
+              "mae": 2.0,
+              "mae_nz": 3.5
+            },
+            "ntf-kl": {
+              "ham_z": 0.0,
+              "mae": 1.0,
+              "mae_nz": 1.25
+            }
+          },
+          "seed": 1,
+          "vmr": 2.0
+        }
+      ],
+      "vmr": NaN
+    }
+  ]
+}
+"""
+
+
+def test_report_json_matches_literal_text(tmp_path):
+    nan = math.nan
+    first = SplitScores(0, 0.25, nan, {"ntf-kl": {"mae": 0.5, "mae_nz": nan, "ham_z": 0.5}},
+                        {"bptf-geo": "RuntimeError: boom"})
+    second = SplitScores(1, 0.125, 2.0, {"ntf-kl": {"mae": 1.0, "mae_nz": 1.25, "ham_z": 0.0},
+                                         "bptf-geo": {"mae": 2.0, "mae_nz": 3.5, "ham_z": 0.0}})
+    scenario = ScenarioResult("gen-top-2c", 0.1875, nan,
+                              {"ntf-kl": {"mae": 0.75, "mae_nz": nan, "ham_z": 0.25}},
+                              [first, second], {"bptf-geo": "RuntimeError: boom"})
+    write_report_json(EvalReport([scenario]), tmp_path / "report.json")
+    assert (tmp_path / "report.json").read_text() == PINNED_REPORT_JSON
