@@ -404,10 +404,11 @@ def infer_heldout_time_factors(
     shape (the frozen modes' draws are made, in order, and dropped).  A
     sweep is ``fit``'s own sweep over the time mode alone, without beta
     re-fits; what never changes is taken once per call: each observed
-    entry's summed frozen log rows (``cp._FrozenModes``, nnz_obs * K * 8
-    bytes) and the frozen modes' prior terms.  A sweep then costs one kernel
-    pass over the observed entries, O(nnz_obs * K), whose ELBO also
-    allocates the next sweep's shape update.
+    entry's summed row-shifted frozen log rows and their summed row maxima
+    (``cp._FrozenModes``, nnz_obs * (K + 1) * 8 bytes) and the frozen modes'
+    prior terms.  A sweep then costs one kernel pass over the observed
+    entries, O(nnz_obs * K), whose ELBO also allocates the next sweep's
+    shape update.
     """
     observed = _observed_part(trained.shape, test_slice, region)
     time_mode = trained.n_modes - 1

@@ -191,8 +191,8 @@ def cmd_fit(args) -> int:
         tolerance=args.tolerance, alpha=args.alpha, beta=_parse_floats(args.beta),
         learn_beta=args.learn_beta, epsilon_floor=args.epsilon_floor,
     )
-    out = _out_dir(args)
     fitted = train(tensor, args.seed)
+    out = _out_dir(args)  # made only once the fit has succeeded
     bundle = fitted.save(out)
     write_trace(fitted.trace, out / "trace.txt")
     _echo_config(args, out)
@@ -217,6 +217,8 @@ def _parse_tensor_specs(specs) -> dict:
 def cmd_eval(args) -> int:
     if not args.tensor:
         raise ConfigError("at least one --tensor is required")
+    if args.threads < 1:
+        raise ConfigError("--threads must be a positive integer")
     tensors = _parse_tensor_specs(args.tensor)
     n_primes = _parse_ints(_require(args, "n-primes"))
     if not n_primes:

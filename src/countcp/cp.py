@@ -6,12 +6,15 @@ means the whole tensor (``Region.whole``).  They cost only
 O(nnz * K + sum_m shape[m] * K): the region's sum of the reconstruction
 factorizes into per-mode column sums.  ``_allocate`` is the Poisson count
 allocation behind both the BPTF shape update and the KL update: a
-per-entry softmax over summed log factors, run block by block.  In training
-the tensor's cached gather matrices sum the log rows
+per-entry softmax over summed log factors, run block by block over log
+tables whose rows are shifted by their maxima, so no entry needs a maximum
+of its own.  The same kernel pass gives each entry's log-sum-exp, the count
+term of the BPTF ELBO and the log reconstruction of the generalized KL.  In
+training the tensor's cached gather matrices sum the log rows
 (``SparseCountTensor._block_gather``); in heldout inference, which runs
 each fitter's own sweeps over the time mode alone, a per-entry prefix of
-the frozen modes (``_FrozenModes``) plus the time row does, and the NTF
-objective reads its reconstructions from the same prefix.  ``_ascend``
+the frozen modes (``_FrozenModes``) plus the time row does, and the NTF-LS
+objective reads its reconstructions from a product prefix.  ``_ascend``
 runs every fitter's sweeps to convergence.
 """
 
@@ -90,12 +93,15 @@ def _entry_products(mats, coords, skip=None) -> np.ndarray:
     return parts
 
 
-# A component whose summed log factor lies more than 700 below its entry's
-# largest gets a share of exactly 0: clamping there keeps ``exp`` clear of
+# A summed log part (at or below 0 after the row shift) more than 700 below
+# 0 gets a share of exactly 0: clamping there keeps ``exp`` clear of
 # subnormals, which slow it several-fold, and subtracting the clamp's own
 # weight zeroes it while leaving every weight above exp(-664) unchanged.
 _LOG_FLOOR = -700.0
 _FLOOR_WEIGHT = float(np.exp(_LOG_FLOOR))
+# An entry whose weights sum below this is redone with its exact maximum
+# (``_count_shares`` states the bound this gives).
+_RESCUE_TOTAL = 1e-250
 # Per-entry (n, K) work runs in blocks of about this many (entry, component)
 # cells, so that its several elementwise passes over a block run in cache.
 _BLOCK_CELLS = 1 << 16
@@ -106,35 +112,57 @@ def _block_step(k: int) -> int:
     return max(1, _BLOCK_CELLS // k)
 
 
+def _logs(mats):
+    """The logs of non-negative factor matrices."""
+    with np.errstate(divide="ignore"):  # a zero factor is a weight of exactly 0
+        return [np.log(m) for m in mats]
+
+
+def _row_shifted(log):
+    """A log table with each row shifted by its maximum, and the maxima.
+
+    A row whose maximum is not finite (all -inf, or holding nan or +inf)
+    leaves a non-finite maximum, which marks every entry on the row.
+    """
+    top = np.ascontiguousarray(log.T).max(axis=0)  # log.max(axis=1) is slow on short rows
+    with np.errstate(invalid="ignore"):
+        return log - top[:, None], top
+
+
 class _FrozenModes:
     """The stored entries of ``t`` with every mode but the last frozen.
 
     Heldout inference updates only the last (time) mode, so the frozen
     modes' per-entry work is done once here: ``logs`` sums each entry's
-    frozen log rows onto 0.0 in ascending mode order, as the block plan's
-    gather does, and ``products`` multiplies its frozen factor rows as
-    ``_entry_products`` does.  Adding, or multiplying by, the entry's
-    last-mode row then gives the bits of the whole sum or product.  Each
-    prefix, built only when its inputs are given, takes nnz * K * 8 bytes;
-    at small K that is less than the gather and non-last incidence
-    matrices the tensor then never builds.
+    frozen row-shifted log rows (``_row_shifted``) onto 0.0 in ascending
+    mode order, as the block plan's gather does, and ``shift`` their row
+    maxima; ``products`` multiplies its frozen factor rows as
+    ``_entry_products`` does.  Adding the entry's shifted last-mode row
+    and its maximum, or multiplying by its last-mode row, then gives the
+    bits of the whole sum or product.  Each prefix, built only when its
+    inputs are given, takes nnz * K * 8 bytes (the log one nnz * 8 more, for
+    ``shift``); at small K that is less than the gather and non-last
+    incidence matrices the tensor then never builds.
     """
 
     def __init__(self, t: SparseCountTensor, mats=None, logs=None):
         self.t, self.last = t, t.coords[:, -1]
         self.products = None if mats is None else _entry_products(mats, t.coords)
-        self.logs = None
+        self.logs = self.shift = None
         if logs is not None:
-            self.logs = np.zeros((t.nnz, logs[0].shape[1]))
+            self.logs, self.shift = np.zeros((t.nnz, logs[0].shape[1])), np.zeros(t.nnz)
             for m, log in enumerate(logs):
-                self.logs += np.take(log, t.coords[:, m], axis=0)
+                shifted, top = _row_shifted(log)
+                self.logs += np.take(shifted, t.coords[:, m], axis=0)
+                self.shift += np.take(top, t.coords[:, m])
 
     def summed_logs(self, last_logs, step):
-        """Each block's summed log rows, given the last mode's log rows."""
-        return (
-            self.logs[rows] + np.take(last_logs, self.last[rows], axis=0)
-            for rows in self.t._block_rows(step)
-        )
+        """Each block's summed shifted log rows and summed row maxima, given
+        the last mode's log rows."""
+        shifted, top = _row_shifted(last_logs)
+        for rows in self.t._block_rows(step):
+            last = self.last[rows]
+            yield self.logs[rows] + np.take(shifted, last, axis=0), self.shift[rows] + top[last]
 
     def recon(self, last) -> np.ndarray:
         """Each entry's reconstruction (``reconstruct_entries``' bits), given
@@ -145,46 +173,67 @@ class _FrozenModes:
         return out
 
 
+def _weights(parts, out):
+    """exp of log parts at or below 0 into ``out``; a part below
+    ``_LOG_FLOOR`` gets exactly 0."""
+    np.maximum(parts, _LOG_FLOOR, out=out)
+    np.exp(out, out=out)
+    out -= _FLOOR_WEIGHT
+    return out
+
+
 def _count_shares(logs, t: SparseCountTensor, mode=None, frozen=None):
     """Each stored count of ``t`` split across components by a softmax of
-    the entry's summed log factors (per-mode rows, summed in ascending mode
-    order; each entry is max-shifted), block by block.
+    the entry's summed log factors, block by block.
 
-    The block plan's gather sums the rows; with ``frozen`` (a
-    ``_FrozenModes`` of ``t``) each entry's frozen log prefix plus its row
-    of ``logs[-1]``, the only table then read, gives the same bits.
+    Each mode's log table has its rows shifted by their maxima
+    (``_row_shifted``), and each entry's shifted rows and maxima are summed
+    in ascending mode order: by the block plan's gather, or with ``frozen``
+    (a ``_FrozenModes`` of ``t``) by the frozen prefixes plus the entry's
+    row of ``logs[-1]``, the only table then read, which gives the same
+    bits.  The summed parts are at or below 0, so the softmax needs no
+    per-entry maximum: the maxima's sum is the entry's shift.  An entry
+    whose weights sum below ``_RESCUE_TOTAL`` (1e-250) is redone from its
+    gathered parts shifted by their exact maximum, which joins the shift.
+    Otherwise the parts floored under the row shift but not under the
+    exact maximum lose at most K * exp(-700) / 1e-250 = exp(-(124.35 -
+    ln K)) of the entry's total, below 1e-50 at K 50.
+
     Returns (log_mass, allocated): each entry's log of its summed exp log
-    factors and, given a ``mode``, the split counts summed per ``mode``
-    index (else None).  If some entry has no mass or a non-finite log
-    factor, ``log_mass`` ends in the block holding the first such entry.
+    factors (shift + log of the summed weights) and, given a ``mode``, the
+    split counts summed per ``mode`` index (else None).  If some entry has
+    no mass or a non-finite log factor (a non-finite shift), ``log_mass``
+    ends in the block holding the first such entry, non-finite there.
     """
     k = logs[-1].shape[1]
     step = _block_step(k)
     if frozen is None:
-        table = np.concatenate(logs)
-        summed = (gather @ table for gather in t._block_gather(step))
+        table, top = _row_shifted(np.concatenate(logs))
+        blocks = ((gather @ table, gather @ top) for gather in t._block_gather(step))
     else:
-        summed = frozen.summed_logs(logs[-1], step)
+        blocks = frozen.summed_logs(logs[-1], step)
     log_mass = np.empty(t.nnz)
     allocated = None if mode is None else np.zeros((t.shape[mode], k))
     scatter = repeat(None) if mode is None else t._block_incidence(step, mode)
-    for rows, parts, incidence in zip(t._block_rows(step), summed, scatter):
-        top = log_mass[rows]
-        # a loop over columns: numpy's row-wise max is slow on short rows
-        top[...] = parts[:, 0]
-        for j in range(1, k):
-            np.maximum(top, parts[:, j], out=top)
-        if not np.all(np.isfinite(top)):
+    work = np.empty((min(step, t.nnz), k))
+    for rows, (parts, shift), incidence in zip(t._block_rows(step), blocks, scatter):
+        weights = _weights(parts, work[:rows.stop - rows.start])
+        total = weights.sum(axis=1)
+        low = np.flatnonzero(total < _RESCUE_TOTAL)
+        if low.size:
+            exact = parts[low].max(axis=1)
+            shift[low] += exact
+        if not np.all(np.isfinite(shift)):
+            log_mass[rows] = shift
             return log_mass[:rows.stop], allocated
-        parts -= top[:, None]
-        np.maximum(parts, _LOG_FLOOR, out=parts)
-        np.exp(parts, out=parts)
-        parts -= _FLOOR_WEIGHT
-        total = parts.sum(axis=1)
+        if low.size:
+            redone = parts[low] - exact[:, None]
+            weights[low] = _weights(redone, redone)
+            total[low] = redone.sum(axis=1)
         if incidence is not None:
-            parts *= (t.values[rows] / total)[:, None]
-            allocated += incidence @ parts
-        top += np.log(total)
+            weights *= (t.values[rows] / total)[:, None]
+            allocated += incidence @ weights
+        log_mass[rows] = shift + np.log(total)
     return log_mass, allocated
 
 
@@ -221,11 +270,6 @@ def total_recon_mass(f: FactorSet, region: Region | None = None) -> float:
     return (region or Region.whole(f.shape)).sum_recon(f.factors)
 
 
-def _entry_recon_and_values(f: FactorSet, t: SparseCountTensor, region: Region):
-    part = region.restrict(t)
-    return reconstruct_entries(f, part.coords), part.values.astype(np.float64)
-
-
 def poisson_log_likelihood(f: FactorSet, t: SparseCountTensor, region=None) -> float:
     """Poisson log likelihood of the counts under the reconstruction.
 
@@ -238,7 +282,8 @@ def poisson_log_likelihood(f: FactorSet, t: SparseCountTensor, region=None) -> f
     if f.shape != t.shape:
         raise ValueError(f"factor shape {f.shape} != tensor shape {t.shape}")
     region = region or Region.whole(t.shape)
-    yhat, y = _entry_recon_and_values(f, t, region)
+    part = region.restrict(t)
+    yhat, y = reconstruct_entries(f, part.coords), part.values.astype(np.float64)
     if np.any(yhat == 0.0):
         return float("-inf")
     ll = float((y * np.log(yhat)).sum() - gammaln(y + 1.0).sum())
@@ -250,22 +295,25 @@ def generalized_kl(t: SparseCountTensor, f: FactorSet, region=None) -> float:
 
     D = sum over cells of y*log(y/yhat) - y + yhat, with 0*log 0 taken as 0.
     Non-negative, zero only for a perfect reconstruction; +inf if some
-    positive count sits on a zero reconstruction.  ``region`` is handled
-    as in poisson_log_likelihood.
+    positive count sits on a zero reconstruction.  Each log(yhat) is the
+    log-sum-exp of ``_count_shares``, the pass that NTF-KL's update makes.
+    ``region`` is handled as in poisson_log_likelihood.
     """
     if f.shape != t.shape:
         raise ValueError(f"factor shape {f.shape} != tensor shape {t.shape}")
     region = region or Region.whole(t.shape)
-    yhat, y = _entry_recon_and_values(f, t, region)
-    return _kl_from_recon(y, yhat, total_recon_mass(f, region))
+    part = region.restrict(t)
+    log_mass, _ = _count_shares(_logs(f.factors), part)
+    return _kl_from_log_mass(part.values.astype(np.float64), log_mass, total_recon_mass(f, region))
 
 
-def _kl_from_recon(y, yhat, mass) -> float:
-    """Generalized KL from the stored counts, their reconstructions and the
-    region's reconstruction mass."""
-    if np.any(yhat == 0.0):
+def _kl_from_log_mass(y, log_mass, mass) -> float:
+    """Generalized KL from the stored counts, the logs of their
+    reconstructions (``_count_shares``' log_mass) and the region's
+    reconstruction mass."""
+    if not np.all(np.isfinite(log_mass)):
         return float("inf")
-    return float((y * (np.log(y) - np.log(yhat))).sum() - y.sum()) + mass
+    return float((y * (np.log(y) - log_mass)).sum() - y.sum()) + mass
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,9 @@ after every sweep so that a zero that the multiplicative rule cannot escape
 (an inadmissible zero) only occurs when the floor is explicitly set to 0.
 One driver runs the sweeps: over every mode for a fit, over the time mode
 alone, with the other modes frozen, for heldout inference, whose frozen
-per-entry products cost O(nnz_obs * K) once per call.
+per-entry prefix costs O(nnz_obs * K) once per call.  The KL cost reads
+each entry's log reconstruction from the kernel pass that also allocates
+the next sweep's first mode.
 """
 
 from __future__ import annotations
@@ -26,10 +28,11 @@ from .cp import (
     _allocate,
     _ascend,
     _block_step,
+    _count_shares,
     _entry_products,
     _FrozenModes,
-    _kl_from_recon,
-    generalized_kl,
+    _kl_from_log_mass,
+    _logs,
     reconstruct_entries,
     total_recon_mass,
 )
@@ -115,21 +118,19 @@ def ntf_kl_sweep(
     return _kl_step(f, region.restrict(t), mode, region, epsilon_floor)
 
 
-def _kl_step(f, part, mode, region, epsilon_floor, frozen=None):
-    """``ntf_kl_sweep`` over ``part``, stored entries all inside ``region``;
-    ``frozen`` is passed on to ``cp._count_shares``.  The numerator times
-    the factors is ``cp._allocate`` of the counts."""
-    allocated = np.zeros((part.shape[mode], f.k))
-    dead = _allocate(_logs(f.factors), part, mode, allocated, frozen)
-    if dead is not None:
-        raise InadmissibleZeroError(f"zero reconstruction under count at entry {dead}")
+def _kl_step(f, part, mode, region, epsilon_floor, frozen=None, allocated=None):
+    """``ntf_kl_sweep`` over ``part``, stored entries all inside ``region``,
+    taking the counts ``allocated`` to ``mode`` by an earlier kernel pass
+    over the same factors when one is given; ``frozen`` is passed on to
+    ``cp._count_shares``.  The numerator times the factors is
+    ``cp._allocate`` of the counts."""
+    if allocated is None:
+        allocated = np.zeros((part.shape[mode], f.k))
+        dead = _allocate(_logs(f.factors), part, mode, allocated, frozen)
+        if dead is not None:
+            raise InadmissibleZeroError(f"zero reconstruction under count at entry {dead}")
     ratio = _ratio(allocated, region.other_mode_sums(f.factors, mode))
     return f.replace_mode(mode, np.maximum(ratio, epsilon_floor))
-
-
-def _logs(mats):
-    with np.errstate(divide="ignore"):  # a zero factor is a weight of exactly 0
-        return [np.log(m) for m in mats]
 
 
 def ntf_ls_sweep(
@@ -175,17 +176,14 @@ def _ls_numerator(part, mats, mode, frozen=None):
     return numer
 
 
-def _objective(t, f, cost, region, frozen=None):
-    """The fit's cost; with ``frozen`` (a ``cp._FrozenModes`` of ``t``, whose
-    entries all lie in ``region``) each entry's reconstruction is its frozen
-    product times its last-mode row, the same bits."""
+def _ls_objective(t, f, region, frozen=None):
+    """The squared error; with ``frozen`` (a ``cp._FrozenModes`` of ``t``,
+    whose entries all lie in ``region``) each entry's reconstruction is its
+    frozen product times its last-mode row, the same bits."""
     if frozen is None:
-        return generalized_kl(t, f, region) if cost == "kl" else squared_error(t, f, region)
+        return squared_error(t, f, region)
     y = t.values.astype(np.float64)
-    yhat = frozen.recon(f.factors[-1])
-    if cost == "kl":
-        return _kl_from_recon(y, yhat, region.sum_recon(f.factors))
-    return _squared_error_from_recon(y, yhat, region.sum_sq_recon(f.factors))
+    return _squared_error_from_recon(y, frozen.recon(f.factors[-1]), region.sum_sq_recon(f.factors))
 
 
 def init_factors(t: SparseCountTensor, config: NtfConfig) -> FactorSet:
@@ -219,14 +217,31 @@ def _descend(f, t, region, config, modes, frozen=None):
     stored entries of ``t``, all inside ``region``, then the cost, sweep
     after sweep (``cp._ascend``).  ``frozen``, a ``cp._FrozenModes`` of
     ``t`` over every mode but the last, serves the updates and the cost;
-    ``modes`` must then be the last mode alone.  Returns (FactorSet, Trace)."""
-    step = _kl_step if config.cost == "kl" else _ls_step
+    ``modes`` must then be the last mode alone.  Returns (FactorSet, Trace).
+
+    The KL cost takes each entry's log reconstruction from a kernel pass
+    (``cp.generalized_kl``'s bits) that also allocates the next sweep's
+    first-mode counts: one kernel pass per mode a sweep, after the first
+    sweep's extra one.  A zero reconstruction makes the cost +inf and
+    leaves the next update to name the entry.
+    """
+    y = t.values.astype(np.float64)
+    allocated = None
 
     def sweep():
-        nonlocal f
+        nonlocal f, allocated
         for mode in modes:
-            f = step(f, t, mode, region, config.epsilon_floor, frozen)
-        return _objective(t, f, config.cost, region, frozen)
+            if config.cost == "kl":
+                f = _kl_step(f, t, mode, region, config.epsilon_floor, frozen, allocated)
+                allocated = None
+            else:
+                f = _ls_step(f, t, mode, region, config.epsilon_floor, frozen)
+        if config.cost == "ls":
+            return _ls_objective(t, f, region, frozen)
+        log_mass, allocated = _count_shares(_logs(f.factors), t, modes[0], frozen)
+        if not np.all(np.isfinite(log_mass)):
+            allocated = None
+        return _kl_from_log_mass(y, log_mass, region.sum_recon(f.factors))
 
     trace = _ascend(sweep, config.max_iterations, config.relative_objective_tolerance)
     return f, trace
@@ -247,9 +262,11 @@ def infer_heldout_time_factors_ntf(
     matrix holds one row per test step.
 
     A sweep is ``fit_ntf``'s own sweep over the time mode alone.  Each
-    observed entry's frozen factor product (``cp._FrozenModes``, nnz_obs *
-    K * 8 bytes; KL adds its frozen log sum, as much again) is taken once
-    per call, so a sweep costs O(nnz_obs * K) for the time mode alone.
+    observed entry's frozen prefix is taken once per call
+    (``cp._FrozenModes``): for KL its row-shifted frozen log sum and shift,
+    nnz_obs * (K + 1) * 8 bytes; for LS its frozen factor product,
+    nnz_obs * K * 8 bytes.  A sweep then costs O(nnz_obs * K) for the time
+    mode alone.
     """
     observed = _observed_part(trained.shape, test_slice, region)
     time_mode = trained.ndim - 1
@@ -261,5 +278,8 @@ def infer_heldout_time_factors_ntf(
     if mass > 0.0 and total > 0.0:
         f = f.replace_mode(time_mode, time0 * (total / mass))
     mats = f.factors[:time_mode]
-    frozen = _FrozenModes(observed, mats, _logs(mats) if config.cost == "kl" else None)
+    if config.cost == "kl":
+        frozen = _FrozenModes(observed, logs=_logs(mats))
+    else:
+        frozen = _FrozenModes(observed, mats)
     return _descend(f, observed, region, config, [time_mode], frozen)

@@ -5,6 +5,7 @@ import csv
 import datetime as dt
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 from math import prod
 from pathlib import Path
 
@@ -33,6 +34,7 @@ from countcp import (
     update_delta,
     update_gamma,
 )
+from countcp import cp
 from countcp.cp import _ascend
 from countcp.tensors import BIN_WIDTHS, EVENT_COLUMNS
 
@@ -155,6 +157,41 @@ def linear_allocate(mats, coords, values, mode, out):
         return tuple(int(c) for c in coords[np.argmax(bad)])
     np.add.at(out, coords[:, mode], parts * (values / totals)[:, None])
     return None
+
+
+def oracle_count_shares(logs, t, mode=None):
+    """``cp._count_shares`` as it ran before its row-shifted tables: the
+    oracle of the training path.
+
+    Each block's summed log rows come from the block plan's gather of the
+    unshifted tables; each entry is shifted by its exact maximum, taken one
+    column at a time, and a non-finite maximum ends ``log_mass`` in that
+    entry's block.
+    """
+    k = logs[-1].shape[1]
+    step = cp._block_step(k)
+    table = np.concatenate(logs)
+    summed = (gather @ table for gather in t._block_gather(step))
+    log_mass = np.empty(t.nnz)
+    allocated = None if mode is None else np.zeros((t.shape[mode], k))
+    scatter = repeat(None) if mode is None else t._block_incidence(step, mode)
+    for rows, parts, incidence in zip(t._block_rows(step), summed, scatter):
+        top = log_mass[rows]
+        top[...] = parts[:, 0]
+        for j in range(1, k):
+            np.maximum(top, parts[:, j], out=top)
+        if not np.all(np.isfinite(top)):
+            return log_mass[:rows.stop], allocated
+        parts -= top[:, None]
+        np.maximum(parts, cp._LOG_FLOOR, out=parts)
+        np.exp(parts, out=parts)
+        parts -= cp._FLOOR_WEIGHT
+        total = parts.sum(axis=1)
+        if incidence is not None:
+            parts *= (t.values[rows] / total)[:, None]
+            allocated += incidence @ parts
+        top += np.log(total)
+    return log_mass, allocated
 
 
 # ---------------------------------------------------------------------------

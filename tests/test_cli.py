@@ -15,6 +15,7 @@ from countcp import (
     FitConfig,
     Hyperparameters,
     NtfConfig,
+    NumericalDegeneracyError,
     load_tensor,
     save_factors,
     save_state,
@@ -340,6 +341,26 @@ class TestMalformedInputFiles:
         err = capsys.readouterr().err.strip().splitlines()
         assert err == ["data error: cannot fit a tensor with no stored entries (shape (3, 3, 2))"]
 
+    @pytest.mark.parametrize("model", ["bptf", "ntf-kl", "ntf-ls"])
+    @pytest.mark.parametrize("failure", ["empty", "numerical"])
+    def test_failed_fit_leaves_no_output_dir(self, synth_tensor, tmp_path, capsys,
+                                             monkeypatch, model, failure):
+        tensor = synth_tensor / "tensor.txt"
+        if failure == "empty":
+            tensor = tmp_path / "header-only.txt"
+            tensor.write_text("3 3 2\n")
+        else:
+            def degenerate(*args, **kwargs):
+                raise NumericalDegeneracyError("synthetic failure")
+
+            monkeypatch.setattr(countcp.bptf, "fit", degenerate)
+            monkeypatch.setattr(countcp.ntf, "fit_ntf", degenerate)
+        code = main(["fit", "--tensor", str(tensor), "--model", model, "--k", "2",
+                     "--output-dir", str(tmp_path / "new" / "sub")])
+        assert code == {"empty": 2, "numerical": 3}[failure]
+        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        assert not (tmp_path / "new").exists()
+
     @pytest.mark.parametrize(
         "option, name, corrupt",
         [
@@ -486,9 +507,10 @@ class TestInvalidOptionValues:
     @pytest.mark.parametrize(
         "extra",
         [["--k", "0"], ["--max-iterations", "0"], ["--alpha", "-1"], ["--seeds", "-1"],
-         ["--n-primes", ""], ["--test-fraction", "1.5"]],
+         ["--n-primes", ""], ["--test-fraction", "1.5"], ["--threads", "0"],
+         ["--threads", "-4"]],
         ids=["k-0", "max-iterations-0", "alpha-negative", "seed-negative", "n-primes-empty",
-             "test-fraction-1.5"],
+             "test-fraction-1.5", "threads-0", "threads-negative"],
     )
     def test_eval_exits_1_before_any_fit(self, synth_tensor, tmp_path, capsys,
                                          monkeypatch, extra):

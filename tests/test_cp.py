@@ -351,20 +351,26 @@ class TestRowGathers:
         for skip in (None, 0, 1, 3):
             assert same_bits(cp._entry_products(mats, t.coords, skip), fancy_products(mats, t.coords, skip))
         logs = [np.log(m) for m in mats]
+        shifted = [log - log.max(axis=1, keepdims=True) for log in logs]
+        tops = [log.max(axis=1) for log in logs]
         frozen = cp._FrozenModes(t, mats[:3], logs[:3])
         assert same_bits(frozen.products, fancy_products(mats[:3], t.coords))
-        assert same_bits(frozen.logs, sum((log[t.coords[:, m]] for m, log in enumerate(logs[:3])),
+        assert same_bits(frozen.logs, sum((s[t.coords[:, m]] for m, s in enumerate(shifted[:3])),
                                           np.zeros((nnz, 4))))
+        assert same_bits(frozen.shift, sum((top[t.coords[:, m]] for m, top in enumerate(tops[:3])),
+                                           np.zeros(nnz)))
         want = np.empty(nnz)
         summed = []
         for rows in t._block_rows(7):
-            want[rows] = (frozen.products[rows] * mats[3][t.coords[rows, 3]]).sum(axis=1)
-            summed.append(frozen.logs[rows] + logs[3][t.coords[rows, 3]])
+            last = t.coords[rows, 3]
+            want[rows] = (frozen.products[rows] * mats[3][last]).sum(axis=1)
+            summed.append((frozen.logs[rows] + shifted[3][last], frozen.shift[rows] + tops[3][last]))
         with mock.patch.object(cp, "_BLOCK_CELLS", 7 * 4):
             assert same_bits(frozen.recon(mats[3]), want)
         got = list(frozen.summed_logs(logs[3], 7))
         assert len(got) == len(summed)
-        assert all(same_bits(g, w) for g, w in zip(got, summed))
+        assert all(same_bits(g, w) for pair, wanted in zip(got, summed)
+                   for g, w in zip(pair, wanted))
 
 
 class TestFactorFiles:
