@@ -15,7 +15,6 @@ from countcp import (
     SparseCountTensor,
     fit_ntf,
     generalized_kl,
-    ntf_kl_sweep,
     poisson_log_likelihood,
     sample_count_tensor,
     squared_error,
@@ -45,10 +44,9 @@ print(f"KL difference {kl_diff:.6f} equals negated likelihood difference {ll_dif
 # a factor row that never touches a stored entry is multiplied by zero;
 # with a hard zero floor the multiplicative update can never revive it
 toy = SparseCountTensor.from_entries((3, 2, 1, 1), [((0, 0, 0, 0), 5)])
-f = FactorSet([rng.uniform(0.5, 1.0, size=(s, 2)) for s in toy.shape])
-dead = ntf_kl_sweep(f, toy, mode=0, epsilon_floor=0.0)
+dead, _ = fit_ntf(toy, NtfConfig(k=2, max_iterations=1, epsilon_floor=0.0))
 print("rows driven to exact zero with floor 0:", int((dead.factors[0] == 0).sum()))
-dead_again = ntf_kl_sweep(dead, toy, mode=0, epsilon_floor=0.0)
+dead_again, _ = fit_ntf(toy, NtfConfig(k=2, max_iterations=2, epsilon_floor=0.0))
 print("still zero after another sweep:", int((dead_again.factors[0] == 0).sum()))
-floored = ntf_kl_sweep(f, toy, mode=0, epsilon_floor=1e-12)
+floored, _ = fit_ntf(toy, NtfConfig(k=2, max_iterations=1, epsilon_floor=1e-12))
 print("with the default floor they bottom out at:", floored.factors[0].min())

@@ -11,7 +11,7 @@ import time
 from countcp import (
     ExperimentSpec,
     Hyperparameters,
-    run_experiment,
+    run_table,
     sample_count_tensor,
 )
 
@@ -31,7 +31,7 @@ spec = ExperimentSpec(
 )
 
 start = time.perf_counter()
-report = run_experiment(spec, tensor)
+report = run_table(spec, {spec.source: tensor}, [spec.n_prime], ("block",))
 elapsed = time.perf_counter() - start
 
 scenario = report.scenarios[0]

@@ -11,7 +11,6 @@ from .bptf import (
     FitConfig,
     Hyperparameters,
     VariationalState,
-    compute_elbo,
     fit,
     infer_heldout_time_factors,
     init_state,
@@ -20,7 +19,6 @@ from .bptf import (
     save_state,
     update_beta,
     update_delta,
-    update_gamma,
 )
 from .components import (
     ComponentSummary,
@@ -60,7 +58,6 @@ from .evaluation import (
     EvalReport,
     ExperimentSpec,
     region_metrics,
-    run_experiment,
     run_table,
     write_report_json,
     write_report_text,
@@ -70,11 +67,9 @@ from .ntf import (
     NtfConfig,
     fit_ntf,
     infer_heldout_time_factors_ntf,
-    ntf_kl_sweep,
-    ntf_ls_sweep,
     squared_error,
 )
-from .synth import expected_total_count, sample_count_tensor, sample_factors
+from .synth import sample_count_tensor, sample_factors
 from .tensors import (
     EventTable,
     SparseCountTensor,

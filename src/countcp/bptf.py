@@ -146,14 +146,6 @@ class VariationalState:
         self.expect[mode] = g / d
         self.elog[mode] = digamma(g) - np.log(d)
 
-    def copy(self) -> "VariationalState":
-        return VariationalState(
-            [g.copy() for g in self.gamma],
-            [d.copy() for d in self.delta],
-            [e.copy() for e in self.expect],
-            [e.copy() for e in self.elog],
-        )
-
 
 def init_state(shape, config: FitConfig, hyper: Hyperparameters, jitter: float = 1.0):
     """Fresh state: gamma = alpha plus uniform jitter in (0, jitter * alpha).
@@ -175,24 +167,16 @@ def _initial_shapes(shape, config, hyper, jitter=1.0):
         yield hyper.alpha + rng.uniform(0.0, hyper.alpha * jitter, size=(size, config.k))
 
 
-def update_gamma(
-    state: VariationalState, t: SparseCountTensor, mode: int, hyper: Hyperparameters
-):
+def _update_shape(state, t, mode, hyper, allocated=None, frozen=None):
     """Shape update for one mode: alpha plus this mode's allocated counts.
 
-    Each stored entry splits its count across components proportionally to
-    the geometric-expectation products, taken in log space; zero cells
-    allocate nothing, so the sweep touches only stored entries.  Refreshes
-    the mode's caches.
+    Each stored entry of ``t`` splits its count across components in
+    proportion to the geometric-expectation products, taken in log space
+    over ``state.elog``; zero cells allocate nothing, so the update touches
+    only stored entries.  The counts ``allocated`` to ``mode`` by an earlier
+    kernel pass over the same ``state.elog`` are used when given; ``frozen``
+    is passed on to ``cp._count_shares``.  Refreshes the mode's caches.
     """
-    _update_shape(state, t, mode, hyper)
-    return state
-
-
-def _update_shape(state, t, mode, hyper, allocated=None, frozen=None):
-    """``update_gamma``, taking the counts ``allocated`` to ``mode`` by an
-    earlier kernel pass over the same ``state.elog`` when one is given;
-    ``frozen`` is passed on to ``cp._count_shares``."""
     new = np.full(state.gamma[mode].shape, hyper.alpha)
     if allocated is not None:
         new += allocated
@@ -279,31 +263,6 @@ def _elbo(log_mass, y, log_y_factorials, mass, priors) -> float:
     if not np.isfinite(elbo):
         raise NumericalError("ELBO reconstruction-mass term is non-finite")
     return elbo
-
-
-def compute_elbo(
-    state: VariationalState,
-    t: SparseCountTensor,
-    hyper: Hyperparameters,
-    region: Region | None = None,
-) -> float:
-    """Evidence lower bound of the current state.
-
-    Uses the auxiliary-count tightening: the count term is the stored
-    entries' counts times the log of their summed geometric-expectation
-    products (a log-sum-exp of the summed expected log factors), the
-    reconstruction mass is the closed-form sum of arithmetic expectation
-    products, and each factor adds its Gamma prior cross-entropy and
-    entropy.  Both terms cover the cells of ``region`` (default: the whole
-    tensor) alone; stored entries outside it are left out.  Raises if any
-    named term goes non-finite.
-    """
-    region = region or Region.whole(state.shape)
-    t = region.restrict(t)
-    log_mass, _ = _count_shares(state.elog, t)
-    y = t.values.astype(np.float64)
-    priors = [_gamma_prior_terms(state, hyper, m) for m in range(state.n_modes)]
-    return _elbo(log_mass, y, gammaln(y + 1.0).sum(), region.sum_recon(state.expect), priors)
 
 
 def fit(t: SparseCountTensor, config: FitConfig, hyper: Hyperparameters | None = None):

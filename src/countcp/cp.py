@@ -9,7 +9,7 @@ allocation behind both the BPTF shape update and the KL update: a
 per-entry softmax over summed log factors, run block by block over log
 tables whose rows are shifted by their maxima, so no entry needs a maximum
 of its own.  The same kernel pass gives each entry's log-sum-exp, the count
-term of the BPTF ELBO and the log reconstruction of the generalized KL.  In
+term of the BPTF ELBO and the log reconstruction of both objectives.  In
 training the tensor's cached gather matrices sum the log rows
 (``SparseCountTensor._block_gather``); in heldout inference, which runs
 each fitter's own sweeps over the time mode alone, a per-entry prefix of
@@ -274,20 +274,17 @@ def poisson_log_likelihood(f: FactorSet, t: SparseCountTensor, region=None) -> f
     """Poisson log likelihood of the counts under the reconstruction.
 
     Every cell contributes y*log(yhat) - yhat - log(y!); zero cells reduce
-    to -yhat, so their total is the closed-form reconstruction mass.  A zero
-    reconstruction under a positive count makes the result -inf (reported
-    as a value, not an exception).  ``region`` restricts the sum to a cell
-    region, keeping the closed-form mass.
+    to -yhat, so their total is the closed-form reconstruction mass.  Each
+    log(yhat) is the log-sum-exp of ``_count_shares``, as in
+    ``generalized_kl``, so the two sum to the same constant for any
+    factors.  A zero reconstruction under a positive count makes the result
+    -inf (reported as a value, not an exception).  ``region`` restricts the
+    sum to a cell region, keeping the closed-form mass.
     """
-    if f.shape != t.shape:
-        raise ValueError(f"factor shape {f.shape} != tensor shape {t.shape}")
-    region = region or Region.whole(t.shape)
-    part = region.restrict(t)
-    yhat, y = reconstruct_entries(f, part.coords), part.values.astype(np.float64)
-    if np.any(yhat == 0.0):
+    y, log_mass, mass = _objective_terms(f, t, region)
+    if not np.all(np.isfinite(log_mass)):
         return float("-inf")
-    ll = float((y * np.log(yhat)).sum() - gammaln(y + 1.0).sum())
-    return ll - total_recon_mass(f, region)
+    return float((y * log_mass).sum() - gammaln(y + 1.0).sum()) - mass
 
 
 def generalized_kl(t: SparseCountTensor, f: FactorSet, region=None) -> float:
@@ -299,12 +296,20 @@ def generalized_kl(t: SparseCountTensor, f: FactorSet, region=None) -> float:
     log-sum-exp of ``_count_shares``, the pass that NTF-KL's update makes.
     ``region`` is handled as in poisson_log_likelihood.
     """
+    return _kl_from_log_mass(*_objective_terms(f, t, region))
+
+
+def _objective_terms(f: FactorSet, t: SparseCountTensor, region):
+    """The stored counts of ``t`` inside ``region`` (default: the whole
+    tensor), the logs of their reconstructions from one ``_count_shares``
+    pass, and the region's reconstruction mass.  The logs end early,
+    non-finite, if some entry has a zero reconstruction."""
     if f.shape != t.shape:
         raise ValueError(f"factor shape {f.shape} != tensor shape {t.shape}")
     region = region or Region.whole(t.shape)
     part = region.restrict(t)
     log_mass, _ = _count_shares(_logs(f.factors), part)
-    return _kl_from_log_mass(part.values.astype(np.float64), log_mass, total_recon_mass(f, region))
+    return part.values.astype(np.float64), log_mass, total_recon_mass(f, region)
 
 
 def _kl_from_log_mass(y, log_mass, mass) -> float:

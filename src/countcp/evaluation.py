@@ -7,13 +7,13 @@ complement, a ``masking.Region``), then score the reconstruction over the
 other region, the heldout one.  Scores are averaged over several random
 splits.  Each split is fitted once per model and shared by every region
 scored on it.  Heldout inference runs each model's fit loop over the
-time mode alone, with per-entry prefixes of the frozen modes (nnz_obs *
-K * 8 bytes, twice for NTF-KL) taken once per call: O(nnz_obs * K) per
-sweep.  Zero cells of the heldout region are never materialized: the
-absolute-error mass over zeros has a closed form, and the thresholded
-count (``Region.count_recon_above``) costs O(n0 * n1 * K)
-for its actor-pair bounds plus the cells of the actor rows that survive
-them.
+time mode alone, with a per-entry prefix of the frozen modes (nnz_obs *
+K * 8 bytes, plus nnz_obs * 8 for a log prefix's shift) taken once per
+call: O(nnz_obs * K) per sweep.  Zero cells of the heldout region are
+never materialized: the absolute-error mass over zeros has a closed form,
+and the thresholded count (``Region.count_recon_above``) costs
+O(n0 * n1 * K) for its actor-pair bounds plus the cells of the actor rows
+that survive them.
 """
 
 from __future__ import annotations
@@ -313,14 +313,6 @@ def _scenario(spec: ExperimentSpec, splits: list) -> ScenarioResult:
         splits=splits,
         failures=failures,
     )
-
-
-def run_experiment(
-    spec: ExperimentSpec, t: SparseCountTensor, max_workers: int = 1
-) -> EvalReport:
-    """Run one scenario: the one-row case of ``run_table``."""
-    side = "complement" if spec.predict_complement else "block"
-    return run_table(spec, {spec.source: t}, [spec.n_prime], (side,), max_workers)
 
 
 def run_table(

@@ -99,31 +99,20 @@ def _ratio(numer, denom) -> np.ndarray:
         return np.where(denom > 0.0, numer / np.where(denom > 0.0, denom, 1.0), 0.0)
 
 
-def ntf_kl_sweep(
-    f: FactorSet,
-    t: SparseCountTensor,
-    mode: int,
-    region: Region | None = None,
-    epsilon_floor: float = 1e-12,
-) -> FactorSet:
-    """One generalized-KL multiplicative update of one mode's factors.
+def _kl_step(f, part, mode, region, epsilon_floor, frozen=None, allocated=None):
+    """One generalized-KL multiplicative update of one mode's factors over
+    ``part``, whose stored entries all lie inside ``region``.
 
     The new factors are the stored counts allocated to this mode's rows, in
     proportion to each entry's factor products (the old factors times the
-    other modes' product times y/yhat), divided by the other modes' product
-    summed over every cell (column-sum products).  A zero reconstruction
-    under a stored count is an inadmissible zero and raises.
+    other modes' product times y/yhat, that is ``cp._allocate`` of the
+    counts), divided by the other modes' product summed over the region's
+    cells (column-sum products), then floored at ``epsilon_floor``.  The
+    counts ``allocated`` to ``mode`` by an earlier kernel pass over the same
+    factors are used when given; ``frozen`` is passed on to
+    ``cp._count_shares``.  A zero reconstruction under a stored count is an
+    inadmissible zero and raises.
     """
-    region = region or Region.whole(t.shape)
-    return _kl_step(f, region.restrict(t), mode, region, epsilon_floor)
-
-
-def _kl_step(f, part, mode, region, epsilon_floor, frozen=None, allocated=None):
-    """``ntf_kl_sweep`` over ``part``, stored entries all inside ``region``,
-    taking the counts ``allocated`` to ``mode`` by an earlier kernel pass
-    over the same factors when one is given; ``frozen`` is passed on to
-    ``cp._count_shares``.  The numerator times the factors is
-    ``cp._allocate`` of the counts."""
     if allocated is None:
         allocated = np.zeros((part.shape[mode], f.k))
         dead = _allocate(_logs(f.factors), part, mode, allocated, frozen)
@@ -133,27 +122,15 @@ def _kl_step(f, part, mode, region, epsilon_floor, frozen=None, allocated=None):
     return f.replace_mode(mode, np.maximum(ratio, epsilon_floor))
 
 
-def ntf_ls_sweep(
-    f: FactorSet,
-    t: SparseCountTensor,
-    mode: int,
-    region: Region | None = None,
-    epsilon_floor: float = 1e-12,
-) -> FactorSet:
-    """One Euclidean multiplicative update of one mode's factors.
-
-    Numerator: other-mode factor products times y over stored entries.
-    Denominator: the same products times the reconstruction, computed with
-    the Gram-product identity.
-    """
-    region = region or Region.whole(t.shape)
-    return _ls_step(f, region.restrict(t), mode, region, epsilon_floor)
-
-
 def _ls_step(f, part, mode, region, epsilon_floor, frozen=None):
-    """``ntf_ls_sweep`` over ``part``, stored entries all inside ``region``;
-    with ``frozen`` (a ``cp._FrozenModes``, ``mode`` the last) the numerator
-    reads its entry products."""
+    """One Euclidean multiplicative update of one mode's factors over
+    ``part``, whose stored entries all lie inside ``region``.
+
+    Numerator: other-mode factor products times y over stored entries; with
+    ``frozen`` (a ``cp._FrozenModes``, ``mode`` the last) it reads their
+    entry products.  Denominator: the same products times the
+    reconstruction over the region's cells, by the Gram-product identity.
+    """
     numer = _ls_numerator(part, f.factors, mode, frozen)
     denom = region.gram_denominator(f.factors, mode)
     if np.any((denom == 0.0) & (numer > 0.0)):

@@ -24,18 +24,6 @@ def sample_factors(shape, k: int, hyper: Hyperparameters, rng) -> FactorSet:
     return FactorSet(mats)
 
 
-def expected_total_count(shape, k: int, hyper: Hyperparameters) -> float:
-    """Analytic expectation of the tensor's total count.
-
-    Each cell's expected reconstruction is k times the product of the
-    per-mode prior means 1 / beta[m].
-    """
-    mean = float(k)
-    for m, size in enumerate(shape):
-        mean *= size / hyper.beta[m]
-    return mean
-
-
 def sample_count_tensor(shape, k: int, hyper: Hyperparameters, seed: int, row_chunk: int = 64):
     """Sample (tensor, true factors) from the generative model.
 

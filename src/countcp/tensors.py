@@ -104,10 +104,6 @@ class SparseCountTensor:
     def nnz(self) -> int:
         return int(self.values.shape[0])
 
-    @property
-    def total_count(self) -> int:
-        return int(self.values.sum())
-
     def __eq__(self, other):
         return (
             isinstance(other, SparseCountTensor)

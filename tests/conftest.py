@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from countcp import (
     ConfigError,
@@ -23,19 +24,16 @@ from countcp import (
     SparseCountTensor,
     SpecValidationError,
     VariationalState,
-    compute_elbo,
     generalized_kl,
     init_state,
-    ntf_kl_sweep,
-    ntf_ls_sweep,
     reconstruct_entries,
     squared_error,
     update_beta,
     update_delta,
-    update_gamma,
 )
-from countcp import cp
-from countcp.cp import _ascend
+from countcp import cp, ntf
+from countcp.bptf import _elbo, _gamma_prior_terms, _update_shape
+from countcp.cp import _ascend, _count_shares
 from countcp.tensors import BIN_WIDTHS, EVENT_COLUMNS
 
 
@@ -196,9 +194,41 @@ def oracle_count_shares(logs, t, mode=None):
 
 # ---------------------------------------------------------------------------
 # Heldout inference and the BPTF fit as they ran before the frozen-prefix and
-# fused-ELBO paths: every sweep through the public updates, each over the
-# block plan's gather, kept as the oracles of those paths
+# fused-ELBO paths: every sweep through the per-mode updates and a standalone
+# ELBO, each over the block plan's gather, kept as the oracles of those paths
 # ---------------------------------------------------------------------------
+
+
+def ntf_step(step, f, t, mode, region=None, epsilon_floor=1e-12):
+    """``step`` (``ntf._kl_step`` or ``ntf._ls_step``) of ``mode`` over the
+    stored entries of ``t`` inside ``region`` (default: the whole tensor)."""
+    region = region or Region.whole(t.shape)
+    return step(f, region.restrict(t), mode, region, epsilon_floor)
+
+
+def compute_elbo(
+    state: VariationalState,
+    t: SparseCountTensor,
+    hyper: Hyperparameters,
+    region: Region | None = None,
+) -> float:
+    """Evidence lower bound of the current state.
+
+    Uses the auxiliary-count tightening: the count term is the stored
+    entries' counts times the log of their summed geometric-expectation
+    products (a log-sum-exp of the summed expected log factors), the
+    reconstruction mass is the closed-form sum of arithmetic expectation
+    products, and each factor adds its Gamma prior cross-entropy and
+    entropy.  Both terms cover the cells of ``region`` (default: the whole
+    tensor) alone; stored entries outside it are left out.  Raises if any
+    named term goes non-finite.
+    """
+    region = region or Region.whole(state.shape)
+    t = region.restrict(t)
+    log_mass, _ = _count_shares(state.elog, t)
+    y = t.values.astype(np.float64)
+    priors = [_gamma_prior_terms(state, hyper, m) for m in range(state.n_modes)]
+    return _elbo(log_mass, y, gammaln(y + 1.0).sum(), region.sum_recon(state.expect), priors)
 
 
 def oracle_bptf_fit(t, config, hyper=None):
@@ -213,7 +243,7 @@ def oracle_bptf_fit(t, config, hyper=None):
     def sweep():
         nonlocal hyper
         for mode in range(t.ndim):
-            update_gamma(state, t, mode, hyper)
+            _update_shape(state, t, mode, hyper)
             update_delta(state, t, mode, hyper, region=region)
         if config.learn_beta:
             for mode in range(t.ndim):
@@ -245,7 +275,7 @@ def oracle_infer_heldout_bptf(trained, hyper, test_slice, region, config):
         state.elog[m] = trained.elog[m].copy()
 
     def sweep():
-        update_gamma(state, observed, time_mode, hyper)
+        _update_shape(state, observed, time_mode, hyper)
         update_delta(state, observed, time_mode, hyper, region=region)
         return compute_elbo(state, observed, hyper, region=region)
 
@@ -254,8 +284,8 @@ def oracle_infer_heldout_bptf(trained, hyper, test_slice, region, config):
 
 
 def oracle_infer_heldout_ntf(trained, test_slice, observed_region, config):
-    """``ntf.infer_heldout_time_factors_ntf`` through the public sweeps and
-    objectives, redoing the frozen modes' work every sweep."""
+    """``ntf.infer_heldout_time_factors_ntf`` through the per-mode steps and
+    the public objectives, redoing the frozen modes' work every sweep."""
     observed = _oracle_observed(test_slice, observed_region)
     time_mode = trained.ndim - 1
     rng = np.random.default_rng(config.seed)
@@ -265,14 +295,13 @@ def oracle_infer_heldout_ntf(trained, test_slice, observed_region, config):
     total = float(observed.values.sum())
     if mass > 0.0 and total > 0.0:
         f = f.replace_mode(time_mode, time0 * (total / mass))
-    update, objective = (
-        (ntf_kl_sweep, generalized_kl) if config.cost == "kl" else (ntf_ls_sweep, squared_error)
+    step, objective = (
+        (ntf._kl_step, generalized_kl) if config.cost == "kl" else (ntf._ls_step, squared_error)
     )
 
     def sweep():
         nonlocal f
-        f = update(f, observed, time_mode, region=observed_region,
-                   epsilon_floor=config.epsilon_floor)
+        f = ntf_step(step, f, observed, time_mode, observed_region, config.epsilon_floor)
         return objective(observed, f, region=observed_region)
 
     trace = _ascend(sweep, config.max_iterations, config.relative_objective_tolerance)

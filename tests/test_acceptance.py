@@ -23,18 +23,17 @@ from countcp import (
     generalized_kl,
     gini,
     load_state,
-    ntf_kl_sweep,
     point_estimate,
     poisson_log_likelihood,
-    run_experiment,
     run_table,
     sample_count_tensor,
     save_tensor,
     update_delta,
-    update_gamma,
 )
+from countcp.bptf import _update_shape
 from countcp.cli import main
-from conftest import random_factors, random_tensor, state_from_point_estimate
+from countcp.ntf import _kl_step
+from conftest import ntf_step, random_factors, random_tensor, state_from_point_estimate
 from test_bptf import aux_variable_gamma_oracle
 
 
@@ -136,7 +135,7 @@ def test_criterion_04_update_oracles():
                 [g.copy() for g in gamma], [d.copy() for d in delta]
             )
             expected_gamma = aux_variable_gamma_oracle(state, t, mode, hyper.alpha)
-            update_gamma(state, t, mode, hyper)
+            _update_shape(state, t, mode, hyper)
             gap = float(np.abs(state.gamma[mode] - expected_gamma).max())
             worst = max(worst, gap)
 
@@ -229,9 +228,9 @@ def test_criterion_06_vanishing_prior_matches_multiplicative_update():
         state = state_from_point_estimate(factors)
         ntf = factors
         for mode in range(4):
-            update_gamma(state, t, mode, hyper)
+            _update_shape(state, t, mode, hyper)
             update_delta(state, t, mode, hyper)
-            ntf = ntf_kl_sweep(ntf, t, mode)
+            ntf = ntf_step(_kl_step, ntf, t, mode)
         for mode in range(4):
             rel = float(
                 (np.abs(state.expect[mode] - ntf.factors[mode]) / ntf.factors[mode]).max()
@@ -261,7 +260,7 @@ def harness_report():
     hyper = Hyperparameters(alpha=0.1, beta=(2.0,) * 4)
     t, _ = sample_count_tensor((30, 30, 5, 40), 5, hyper, seed=42)
     start = time.perf_counter()
-    report = run_experiment(HARNESS_SPEC, t)
+    report = run_table(HARNESS_SPEC, {HARNESS_SPEC.source: t}, [HARNESS_SPEC.n_prime], ("block",))
     return report, time.perf_counter() - start
 
 

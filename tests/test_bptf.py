@@ -14,20 +14,21 @@ from countcp import (
     Region,
     SparseCountTensor,
     VariationalState,
-    compute_elbo,
     fit,
     infer_heldout_time_factors,
     init_state,
     load_state,
-    ntf_kl_sweep,
     point_estimate,
     save_state,
     update_beta,
     update_delta,
-    update_gamma,
     write_trace,
 )
+from countcp.bptf import _update_shape
+from countcp.ntf import _kl_step
 from conftest import (
+    compute_elbo,
+    ntf_step,
     random_factors,
     random_tensor,
     reconstruct_dense,
@@ -108,7 +109,7 @@ class TestUpdateGamma:
         t = SparseCountTensor.from_entries((3, 2, 2, 2), [((0, 0, 0, 0), 4)])
         hyper = Hyperparameters.default(4, alpha=0.3)
         state = make_state(t.shape, 2, hyper, seed=1)
-        update_gamma(state, t, 0, hyper)
+        _update_shape(state, t, 0, hyper)
         assert np.all(state.gamma[0][1] == 0.3)
         assert np.all(state.gamma[0][2] == 0.3)
 
@@ -116,7 +117,7 @@ class TestUpdateGamma:
         t = SparseCountTensor.from_entries((1, 1, 1, 1), [((0, 0, 0, 0), 7)])
         hyper = Hyperparameters.default(4, alpha=0.2)
         state = make_state(t.shape, 1, hyper, seed=0)
-        update_gamma(state, t, 0, hyper)
+        _update_shape(state, t, 0, hyper)
         assert state.gamma[0][0, 0] == pytest.approx(0.2 + 7.0, rel=1e-15)
 
     @pytest.mark.parametrize("mode", [0, 1, 2, 3])
@@ -125,7 +126,7 @@ class TestUpdateGamma:
         hyper = Hyperparameters.default(4, alpha=0.1)
         state = randomized_state(t.shape, 2, rng)
         expected = aux_variable_gamma_oracle(state, t, mode, hyper.alpha)
-        update_gamma(state, t, mode, hyper)
+        _update_shape(state, t, mode, hyper)
         assert np.allclose(state.gamma[mode], expected, atol=1e-12, rtol=0)
 
     def test_gamma_never_drops_below_alpha(self, rng):
@@ -133,7 +134,7 @@ class TestUpdateGamma:
         hyper = Hyperparameters.default(4, alpha=0.05)
         state = randomized_state(t.shape, 3, rng)
         for mode in range(4):
-            update_gamma(state, t, mode, hyper)
+            _update_shape(state, t, mode, hyper)
             assert np.all(state.gamma[mode] >= 0.05)
 
     def test_allocations_conserve_each_count(self, rng):
@@ -151,7 +152,7 @@ class TestUpdateGamma:
         state = make_state(t.shape, 1, hyper, seed=0)
         state.elog[0][:] = -np.inf
         with pytest.raises(NumericalDegeneracyError, match=r"\(0, 0, 0, 0\)"):
-            update_gamma(state, t, 1, hyper)
+            _update_shape(state, t, 1, hyper)
 
 
 class TestUpdateDelta:
@@ -451,9 +452,9 @@ class TestLimitCorrespondence:
             state = state_from_point_estimate(factors)
             ntf = factors
             for mode in range(4):
-                update_gamma(state, t, mode, hyper)
+                _update_shape(state, t, mode, hyper)
                 update_delta(state, t, mode, hyper)
-                ntf = ntf_kl_sweep(ntf, t, mode)
+                ntf = ntf_step(_kl_step, ntf, t, mode)
             for mode in range(4):
                 rel = np.abs(state.expect[mode] - ntf.factors[mode]) / ntf.factors[mode]
                 assert rel.max() < 1e-4
@@ -490,7 +491,7 @@ class TestHeldoutInference:
             manual.delta[m] = state.delta[m].copy()
             manual.refresh(m)
         for _ in range(trace.n_iterations):
-            update_gamma(manual, test, 3, hyper)
+            _update_shape(manual, test, 3, hyper)
             update_delta(manual, test, 3, hyper)
         assert np.allclose(heldout.gamma[3], manual.gamma[3], rtol=1e-12)
         assert np.allclose(heldout.delta[3], manual.delta[3], rtol=1e-12)
@@ -507,20 +508,21 @@ class TestHeldoutInference:
 
     def test_frozen_modes_share_the_trained_arrays_and_time_starts_at_init_state(self, rng):
         state, hyper, test, config = self.build_split(rng)
-        trained = state.copy()
+        names = ("gamma", "delta", "expect", "elog")
+        trained = {name: [a.copy() for a in getattr(state, name)] for name in names}
         config = FitConfig(k=2, max_iterations=1, seed=7)
         heldout, _ = infer_heldout_time_factors(state, hyper, test, top_block(test.shape, 3), config)
-        for name in ("gamma", "delta", "expect", "elog"):
+        for name in names:
             for m in range(3):
                 assert getattr(heldout, name)[m] is getattr(state, name)[m]
-            for got, want in zip(getattr(state, name), getattr(trained, name)):
+            for got, want in zip(getattr(state, name), trained[name]):
                 assert np.array_equal(got, want)  # the trained state is unchanged
         # one sweep's shape update from init_state's time mode, as a fresh state would run it
         fresh = init_state(test.shape, config, hyper)
         for m in range(3):
             fresh.gamma[m], fresh.delta[m] = state.gamma[m], state.delta[m]
             fresh.expect[m], fresh.elog[m] = state.expect[m], state.elog[m]
-        update_gamma(fresh, top_block(test.shape, 3).restrict(test), 3, hyper)
+        _update_shape(fresh, top_block(test.shape, 3).restrict(test), 3, hyper)
         assert np.array_equal(heldout.gamma[3], fresh.gamma[3])
 
     def test_beats_prior_mean_baseline_on_generative_data(self, rng):

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from scipy.special import digamma, logsumexp
+from scipy.special import digamma, gammaln, logsumexp
 
 from countcp import (
     FactorSet,
@@ -23,10 +23,17 @@ from countcp import (
     save_factors,
 )
 from countcp import cp
-from countcp.bptf import compute_elbo
 from countcp.cp import _allocate
-from countcp.ntf import ntf_ls_sweep
-from conftest import linear_allocate, random_factors, random_tensor, reconstruct_dense, todense
+from countcp.ntf import _ls_step
+from conftest import (
+    compute_elbo,
+    linear_allocate,
+    ntf_step,
+    random_factors,
+    random_tensor,
+    reconstruct_dense,
+    todense,
+)
 
 
 def loop_reconstruct(f, coord):
@@ -127,6 +134,19 @@ class TestPoissonLogLikelihood:
         mats = [np.array([[0.0], [1.0]]), np.ones((1, 1)), np.ones((1, 1)), np.ones((1, 1))]
         f = FactorSet(mats)
         assert poisson_log_likelihood(f, t) == -math.inf
+
+    def test_underflowing_products_stay_finite(self):
+        # every product is 1e-360, below the smallest double, but its log is not
+        entries = [(coord, 1 + sum(coord)) for coord in np.ndindex(2, 2, 2)]
+        t = SparseCountTensor.from_entries((2, 2, 2), entries)
+        f = FactorSet([np.full((2, 2), 1e-120) for _ in range(3)])
+        y = t.values.astype(np.float64)
+        log_yhat = math.log(2.0) + 3.0 * math.log(1e-120)
+        want = float((y * log_yhat).sum() - gammaln(y + 1.0).sum())
+        assert poisson_log_likelihood(f, t) == pytest.approx(want, rel=1e-12)
+        constant = float((y * np.log(y) - y - gammaln(y + 1.0)).sum())
+        total = generalized_kl(t, f) + poisson_log_likelihood(f, t)
+        assert total == pytest.approx(constant, rel=1e-9)
 
 
 class TestGeneralizedKl:
@@ -289,10 +309,10 @@ class TestMultiBlock:
 
     def test_ls_sweep_agrees_across_block_sizes(self, rng, monkeypatch, tensor):
         f = random_factors(tensor.shape, 6, rng)
-        whole = [ntf_ls_sweep(f, tensor, mode).factors[mode] for mode in range(4)]
+        whole = [ntf_step(_ls_step, f, tensor, mode).factors[mode] for mode in range(4)]
         self.small_blocks(monkeypatch, 6)
         for mode in range(4):
-            got = ntf_ls_sweep(f, tensor, mode).factors[mode]
+            got = ntf_step(_ls_step, f, tensor, mode).factors[mode]
             np.testing.assert_allclose(got, whole[mode], rtol=1e-12, atol=0)
 
     def test_sparse_gather_equals_ascending_mode_sum(self, rng, tensor):

@@ -25,7 +25,6 @@ from countcp import (
     infer_heldout_time_factors_ntf,
     point_estimate,
     region_metrics,
-    run_experiment,
     run_table,
     sample_count_tensor,
     sort_by_activity,
@@ -143,9 +142,13 @@ class TestRunExperiment:
         base.update(kw)
         return ExperimentSpec(**base)
 
+    def run(self, spec, t, max_workers=1):
+        """The one-row table of ``spec``, its block predicted."""
+        return run_table(spec, {spec.source: t}, [spec.n_prime], ("block",), max_workers)
+
     def test_single_model_single_seed_report_shape(self):
         t = small_generative_tensor()
-        report = run_experiment(self.spec(), t)
+        report = self.run(self.spec(), t)
         assert len(report.scenarios) == 1
         sc = report.scenarios[0]
         assert set(sc.models) == {"bptf-geo"}
@@ -157,12 +160,12 @@ class TestRunExperiment:
         t = small_generative_tensor()
         # n_prime = N with the block predicted leaves nothing observed
         with pytest.raises(SpecValidationError):
-            run_experiment(self.spec(n_prime=8), t)
+            self.run(self.spec(n_prime=8), t)
 
     def test_all_models_reported(self):
         t = small_generative_tensor()
         spec = self.spec(models=("ntf-ls", "ntf-kl", "bptf-geo", "bptf-ari"))
-        report = run_experiment(spec, t)
+        report = self.run(spec, t)
         sc = report.scenarios[0]
         assert set(sc.models) == set(spec.models)
         for scores in sc.models.values():
@@ -172,15 +175,15 @@ class TestRunExperiment:
     def test_reports_are_deterministic(self):
         t = small_generative_tensor()
         spec = self.spec(models=("bptf-geo", "ntf-kl"), seeds=(0, 1))
-        a = json.dumps(asdict(run_experiment(spec, t)), sort_keys=True)
-        b = json.dumps(asdict(run_experiment(spec, t)), sort_keys=True)
+        a = json.dumps(asdict(self.run(spec, t)), sort_keys=True)
+        b = json.dumps(asdict(self.run(spec, t)), sort_keys=True)
         assert a == b
 
     def test_worker_threads_do_not_change_the_report(self):
         t = small_generative_tensor()
         spec = self.spec(models=("bptf-geo",), seeds=(0, 1, 2))
-        serial = json.dumps(asdict(run_experiment(spec, t, max_workers=1)), sort_keys=True)
-        threaded = json.dumps(asdict(run_experiment(spec, t, max_workers=3)), sort_keys=True)
+        serial = json.dumps(asdict(self.run(spec, t, max_workers=1)), sort_keys=True)
+        threaded = json.dumps(asdict(self.run(spec, t, max_workers=3)), sort_keys=True)
         assert serial == threaded
 
     def test_seeds_must_be_non_empty(self):
@@ -219,7 +222,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(countcp.ntf, "fit_ntf", boom)
         spec = self.spec(models=("bptf-geo", "ntf-kl"))
-        report = run_experiment(spec, t)
+        report = self.run(spec, t)
         sc = report.scenarios[0]
         assert "bptf-geo" in sc.models
         assert "ntf-kl" in sc.failures

@@ -197,7 +197,7 @@ class TestEventTable:
         )
         table = read_event_file(tmp_path / "events.csv")
         assert len(table) == 3
-        assert ingest_events(table, "day", RANGE).total_count == 1
+        assert ingest_events(table, "day", RANGE).values.sum() == 1
 
     def test_codes_follow_first_appearance(self):
         when = dt.datetime(2001, 2, 5, 23, 30, tzinfo=dt.timezone(dt.timedelta(hours=-2)))

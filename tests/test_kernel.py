@@ -25,8 +25,8 @@ from hypothesis import strategies as st
 from countcp import FactorSet, InadmissibleZeroError, SparseCountTensor, generalized_kl
 from countcp import cp
 from countcp.cp import _allocate
-from countcp.ntf import ntf_kl_sweep
-from conftest import oracle_count_shares, random_factors, random_tensor
+from countcp.ntf import _kl_step
+from conftest import ntf_step, oracle_count_shares, random_factors, random_tensor
 
 EPS = np.finfo(np.float64).eps
 
@@ -180,5 +180,5 @@ class TestBadEntries:
         assert want is not None and want[2] == 1
         for mode in range(4):
             with pytest.raises(InadmissibleZeroError, match=re.escape(f"at entry {want}")):
-                ntf_kl_sweep(f, tensor, mode, epsilon_floor=0.0)
+                ntf_step(_kl_step, f, tensor, mode, epsilon_floor=0.0)
         assert generalized_kl(tensor, f) == np.inf

@@ -13,12 +13,18 @@ from countcp import (
     fit_ntf,
     generalized_kl,
     infer_heldout_time_factors_ntf,
-    ntf_kl_sweep,
-    ntf_ls_sweep,
     poisson_log_likelihood,
     squared_error,
 )
-from conftest import random_factors, random_tensor, reconstruct_dense, todense, top_block
+from countcp.ntf import _kl_step, _ls_step
+from conftest import (
+    ntf_step,
+    random_factors,
+    random_tensor,
+    reconstruct_dense,
+    todense,
+    top_block,
+)
 
 
 def perfect_instance():
@@ -72,7 +78,7 @@ class TestKlSweep:
         f = random_factors(shape, 3, rng)
         region = KL_REGIONS[region_kind](shape)
         for mode in range(len(shape)):
-            updated = ntf_kl_sweep(f, t, mode, region, epsilon_floor=1e-12)
+            updated = ntf_step(_kl_step, f, t, mode, region, epsilon_floor=1e-12)
             expected = kl_update_oracle(f, t, mode, region, 1e-12)
             np.testing.assert_allclose(updated.factors[mode], expected, rtol=1e-12, atol=0)
             f = updated
@@ -85,7 +91,7 @@ class TestKlSweep:
             mats[m][row, 0] = 0.0
         f = FactorSet(mats)
         for mode in range(len(shape)):
-            updated = ntf_kl_sweep(f, t, mode, epsilon_floor=0.0)
+            updated = ntf_step(_kl_step, f, t, mode, epsilon_floor=0.0)
             expected = kl_update_oracle(f, t, mode, Region.whole(shape), 0.0)
             np.testing.assert_allclose(updated.factors[mode], expected, rtol=1e-12, atol=0)
             assert np.all(updated.factors[mode][f.factors[mode] == 0.0] == 0.0)
@@ -94,13 +100,13 @@ class TestKlSweep:
     def test_perfect_reconstruction_is_a_fixed_point(self):
         t, f = perfect_instance()
         for mode in range(4):
-            updated = ntf_kl_sweep(f, t, mode)
+            updated = ntf_step(_kl_step, f, t, mode)
             assert np.allclose(updated.factors[mode], f.factors[mode], rtol=1e-12)
 
     def test_rows_without_entries_drop_to_the_floor(self, rng):
         t = SparseCountTensor.from_entries((3, 2, 1, 1), [((0, 0, 0, 0), 5)])
         f = random_factors(t.shape, 2, rng)
-        updated = ntf_kl_sweep(f, t, 0, epsilon_floor=1e-12)
+        updated = ntf_step(_kl_step, f, t, 0, epsilon_floor=1e-12)
         assert np.all(updated.factors[0][1] == 1e-12)
         assert np.all(updated.factors[0][2] == 1e-12)
 
@@ -110,7 +116,7 @@ class TestKlSweep:
         value = generalized_kl(t, f)
         for _ in range(15):
             for mode in range(4):
-                f = ntf_kl_sweep(f, t, mode)
+                f = ntf_step(_kl_step, f, t, mode)
                 assert all(m.min() >= 1e-12 for m in f.factors)
             new_value = generalized_kl(t, f)
             assert new_value <= value + 1e-10 * abs(value)
@@ -125,15 +131,15 @@ class TestKlSweep:
             np.ones((1, 1)),
         ]
         with pytest.raises(InadmissibleZeroError, match=r"\(0, 0, 0, 0\)"):
-            ntf_kl_sweep(FactorSet(mats), t, 1, epsilon_floor=0.0)
+            ntf_step(_kl_step, FactorSet(mats), t, 1, epsilon_floor=0.0)
 
     def test_hard_zero_floor_preserves_inadmissible_zeros(self, rng):
         # with epsilon_floor=0, a dead row stays dead through further sweeps
         t = SparseCountTensor.from_entries((3, 2, 1, 1), [((0, 0, 0, 0), 5)])
         f = random_factors(t.shape, 2, rng)
-        f = ntf_kl_sweep(f, t, 0, epsilon_floor=0.0)
+        f = ntf_step(_kl_step, f, t, 0, epsilon_floor=0.0)
         assert np.all(f.factors[0][1] == 0.0)
-        f = ntf_kl_sweep(f, t, 0, epsilon_floor=0.0)
+        f = ntf_step(_kl_step, f, t, 0, epsilon_floor=0.0)
         assert np.all(f.factors[0][1] == 0.0)
 
 
@@ -141,7 +147,7 @@ class TestLsSweep:
     def test_perfect_reconstruction_is_a_fixed_point(self):
         t, f = perfect_instance()
         for mode in range(4):
-            updated = ntf_ls_sweep(f, t, mode)
+            updated = ntf_step(_ls_step, f, t, mode)
             assert np.allclose(updated.factors[mode], f.factors[mode], rtol=1e-12)
 
     def test_all_zero_tensor_collapses_to_the_floor(self, rng):
@@ -149,7 +155,7 @@ class TestLsSweep:
         f = random_factors(t.shape, 2, rng)
         for _ in range(3):
             for mode in range(4):
-                f = ntf_ls_sweep(f, t, mode, epsilon_floor=1e-12)
+                f = ntf_step(_ls_step, f, t, mode, epsilon_floor=1e-12)
         assert np.all(f.factors[0] == 1e-12)
 
     def test_objective_never_increases_and_matches_dense_oracle(self, rng):
@@ -162,7 +168,7 @@ class TestLsSweep:
         )
         for _ in range(15):
             for mode in range(4):
-                f = ntf_ls_sweep(f, t, mode)
+                f = ntf_step(_ls_step, f, t, mode)
             new_value = squared_error(t, f)
             assert new_value == pytest.approx(
                 ((dense - reconstruct_dense(f)) ** 2).sum(), rel=1e-10
@@ -180,7 +186,7 @@ class TestLsSweep:
             np.ones((1, 1)),
         ]
         with pytest.raises(DegenerateUpdateError):
-            ntf_ls_sweep(FactorSet(mats), t, 0, epsilon_floor=0.0)
+            ntf_step(_ls_step, FactorSet(mats), t, 0, epsilon_floor=0.0)
 
 
 class TestFitNtf:
@@ -202,7 +208,7 @@ class TestFitNtf:
 
         t = random_tensor((4, 4, 3, 5), rng, nnz=40)
         f = init_factors(t, NtfConfig(k=3, seed=1))
-        assert total_recon_mass(f) == pytest.approx(t.total_count, rel=1e-10)
+        assert total_recon_mass(f) == pytest.approx(t.values.sum(), rel=1e-10)
 
     def test_kl_fit_reduces_objective_on_generative_data(self):
         from countcp import Hyperparameters, sample_count_tensor
@@ -244,10 +250,10 @@ class TestHeldoutInferenceNtf:
         f = FactorSet(list(trained.factors[:3]) + [time0])
         region = Region(test.shape, range(5), range(5))
         mass = region.sum_recon(f.factors)
-        f = f.replace_mode(3, time0 * (test.total_count / mass))
+        f = f.replace_mode(3, time0 * (test.values.sum() / mass))
         previous = None
         for _ in range(config.max_iterations):
-            f = ntf_kl_sweep(f, test, 3, epsilon_floor=config.epsilon_floor)
+            f = ntf_step(_kl_step, f, test, 3, epsilon_floor=config.epsilon_floor)
             value = generalized_kl(test, f)
             if previous is not None and abs(value - previous) <= (
                 config.relative_objective_tolerance * abs(previous)
