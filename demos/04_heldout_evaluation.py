@@ -19,8 +19,8 @@ hyper = Hyperparameters(alpha=0.1, beta=(2.0,) * 4)
 tensor, _ = sample_count_tensor((30, 30, 5, 40), k=5, hyper=hyper, seed=42)
 
 spec = ExperimentSpec(
-    n_prime=10,               # upper-left 10 x 10 actor block
-    predict_complement=False,  # predict the dense block, observe the rest
+    n_primes=(10,),     # upper-left 10 x 10 actor block
+    scenario="block",   # predict the dense block, observe the rest
     test_fraction=0.2,
     seeds=(0, 1, 2),
     k=10,
@@ -31,7 +31,7 @@ spec = ExperimentSpec(
 )
 
 start = time.perf_counter()
-report = run_table(spec, {spec.source: tensor}, [spec.n_prime], ("block",))
+report = run_table(spec, {"": tensor})
 elapsed = time.perf_counter() - start
 
 scenario = report.scenarios[0]

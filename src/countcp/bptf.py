@@ -191,11 +191,7 @@ def _update_shape(state, t, mode, hyper, allocated=None, frozen=None):
 
 
 def update_delta(
-    state: VariationalState,
-    t: SparseCountTensor,
-    mode: int,
-    hyper: Hyperparameters,
-    region: Region | None = None,
+    state: VariationalState, mode: int, hyper: Hyperparameters, region: Region | None = None
 ):
     """Rate update for one mode: prior rate plus the other modes' mass.
 
@@ -314,7 +310,7 @@ def _ascend_modes(state, t, hyper, region, config, modes, frozen=None, learn_bet
         for mode in modes:
             _update_shape(state, t, mode, hyper, allocated, frozen)
             allocated = None
-            update_delta(state, t, mode, hyper, region=region)
+            update_delta(state, mode, hyper, region=region)
         if learn_beta:
             for mode in modes:
                 hyper = update_beta(state, mode, hyper)

@@ -4,7 +4,8 @@ Every run is driven by explicit flags, an optional flat key=value config
 file, or both; command-line flags override file values.  Each command
 writes the fully resolved configuration beside its outputs so runs can be
 reproduced exactly.  Exit codes: 0 success, 1 usage or configuration
-error, 2 data error, 3 numerical failure.
+error (an unreadable config file included), 2 data error (an output that
+cannot be written included), 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from .errors import ConfigError, CountCPError, DataError, NumericalError
 from .evaluation import (
     ExperimentSpec,
     MODEL_NAMES,
+    _SIDES,
     _hyperparameters,
     _trainer,
     run_table,
@@ -84,9 +86,10 @@ def _parse_date(text: str) -> _dt.date:
 def read_config_file(path) -> dict:
     """Flat key=value run configuration; '#' starts a comment line."""
     path = Path(path)
-    if not path.exists():
-        raise ConfigError(f"config file {path} does not exist")
-    data = path.read_bytes()
+    try:
+        data = path.read_bytes()
+    except OSError as exc:
+        raise ConfigError(f"config file {path}: {exc.strerror or exc}") from exc
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -220,22 +223,12 @@ def cmd_eval(args) -> int:
     if args.threads < 1:
         raise ConfigError("--threads must be a positive integer")
     tensors = _parse_tensor_specs(args.tensor)
-    n_primes = _parse_ints(_require(args, "n-primes"))
-    if not n_primes:
-        raise ConfigError("--n-primes needs at least one block size")
-    seeds = _parse_ints(args.seeds)
     models = tuple(str(args.models).replace(",", " ").split())
-    scenarios = {
-        "block": ("block",),
-        "complement": ("complement",),
-        "both": ("block", "complement"),
-    }.get(args.scenario)
-    if scenarios is None:
-        raise ConfigError(f"unknown scenario {args.scenario!r}")
-    base = ExperimentSpec(
-        n_prime=n_primes[0],
+    spec = ExperimentSpec(
+        n_primes=tuple(_parse_ints(_require(args, "n-primes"))),
+        scenario=args.scenario,
         test_fraction=args.test_fraction,
-        seeds=tuple(seeds),
+        seeds=tuple(_parse_ints(args.seeds)),
         k=args.k,
         models=models,
         alpha=args.alpha,
@@ -243,9 +236,7 @@ def cmd_eval(args) -> int:
         tolerance=args.tolerance,
         epsilon_floor=args.epsilon_floor,
     )
-    report = run_table(
-        base, tensors, n_primes, scenarios=scenarios, max_workers=args.threads
-    )
+    report = run_table(spec, tensors, max_workers=args.threads)
     out = _out_dir(args)
     write_report_text(report, out / "report.txt", models=models)
     write_report_json(report, out / "report.json")
@@ -343,7 +334,7 @@ def build_parser():
     p.add_argument("--tensor", action="append", default=[],
                    help="tensor file, optionally LABEL=PATH; repeatable")
     p.add_argument("--n-primes", help="comma list of actor block sizes")
-    p.add_argument("--scenario", choices=("block", "complement", "both"),
+    p.add_argument("--scenario", choices=tuple(_SIDES),
                    default="both", help="which side of the block to predict")
     p.add_argument("--test-fraction", type=float, default=0.2)
     p.add_argument("--seeds", default="0,1,2", help="comma list of split seeds")
@@ -394,6 +385,10 @@ def main(argv=None) -> int:
         return 1
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # an output path the system refuses to write
+        where = f"{exc.filename}: " if exc.filename else ""
+        print(f"data error: {where}{exc.strerror or exc}", file=sys.stderr)
         return 2
     except (NumericalError, FloatingPointError) as exc:
         print(f"numerical error: {exc}", file=sys.stderr)

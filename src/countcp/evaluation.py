@@ -5,8 +5,10 @@ and test, fit each model on the training tensor, infer time factors for
 each test slice from its observed region (the top-n' actor block or its
 complement, a ``masking.Region``), then score the reconstruction over the
 other region, the heldout one.  Scores are averaged over several random
-splits.  Each split is fitted once per model and shared by every region
-scored on it.  Heldout inference runs each model's fit loop over the
+splits.  An ``ExperimentSpec`` describes a whole table (block sizes, sides,
+seeds, models and fit settings); ``run_table(spec, tensors)`` scores one row
+per source tensor, block size and side.  Each split is fitted once per
+model and shared by every region scored on it.  Heldout inference runs each model's fit loop over the
 time mode alone, with a per-entry prefix of the frozen modes (nnz_obs *
 K * 8 bytes, plus nnz_obs * 8 for a log prefix's shift) taken once per
 call: O(nnz_obs * K) per sweep.  Zero cells of the heldout region are
@@ -31,7 +33,7 @@ import numpy as np
 from . import bptf as _bptf
 from . import ntf as _ntf
 from .cp import FactorSet, Trace, reconstruct_entries, save_factors
-from .errors import ConfigError, SpecValidationError, UndefinedStatisticError
+from .errors import ConfigError, CountCPError, SpecValidationError, UndefinedStatisticError
 from .masking import Region
 from .tensors import SparseCountTensor, sort_by_activity, split_time, vmr_of_counts
 
@@ -76,18 +78,23 @@ def region_metrics(f: FactorSet, truth: SparseCountTensor, region: Region) -> di
 # ---------------------------------------------------------------------------
 
 
+# ``--scenario`` value -> the sides its rows predict, in row order; a side
+# is True when the block's complement is predicted
+_SIDES = {"block": (False,), "complement": (True,), "both": (False, True)}
+
+
 @dataclass(frozen=True)
 class ExperimentSpec:
-    """One heldout-prediction scenario.
+    """One heldout-prediction table.
 
-    ``n_prime`` sizes the upper-left actor block after activity sorting.
-    With ``predict_complement`` False the block itself is predicted and its
-    complement observed; with True the roles swap and the (sparser)
-    complement is predicted.
+    Each block size in ``n_primes`` sizes an upper-left actor block after
+    activity sorting.  ``scenario`` "block" predicts the block itself and
+    observes its complement; "complement" swaps the roles, so the (sparser)
+    complement is predicted; "both" gives each size both rows, block first.
     """
 
-    n_prime: int
-    predict_complement: bool = False
+    n_primes: tuple
+    scenario: str = "both"
     test_fraction: float = 0.2
     seeds: tuple = (0, 1, 2)
     k: int = 50
@@ -96,11 +103,15 @@ class ExperimentSpec:
     max_iterations: int = 200
     tolerance: float = 1e-4
     epsilon_floor: float = 1e-12
-    source: str = ""
 
     def __post_init__(self):
+        object.__setattr__(self, "n_primes", tuple(int(n) for n in self.n_primes))
         object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
         object.__setattr__(self, "models", tuple(self.models))
+        if not self.n_primes:
+            raise SpecValidationError("at least one block size is required")
+        if self.scenario not in _SIDES:
+            raise SpecValidationError(f"unknown scenario {self.scenario!r}")
         if not self.seeds:
             raise SpecValidationError("at least one split seed is required")
         if min(self.seeds) < 0:
@@ -112,12 +123,6 @@ class ExperimentSpec:
             raise SpecValidationError(f"unknown models {unknown}")
         if not self.models:
             raise SpecValidationError("at least one model is required")
-
-    def scenario_label(self) -> str:
-        base = f"top-{self.n_prime}"
-        if self.predict_complement:
-            base += "c"
-        return f"{self.source}-{base}" if self.source else base
 
 
 @dataclass
@@ -149,26 +154,30 @@ class EvalReport:
 # ---------------------------------------------------------------------------
 
 
-def _observed_region(spec: ExperimentSpec, shape) -> Region:
-    """The cells of a tensor of ``shape`` that ``spec`` observes: the top
-    n' x n' actor block, or, when the block is predicted, its complement."""
-    top = range(spec.n_prime)
-    return Region(shape, top, top, complement=not spec.predict_complement)
+def _observed_region(n_prime: int, complement: bool, shape) -> Region:
+    """The cells of a tensor of ``shape`` observed when the top n' x n' actor
+    block is predicted (its complement observed) or, with ``complement``,
+    when its complement is predicted (the block observed)."""
+    top = range(n_prime)
+    return Region(shape, top, top, complement=not complement)
 
 
-def _validate_spec(spec: ExperimentSpec, t: SparseCountTensor) -> None:
+def _validate_rows(rows, t: SparseCountTensor) -> None:
+    """Reject a tensor without two equal actor modes and a time mode, and
+    any (n', complement) row that leaves no observed or no heldout cell."""
     if t.ndim < 3:
         raise SpecValidationError("the harness needs actor, actor and time modes")
     n = t.shape[0]
     if t.shape[1] != n:
         raise SpecValidationError("actor modes must have equal size")
-    if not 1 <= spec.n_prime <= n:
-        raise SpecValidationError(f"n_prime must be in [1, {n}], got {spec.n_prime}")
-    observed = _observed_region(spec, t.shape)
-    if observed.n_cells == 0:
-        raise SpecValidationError("mask leaves no observed cells")
-    if observed.invert().n_cells == 0:
-        raise SpecValidationError("mask leaves an empty heldout region")
+    for n_prime, complement in rows:
+        if not 1 <= n_prime <= n:
+            raise SpecValidationError(f"n_prime must be in [1, {n}], got {n_prime}")
+        observed = _observed_region(n_prime, complement, t.shape)
+        if observed.n_cells == 0:
+            raise SpecValidationError("mask leaves no observed cells")
+        if observed.invert().n_cells == 0:
+            raise SpecValidationError("mask leaves an empty heldout region")
 
 
 @dataclass
@@ -260,12 +269,12 @@ def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
 
-def _run_seed(specs, trainers, sorted_t, seed: int) -> list:
+def _run_seed(rows, test_fraction, trainers, sorted_t, seed: int) -> list:
     """One split seed: split once, fit each model once, then infer from
-    every spec's observed region and score its heldout region.  Returns one
-    SplitScores per spec."""
-    ts = split_time(sorted_t, specs[0].test_fraction, seed)
-    observed = [_observed_region(spec, ts.test.shape) for spec in specs]
+    every (n', complement) row's observed region and score its heldout
+    region.  Returns one SplitScores per row."""
+    ts = split_time(sorted_t, test_fraction, seed)
+    observed = [_observed_region(n_prime, side, ts.test.shape) for n_prime, side in rows]
     regions = [region.invert() for region in observed]
     splits = []
     for region in regions:
@@ -278,7 +287,7 @@ def _run_seed(specs, trainers, sorted_t, seed: int) -> list:
     for names, train in trainers:
         try:
             predict = train(ts.train, seed).predict
-        except Exception as exc:  # recorded in every row, not fatal for other models
+        except (CountCPError, FloatingPointError) as exc:  # recorded in every row
             for split in splits:
                 split.failures.update(dict.fromkeys(names, _failure(exc)))
             continue
@@ -286,16 +295,16 @@ def _run_seed(specs, trainers, sorted_t, seed: int) -> list:
             try:
                 for name, f in predict(ts.test, seen).items():
                     split.models[name] = region_metrics(f, ts.test, region)
-            except Exception as exc:
+            except (CountCPError, FloatingPointError) as exc:
                 split.failures.update(dict.fromkeys(names, _failure(exc)))
     return splits
 
 
-def _scenario(spec: ExperimentSpec, splits: list) -> ScenarioResult:
-    """Average one scenario's split scores; keep each model's first failure."""
+def _scenario(label: str, models, splits: list) -> ScenarioResult:
+    """Average one row's split scores; keep each model's first failure."""
     averaged = {}
     failures = {}
-    for name in spec.models:
+    for name in models:
         rows = [sp.models[name] for sp in splits if name in sp.models]
         if rows:
             averaged[name] = {
@@ -306,7 +315,7 @@ def _scenario(spec: ExperimentSpec, splits: list) -> ScenarioResult:
         if messages:
             failures[name] = messages[0]
     return ScenarioResult(
-        label=spec.scenario_label(),
+        label=label,
         density=float(np.mean([sp.density for sp in splits])),
         vmr=float(np.mean([sp.vmr for sp in splits])),
         models=averaged,
@@ -315,68 +324,56 @@ def _scenario(spec: ExperimentSpec, splits: list) -> ScenarioResult:
     )
 
 
-def run_table(
-    base_spec: ExperimentSpec,
-    tensors: dict,
-    n_primes,
-    scenarios=("block", "complement"),
-    max_workers: int = 1,
-) -> EvalReport:
+def _label(source: str, n_prime: int, complement: bool) -> str:
+    base = f"top-{n_prime}" + ("c" if complement else "")
+    return f"{source}-{base}" if source else base
+
+
+def run_table(spec: ExperimentSpec, tensors: dict, max_workers: int = 1) -> EvalReport:
     """Build a multi-row report: one row per source, block size and side.
 
-    ``tensors`` maps a source label to its tensor; ``scenarios`` selects
-    whether the dense block, its complement, or both are predicted.  Every
-    spec, and the config of every model family that ``models`` asks for, is
-    validated before the first fit.  Per source
-    and split seed, the tensor is split once and each model fitted once;
-    the fits serve every block size and side, which differ only in heldout
-    inference and scoring.  A model failure is recorded per model and per
-    split; the remaining models are still reported.  Seeds are independent
-    and may run on worker threads; results are assembled in seed order, so
+    ``tensors`` maps a source label to its tensor.  Rows run source by
+    source, then by ``spec.n_primes`` in order, the block row before the
+    complement row as ``spec.scenario`` selects them.  Every row, and the
+    config of every model family that ``spec.models`` asks for, is
+    validated before the first fit.  Per source and split seed, the tensor
+    is split once and each model fitted once; the fits serve every block
+    size and side, which differ only in heldout inference and scoring.  A
+    model's library error is recorded per model and per split; the
+    remaining models are still reported.  Seeds are independent and may
+    run on worker threads; results are assembled in seed order, so
     identical inputs give a bit-identical report either way.
     """
+    rows = [(n, side) for n in spec.n_primes for side in _SIDES[spec.scenario]]
     keys = ("k", "max_iterations", "tolerance", "alpha", "epsilon_floor")
-    options = {key: getattr(base_spec, key) for key in keys}
+    options = {key: getattr(spec, key) for key in keys}
     sources = []
     for source, tensor in tensors.items():
-        specs = [
-            replace(
-                base_spec,
-                source=source,
-                n_prime=n_prime,
-                predict_complement=(side == "complement"),
-            )
-            for n_prime in n_primes
-            for side in scenarios
-        ]
-        for spec in specs:
-            _validate_spec(spec, tensor)
+        _validate_rows(rows, tensor)
         trainers = [
-            _trainer(model, tensor.ndim, base_spec.models, **options)
+            _trainer(model, tensor.ndim, spec.models, **options)
             for model, (scored, _) in _MODELS.items()
-            if set(scored) & set(base_spec.models)
+            if set(scored) & set(spec.models)
         ]
-        sources.append((specs, tensor, trainers))
+        sources.append((source, tensor, trainers))
 
-    rows = []
-    for specs, tensor, trainers in sources:
-        if not specs:
-            continue
+    results = []
+    for source, tensor, trainers in sources:
         sorted_t, _ = sort_by_activity(tensor)
 
         def run_seed(seed):
-            return _run_seed(specs, trainers, sorted_t, seed)
+            return _run_seed(rows, spec.test_fraction, trainers, sorted_t, seed)
 
-        if max_workers > 1 and len(base_spec.seeds) > 1:
+        if max_workers > 1 and len(spec.seeds) > 1:
             with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                per_seed = list(pool.map(run_seed, base_spec.seeds))
+                per_seed = list(pool.map(run_seed, spec.seeds))
         else:
-            per_seed = [run_seed(seed) for seed in base_spec.seeds]
-        rows += [
-            _scenario(spec, [splits[j] for splits in per_seed])
-            for j, spec in enumerate(specs)
+            per_seed = [run_seed(seed) for seed in spec.seeds]
+        results += [
+            _scenario(_label(source, *row), spec.models, [splits[j] for splits in per_seed])
+            for j, row in enumerate(rows)
         ]
-    return EvalReport(scenarios=rows)
+    return EvalReport(scenarios=results)
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,13 @@ from .cp import (
     reconstruct_entries,
     total_recon_mass,
 )
-from .errors import ConfigError, DegenerateUpdateError, EmptyTensorError, InadmissibleZeroError
+from .errors import (
+    ConfigError,
+    DegenerateUpdateError,
+    EmptyTensorError,
+    InadmissibleZeroError,
+    NumericalDegeneracyError,
+)
 from .masking import Region, _observed_part
 from .tensors import SparseCountTensor
 
@@ -135,7 +141,10 @@ def _ls_step(f, part, mode, region, epsilon_floor, frozen=None):
     denom = region.gram_denominator(f.factors, mode)
     if np.any((denom == 0.0) & (numer > 0.0)):
         raise DegenerateUpdateError(f"zero Euclidean denominator in mode {mode}")
-    return f.replace_mode(mode, np.maximum(f.factors[mode] * _ratio(numer, denom), epsilon_floor))
+    new = np.maximum(f.factors[mode] * _ratio(numer, denom), epsilon_floor)
+    if not np.all(np.isfinite(new)):
+        raise NumericalDegeneracyError(f"Euclidean update overflowed in mode {mode}")
+    return f.replace_mode(mode, new)
 
 
 def _ls_numerator(part, mats, mode, frozen=None):

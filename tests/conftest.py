@@ -244,7 +244,7 @@ def oracle_bptf_fit(t, config, hyper=None):
         nonlocal hyper
         for mode in range(t.ndim):
             _update_shape(state, t, mode, hyper)
-            update_delta(state, t, mode, hyper, region=region)
+            update_delta(state, mode, hyper, region=region)
         if config.learn_beta:
             for mode in range(t.ndim):
                 hyper = update_beta(state, mode, hyper)
@@ -276,7 +276,7 @@ def oracle_infer_heldout_bptf(trained, hyper, test_slice, region, config):
 
     def sweep():
         _update_shape(state, observed, time_mode, hyper)
-        update_delta(state, observed, time_mode, hyper, region=region)
+        update_delta(state, time_mode, hyper, region=region)
         return compute_elbo(state, observed, hyper, region=region)
 
     trace = _ascend(sweep, config.max_iterations, config.relative_elbo_tolerance)

@@ -149,7 +149,7 @@ def test_criterion_04_update_oracles():
                 for m, c in zip(other_modes, coord):
                     prod *= state.expect[m][c]
                 expected_delta += prod
-            update_delta(state, t, mode, hyper)
+            update_delta(state, mode, hyper)
             gap = float(np.abs(state.delta[mode] - expected_delta).max())
             worst = max(worst, gap)
     ok = worst <= 1e-12
@@ -229,7 +229,7 @@ def test_criterion_06_vanishing_prior_matches_multiplicative_update():
         ntf = factors
         for mode in range(4):
             _update_shape(state, t, mode, hyper)
-            update_delta(state, t, mode, hyper)
+            update_delta(state, mode, hyper)
             ntf = ntf_step(_kl_step, ntf, t, mode)
         for mode in range(4):
             rel = float(
@@ -243,8 +243,8 @@ def test_criterion_06_vanishing_prior_matches_multiplicative_update():
 
 
 HARNESS_SPEC = ExperimentSpec(
-    n_prime=10,
-    predict_complement=False,
+    n_primes=(10,),
+    scenario="block",
     test_fraction=0.2,
     seeds=(0, 1, 2),
     k=10,
@@ -260,7 +260,7 @@ def harness_report():
     hyper = Hyperparameters(alpha=0.1, beta=(2.0,) * 4)
     t, _ = sample_count_tensor((30, 30, 5, 40), 5, hyper, seed=42)
     start = time.perf_counter()
-    report = run_table(HARNESS_SPEC, {HARNESS_SPEC.source: t}, [HARNESS_SPEC.n_prime], ("block",))
+    report = run_table(HARNESS_SPEC, {"": t})
     return report, time.perf_counter() - start
 
 
@@ -283,10 +283,10 @@ def test_criterion_07_qualitative_table_ordering(harness_report):
         "two": sample_count_tensor((20, 20, 4, 24), 3, hyper, seed=2)[0],
     }
     base = ExperimentSpec(
-        n_prime=5, seeds=(0,), k=3, models=("bptf-geo",),
+        n_primes=(5, 10), scenario="both", seeds=(0,), k=3, models=("bptf-geo",),
         alpha=0.1, max_iterations=20, tolerance=1e-3,
     )
-    table = run_table(base, sources, n_primes=(5, 10), scenarios=("block", "complement"))
+    table = run_table(base, sources)
     labels = [sc.label for sc in table.scenarios]
     ok = ok and len(labels) == 8 and len(set(labels)) == 8
     _criterion(

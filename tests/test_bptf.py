@@ -162,7 +162,7 @@ class TestUpdateDelta:
         for m in range(4):
             state.expect[m][:] = 1.0
         t = SparseCountTensor.from_entries((5, 2, 3, 4), [])
-        update_delta(state, t, 0, hyper)
+        update_delta(state, 0, hyper)
         assert np.allclose(state.delta[0], 0.5 * 2.0 + 2 * 3 * 4, rtol=1e-14)
 
     def test_single_cell_sum_is_product_of_other_expectations(self, rng):
@@ -172,7 +172,7 @@ class TestUpdateDelta:
         expected = hyper.rate(0) + (
             state.expect[1][0, 0] * state.expect[2][0, 0] * state.expect[3][0, 0]
         )
-        update_delta(state, t, 0, hyper)
+        update_delta(state, 0, hyper)
         assert state.delta[0][0, 0] == pytest.approx(expected, rel=1e-14)
 
     @pytest.mark.parametrize("mode", [0, 1, 2, 3])
@@ -189,7 +189,7 @@ class TestUpdateDelta:
             for m, c in zip(other_modes, other_coord):
                 prod *= state.expect[m][c]
             expected += prod
-        update_delta(state, t, mode, hyper)
+        update_delta(state, mode, hyper)
         assert np.allclose(state.delta[mode], expected, atol=1e-12)
 
     @pytest.mark.parametrize("complement", [False, True])
@@ -210,7 +210,7 @@ class TestUpdateDelta:
                     * state.expect[1][coord[1]]
                     * state.expect[2][coord[2]]
                 )
-        update_delta(state, t, 3, hyper, region=region)
+        update_delta(state, 3, hyper, region=region)
         assert np.allclose(state.delta[3], expected, atol=1e-12)
 
 
@@ -453,7 +453,7 @@ class TestLimitCorrespondence:
             ntf = factors
             for mode in range(4):
                 _update_shape(state, t, mode, hyper)
-                update_delta(state, t, mode, hyper)
+                update_delta(state, mode, hyper)
                 ntf = ntf_step(_kl_step, ntf, t, mode)
             for mode in range(4):
                 rel = np.abs(state.expect[mode] - ntf.factors[mode]) / ntf.factors[mode]
@@ -492,7 +492,7 @@ class TestHeldoutInference:
             manual.refresh(m)
         for _ in range(trace.n_iterations):
             _update_shape(manual, test, 3, hyper)
-            update_delta(manual, test, 3, hyper)
+            update_delta(manual, 3, hyper)
         assert np.allclose(heldout.gamma[3], manual.gamma[3], rtol=1e-12)
         assert np.allclose(heldout.delta[3], manual.delta[3], rtol=1e-12)
 

@@ -624,6 +624,38 @@ class TestInvalidOptionValues:
         assert len(err) == 1
         assert err[0].startswith("data error:") and "cannot make output directory" in err[0]
 
+    @pytest.mark.parametrize(
+        "command, blocked",
+        [("fit", "trace.txt"), ("fit-bptf", "state"), ("eval", "report.txt"),
+         ("explore", "component_000.txt"), ("synth", "tensor.txt"), ("ingest", "tensor.txt")],
+    )
+    def test_unwritable_output_file_exits_2(self, synth_tensor, tmp_path, capsys, command,
+                                            blocked):
+        out = tmp_path / "out"
+        out.mkdir()
+        if blocked == "state":
+            (out / blocked).write_text("")  # a file where the bundle directory goes
+        else:
+            (out / blocked).mkdir()  # a directory where a file goes
+        (tmp_path / "events.csv").write_text(EVENTS)
+        tensor = str(synth_tensor / "tensor.txt")
+        argv = {
+            "fit": ["fit", "--tensor", tensor, "--model", "ntf-kl", "--k", "2",
+                    "--max-iterations", "2"],
+            "fit-bptf": ["fit", "--tensor", tensor, "--model", "bptf", "--k", "2",
+                         "--max-iterations", "2"],
+            "eval": ["eval", "--tensor", tensor, "--n-primes", "3", "--seeds", "0", "--k", "2",
+                     "--max-iterations", "2", "--models", "ntf-ls"],
+            "explore": ["explore", "--factors", str(synth_tensor / "true_factors")],
+            "synth": ["synth", "--shape", "4,4,2"],
+            "ingest": ["ingest", "--events", str(tmp_path / "events.csv"),
+                       "--start", "2001-01-01", "--end", "2001-03-31"],
+        }[command]
+        assert main([*argv, "--output-dir", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith("data error:") and str(out / blocked) in err[0]
+
     def test_explore_negative_top_n_exits_1_before_any_report(self, synth_tensor, tmp_path,
                                                               capsys):
         fit_out, explore_out = tmp_path / "fit", tmp_path / "explore"
@@ -735,7 +767,7 @@ class TestEvalCommand:
 
     def test_every_model_failing_exits_3(self, synth_tensor, tmp_path, monkeypatch, capsys):
         def boom(*args, **kwargs):
-            raise RuntimeError("synthetic failure")
+            raise NumericalDegeneracyError("synthetic failure")
 
         monkeypatch.setattr(countcp.bptf, "fit", boom)
         monkeypatch.setattr(countcp.ntf, "fit_ntf", boom)
@@ -850,6 +882,14 @@ class TestConfigFile:
         assert code == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert err == [f"error: {config}: line 2: not utf-8 text"]
+
+    @pytest.mark.parametrize("name", ["missing.cfg", "."])
+    def test_unreadable_config_is_a_config_error(self, tmp_path, capsys, name):
+        config = tmp_path / name
+        code = main(["synth", "--config", str(config), "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: config file {config}:")
 
     def test_missing_required_option_is_a_usage_error(self, capsys):
         code = main(["ingest"])

@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -16,7 +16,9 @@ from countcp import (
     FitConfig,
     Hyperparameters,
     NtfConfig,
+    NumericalDegeneracyError,
     Region,
+    SparseCountTensor,
     SpecValidationError,
     UndefinedStatisticError,
     fit,
@@ -130,8 +132,8 @@ def small_generative_tensor(seed=0):
 class TestRunExperiment:
     def spec(self, **kw):
         base = dict(
-            n_prime=3,
-            predict_complement=False,
+            n_primes=(3,),
+            scenario="block",
             test_fraction=0.2,
             seeds=(0,),
             k=2,
@@ -143,8 +145,8 @@ class TestRunExperiment:
         return ExperimentSpec(**base)
 
     def run(self, spec, t, max_workers=1):
-        """The one-row table of ``spec``, its block predicted."""
-        return run_table(spec, {spec.source: t}, [spec.n_prime], ("block",), max_workers)
+        """The table of ``spec`` for one unlabelled source."""
+        return run_table(spec, {"": t}, max_workers)
 
     def test_single_model_single_seed_report_shape(self):
         t = small_generative_tensor()
@@ -160,7 +162,7 @@ class TestRunExperiment:
         t = small_generative_tensor()
         # n_prime = N with the block predicted leaves nothing observed
         with pytest.raises(SpecValidationError):
-            self.run(self.spec(n_prime=8), t)
+            self.run(self.spec(n_primes=(8,)), t)
 
     def test_all_models_reported(self):
         t = small_generative_tensor()
@@ -194,13 +196,16 @@ class TestRunExperiment:
         with pytest.raises(SpecValidationError):
             self.spec(models=("bptf-geo", "svd"))
 
+    @pytest.mark.parametrize("field", [{"n_primes": ()}, {"scenario": "sideways"}])
+    def test_empty_sizes_or_unknown_scenario_rejected(self, field):
+        with pytest.raises(SpecValidationError):
+            self.spec(**field)
+
     def test_run_table_emits_one_row_per_scenario(self, tmp_path):
         t1 = small_generative_tensor(seed=0)
         t2 = small_generative_tensor(seed=1)
-        base = self.spec()
-        report = run_table(
-            base, {"one": t1, "two": t2}, n_primes=(2, 3), scenarios=("block", "complement")
-        )
+        base = self.spec(n_primes=(2, 3), scenario="both")
+        report = run_table(base, {"one": t1, "two": t2})
         labels = [sc.label for sc in report.scenarios]
         assert labels == [
             "one-top-2", "one-top-2c", "one-top-3", "one-top-3c",
@@ -218,7 +223,7 @@ class TestRunExperiment:
         t = small_generative_tensor()
 
         def boom(*args, **kwargs):
-            raise RuntimeError("synthetic failure")
+            raise NumericalDegeneracyError("synthetic failure")
 
         monkeypatch.setattr(countcp.ntf, "fit_ntf", boom)
         spec = self.spec(models=("bptf-geo", "ntf-kl"))
@@ -229,10 +234,10 @@ class TestRunExperiment:
         assert "synthetic failure" in sc.failures["ntf-kl"]
 
 
-def reference_split(spec, sorted_t, complement, seed):
+def reference_split(spec, sorted_t, n_prime, complement, seed):
     """One split as the per-scenario harness scored it: every model refitted."""
     ts = split_time(sorted_t, spec.test_fraction, seed)
-    observed = top_block(ts.test.shape, spec.n_prime, complement)
+    observed = top_block(ts.test.shape, n_prime, complement)
     region = observed.invert()
     try:
         vmr = vmr_of_counts(region.restrict(ts.test).values)
@@ -273,14 +278,13 @@ def reference_table(base, tensors, n_primes, scenarios):
         sorted_t, _ = sort_by_activity(t)
         for n_prime in n_primes:
             for side in scenarios:
-                spec = replace(
-                    base, source=source, n_prime=n_prime,
-                    predict_complement=side == "complement",
-                )
                 complement = side == "block"
-                splits = [reference_split(spec, sorted_t, complement, s) for s in spec.seeds]
+                splits = [
+                    reference_split(base, sorted_t, n_prime, complement, s) for s in base.seeds
+                ]
+                label = f"top-{n_prime}" + ("c" if side == "complement" else "")
                 rows.append({
-                    "label": spec.scenario_label(),
+                    "label": f"{source}-{label}" if source else label,
                     "density": float(np.mean([sp["density"] for sp in splits])),
                     "vmr": float(np.mean([sp["vmr"] for sp in splits])),
                     "models": {
@@ -288,7 +292,7 @@ def reference_table(base, tensors, n_primes, scenarios):
                             metric: float(np.mean([sp["models"][name][metric] for sp in splits]))
                             for metric in ("mae", "mae_nz", "ham_z")
                         }
-                        for name in spec.models
+                        for name in base.models
                     },
                     "failures": {},
                     "splits": splits,
@@ -298,14 +302,14 @@ def reference_table(base, tensors, n_primes, scenarios):
 
 class TestRunTable:
     base = ExperimentSpec(
-        n_prime=2, seeds=(0, 1), k=2, max_iterations=8, tolerance=1e-3,
+        n_primes=(2, 3), seeds=(0, 1), k=2, max_iterations=8, tolerance=1e-3,
         models=("ntf-ls", "ntf-kl", "bptf-geo", "bptf-ari"),
     )
 
     @pytest.mark.parametrize("max_workers", [1, 3])
     def test_matches_the_per_scenario_loop(self, max_workers):
         tensors = {"one": small_generative_tensor(0), "two": small_generative_tensor(1)}
-        report = run_table(self.base, tensors, (2, 3), max_workers=max_workers)
+        report = run_table(self.base, tensors, max_workers=max_workers)
         expected = reference_table(self.base, tensors, (2, 3), ("block", "complement"))
         assert json.dumps(asdict(report), sort_keys=True) == json.dumps(
             expected, sort_keys=True
@@ -326,7 +330,7 @@ class TestRunTable:
         # heldout inference runs its own time-mode loop, never a fit
         counted(countcp.bptf, "fit", "bptf")
         counted(countcp.ntf, "fit_ntf", "ntf")
-        report = run_table(self.base, {"gen": small_generative_tensor()}, (2, 3))
+        report = run_table(self.base, {"gen": small_generative_tensor()})
         assert len(report.scenarios) == 4
         assert calls == {"bptf": 2, "ntf": 4}
 
@@ -335,21 +339,49 @@ class TestRunTable:
 
         def fail_on_seed_one(train, config):
             if config.seed == 1:
-                raise RuntimeError(f"synthetic {config.cost} failure")
+                raise NumericalDegeneracyError(f"synthetic {config.cost} failure")
             return real(train, config)
 
         monkeypatch.setattr(countcp.ntf, "fit_ntf", fail_on_seed_one)
-        report = run_table(self.base, {"gen": small_generative_tensor()}, (2, 3))
+        report = run_table(self.base, {"gen": small_generative_tensor()})
         for sc in report.scenarios:
             first, second = sc.splits
             assert set(first.models) == set(self.base.models)
             assert first.failures == {}
             assert set(second.models) == {"bptf-geo", "bptf-ari"}
             assert second.failures == {
-                "ntf-kl": "RuntimeError: synthetic kl failure",
-                "ntf-ls": "RuntimeError: synthetic ls failure",
+                "ntf-kl": "NumericalDegeneracyError: synthetic kl failure",
+                "ntf-ls": "NumericalDegeneracyError: synthetic ls failure",
             }
             assert sc.failures == second.failures
+
+    @pytest.mark.parametrize("name", ["fit_ntf", "infer_heldout_time_factors_ntf"])
+    def test_a_programming_error_propagates(self, monkeypatch, name):
+        def bug(*args, **kwargs):
+            raise RuntimeError("not a library error")
+
+        monkeypatch.setattr(countcp.ntf, name, bug)
+        with pytest.raises(RuntimeError, match="not a library error"):
+            run_table(self.base, {"gen": small_generative_tensor()})
+
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_an_overflowing_ls_update_is_a_numerical_failure(self):
+        # the heldout Euclidean update drives this table's time factors to inf
+        t = SparseCountTensor(
+            (3, 3, 1, 5),
+            [[0, 0, 0, 3], [1, 0, 0, 4], [1, 2, 0, 1]],
+            [1115254482146, 514725, 1879678898833],
+            [[str(i) for i in range(n)] for n in (3, 3, 1, 5)],
+        )
+        spec = ExperimentSpec(
+            n_primes=(1,), scenario="block", seeds=(0,), k=2, models=("ntf-ls",),
+            max_iterations=15, tolerance=1e-12,
+        )
+        (sc,) = run_table(spec, {"tiny": t}).scenarios
+        assert sc.models == {}
+        assert sc.failures == {
+            "ntf-ls": "NumericalDegeneracyError: Euclidean update overflowed in mode 3"
+        }
 
 
 PINNED_REPORT_JSON = """{
