@@ -196,9 +196,9 @@ def cmd_fit(args) -> int:
     )
     fitted = train(tensor, args.seed)
     out = _out_dir(args)  # made only once the fit has succeeded
-    bundle = fitted.save(out)
     write_trace(fitted.trace, out / "trace.txt")
     _echo_config(args, out)
+    bundle = fitted.save(out)  # last, so an unwritable trace leaves no bundle
     print(f"{fitted.objective} {fitted.trace.values[-1]:.10g}")
     print(f"iterations {fitted.trace.n_iterations} converged {fitted.trace.converged}")
     print(f"wrote {bundle} and {out / 'trace.txt'}")

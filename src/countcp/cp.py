@@ -8,19 +8,22 @@ factorizes into per-mode column sums.  ``_allocate`` is the Poisson count
 allocation behind both the BPTF shape update and the KL update: a
 per-entry softmax over summed log factors, run block by block over log
 tables whose rows are shifted by their maxima, so no entry needs a maximum
-of its own.  The same kernel pass gives each entry's log-sum-exp, the count
-term of the BPTF ELBO and the log reconstruction of both objectives.  In
-training the tensor's cached gather matrices sum the log rows
-(``SparseCountTensor._block_gather``); in heldout inference, which runs
-each fitter's own sweeps over the time mode alone, a per-entry prefix of
-the frozen modes (``_FrozenModes``) plus the time row does, and the NTF-LS
-objective reads its reconstructions from a product prefix.  ``_ascend``
-runs every fitter's sweeps to convergence.
+of its own.  A pass whose tables cannot sum below -660 skips the floor
+that keeps ``exp`` clear of subnormals, and each block's counts are scaled
+inside its incidence scatter.  The same kernel pass gives each entry's
+log-sum-exp, the count term of the BPTF ELBO and the log reconstruction of
+both objectives.  In training the tensor's cached gather matrices sum the
+log rows (``SparseCountTensor._block_gather``); in heldout inference, which
+runs each fitter's own sweeps over the time mode alone, a per-entry prefix
+of the frozen modes (``_FrozenModes``) plus the time row does, and the
+NTF-LS objective reads its reconstructions from a product prefix.
+``_ascend`` runs every fitter's sweeps to convergence.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
+from copy import copy
 from dataclasses import dataclass, field
 from itertools import repeat
 from pathlib import Path
@@ -99,6 +102,10 @@ def _entry_products(mats, coords, skip=None) -> np.ndarray:
 # weight zeroes it while leaving every weight above exp(-664) unchanged.
 _LOG_FLOOR = -700.0
 _FLOOR_WEIGHT = float(np.exp(_LOG_FLOOR))
+# When no summed part of a pass can lie below this, the floor changes no
+# bit and is skipped: no part is clamped, and exp(x) >= exp(-660) >
+# 2**54 * exp(-700) rounds back to itself once the floor weight is taken off.
+_SHALLOW = -660.0
 # An entry whose weights sum below this is redone with its exact maximum
 # (``_count_shares`` states the bound this gives).
 _RESCUE_TOTAL = 1e-250
@@ -118,6 +125,18 @@ def _logs(mats):
         return [np.log(m) for m in mats]
 
 
+def _lowest_sum(table, sizes) -> float:
+    """The lowest sum, in ascending mode order, of one entry from each of the
+    consecutive row blocks of ``sizes`` rows that make up ``table``; as
+    rounding is monotone, no sum of one entry per block, taken in the same
+    order, lies below it.  nan if some entry is."""
+    lowest, lo = 0.0, 0
+    for size in sizes:
+        lowest += table[lo:lo + size].min()
+        lo += size
+    return lowest
+
+
 def _row_shifted(log):
     """A log table with each row shifted by its maximum, and the maxima.
 
@@ -135,11 +154,11 @@ class _FrozenModes:
     Heldout inference updates only the last (time) mode, so the frozen
     modes' per-entry work is done once here: ``logs`` sums each entry's
     frozen row-shifted log rows (``_row_shifted``) onto 0.0 in ascending
-    mode order, as the block plan's gather does, and ``shift`` their row
-    maxima; ``products`` multiplies its frozen factor rows as
-    ``_entry_products`` does.  Adding the entry's shifted last-mode row
-    and its maximum, or multiplying by its last-mode row, then gives the
-    bits of the whole sum or product.  Each prefix, built only when its
+    mode order, as the block plan's gather does, ``shift`` their row maxima
+    and ``lowest`` the least of ``logs``; ``products`` multiplies its frozen
+    factor rows as ``_entry_products`` does.  Adding the entry's shifted
+    last-mode row and its maximum, or multiplying by its last-mode row, then
+    gives the bits of the whole sum or product.  Each prefix, built only when its
     inputs are given, takes nnz * K * 8 bytes (the log one nnz * 8 more, for
     ``shift``); at small K that is less than the gather and non-last
     incidence matrices the tensor then never builds.
@@ -148,18 +167,18 @@ class _FrozenModes:
     def __init__(self, t: SparseCountTensor, mats=None, logs=None):
         self.t, self.last = t, t.coords[:, -1]
         self.products = None if mats is None else _entry_products(mats, t.coords)
-        self.logs = self.shift = None
+        self.logs = self.shift = self.lowest = None
         if logs is not None:
             self.logs, self.shift = np.zeros((t.nnz, logs[0].shape[1])), np.zeros(t.nnz)
             for m, log in enumerate(logs):
                 shifted, top = _row_shifted(log)
                 self.logs += np.take(shifted, t.coords[:, m], axis=0)
                 self.shift += np.take(top, t.coords[:, m])
+            self.lowest = self.logs.min(initial=0.0)
 
-    def summed_logs(self, last_logs, step):
+    def summed_logs(self, shifted, top, step):
         """Each block's summed shifted log rows and summed row maxima, given
-        the last mode's log rows."""
-        shifted, top = _row_shifted(last_logs)
+        the last mode's shifted log rows and their maxima (``_row_shifted``)."""
         for rows in self.t._block_rows(step):
             last = self.last[rows]
             yield self.logs[rows] + np.take(shifted, last, axis=0), self.shift[rows] + top[last]
@@ -173,13 +192,28 @@ class _FrozenModes:
         return out
 
 
-def _weights(parts, out):
+def _weights(parts, out, shallow=False):
     """exp of log parts at or below 0 into ``out``; a part below
-    ``_LOG_FLOOR`` gets exactly 0."""
+    ``_LOG_FLOOR`` gets exactly 0.  ``shallow`` says no part lies below
+    ``_SHALLOW``, where the floor changes no bit, so it is skipped."""
+    if shallow:
+        return np.exp(parts, out=out)
     np.maximum(parts, _LOG_FLOOR, out=out)
     np.exp(out, out=out)
     out -= _FLOOR_WEIGHT
     return out
+
+
+def _scatter(incidence, data, x):
+    """``incidence`` (a block's cached ``_block_incidence`` matrix) with its
+    one entry per stored entry replaced by ``data``, times ``x``: each row of
+    ``x`` times its entry's datum, added into the row of its ``mode`` index.
+    The product multiplies each datum into its row as it adds it, so scaling
+    the rows first would give the same bits.  A shallow copy takes the new
+    data, so the cached plan, which threads share, is never written."""
+    scaled = copy(incidence)
+    scaled.data = data
+    return scaled @ x
 
 
 def _count_shares(logs, t: SparseCountTensor, mode=None, frozen=None):
@@ -199,6 +233,15 @@ def _count_shares(logs, t: SparseCountTensor, mode=None, frozen=None):
     exact maximum lose at most K * exp(-700) / 1e-250 = exp(-(124.35 -
     ln K)) of the entry's total, below 1e-50 at K 50.
 
+    Depth guard: once per pass, the least summed part is bounded from the
+    shifted tables (the sum over modes of each mode's least shifted entry;
+    with ``frozen``, the least frozen prefix plus the last mode's least
+    entry).  At or above ``_SHALLOW`` (-660) the weights are a plain exp,
+    the floor's bits; a nan or -inf bound keeps the floor, as does the
+    rescue's redo.  The split counts reach ``allocated`` through the
+    incidence scatter with each entry's count over its total as the
+    matrix data (``_scatter``), so the weights are never scaled in place.
+
     Returns (log_mass, allocated): each entry's log of its summed exp log
     factors (shift + log of the summed weights) and, given a ``mode``, the
     split counts summed per ``mode`` index (else None).  If some entry has
@@ -209,15 +252,19 @@ def _count_shares(logs, t: SparseCountTensor, mode=None, frozen=None):
     step = _block_step(k)
     if frozen is None:
         table, top = _row_shifted(np.concatenate(logs))
+        lowest = _lowest_sum(table, [log.shape[0] for log in logs])
         blocks = ((gather @ table, gather @ top) for gather in t._block_gather(step))
     else:
-        blocks = frozen.summed_logs(logs[-1], step)
+        shifted, top = _row_shifted(logs[-1])
+        lowest = frozen.lowest + shifted.min()
+        blocks = frozen.summed_logs(shifted, top, step)
+    shallow = lowest >= _SHALLOW
     log_mass = np.empty(t.nnz)
     allocated = None if mode is None else np.zeros((t.shape[mode], k))
     scatter = repeat(None) if mode is None else t._block_incidence(step, mode)
     work = np.empty((min(step, t.nnz), k))
     for rows, (parts, shift), incidence in zip(t._block_rows(step), blocks, scatter):
-        weights = _weights(parts, work[:rows.stop - rows.start])
+        weights = _weights(parts, work[:rows.stop - rows.start], shallow)
         total = weights.sum(axis=1)
         low = np.flatnonzero(total < _RESCUE_TOTAL)
         if low.size:
@@ -231,8 +278,7 @@ def _count_shares(logs, t: SparseCountTensor, mode=None, frozen=None):
             weights[low] = _weights(redone, redone)
             total[low] = redone.sum(axis=1)
         if incidence is not None:
-            weights *= (t.values[rows] / total)[:, None]
-            allocated += incidence @ weights
+            allocated += _scatter(incidence, t.values[rows] / total, weights)
         log_mass[rows] = shift + np.log(total)
     return log_mass, allocated
 

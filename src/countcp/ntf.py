@@ -33,6 +33,7 @@ from .cp import (
     _FrozenModes,
     _kl_from_log_mass,
     _logs,
+    _scatter,
     reconstruct_entries,
     total_recon_mass,
 )
@@ -136,12 +137,15 @@ def _ls_step(f, part, mode, region, epsilon_floor, frozen=None):
     ``frozen`` (a ``cp._FrozenModes``, ``mode`` the last) it reads their
     entry products.  Denominator: the same products times the
     reconstruction over the region's cells, by the Gram-product identity.
+    Overflow on the way raises ``NumericalDegeneracyError`` once the new
+    factors are not finite, so numpy's warnings about it are silenced.
     """
-    numer = _ls_numerator(part, f.factors, mode, frozen)
-    denom = region.gram_denominator(f.factors, mode)
-    if np.any((denom == 0.0) & (numer > 0.0)):
-        raise DegenerateUpdateError(f"zero Euclidean denominator in mode {mode}")
-    new = np.maximum(f.factors[mode] * _ratio(numer, denom), epsilon_floor)
+    with np.errstate(over="ignore", invalid="ignore"):
+        numer = _ls_numerator(part, f.factors, mode, frozen)
+        denom = region.gram_denominator(f.factors, mode)
+        if np.any((denom == 0.0) & (numer > 0.0)):
+            raise DegenerateUpdateError(f"zero Euclidean denominator in mode {mode}")
+        new = np.maximum(f.factors[mode] * _ratio(numer, denom), epsilon_floor)
     if not np.all(np.isfinite(new)):
         raise NumericalDegeneracyError(f"Euclidean update overflowed in mode {mode}")
     return f.replace_mode(mode, new)
@@ -149,27 +153,32 @@ def _ls_step(f, part, mode, region, epsilon_floor, frozen=None):
 
 def _ls_numerator(part, mats, mode, frozen=None):
     """Each stored count times the other modes' factor product, summed per
-    ``mode`` index."""
+    ``mode`` index; each count scales its product inside the scatter."""
     k = mats[0].shape[1]
     step = _block_step(k)
     numer = np.zeros((part.shape[mode], k))
+    values = part.values.astype(np.float64)
     for rows, incidence in zip(part._block_rows(step), part._block_incidence(step, mode)):
         if frozen is None:
             other = _entry_products(mats, part.coords[rows], skip=mode)
         else:
             other = frozen.products[rows]
-        numer += incidence @ (other * part.values[rows, None])
+        numer += _scatter(incidence, values[rows], other)
     return numer
 
 
 def _ls_objective(t, f, region, frozen=None):
     """The squared error; with ``frozen`` (a ``cp._FrozenModes`` of ``t``,
     whose entries all lie in ``region``) each entry's reconstruction is its
-    frozen product times its last-mode row, the same bits."""
-    if frozen is None:
-        return squared_error(t, f, region)
-    y = t.values.astype(np.float64)
-    return _squared_error_from_recon(y, frozen.recon(f.factors[-1]), region.sum_sq_recon(f.factors))
+    frozen product times its last-mode row, the same bits.  Factors large
+    enough to overflow it make the cost non-finite, a value the trace
+    records, so numpy's warnings about it are silenced."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if frozen is None:
+            return squared_error(t, f, region)
+        y = t.values.astype(np.float64)
+        recon = frozen.recon(f.factors[-1])
+        return _squared_error_from_recon(y, recon, region.sum_sq_recon(f.factors))
 
 
 def init_factors(t: SparseCountTensor, config: NtfConfig) -> FactorSet:

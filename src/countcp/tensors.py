@@ -24,7 +24,7 @@ from math import prod
 from pathlib import Path
 
 import numpy as np
-from scipy.sparse import csr_array
+from scipy.sparse import csc_array, csr_array
 
 from .errors import (
     ConfigError,
@@ -156,14 +156,15 @@ class SparseCountTensor:
     def _block_incidence(self, step: int, mode: int) -> list:
         """One incidence matrix of ``mode`` per block of ``_block_rows(step)``:
         ``incidence @ x`` adds each row of ``x`` into the row of its entry's
-        ``mode`` index, in entry order."""
+        ``mode`` index, in entry order.  Each column holds its entry's one
+        1.0, so ``data`` lines up with the block's entries."""
         key = ("incidence", step, mode)
         if key not in self._plans:
             plan = []
             for rows in self._block_rows(step):
                 n = rows.stop - rows.start
-                plan.append(csr_array((np.ones(n), self.coords[rows, mode], np.arange(n + 1)),
-                                      (n, self.shape[mode])).T)
+                plan.append(csc_array((np.ones(n), self.coords[rows, mode], np.arange(n + 1)),
+                                      (self.shape[mode], n)))
             self._plans[key] = plan
         return self._plans[key]
 

@@ -192,6 +192,71 @@ def oracle_count_shares(logs, t, mode=None):
     return log_mass, allocated
 
 
+def _floored_weights(parts, out):
+    np.maximum(parts, cp._LOG_FLOOR, out=out)
+    np.exp(out, out=out)
+    out -= cp._FLOOR_WEIGHT
+    return out
+
+
+def oracle_floored_count_shares(logs, t, mode=None, frozen=None):
+    """``cp._count_shares`` as it ran before its depth guard and scaled
+    scatter: the oracle of both, which must give the same bits.
+
+    Every block's weights are clamped at ``cp._LOG_FLOOR`` and have the
+    floor weight taken off, and each entry's weights are scaled by its count
+    over its total before a plain incidence scatter.  With ``frozen`` (a
+    ``cp._FrozenModes`` of ``t``) each block's summed parts and shift are its
+    frozen prefixes plus its row of the shifted ``logs[-1]``.
+    """
+    k = logs[-1].shape[1]
+    step = cp._block_step(k)
+    if frozen is None:
+        table, top = cp._row_shifted(np.concatenate(logs))
+        blocks = ((gather @ table, gather @ top) for gather in t._block_gather(step))
+    else:
+        shifted, top = cp._row_shifted(logs[-1])
+        blocks = ((frozen.logs[rows] + np.take(shifted, frozen.last[rows], axis=0),
+                   frozen.shift[rows] + top[frozen.last[rows]]) for rows in t._block_rows(step))
+    log_mass = np.empty(t.nnz)
+    allocated = None if mode is None else np.zeros((t.shape[mode], k))
+    scatter = repeat(None) if mode is None else t._block_incidence(step, mode)
+    for rows, (parts, shift), incidence in zip(t._block_rows(step), blocks, scatter):
+        weights = _floored_weights(parts, np.empty_like(parts))
+        total = weights.sum(axis=1)
+        low = np.flatnonzero(total < cp._RESCUE_TOTAL)
+        if low.size:
+            exact = parts[low].max(axis=1)
+            shift[low] += exact
+        if not np.all(np.isfinite(shift)):
+            log_mass[rows] = shift
+            return log_mass[:rows.stop], allocated
+        if low.size:
+            redone = parts[low] - exact[:, None]
+            weights[low] = _floored_weights(redone, redone)
+            total[low] = redone.sum(axis=1)
+        if incidence is not None:
+            weights *= (t.values[rows] / total)[:, None]
+            allocated += incidence @ weights
+        log_mass[rows] = shift + np.log(total)
+    return log_mass, allocated
+
+
+def oracle_ls_numerator(part, mats, mode, frozen=None):
+    """``ntf._ls_numerator`` as it ran before its scaled scatter: each block's
+    other-mode products times its counts, then a plain incidence scatter."""
+    k = mats[0].shape[1]
+    step = cp._block_step(k)
+    numer = np.zeros((part.shape[mode], k))
+    for rows, incidence in zip(part._block_rows(step), part._block_incidence(step, mode)):
+        if frozen is None:
+            other = cp._entry_products(mats, part.coords[rows], skip=mode)
+        else:
+            other = frozen.products[rows]
+        numer += incidence @ (other * part.values[rows, None])
+    return numer
+
+
 # ---------------------------------------------------------------------------
 # Heldout inference and the BPTF fit as they ran before the frozen-prefix and
 # fused-ELBO paths: every sweep through the per-mode updates and a standalone

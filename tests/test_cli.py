@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import countcp
 import countcp.bptf
 import countcp.ntf
 from countcp import (
@@ -28,6 +32,13 @@ Abaria,Bedoria,Consult,2001-01-10T09:00:00
 Abaria,Bedoria,Consult,2001-01-22T10:00:00
 Bedoria,Abaria,Fight,2001-02-03T12:00:00
 Cedonia,Abaria,Consult,2001-03-15T08:30:00
+"""
+
+# Heldout NTF-LS inference on this table drives its time factors to inf.
+OVERFLOWING_LS_TENSOR = """3 3 1 5
+0 0 0 3 1115254482146
+1 0 0 4 514725
+1 2 0 1 1879678898833
 """
 
 
@@ -656,6 +667,17 @@ class TestInvalidOptionValues:
         assert len(err) == 1
         assert err[0].startswith("data error:") and str(out / blocked) in err[0]
 
+    @pytest.mark.parametrize("model, bundle", [("ntf-kl", "factors"), ("bptf", "state")])
+    def test_unwritable_trace_leaves_no_bundle(self, synth_tensor, tmp_path, capsys, model,
+                                               bundle):
+        out = tmp_path / "out"
+        (out / "trace.txt").mkdir(parents=True)
+        code = main(["fit", "--tensor", str(synth_tensor / "tensor.txt"), "--model", model,
+                     "--k", "2", "--max-iterations", "2", "--output-dir", str(out)])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("data error:")
+        assert not (out / "factors").exists() and not (out / "state").exists()
+
     def test_explore_negative_top_n_exits_1_before_any_report(self, synth_tensor, tmp_path,
                                                               capsys):
         fit_out, explore_out = tmp_path / "fit", tmp_path / "explore"
@@ -785,6 +807,24 @@ class TestEvalCommand:
         )
         assert code == 3
         assert "every model failed" in capsys.readouterr().err
+
+
+    def test_overflowing_ls_eval_prints_one_stderr_line(self, tmp_path):
+        # a fresh interpreter with warnings shown, so any numpy warning
+        # reaches stderr as it would from the installed command
+        (tmp_path / "tiny.txt").write_text(OVERFLOWING_LS_TENSOR)
+        src = str(Path(countcp.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONWARNINGS="default",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", "from countcp.cli import entry; entry()",
+             "eval", "--tensor", "tiny.txt", "--n-primes", "1", "--scenario", "block",
+             "--seeds", "0", "--k", "2", "--max-iterations", "15", "--tolerance", "1e-12",
+             "--models", "ntf-ls", "--output-dir", "out"],
+            cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 3
+        assert done.stderr.splitlines() == ["numerical error: every model failed in every scenario"]
 
 
 class TestExploreCommand:

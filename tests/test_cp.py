@@ -387,7 +387,7 @@ class TestRowGathers:
             summed.append((frozen.logs[rows] + shifted[3][last], frozen.shift[rows] + tops[3][last]))
         with mock.patch.object(cp, "_BLOCK_CELLS", 7 * 4):
             assert same_bits(frozen.recon(mats[3]), want)
-        got = list(frozen.summed_logs(logs[3], 7))
+        got = list(frozen.summed_logs(*cp._row_shifted(logs[3]), 7))
         assert len(got) == len(summed)
         assert all(same_bits(g, w) for pair, wanted in zip(got, summed)
                    for g, w in zip(pair, wanted))

@@ -364,7 +364,7 @@ class TestRunTable:
         with pytest.raises(RuntimeError, match="not a library error"):
             run_table(self.base, {"gen": small_generative_tensor()})
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_an_overflowing_ls_update_is_a_numerical_failure(self):
         # the heldout Euclidean update drives this table's time factors to inf
         t = SparseCountTensor(
