@@ -95,12 +95,12 @@ class VariationalState:
     the expected log factors digamma(gamma) - log(delta), the logs of the
     geometric expectations; at a small shape the geometric expectation
     itself underflows, its log does not.  Callers that pass caches
-    explicitly are trusted (the warm-start path seeds both caches from a
-    point estimate), and a mode whose two caches are not both given is
-    refreshed; ``refresh`` restores cache consistency for one mode after
-    its parameters change.  The updates and the ELBO read the caches,
-    not gamma and delta, so an ELBO is only that of gamma and delta when
-    the caches are consistent.
+    explicitly are trusted (heldout inference passes the trained modes'
+    caches, so its frozen modes share the trained arrays), and a mode whose
+    two caches are not both given is refreshed; ``refresh`` restores cache
+    consistency for one mode after its parameters change.  The updates and
+    the ELBO read the caches, not gamma and delta, so an ELBO is only that
+    of gamma and delta when the caches are consistent.
     """
 
     __slots__ = ("gamma", "delta", "expect", "elog")
@@ -147,24 +147,23 @@ class VariationalState:
         self.elog[mode] = digamma(g) - np.log(d)
 
 
-def init_state(shape, config: FitConfig, hyper: Hyperparameters, jitter: float = 1.0):
-    """Fresh state: gamma = alpha plus uniform jitter in (0, jitter * alpha).
+def init_state(shape, config: FitConfig, hyper: Hyperparameters):
+    """Fresh state: gamma = alpha plus uniform jitter in (0, alpha).
 
     The jitter breaks component symmetry (a symmetric start never separates
-    components); delta starts at the prior rate alpha * beta[m].  With
-    ``jitter=0`` the state sits exactly at the prior, where the arithmetic
-    expectation is the prior mean 1 / beta[m].  Deterministic per seed.
+    components); delta starts at the prior rate alpha * beta[m].
+    Deterministic per seed.
     """
-    gamma = list(_initial_shapes(shape, config, hyper, jitter))
+    gamma = list(_initial_shapes(shape, config, hyper))
     delta = [np.full(g.shape, hyper.rate(m)) for m, g in enumerate(gamma)]
     return VariationalState(gamma, delta)
 
 
-def _initial_shapes(shape, config, hyper, jitter=1.0):
+def _initial_shapes(shape, config, hyper):
     """``init_state``'s gamma matrices, drawn mode by mode in mode order."""
     rng = np.random.default_rng(config.seed)
     for size in shape:
-        yield hyper.alpha + rng.uniform(0.0, hyper.alpha * jitter, size=(size, config.k))
+        yield hyper.alpha + rng.uniform(0.0, hyper.alpha, size=(size, config.k))
 
 
 def _update_shape(state, t, mode, hyper, allocated=None, frozen=None):

@@ -1,9 +1,10 @@
 """Command-line entry point: ingest, fit, eval, explore, synth.
 
 Every run is driven by explicit flags, an optional flat key=value config
-file, or both; command-line flags override file values.  Each command
-writes the fully resolved configuration beside its outputs so runs can be
-reproduced exactly.  Exit codes: 0 success, 1 usage or configuration
+file, or both; a file key is read as the flag of the same name, and
+command-line flags override file values.  Each command writes the fully
+resolved configuration beside its outputs so runs can be reproduced
+exactly.  Exit codes: 0 success, 1 usage or configuration
 error (an unreadable config file included), 2 data error (an output that
 cannot be written included), 3 numerical failure.
 """
@@ -53,13 +54,13 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = str(text).strip().lower()
+def _parse_bool(text: str, flag: str) -> bool:
+    lowered = text.lower()
     if lowered in ("1", "true", "yes", "on"):
         return True
     if lowered in ("0", "false", "no", "off"):
         return False
-    raise ConfigError(f"expected a boolean, got {text!r}")
+    raise ConfigError(f"argument {flag}: expected a boolean, got {text!r}")
 
 
 def _parse_ints(text: str) -> list[int]:
@@ -98,9 +99,12 @@ def read_config_file(path) -> dict:
     return _key_values(text.splitlines(), path, ConfigError)
 
 
-def _apply_config_defaults(subparser, config: dict) -> None:
-    """Config-file values become parser defaults, so explicit flags win.
+def _config_flags(subparser, path) -> list[str]:
+    """The pairs of a config file as flags of ``subparser``, in file order.
 
+    A key is read as the flag of the same name (``max_iterations`` as
+    ``--max-iterations``), so argparse converts, checks and requires file
+    values as it does flags; a boolean becomes ``--flag`` or ``--no-flag``.
     Unknown keys are rejected before any work happens.
     """
     actions = {
@@ -108,35 +112,17 @@ def _apply_config_defaults(subparser, config: dict) -> None:
         for a in subparser._actions
         if a.dest not in ("help", "config") and a.option_strings
     }
-    updates = {}
-    for key, value in config.items():
-        dest = key.replace("-", "_")
-        action = actions.get(dest)
+    flags = []
+    for key, value in read_config_file(path).items():
+        action = actions.get(key.replace("-", "_"))
         if action is None:
             raise ConfigError(f"unknown config key {key!r}")
-        if isinstance(action, argparse.BooleanOptionalAction) or action.nargs == 0:
-            updates[dest] = _parse_bool(value)
-        elif action.type is not None:
-            try:
-                updates[dest] = action.type(value)
-            except (TypeError, ValueError) as exc:
-                raise ConfigError(f"config key {key!r}: {exc}") from exc
-        elif isinstance(action, argparse._AppendAction):
-            updates[dest] = [value]
+        flag = action.option_strings[0]
+        if isinstance(action, argparse.BooleanOptionalAction):
+            flags.append(flag if _parse_bool(value, flag) else action.option_strings[1])
         else:
-            updates[dest] = value
-        if action.choices is not None and updates[dest] not in action.choices:
-            raise ConfigError(
-                f"config key {key!r}: must be one of {sorted(action.choices)}"
-            )
-    subparser.set_defaults(**updates)
-
-
-def _require(args, name: str):
-    value = getattr(args, name.replace("-", "_"))
-    if value is None:
-        raise ConfigError(f"missing required option --{name}")
-    return value
+            flags.append(f"{flag}={value}")
+    return flags
 
 
 def _out_dir(args) -> Path:
@@ -159,13 +145,11 @@ def _echo_config(args, out: Path) -> None:
 
 
 def cmd_ingest(args) -> int:
-    events = _require(args, "events")
-    start = _parse_date(_require(args, "start"))
-    end = _parse_date(_require(args, "end"))
+    start, end = _parse_date(args.start), _parse_date(args.end)
     if start > end:  # checked before the event file is read
         raise ConfigError(f"empty date range {start}..{end}")
     tensor = ingest_events(
-        read_event_file(events),
+        read_event_file(args.events),
         bin_width=args.bin_width,
         date_range=(start, end),
         drop_self_actions=args.drop_self_actions,
@@ -188,20 +172,27 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    tensor = load_tensor(_require(args, "tensor"), args.labels)
+    tensor = load_tensor(args.tensor, args.labels)
     _, train = _trainer(
-        _require(args, "model"), tensor.ndim, k=args.k, max_iterations=args.max_iterations,
+        args.model, tensor.ndim, k=args.k, max_iterations=args.max_iterations,
         tolerance=args.tolerance, alpha=args.alpha, beta=_parse_floats(args.beta),
         learn_beta=args.learn_beta, epsilon_floor=args.epsilon_floor,
     )
     fitted = train(tensor, args.seed)
     out = _out_dir(args)  # made only once the fit has succeeded
-    write_trace(fitted.trace, out / "trace.txt")
-    _echo_config(args, out)
-    bundle = fitted.save(out)  # last, so an unwritable trace leaves no bundle
+    trace, echoed = out / "trace.txt", out / "fit_config.txt"
+    try:
+        write_trace(fitted.trace, trace)
+        _echo_config(args, out)
+        bundle = fitted.save(out)  # last, so an unwritable trace leaves no bundle
+    except OSError:  # leave no trace or config that reads like a finished fit
+        for path in (trace, echoed):
+            if path.is_file():
+                path.unlink()
+        raise
     print(f"{fitted.objective} {fitted.trace.values[-1]:.10g}")
     print(f"iterations {fitted.trace.n_iterations} converged {fitted.trace.converged}")
-    print(f"wrote {bundle} and {out / 'trace.txt'}")
+    print(f"wrote {bundle} and {trace}")
     return 0
 
 
@@ -218,14 +209,12 @@ def _parse_tensor_specs(specs) -> dict:
 
 
 def cmd_eval(args) -> int:
-    if not args.tensor:
-        raise ConfigError("at least one --tensor is required")
     if args.threads < 1:
         raise ConfigError("--threads must be a positive integer")
     tensors = _parse_tensor_specs(args.tensor)
     models = tuple(str(args.models).replace(",", " ").split())
     spec = ExperimentSpec(
-        n_primes=tuple(_parse_ints(_require(args, "n-primes"))),
+        n_primes=tuple(_parse_ints(args.n_primes)),
         scenario=args.scenario,
         test_fraction=args.test_fraction,
         seeds=tuple(_parse_ints(args.seeds)),
@@ -251,18 +240,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_explore(args) -> int:
-    if args.state and args.factors:
-        raise ConfigError("give either --state or --factors, not both")
     labels = None
-    if args.state:
+    if args.state is not None:
         state, _ = _bptf.load_state(args.state)
         factors = _bptf.point_estimate(state, args.estimate)
         shape = state.shape
-    elif args.factors:
+    else:
         factors, labels = load_factors(args.factors)
         shape = factors.shape
-    else:
-        raise ConfigError("one of --state or --factors is required")
     if args.labels:
         labels = load_labels(args.labels, shape)
     if labels is None:
@@ -275,7 +260,7 @@ def cmd_explore(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    shape = tuple(_parse_ints(_require(args, "shape")))
+    shape = tuple(_parse_ints(args.shape))
     hyper = _hyperparameters(args.alpha, _parse_floats(args.beta), len(shape))
     tensor, factors = sample_count_tensor(shape, args.k, hyper, args.seed)
     out = _out_dir(args)
@@ -305,18 +290,18 @@ def build_parser():
 
     p = sub.add_parser("ingest", parents=[common],
                        help="aggregate an event file into a count tensor")
-    p.add_argument("--events", help="delimited event file with a header row")
+    p.add_argument("--events", required=True, help="delimited event file with a header row")
     p.add_argument("--bin-width", choices=("day", "week", "month"), default="month")
-    p.add_argument("--start", help="inclusive ISO start date")
-    p.add_argument("--end", help="inclusive ISO end date")
+    p.add_argument("--start", required=True, help="inclusive ISO start date")
+    p.add_argument("--end", required=True, help="inclusive ISO end date")
     p.add_argument("--drop-self-actions", action=argparse.BooleanOptionalAction,
                    default=True, help="drop records whose sender equals receiver")
     p.set_defaults(func=cmd_ingest)
 
     p = sub.add_parser("fit", parents=[common], help="fit a factorization model")
-    p.add_argument("--tensor", help="coordinate-list tensor file")
+    p.add_argument("--tensor", required=True, help="coordinate-list tensor file")
     p.add_argument("--labels", help="labels file for the tensor")
-    p.add_argument("--model", help="bptf, ntf-kl or ntf-ls")
+    p.add_argument("--model", required=True, help="bptf, ntf-kl or ntf-ls")
     p.add_argument("--k", type=int, default=50, help="number of components")
     p.add_argument("--max-iterations", type=int, default=500)
     p.add_argument("--tolerance", type=float, default=1e-5,
@@ -331,9 +316,9 @@ def build_parser():
 
     p = sub.add_parser("eval", parents=[common],
                        help="heldout strong-generalization evaluation")
-    p.add_argument("--tensor", action="append", default=[],
+    p.add_argument("--tensor", action="append", required=True,
                    help="tensor file, optionally LABEL=PATH; repeatable")
-    p.add_argument("--n-primes", help="comma list of actor block sizes")
+    p.add_argument("--n-primes", required=True, help="comma list of actor block sizes")
     p.add_argument("--scenario", choices=tuple(_SIDES),
                    default="both", help="which side of the block to predict")
     p.add_argument("--test-fraction", type=float, default=0.2)
@@ -350,8 +335,9 @@ def build_parser():
 
     p = sub.add_parser("explore", parents=[common],
                        help="rank components and write summaries")
-    p.add_argument("--state", help="variational state bundle directory")
-    p.add_argument("--factors", help="factor bundle directory")
+    source = p.add_mutually_exclusive_group(required=True)
+    source.add_argument("--state", help="variational state bundle directory")
+    source.add_argument("--factors", help="factor bundle directory")
     p.add_argument("--labels", help="labels file")
     p.add_argument("--estimate", choices=("geometric", "arithmetic"),
                    default="geometric", help="point estimate for state bundles")
@@ -360,7 +346,7 @@ def build_parser():
 
     p = sub.add_parser("synth", parents=[common],
                        help="sample a tensor from the generative model")
-    p.add_argument("--shape", help="comma list of mode sizes")
+    p.add_argument("--shape", required=True, help="comma list of mode sizes")
     p.add_argument("--k", type=int, default=5, help="number of components")
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--beta", default="1.0",
@@ -375,9 +361,13 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         parser, subparsers = build_parser()
-        peek, _ = parser.parse_known_args(argv)
-        if peek.config:
-            _apply_config_defaults(subparsers[peek.command], read_config_file(peek.config))
+        if argv and argv[0] in subparsers:
+            peek = _Parser(add_help=False)
+            peek.add_argument("--config")
+            config = peek.parse_known_args(argv[1:])[0].config
+            if config:
+                # right after the command name, so flags given later win
+                argv[1:1] = _config_flags(subparsers[argv[0]], config)
         args = parser.parse_args(argv)
         return args.func(args)
     except ConfigError as exc:

@@ -15,6 +15,9 @@ from .cp import FactorSet
 from .errors import ConfigError
 from .tensors import SparseCountTensor, default_labels
 
+# mode-0 rows of the dense reconstruction materialized at a time
+_ROW_CHUNK = 64
+
 
 def sample_factors(shape, k: int, hyper: Hyperparameters, rng) -> FactorSet:
     """Draw one factor matrix per mode from its Gamma prior."""
@@ -24,10 +27,10 @@ def sample_factors(shape, k: int, hyper: Hyperparameters, rng) -> FactorSet:
     return FactorSet(mats)
 
 
-def sample_count_tensor(shape, k: int, hyper: Hyperparameters, seed: int, row_chunk: int = 64):
+def sample_count_tensor(shape, k: int, hyper: Hyperparameters, seed: int):
     """Sample (tensor, true factors) from the generative model.
 
-    The dense reconstruction is materialized ``row_chunk`` mode-0 rows at a
+    The dense reconstruction is materialized ``_ROW_CHUNK`` mode-0 rows at a
     time, so memory stays bounded for moderately large shapes.  Only
     non-zero cells are stored.  Deterministic per seed.
     """
@@ -43,8 +46,8 @@ def sample_count_tensor(shape, k: int, hyper: Hyperparameters, seed: int, row_ch
 
     coords_parts, values_parts = [], []
     tail_mats = factors.factors[1:]
-    for lo in range(0, shape[0], row_chunk):
-        hi = min(lo + row_chunk, shape[0])
+    for lo in range(0, shape[0], _ROW_CHUNK):
+        hi = min(lo + _ROW_CHUNK, shape[0])
         block = np.zeros((hi - lo,) + shape[1:])
         for comp in range(k):
             term = factors.factors[0][lo:hi, comp]

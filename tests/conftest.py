@@ -137,6 +137,14 @@ def state_from_point_estimate(factors):
     return VariationalState(gamma, delta, expect=caches, elog=elog)
 
 
+def prior_state(shape, k, hyper):
+    """A variational state exactly at the prior: gamma = alpha and delta =
+    alpha * beta[m], so each arithmetic expectation is the prior mean."""
+    gamma = [np.full((s, k), hyper.alpha) for s in shape]
+    delta = [np.full((s, k), hyper.rate(m)) for m, s in enumerate(shape)]
+    return VariationalState(gamma, delta)
+
+
 def linear_allocate(mats, coords, values, mode, out):
     """The count allocation in linear space with an ``np.add.at`` scatter:
     the oracle for ``cp._allocate``, which takes the logs of ``mats``.

@@ -29,6 +29,7 @@ from countcp.ntf import _kl_step
 from conftest import (
     compute_elbo,
     ntf_step,
+    prior_state,
     random_factors,
     random_tensor,
     reconstruct_dense,
@@ -40,8 +41,8 @@ from conftest import (
 EULER_MASCHERONI = 0.5772156649015328606
 
 
-def make_state(shape, k, hyper, seed, jitter=1.0):
-    return init_state(shape, FitConfig(k=k, seed=seed), hyper, jitter=jitter)
+def make_state(shape, k, hyper, seed):
+    return init_state(shape, FitConfig(k=k, seed=seed), hyper)
 
 
 def randomized_state(shape, k, rng):
@@ -59,9 +60,9 @@ class TestInitState:
             assert np.array_equal(a.gamma[m], b.gamma[m])
             assert np.array_equal(a.delta[m], b.delta[m])
 
-    def test_zero_jitter_sits_at_the_prior(self):
+    def test_a_state_at_the_prior_expects_the_prior_mean(self):
         hyper = Hyperparameters(alpha=0.1, beta=(2.0, 4.0, 1.0, 0.5))
-        state = make_state((3, 3, 2, 4), 2, hyper, seed=0, jitter=0.0)
+        state = prior_state((3, 3, 2, 4), 2, hyper)
         for m in range(4):
             assert np.all(state.gamma[m] == 0.1)
             assert np.allclose(state.expect[m], 1.0 / hyper.beta[m], rtol=1e-14)
@@ -323,7 +324,7 @@ class TestComputeElbo:
         shape = (3, 2, 2, 3)
         hyper = Hyperparameters(alpha=0.4, beta=(1.0, 2.0, 0.5, 1.5))
         t = SparseCountTensor.from_entries(shape, [])
-        state = make_state(shape, 2, hyper, seed=0, jitter=0.0)
+        state = prior_state(shape, 2, hyper)
         mass = 2.0
         for m, s in enumerate(shape):
             mass *= s / hyper.beta[m]
@@ -397,7 +398,7 @@ class TestFit:
         dense = todense(t).astype(float)
         fitted = reconstruct_dense(point_estimate(state, "arithmetic"))
         prior = reconstruct_dense(
-            point_estimate(init_state(t.shape, config, hyper, jitter=0.0), "arithmetic")
+            point_estimate(prior_state(t.shape, config.k, hyper), "arithmetic")
         )
         assert np.abs(fitted - dense).mean() < np.abs(prior - dense).mean()
 
@@ -547,12 +548,12 @@ class TestHeldoutInference:
         grid[...] = pair.reshape(pair.shape + (1, 1))
 
         fitted = reconstruct_dense(point_estimate(heldout_state, "geometric"))
-        prior_state = init_state(ts.test.shape, config, learned, jitter=0.0)
+        baseline = prior_state(ts.test.shape, config.k, learned)
         for m in range(3):
-            prior_state.gamma[m] = state.gamma[m].copy()
-            prior_state.delta[m] = state.delta[m].copy()
-            prior_state.refresh(m)
-        prior = reconstruct_dense(point_estimate(prior_state, "geometric"))
+            baseline.gamma[m] = state.gamma[m].copy()
+            baseline.delta[m] = state.delta[m].copy()
+            baseline.refresh(m)
+        prior = reconstruct_dense(point_estimate(baseline, "geometric"))
         assert np.abs(fitted - dense)[grid].mean() < np.abs(prior - dense)[grid].mean()
 
     def test_empty_observed_region_is_an_error(self, rng):

@@ -25,7 +25,7 @@ from countcp import (
     save_state,
     write_trace,
 )
-from countcp.cli import main
+from countcp.cli import build_parser, main
 
 EVENTS = """sender,receiver,action,timestamp
 Abaria,Bedoria,Consult,2001-01-10T09:00:00
@@ -42,8 +42,33 @@ OVERFLOWING_LS_TENSOR = """3 3 1 5
 """
 
 
+# every flag each command reads, bar --output-dir and explore's --factors
+# (the alternative to --state), as config-file pairs; {synth}, {events} and
+# {state} name the test's inputs
+EVERY_FLAG = {
+    "synth": {"shape": "6,6,2,5", "k": "2", "alpha": "0.3", "beta": "1.0,2.0,1.0,0.5",
+              "seed": "3"},
+    "ingest": {"events": "{events}", "bin_width": "week", "start": "2001-01-01",
+               "end": "2001-03-31", "drop_self_actions": "off"},
+    "fit": {"tensor": "{synth}/tensor.txt", "labels": "{synth}/labels.txt", "model": "bptf",
+            "k": "2", "max_iterations": "3", "tolerance": "1e-6", "alpha": "0.2",
+            "beta": "1.0,2.0,1.0,0.5", "learn_beta": "off", "epsilon_floor": "1e-10",
+            "seed": "1"},
+    "eval": {"tensor": "one={synth}/tensor.txt", "n_primes": "3", "scenario": "block",
+             "test_fraction": "0.25", "seeds": "0", "k": "2", "models": "bptf-geo,ntf-kl",
+             "alpha": "0.2", "max_iterations": "3", "tolerance": "1e-3",
+             "epsilon_floor": "1e-10", "threads": "1"},
+    "explore": {"state": "{state}", "labels": "{synth}/labels.txt", "estimate": "arithmetic",
+                "top_n": "3"},
+}
+
+
 def sha(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
 
 
 def run_ingest(tmp_path, extra=()):
@@ -495,8 +520,9 @@ class TestInvalidOptionValues:
             (["ingest", "--events", "{events}", "--start", "2001-01-01", "--end", "2001-03-31",
               "--threads", "2"], ""),
             (["explore", "--factors", "{synth}/true_factors"], "seed = 1\n"),
+            (["synth", "--shape", "3,3,2"], "config = other.cfg\n"),
         ],
-        ids=["eval-seed", "ingest-threads", "explore-config-seed"],
+        ids=["eval-seed", "ingest-threads", "explore-config-seed", "synth-config-config"],
     )
     def test_flag_or_key_the_command_does_not_read_exits_1(self, synth_tensor, tmp_path,
                                                            capsys, argv, config):
@@ -677,6 +703,23 @@ class TestInvalidOptionValues:
         assert code == 2
         assert capsys.readouterr().err.startswith("data error:")
         assert not (out / "factors").exists() and not (out / "state").exists()
+
+    @pytest.mark.parametrize("model, blocked", [("bptf", "state"), ("ntf-kl", "factors"),
+                                                ("bptf", "fit_config.txt")])
+    def test_unwritable_output_leaves_no_trace_or_config(self, synth_tensor, tmp_path, capsys,
+                                                         model, blocked):
+        out = tmp_path / "out"
+        out.mkdir()
+        if blocked == "fit_config.txt":
+            (out / blocked).mkdir()  # a directory where the config echo goes
+        else:
+            (out / blocked).write_text("")  # a file where the bundle directory goes
+        code = main(["fit", "--tensor", str(synth_tensor / "tensor.txt"), "--model", model,
+                     "--k", "2", "--max-iterations", "2", "--output-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"data error: {out / blocked}: ")
+        assert [p.name for p in out.iterdir()] == [blocked]
 
     def test_explore_negative_top_n_exits_1_before_any_report(self, synth_tensor, tmp_path,
                                                               capsys):
@@ -935,6 +978,68 @@ class TestConfigFile:
         code = main(["ingest"])
         assert code == 1
         assert "events" in capsys.readouterr().err
+
+    def test_missing_required_option_exits_1_before_any_input_is_read(self, tmp_path, capsys):
+        (tmp_path / "bad.txt").write_text("not a tensor\n")  # reading it would exit 2
+        code = main(["fit", "--tensor", str(tmp_path / "bad.txt"),
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: the following arguments are required: --model\n"
+
+    @pytest.mark.parametrize("command", sorted(EVERY_FLAG))
+    def test_a_config_file_runs_as_its_flags(self, synth_tensor, tmp_path, capsys, command):
+        (tmp_path / "events.csv").write_text(EVENTS)
+        state = tmp_path / "fit" / "state"
+        if command == "explore":
+            assert main(["fit", "--tensor", str(synth_tensor / "tensor.txt"), "--model", "bptf",
+                         "--k", "2", "--max-iterations", "2",
+                         "--output-dir", str(tmp_path / "fit")]) == 0
+        out = tmp_path / "out"
+        pairs = {key: value.format(synth=synth_tensor, events=tmp_path / "events.csv",
+                                   state=state)
+                 for key, value in EVERY_FLAG[command].items()}
+        pairs["output_dir"] = str(out)
+        _, subparsers = build_parser()
+        assert set(pairs) == {a.dest for a in subparsers[command]._actions
+                              if a.option_strings} - {"help", "config", "factors"}
+        flags = []
+        for key, value in pairs.items():
+            flag = "--" + key.replace("_", "-")
+            flags += [f"--no-{flag[2:]}"] if value == "off" else [flag, value]
+        # a --tensor flag adds a source to the config file's
+        extra = ["--tensor", f"two={synth_tensor / 'tensor.txt'}"] if command == "eval" else []
+        capsys.readouterr()
+        assert main([command, *flags, *extra]) == 0
+        stdout = capsys.readouterr().out
+        out.rename(tmp_path / "from_flags")
+
+        config = tmp_path / "run.cfg"
+        config.write_text("".join(f"{key} = {value}\n" for key, value in pairs.items()))
+        assert main([command, "--config", str(config), *extra]) == 0
+        assert capsys.readouterr().out == stdout
+        from_flags, from_config = tree(tmp_path / "from_flags"), tree(out)
+        echo = f"{command}_config.txt"
+        assert (from_flags.pop(echo).replace(b"config = None\n", f"config = {config}\n".encode())
+                == from_config.pop(echo))
+        assert from_flags == from_config
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            ([], ""),
+            (["explore", "--state", "S", "--factors", "F"], ""),
+            (["explore", "--factors", "F"], "state = S\n"),
+            (["explore", "--labels", "L"], ""),
+        ],
+        ids=["no-command", "explore-both", "explore-both-from-config", "explore-neither"],
+    )
+    def test_no_command_or_bundle_exits_1(self, tmp_path, capsys, argv, config):
+        if config:
+            (tmp_path / "run.cfg").write_text(config)
+            argv = [*argv, "--config", str(tmp_path / "run.cfg")]
+        assert main([*argv, "--output-dir", str(tmp_path / "out")] if argv else argv) == 1
+        assert one_error_line(capsys)
+        assert not (tmp_path / "out").exists()
 
     def test_boolean_config_values(self, tmp_path):
         events = tmp_path / "events.csv"

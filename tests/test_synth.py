@@ -2,6 +2,7 @@
 
 import numpy as np
 
+import countcp.synth
 from countcp import (
     Hyperparameters,
     density,
@@ -19,10 +20,11 @@ class TestSampleCountTensor:
         for x, y in zip(fa.factors, fb.factors):
             assert np.array_equal(x, y)
 
-    def test_row_chunking_does_not_change_the_draw(self):
+    def test_row_chunking_does_not_change_the_draw(self, monkeypatch):
         hyper = Hyperparameters.default(4, alpha=0.2)
-        a, _ = sample_count_tensor((7, 5, 2, 4), 2, hyper, seed=9, row_chunk=64)
-        b, _ = sample_count_tensor((7, 5, 2, 4), 2, hyper, seed=9, row_chunk=2)
+        a, _ = sample_count_tensor((7, 5, 2, 4), 2, hyper, seed=9)
+        monkeypatch.setattr(countcp.synth, "_ROW_CHUNK", 2)
+        b, _ = sample_count_tensor((7, 5, 2, 4), 2, hyper, seed=9)
         assert a == b
 
     def test_sparsity_inducing_prior_yields_sparse_tensors(self):
