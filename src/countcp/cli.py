@@ -86,6 +86,8 @@ def _parse_date(text: str) -> _dt.date:
 
 def read_config_file(path) -> dict:
     """Flat key=value run configuration; '#' starts a comment line."""
+    if not str(path):
+        raise ConfigError("config file path is empty")
     path = Path(path)
     try:
         data = path.read_bytes()
@@ -365,7 +367,7 @@ def main(argv=None) -> int:
             peek = _Parser(add_help=False)
             peek.add_argument("--config")
             config = peek.parse_known_args(argv[1:])[0].config
-            if config:
+            if config is not None:
                 # right after the command name, so flags given later win
                 argv[1:1] = _config_flags(subparsers[argv[0]], config)
         args = parser.parse_args(argv)

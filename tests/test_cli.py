@@ -974,6 +974,14 @@ class TestConfigFile:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith(f"error: config file {config}:")
 
+    def test_empty_config_path_is_a_config_error(self, synth_tensor, tmp_path, capsys):
+        out = tmp_path / "out"
+        code = main(["fit", "--tensor", str(synth_tensor / "tensor.txt"), "--model", "bptf",
+                     "--config", "", "--output-dir", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.strip().splitlines() == ["error: config file path is empty"]
+        assert not out.exists()
+
     def test_missing_required_option_is_a_usage_error(self, capsys):
         code = main(["ingest"])
         assert code == 1

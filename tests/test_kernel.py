@@ -392,3 +392,39 @@ class TestWeightPaths:
         with shallow_flags() as flags:
             fit(t, config, Hyperparameters.default(4, 1e-3))
         assert not all(flags)
+
+
+# ---------------------------------------------------------------------------
+# Row sums by column adds are numpy's own row sums
+# ---------------------------------------------------------------------------
+
+
+def row_sum_table(k, rng):
+    """1,003 rows (not a multiple of 8) of ``k`` terms spread over 1e+-8, with
+    zeros, -0.0 and subnormals strewn in, and rows of zeros, of -0.0, and
+    with inf, -inf and nan.  No row mixes nan payloads: which of two nan
+    operands an add returns is left open by IEEE 754, and by numpy."""
+    x = rng.normal(size=(1003, k)) * 10.0 ** rng.uniform(-8, 8, size=(1003, k))
+    x[rng.random(x.shape) < 0.1] = 0.0
+    x[rng.random(x.shape) < 0.1] = -0.0
+    x[rng.random(x.shape) < 0.05] = 5e-324
+    x[0], x[1] = 0.0, -0.0
+    x[2] = rng.choice([0.0, -0.0, 5e-324, -5e-324], size=k)
+    x[3, ::2] = np.inf
+    x[4, 1::2] = -np.inf
+    x[5, ::2], x[5, 1::2] = np.inf, -np.inf  # inf - inf makes the nan
+    x[6, k // 2] = np.nan
+    x[7:20][rng.random((13, k)) < 0.3] = np.nan
+    return x
+
+
+class TestRowSums:
+    @pytest.mark.parametrize("k", range(1, cp._ROW_SUM_COLUMNS + 2))
+    def test_bits_of_numpys_row_sums(self, rng, k):
+        for x in (row_sum_table(k, rng), np.empty((0, k))):
+            with np.errstate(invalid="ignore"):
+                got, want = cp._row_sums(x), x.sum(axis=1)
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (
+                f"numpy {np.__version__} sums rows of {k} terms in another order "
+                "than cp._row_sums"
+            )
