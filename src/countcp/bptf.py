@@ -4,7 +4,7 @@ Every latent factor gets an independent Gamma variational distribution with
 shape ``gamma`` and rate ``delta``.  Coordinate ascent cycles through the
 modes updating shapes from allocated counts and rates from the other modes'
 arithmetic expectations; hyperparameter rate multipliers can be re-fit by
-empirical Bayes between sweeps.  The shape update is ``cp._allocate``'s
+empirical Bayes between sweeps.  The shape update is ``cp._count_shares``'
 count allocation, in log space over the log geometric expectations where the
 KL update in ``ntf`` allocates over log factors, so it holds for any shape
 ``alpha`` > 0 however small.  The evidence lower bound uses the standard
@@ -25,9 +25,7 @@ from scipy.special import digamma, gammaln
 
 from .cp import (
     FactorSet,
-    _allocate,
     _ascend,
-    _count_shares,
     _FrozenModes,
     _mode_matrices,
     _reading_bundle,
@@ -99,8 +97,8 @@ class VariationalState:
     caches, so its frozen modes share the trained arrays), and a mode whose
     two caches are not both given is refreshed; ``refresh`` restores cache
     consistency for one mode after its parameters change.  The updates and
-    the ELBO read the caches, not gamma and delta, so an ELBO is only that
-    of gamma and delta when the caches are consistent.
+    the ELBO's count and mass terms read the caches, not gamma and delta, so
+    an ELBO is only that of gamma and delta when the caches are consistent.
     """
 
     __slots__ = ("gamma", "delta", "expect", "elog")
@@ -166,26 +164,15 @@ def _initial_shapes(shape, config, hyper):
         yield hyper.alpha + rng.uniform(0.0, hyper.alpha, size=(size, config.k))
 
 
-def _update_shape(state, t, mode, hyper, allocated=None, frozen=None):
-    """Shape update for one mode: alpha plus this mode's allocated counts.
+def _update_shape(state, mode, hyper, counts):
+    """Shape update for one mode: alpha plus the counts allocated to it.
 
-    Each stored entry of ``t`` splits its count across components in
-    proportion to the geometric-expectation products, taken in log space
-    over ``state.elog``; zero cells allocate nothing, so the update touches
-    only stored entries.  The counts ``allocated`` to ``mode`` by an earlier
-    kernel pass over the same ``state.elog`` are used when given; ``frozen``
-    is passed on to ``cp._count_shares``.  Refreshes the mode's caches.
+    Each stored entry splits its count across components in proportion to
+    the geometric-expectation products, taken in log space over
+    ``state.elog`` (``cp._count_shares``); zero cells allocate nothing, so
+    the update touches only stored entries.  Refreshes the mode's caches.
     """
-    new = np.full(state.gamma[mode].shape, hyper.alpha)
-    if allocated is not None:
-        new += allocated
-    else:
-        bad = _allocate(state.elog, t, mode, new, frozen)
-        if bad is not None:
-            raise NumericalDegeneracyError(
-                f"all-component geometric mass vanished at entry {bad}"
-            )
-    state.gamma[mode] = new
+    state.gamma[mode] = hyper.alpha + counts
     state.refresh(mode)
 
 
@@ -225,36 +212,39 @@ def update_beta(
     return Hyperparameters(alpha=hyper.alpha, beta=tuple(beta))
 
 
-def _gamma_prior_terms(state: VariationalState, hyper: Hyperparameters, mode: int):
-    """Expected log prior plus entropy, summed over one mode's factors."""
+def _gamma_prior_terms(state: VariationalState, hyper: Hyperparameters, mode: int) -> float:
+    """Each factor's -KL(q || prior) summed over one mode's factors.
+
+    For q = Gamma(gamma, delta) and the prior Gamma(alpha, rate) it is
+    alpha (log rate - log delta) + (lnGamma(gamma) - lnGamma(alpha))
+    + (alpha - gamma) psi(gamma) + gamma (1 - rate / delta), each term 0 at
+    gamma = alpha and delta = rate.  Summed apart, the expected log prior
+    and the entropy would each hold a term near -psi(gamma) ~ 1 / gamma,
+    whose cancellation at a small shape loses every digit of the KL.
+    """
     g, d = state.gamma[mode], state.delta[mode]
-    rate = hyper.rate(mode)
-    alpha = hyper.alpha
-    cross = (
-        alpha * np.log(rate)
-        - gammaln(alpha)
-        + (alpha - 1.0) * state.elog[mode]
-        - rate * state.expect[mode]
+    alpha, rate = hyper.alpha, hyper.rate(mode)
+    neg_kl = (
+        alpha * (np.log(rate) - np.log(d))
+        + (gammaln(g) - gammaln(alpha))
+        + (alpha - g) * digamma(g)
+        + g * (1.0 - rate / d)
     )
-    entropy = g - np.log(d) + gammaln(g) + (1.0 - g) * digamma(g)
-    return float(cross.sum()), float(entropy.sum())
+    return float(neg_kl.sum())
 
 
 def _elbo(log_mass, y, log_y_factorials, mass, priors) -> float:
     """The ELBO from its terms: each stored entry's log geometric mass, the
     counts and the sum of their log factorials, the reconstruction mass, and
-    each mode's (prior cross-entropy, entropy).  Raises if any named term
-    goes non-finite, checking them in that order."""
+    each mode's prior KL term (``_gamma_prior_terms``).  Raises if any named
+    term goes non-finite, checking them in that order."""
     if not np.all(np.isfinite(log_mass)):
         raise NumericalError("ELBO count term is non-finite (zero geometric mass)")
     count_term = float((y * log_mass).sum() - log_y_factorials)
-    prior = 0.0
-    for m, (cross, entropy) in enumerate(priors):
-        for name, value in (("prior cross-entropy", cross), ("entropy", entropy)):
-            if not np.isfinite(value):
-                raise NumericalError(f"ELBO {name} term is non-finite in mode {m}")
-        prior += cross + entropy
-    elbo = count_term - mass + prior
+    for m, prior in enumerate(priors):
+        if not np.isfinite(prior):
+            raise NumericalError(f"ELBO prior KL term is non-finite in mode {m}")
+    elbo = count_term - mass + sum(priors)
     if not np.isfinite(elbo):
         raise NumericalError("ELBO reconstruction-mass term is non-finite")
     return elbo
@@ -292,9 +282,9 @@ def _ascend_modes(state, t, hyper, region, config, modes, frozen=None, learn_bet
     ``frozen``, a ``cp._FrozenModes`` of ``t`` over every mode but the last,
     is passed on to the kernel passes; ``modes`` must then be the last mode
     alone.  The other modes' prior terms and the counts' log factorials are
-    taken once.  Each ELBO pass also allocates the next sweep's first-mode
-    counts (re-fitting beta leaves ``elog`` alone): one kernel pass per mode
-    a sweep, after the first sweep's extra one.
+    taken once.  ``cp._ascend`` makes the kernel passes: the ELBO's pass
+    also allocates the next sweep's first-mode counts, as re-fitting beta
+    leaves ``elog`` alone.
     """
     priors = [
         None if m in modes else _gamma_prior_terms(state, hyper, m) for m in range(state.n_modes)
@@ -302,24 +292,24 @@ def _ascend_modes(state, t, hyper, region, config, modes, frozen=None, learn_bet
     y = t.values.astype(np.float64)
     log_y_factorials = gammaln(y + 1.0).sum()
     betas = []
-    allocated = None
 
-    def sweep():
-        nonlocal hyper, allocated
-        for mode in modes:
-            _update_shape(state, t, mode, hyper, allocated, frozen)
-            allocated = None
-            update_delta(state, mode, hyper, region=region)
+    def update(mode, counts):
+        _update_shape(state, mode, hyper, counts)
+        update_delta(state, mode, hyper, region=region)
+
+    def objective(log_mass):
+        nonlocal hyper
         if learn_beta:
             for mode in modes:
                 hyper = update_beta(state, mode, hyper)
         betas.append(hyper.beta)
-        log_mass, allocated = _count_shares(state.elog, t, modes[0], frozen)
         for mode in modes:
             priors[mode] = _gamma_prior_terms(state, hyper, mode)
         return _elbo(log_mass, y, log_y_factorials, region.sum_recon(state.expect), priors)
 
-    trace = _ascend(sweep, config.max_iterations, config.relative_elbo_tolerance)
+    trace = _ascend(t, modes, update, objective, config.max_iterations,
+                    config.relative_elbo_tolerance, state.elog, frozen,
+                    (NumericalDegeneracyError, "all-component geometric mass vanished"))
     return hyper, trace, betas
 
 

@@ -63,25 +63,25 @@ def _parse_bool(text: str, flag: str) -> bool:
     raise ConfigError(f"argument {flag}: expected a boolean, got {text!r}")
 
 
-def _parse_ints(text: str) -> list[int]:
+def _parse_ints(text: str, flag: str) -> list[int]:
     try:
         return [int(tok) for tok in str(text).replace(",", " ").split()]
     except ValueError as exc:
-        raise ConfigError(f"expected integers, got {text!r}") from exc
+        raise ConfigError(f"argument {flag}: expected integers, got {text!r}") from exc
 
 
-def _parse_floats(text: str) -> list[float]:
+def _parse_floats(text: str, flag: str) -> list[float]:
     try:
         return [float(tok) for tok in str(text).replace(",", " ").split()]
     except ValueError as exc:
-        raise ConfigError(f"expected numbers, got {text!r}") from exc
+        raise ConfigError(f"argument {flag}: expected numbers, got {text!r}") from exc
 
 
-def _parse_date(text: str) -> _dt.date:
+def _parse_date(text: str, flag: str) -> _dt.date:
     try:
         return _dt.date.fromisoformat(str(text).strip())
     except ValueError as exc:
-        raise ConfigError(f"expected an ISO date, got {text!r}") from exc
+        raise ConfigError(f"argument {flag}: expected an ISO date, got {text!r}") from exc
 
 
 def read_config_file(path) -> dict:
@@ -147,7 +147,7 @@ def _echo_config(args, out: Path) -> None:
 
 
 def cmd_ingest(args) -> int:
-    start, end = _parse_date(args.start), _parse_date(args.end)
+    start, end = _parse_date(args.start, "--start"), _parse_date(args.end, "--end")
     if start > end:  # checked before the event file is read
         raise ConfigError(f"empty date range {start}..{end}")
     tensor = ingest_events(
@@ -177,7 +177,7 @@ def cmd_fit(args) -> int:
     tensor = load_tensor(args.tensor, args.labels)
     _, train = _trainer(
         args.model, tensor.ndim, k=args.k, max_iterations=args.max_iterations,
-        tolerance=args.tolerance, alpha=args.alpha, beta=_parse_floats(args.beta),
+        tolerance=args.tolerance, alpha=args.alpha, beta=_parse_floats(args.beta, "--beta"),
         learn_beta=args.learn_beta, epsilon_floor=args.epsilon_floor,
     )
     fitted = train(tensor, args.seed)
@@ -216,10 +216,10 @@ def cmd_eval(args) -> int:
     tensors = _parse_tensor_specs(args.tensor)
     models = tuple(str(args.models).replace(",", " ").split())
     spec = ExperimentSpec(
-        n_primes=tuple(_parse_ints(args.n_primes)),
+        n_primes=tuple(_parse_ints(args.n_primes, "--n-primes")),
         scenario=args.scenario,
         test_fraction=args.test_fraction,
-        seeds=tuple(_parse_ints(args.seeds)),
+        seeds=tuple(_parse_ints(args.seeds, "--seeds")),
         k=args.k,
         models=models,
         alpha=args.alpha,
@@ -262,8 +262,8 @@ def cmd_explore(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    shape = tuple(_parse_ints(args.shape))
-    hyper = _hyperparameters(args.alpha, _parse_floats(args.beta), len(shape))
+    shape = tuple(_parse_ints(args.shape, "--shape"))
+    hyper = _hyperparameters(args.alpha, _parse_floats(args.beta, "--beta"), len(shape))
     tensor, factors = sample_count_tensor(shape, args.k, hyper, args.seed)
     out = _out_dir(args)
     save_tensor(tensor, out / "tensor.txt")

@@ -4,8 +4,8 @@ The reconstruction of cell c is sum_k prod_m factors[m][c_m, k].  Both
 objectives run over the cells of a ``masking.Region``; a call without one
 means the whole tensor (``Region.whole``).  They cost only
 O(nnz * K + sum_m shape[m] * K): the region's sum of the reconstruction
-factorizes into per-mode column sums.  ``_allocate`` is the Poisson count
-allocation behind both the BPTF shape update and the KL update: a
+factorizes into per-mode column sums.  ``_count_shares`` is the Poisson
+count allocation behind both the BPTF shape update and the KL update: a
 per-entry softmax over summed log factors, run block by block over log
 tables whose rows are shifted by their maxima, so no entry needs a maximum
 of its own.  A pass whose tables cannot sum below -660 skips the floor
@@ -21,7 +21,9 @@ inference, which runs each fitter's own sweeps over the time mode alone, a
 per-entry prefix of the frozen modes (``_FrozenModes``) plus the time row
 does, and the NTF-LS objective reads its reconstructions from a product
 prefix.
-``_ascend`` runs every fitter's sweeps to convergence.
+``_ascend`` runs every fitter's sweeps to convergence and makes their
+kernel passes: the objective's pass also allocates the next sweep's
+first-mode counts.
 """
 
 from __future__ import annotations
@@ -325,21 +327,6 @@ def _count_shares(logs, t: SparseCountTensor, mode=None, frozen=None):
     return log_mass, allocated
 
 
-def _allocate(logs, t: SparseCountTensor, mode, out, frozen=None):
-    """Poisson count allocation: add each stored count of ``t``, split by
-    ``_count_shares``, into ``out`` at its ``mode`` index.
-
-    Returns the coordinate of the first entry with no mass or a non-finite
-    log factor, leaving ``out`` untouched, or None.
-    """
-    log_mass, allocated = _count_shares(logs, t, mode, frozen)
-    bad = ~np.isfinite(log_mass)
-    if bad.any():
-        return tuple(int(c) for c in t.coords[np.argmax(bad)])
-    out += allocated
-    return None
-
-
 def reconstruct_entries(f: FactorSet, coords) -> np.ndarray:
     """Vectorized reconstruction at an (n, M) array of coordinates."""
     coords = np.asarray(coords, dtype=np.int64)
@@ -431,17 +418,43 @@ class Trace:
         return len(self.values)
 
 
-def _ascend(sweep, max_iterations: int, tolerance: float) -> Trace:
-    """Run ``sweep`` (one full update, returning the objective) to convergence.
+def _ascend(t, modes, update, objective, max_iterations: int, tolerance: float,
+            logs=None, frozen=None, dead=None) -> Trace:
+    """Coordinate-ascent sweeps of ``modes`` over the stored entries of ``t``.
+
+    A sweep calls ``update(mode, counts)`` for each of ``modes`` in turn,
+    then returns ``objective(log_mass)``.  With ``logs``, per-mode log
+    tables that the updates keep current, ``counts`` are the split counts
+    of a ``_count_shares`` pass summed per ``mode`` index, and ``log_mass``
+    comes from one pass over ``modes[0]`` after the updates, whose counts
+    serve the next sweep's first update if every entry's log mass is
+    finite.  Any other pass that meets an entry with no mass or a
+    non-finite log factor raises ``dead``, an (error type, message) pair,
+    naming the entry.  ``frozen`` is passed on to every pass.  Without
+    ``logs`` both are None.
 
     Stops when the objective changes by at most ``tolerance`` relative to the
     previous sweep's, or after ``max_iterations`` sweeps; non-convergence is
     reported in the trace, not raised.
     """
     trace = Trace()
-    previous = None
+    previous = carried = log_mass = None
     for _ in range(max_iterations):
-        value = sweep()
+        for mode in modes:
+            counts, carried = carried, None
+            if counts is None and logs is not None:
+                mass, counts = _count_shares(logs, t, mode, frozen)
+                bad = ~np.isfinite(mass)
+                if bad.any():
+                    error, message = dead
+                    entry = tuple(int(c) for c in t.coords[np.argmax(bad)])
+                    raise error(f"{message} at entry {entry}")
+            update(mode, counts)
+        if logs is not None:
+            log_mass, carried = _count_shares(logs, t, modes[0], frozen)
+            if not np.all(np.isfinite(log_mass)):
+                carried = None
+        value = objective(log_mass)
         trace.values.append(value)
         if previous is not None and abs(value - previous) <= tolerance * abs(previous):
             trace.converged = True

@@ -4,7 +4,7 @@ Two costs are supported: generalized KL divergence (the maximum-likelihood
 Poisson fit) and squared Euclidean distance.  Both updates take a ratio
 whose numerator touches only stored entries; the denominators are a
 ``masking.Region``'s column-sum or Gram products, so the zero cells never
-cost anything.  The KL numerator times the factors is ``cp._allocate``'s
+cost anything.  The KL numerator times the factors is ``cp._count_shares``'
 count allocation over the log factors, which the shape update in ``bptf``
 makes over the expected log factors.  A call without a region means the
 whole tensor (``Region.whole``).  Factors are floored at a small epsilon
@@ -25,10 +25,8 @@ import numpy as np
 
 from .cp import (
     FactorSet,
-    _allocate,
     _ascend,
     _block_step,
-    _count_shares,
     _entry_products,
     _FrozenModes,
     _kl_from_log_mass,
@@ -106,26 +104,18 @@ def _ratio(numer, denom) -> np.ndarray:
         return np.where(denom > 0.0, numer / np.where(denom > 0.0, denom, 1.0), 0.0)
 
 
-def _kl_step(f, part, mode, region, epsilon_floor, frozen=None, allocated=None):
+def _kl_step(f, mode, region, epsilon_floor, counts):
     """One generalized-KL multiplicative update of one mode's factors over
-    ``part``, whose stored entries all lie inside ``region``.
+    stored entries that all lie inside ``region``.
 
-    The new factors are the stored counts allocated to this mode's rows, in
-    proportion to each entry's factor products (the old factors times the
-    other modes' product times y/yhat, that is ``cp._allocate`` of the
-    counts), divided by the other modes' product summed over the region's
-    cells (column-sum products), then floored at ``epsilon_floor``.  The
-    counts ``allocated`` to ``mode`` by an earlier kernel pass over the same
-    factors are used when given; ``frozen`` is passed on to
-    ``cp._count_shares``.  A zero reconstruction under a stored count is an
-    inadmissible zero and raises.
+    The new factors are ``counts``, the stored counts allocated to this
+    mode's rows in proportion to each entry's factor products (the old
+    factors times the other modes' product times y/yhat, that is
+    ``cp._count_shares`` of the counts), divided by the other modes'
+    product summed over the region's cells (column-sum products), then
+    floored at ``epsilon_floor``.
     """
-    if allocated is None:
-        allocated = np.zeros((part.shape[mode], f.k))
-        dead = _allocate(_logs(f.factors), part, mode, allocated, frozen)
-        if dead is not None:
-            raise InadmissibleZeroError(f"zero reconstruction under count at entry {dead}")
-    ratio = _ratio(allocated, region.other_mode_sums(f.factors, mode))
+    ratio = _ratio(counts, region.other_mode_sums(f.factors, mode))
     return f.replace_mode(mode, np.maximum(ratio, epsilon_floor))
 
 
@@ -216,29 +206,29 @@ def _descend(f, t, region, config, modes, frozen=None):
 
     The KL cost takes each entry's log reconstruction from a kernel pass
     (``cp.generalized_kl``'s bits) that also allocates the next sweep's
-    first-mode counts: one kernel pass per mode a sweep, after the first
-    sweep's extra one.  A zero reconstruction makes the cost +inf and
-    leaves the next update to name the entry.
+    first-mode counts (``cp._ascend``), over log factors kept current mode
+    by mode.  A zero reconstruction makes the cost +inf and leaves the next
+    update's pass to name the entry as an inadmissible zero.
     """
     y = t.values.astype(np.float64)
-    allocated = None
+    logs = _logs(f.factors) if config.cost == "kl" else None
 
-    def sweep():
-        nonlocal f, allocated
-        for mode in modes:
-            if config.cost == "kl":
-                f = _kl_step(f, t, mode, region, config.epsilon_floor, frozen, allocated)
-                allocated = None
-            else:
-                f = _ls_step(f, t, mode, region, config.epsilon_floor, frozen)
-        if config.cost == "ls":
+    def update(mode, counts):
+        nonlocal f
+        if logs is None:
+            f = _ls_step(f, t, mode, region, config.epsilon_floor, frozen)
+        else:
+            f = _kl_step(f, mode, region, config.epsilon_floor, counts)
+            logs[mode] = _logs([f.factors[mode]])[0]
+
+    def objective(log_mass):
+        if logs is None:
             return _ls_objective(t, f, region, frozen)
-        log_mass, allocated = _count_shares(_logs(f.factors), t, modes[0], frozen)
-        if not np.all(np.isfinite(log_mass)):
-            allocated = None
         return _kl_from_log_mass(y, log_mass, region.sum_recon(f.factors))
 
-    trace = _ascend(sweep, config.max_iterations, config.relative_objective_tolerance)
+    trace = _ascend(t, modes, update, objective, config.max_iterations,
+                    config.relative_objective_tolerance, logs, frozen,
+                    (InadmissibleZeroError, "zero reconstruction under count"))
     return f, trace
 
 

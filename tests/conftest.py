@@ -19,7 +19,9 @@ from countcp import (
     EmptyTensorError,
     FactorSet,
     Hyperparameters,
+    InadmissibleZeroError,
     IngestionError,
+    NumericalDegeneracyError,
     Region,
     SparseCountTensor,
     SpecValidationError,
@@ -33,7 +35,7 @@ from countcp import (
 )
 from countcp import cp, ntf
 from countcp.bptf import _elbo, _gamma_prior_terms, _update_shape
-from countcp.cp import _ascend, _count_shares
+from countcp.cp import Trace, _count_shares
 from countcp.tensors import BIN_WIDTHS, EVENT_COLUMNS
 
 
@@ -147,7 +149,7 @@ def prior_state(shape, k, hyper):
 
 def linear_allocate(mats, coords, values, mode, out):
     """The count allocation in linear space with an ``np.add.at`` scatter:
-    the oracle for ``cp._allocate``, which takes the logs of ``mats``.
+    the oracle for ``allocate``, which takes the logs of ``mats``.
 
     Splits each count across components in proportion to the product of the
     factor rows its coordinate selects and adds it into ``out``; returns the
@@ -162,6 +164,21 @@ def linear_allocate(mats, coords, values, mode, out):
     if bad.any():
         return tuple(int(c) for c in coords[np.argmax(bad)])
     np.add.at(out, coords[:, mode], parts * (values / totals)[:, None])
+    return None
+
+
+def allocate(logs, t, mode, out):
+    """Poisson count allocation: add each stored count of ``t``, split by
+    one fresh ``cp._count_shares`` pass, into ``out`` at its ``mode`` index.
+
+    Returns the coordinate of the first entry with no mass or a non-finite
+    log factor, leaving ``out`` untouched, or None.
+    """
+    log_mass, allocated = _count_shares(logs, t, mode)
+    bad = ~np.isfinite(log_mass)
+    if bad.any():
+        return tuple(int(c) for c in t.coords[np.argmax(bad)])
+    out += allocated
     return None
 
 
@@ -266,14 +283,51 @@ def oracle_ls_numerator(part, mats, mode, frozen=None):
 
 
 # ---------------------------------------------------------------------------
-# Heldout inference and the BPTF fit as they ran before the frozen-prefix and
-# fused-ELBO paths: every sweep through the per-mode updates and a standalone
-# ELBO, each over the block plan's gather, kept as the oracles of those paths
+# Heldout inference and the fits as they ran before the frozen-prefix and
+# fused-objective paths: every sweep through the per-mode updates, each from a
+# fresh kernel pass, and a standalone objective, each over the block plan's
+# gather, kept as the oracles of those paths
 # ---------------------------------------------------------------------------
 
 
+def oracle_ascend(sweep, max_iterations, tolerance) -> Trace:
+    """``cp._ascend`` as it ran before it made the kernel passes: ``sweep``
+    (one full update, returning the objective) run to convergence."""
+    trace = Trace()
+    previous = None
+    for _ in range(max_iterations):
+        value = sweep()
+        trace.values.append(value)
+        if previous is not None and abs(value - previous) <= tolerance * abs(previous):
+            trace.converged = True
+            break
+        previous = value
+    return trace
+
+
+def fresh_update_shape(state, t, mode, hyper):
+    """``bptf._update_shape`` of ``mode`` from a fresh allocation over the
+    stored entries of ``t``; a dead entry raises as the fit does."""
+    counts = np.zeros(state.gamma[mode].shape)
+    bad = allocate(state.elog, t, mode, counts)
+    if bad is not None:
+        raise NumericalDegeneracyError(f"all-component geometric mass vanished at entry {bad}")
+    _update_shape(state, mode, hyper, counts)
+
+
+def fresh_kl_step(f, part, mode, region, epsilon_floor):
+    """``ntf._kl_step`` of ``mode`` from a fresh allocation over the stored
+    entries of ``part``, all inside ``region``; a dead entry raises as the
+    fit does."""
+    counts = np.zeros((part.shape[mode], f.k))
+    dead = allocate(cp._logs(f.factors), part, mode, counts)
+    if dead is not None:
+        raise InadmissibleZeroError(f"zero reconstruction under count at entry {dead}")
+    return ntf._kl_step(f, mode, region, epsilon_floor, counts)
+
+
 def ntf_step(step, f, t, mode, region=None, epsilon_floor=1e-12):
-    """``step`` (``ntf._kl_step`` or ``ntf._ls_step``) of ``mode`` over the
+    """``step`` (``fresh_kl_step`` or ``ntf._ls_step``) of ``mode`` over the
     stored entries of ``t`` inside ``region`` (default: the whole tensor)."""
     region = region or Region.whole(t.shape)
     return step(f, region.restrict(t), mode, region, epsilon_floor)
@@ -316,7 +370,7 @@ def oracle_bptf_fit(t, config, hyper=None):
     def sweep():
         nonlocal hyper
         for mode in range(t.ndim):
-            _update_shape(state, t, mode, hyper)
+            fresh_update_shape(state, t, mode, hyper)
             update_delta(state, mode, hyper, region=region)
         if config.learn_beta:
             for mode in range(t.ndim):
@@ -324,7 +378,7 @@ def oracle_bptf_fit(t, config, hyper=None):
         betas.append(hyper.beta)
         return compute_elbo(state, t, hyper, region=region)
 
-    trace = _ascend(sweep, config.max_iterations, config.relative_elbo_tolerance)
+    trace = oracle_ascend(sweep, config.max_iterations, config.relative_elbo_tolerance)
     trace.betas = betas
     return state, hyper, trace
 
@@ -348,11 +402,11 @@ def oracle_infer_heldout_bptf(trained, hyper, test_slice, region, config):
         state.elog[m] = trained.elog[m].copy()
 
     def sweep():
-        _update_shape(state, observed, time_mode, hyper)
+        fresh_update_shape(state, observed, time_mode, hyper)
         update_delta(state, time_mode, hyper, region=region)
         return compute_elbo(state, observed, hyper, region=region)
 
-    trace = _ascend(sweep, config.max_iterations, config.relative_elbo_tolerance)
+    trace = oracle_ascend(sweep, config.max_iterations, config.relative_elbo_tolerance)
     return state, trace
 
 
@@ -368,16 +422,28 @@ def oracle_infer_heldout_ntf(trained, test_slice, observed_region, config):
     total = float(observed.values.sum())
     if mass > 0.0 and total > 0.0:
         f = f.replace_mode(time_mode, time0 * (total / mass))
+    return _oracle_descend(f, observed, observed_region, config, [time_mode])
+
+
+def oracle_fit_ntf(t, config):
+    """``ntf.fit_ntf`` through the per-mode steps, each from a fresh kernel
+    pass, and the public objectives."""
+    return _oracle_descend(ntf.init_factors(t, config), t, Region.whole(t.shape), config,
+                           range(t.ndim))
+
+
+def _oracle_descend(f, t, region, config, modes):
     step, objective = (
-        (ntf._kl_step, generalized_kl) if config.cost == "kl" else (ntf._ls_step, squared_error)
+        (fresh_kl_step, generalized_kl) if config.cost == "kl" else (ntf._ls_step, squared_error)
     )
 
     def sweep():
         nonlocal f
-        f = ntf_step(step, f, observed, time_mode, observed_region, config.epsilon_floor)
-        return objective(observed, f, region=observed_region)
+        for mode in modes:
+            f = ntf_step(step, f, t, mode, region, config.epsilon_floor)
+        return objective(t, f, region=region)
 
-    trace = _ascend(sweep, config.max_iterations, config.relative_objective_tolerance)
+    trace = oracle_ascend(sweep, config.max_iterations, config.relative_objective_tolerance)
     return f, trace
 
 

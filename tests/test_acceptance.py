@@ -30,10 +30,15 @@ from countcp import (
     save_tensor,
     update_delta,
 )
-from countcp.bptf import _update_shape
 from countcp.cli import main
-from countcp.ntf import _kl_step
-from conftest import ntf_step, random_factors, random_tensor, state_from_point_estimate
+from conftest import (
+    fresh_kl_step,
+    fresh_update_shape,
+    ntf_step,
+    random_factors,
+    random_tensor,
+    state_from_point_estimate,
+)
 from test_bptf import aux_variable_gamma_oracle
 
 
@@ -135,7 +140,7 @@ def test_criterion_04_update_oracles():
                 [g.copy() for g in gamma], [d.copy() for d in delta]
             )
             expected_gamma = aux_variable_gamma_oracle(state, t, mode, hyper.alpha)
-            _update_shape(state, t, mode, hyper)
+            fresh_update_shape(state, t, mode, hyper)
             gap = float(np.abs(state.gamma[mode] - expected_gamma).max())
             worst = max(worst, gap)
 
@@ -228,9 +233,9 @@ def test_criterion_06_vanishing_prior_matches_multiplicative_update():
         state = state_from_point_estimate(factors)
         ntf = factors
         for mode in range(4):
-            _update_shape(state, t, mode, hyper)
+            fresh_update_shape(state, t, mode, hyper)
             update_delta(state, mode, hyper)
-            ntf = ntf_step(_kl_step, ntf, t, mode)
+            ntf = ntf_step(fresh_kl_step, ntf, t, mode)
         for mode in range(4):
             rel = float(
                 (np.abs(state.expect[mode] - ntf.factors[mode]) / ntf.factors[mode]).max()

@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import stats
@@ -19,15 +20,17 @@ from countcp import (
     init_state,
     load_state,
     point_estimate,
+    sample_count_tensor,
     save_state,
     update_beta,
     update_delta,
     write_trace,
 )
-from countcp.bptf import _update_shape
-from countcp.ntf import _kl_step
+from countcp.bptf import _gamma_prior_terms
 from conftest import (
     compute_elbo,
+    fresh_kl_step,
+    fresh_update_shape,
     ntf_step,
     prior_state,
     random_factors,
@@ -110,7 +113,7 @@ class TestUpdateGamma:
         t = SparseCountTensor.from_entries((3, 2, 2, 2), [((0, 0, 0, 0), 4)])
         hyper = Hyperparameters.default(4, alpha=0.3)
         state = make_state(t.shape, 2, hyper, seed=1)
-        _update_shape(state, t, 0, hyper)
+        fresh_update_shape(state, t, 0, hyper)
         assert np.all(state.gamma[0][1] == 0.3)
         assert np.all(state.gamma[0][2] == 0.3)
 
@@ -118,7 +121,7 @@ class TestUpdateGamma:
         t = SparseCountTensor.from_entries((1, 1, 1, 1), [((0, 0, 0, 0), 7)])
         hyper = Hyperparameters.default(4, alpha=0.2)
         state = make_state(t.shape, 1, hyper, seed=0)
-        _update_shape(state, t, 0, hyper)
+        fresh_update_shape(state, t, 0, hyper)
         assert state.gamma[0][0, 0] == pytest.approx(0.2 + 7.0, rel=1e-15)
 
     @pytest.mark.parametrize("mode", [0, 1, 2, 3])
@@ -127,7 +130,7 @@ class TestUpdateGamma:
         hyper = Hyperparameters.default(4, alpha=0.1)
         state = randomized_state(t.shape, 2, rng)
         expected = aux_variable_gamma_oracle(state, t, mode, hyper.alpha)
-        _update_shape(state, t, mode, hyper)
+        fresh_update_shape(state, t, mode, hyper)
         assert np.allclose(state.gamma[mode], expected, atol=1e-12, rtol=0)
 
     def test_gamma_never_drops_below_alpha(self, rng):
@@ -135,7 +138,7 @@ class TestUpdateGamma:
         hyper = Hyperparameters.default(4, alpha=0.05)
         state = randomized_state(t.shape, 3, rng)
         for mode in range(4):
-            _update_shape(state, t, mode, hyper)
+            fresh_update_shape(state, t, mode, hyper)
             assert np.all(state.gamma[mode] >= 0.05)
 
     def test_allocations_conserve_each_count(self, rng):
@@ -153,7 +156,7 @@ class TestUpdateGamma:
         state = make_state(t.shape, 1, hyper, seed=0)
         state.elog[0][:] = -np.inf
         with pytest.raises(NumericalDegeneracyError, match=r"\(0, 0, 0, 0\)"):
-            _update_shape(state, t, 1, hyper)
+            fresh_update_shape(state, t, 1, hyper)
 
 
 class TestUpdateDelta:
@@ -372,6 +375,56 @@ class TestComputeElbo:
             drops = np.diff(elbos) < -np.abs(elbos[:-1]) * 1e-10
             assert not drops.any()
 
+    @pytest.mark.parametrize("alpha", [1e-9, 1e-12, 1e-300])
+    def test_never_falls_at_a_tiny_alpha(self, alpha):
+        """The sparse synthetic tensor of the CI small-alpha fit: summing the
+        expected log prior and the entropy apart, the trace fell in 1, 14
+        and 42 of these 99 steps."""
+        t, _ = sample_count_tensor((30, 30, 4, 12), 4, Hyperparameters(0.1, (0.2,) * 4), 2)
+        config = FitConfig(k=10, max_iterations=100, relative_elbo_tolerance=1e-12)
+        _, _, trace = fit(t, config, Hyperparameters.default(4, alpha=alpha))
+        steps = np.diff(trace.values)
+        assert steps.size == 99 and np.all(steps >= 0.0), np.flatnonzero(steps < 0.0)
+
+
+def prior_kl_by_mpmath(alpha, rate, gamma, delta):
+    """-KL(Gamma(gamma, delta) || Gamma(alpha, rate)) as the expected log
+    prior plus the entropy, at 80 digits."""
+    with mpmath.workdps(80):
+        a, r, g, d = (mpmath.mpf(x) for x in (alpha, rate, gamma, delta))
+        elog = mpmath.digamma(g) - mpmath.log(d)
+        cross = a * mpmath.log(r) - mpmath.loggamma(a) + (a - 1) * elog - r * g / d
+        entropy = g - mpmath.log(d) + mpmath.loggamma(g) + (1 - g) * mpmath.digamma(g)
+        return float(cross + entropy)
+
+
+class TestPriorKL:
+    @pytest.mark.parametrize("alpha, beta, gamma, delta", [
+        (1e-9, 1.0, 1e-9, 3.0),  # gamma = alpha
+        (1e-9, 1.0, 1e-9, 0.97e-9),
+        (1e-300, 1.0, 1e-300 + 1e-20, 2.5),  # gamma - alpha = 1e-20
+        (1e-300, 1.0, 1e-300 + 1e-20, 1e-300),
+        (1e-12, 1.0, 1e-12, 1e-12),  # the prior itself
+        (0.1, 1.0, 0.1 + 1e-9, 0.1),
+        (0.1, 0.5, 3.7, 2.5),
+        (1e-3, 2.0, 50.0, 12.0),
+        (2.0, 0.3, 0.05, 7.0),
+    ])
+    def test_one_factor_matches_high_precision(self, alpha, beta, gamma, delta):
+        state = VariationalState([[[gamma]]], [[[delta]]])
+        got = _gamma_prior_terms(state, Hyperparameters(alpha, (beta,)), 0)
+        want = prior_kl_by_mpmath(alpha, alpha * beta, gamma, delta)
+        assert got == pytest.approx(want, rel=1e-11, abs=1e-15)
+
+    def test_sums_the_factors_of_one_mode(self, rng):
+        state = randomized_state((4, 3), 2, rng)
+        hyper = Hyperparameters(0.3, (1.0, 2.5))
+        want = sum(
+            prior_kl_by_mpmath(0.3, 0.75, g, d)
+            for g, d in zip(state.gamma[1].ravel(), state.delta[1].ravel())
+        )
+        assert _gamma_prior_terms(state, hyper, 1) == pytest.approx(want, rel=1e-12)
+
 
 class TestFit:
     def test_single_iteration_gives_single_trace_row(self, rng):
@@ -453,9 +506,9 @@ class TestLimitCorrespondence:
             state = state_from_point_estimate(factors)
             ntf = factors
             for mode in range(4):
-                _update_shape(state, t, mode, hyper)
+                fresh_update_shape(state, t, mode, hyper)
                 update_delta(state, mode, hyper)
-                ntf = ntf_step(_kl_step, ntf, t, mode)
+                ntf = ntf_step(fresh_kl_step, ntf, t, mode)
             for mode in range(4):
                 rel = np.abs(state.expect[mode] - ntf.factors[mode]) / ntf.factors[mode]
                 assert rel.max() < 1e-4
@@ -492,7 +545,7 @@ class TestHeldoutInference:
             manual.delta[m] = state.delta[m].copy()
             manual.refresh(m)
         for _ in range(trace.n_iterations):
-            _update_shape(manual, test, 3, hyper)
+            fresh_update_shape(manual, test, 3, hyper)
             update_delta(manual, 3, hyper)
         assert np.allclose(heldout.gamma[3], manual.gamma[3], rtol=1e-12)
         assert np.allclose(heldout.delta[3], manual.delta[3], rtol=1e-12)
@@ -523,7 +576,7 @@ class TestHeldoutInference:
         for m in range(3):
             fresh.gamma[m], fresh.delta[m] = state.gamma[m], state.delta[m]
             fresh.expect[m], fresh.elog[m] = state.expect[m], state.elog[m]
-        _update_shape(fresh, top_block(test.shape, 3).restrict(test), 3, hyper)
+        fresh_update_shape(fresh, top_block(test.shape, 3).restrict(test), 3, hyper)
         assert np.array_equal(heldout.gamma[3], fresh.gamma[3])
 
     def test_beats_prior_mean_baseline_on_generative_data(self, rng):

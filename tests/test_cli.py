@@ -534,6 +534,32 @@ class TestInvalidOptionValues:
         assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 1
         assert one_error_line(capsys)
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eval", "--tensor", "{synth}/tensor.txt", "--n-primes", "a"],
+             "argument --n-primes: expected integers, got 'a'"),
+            (["eval", "--tensor", "{synth}/tensor.txt", "--n-primes", "3", "--seeds", "0,x"],
+             "argument --seeds: expected integers, got '0,x'"),
+            (["synth", "--shape", "3,3,2.5"], "argument --shape: expected integers, got '3,3,2.5'"),
+            (["fit", "--tensor", "{synth}/tensor.txt", "--model", "bptf", "--beta", "1,b"],
+             "argument --beta: expected numbers, got '1,b'"),
+            (["ingest", "--events", "{events}", "--start", "2001-13-01", "--end", "2001-03-31"],
+             "argument --start: expected an ISO date, got '2001-13-01'"),
+            (["ingest", "--events", "{events}", "--start", "2001-01-01", "--end", "March"],
+             "argument --end: expected an ISO date, got 'March'"),
+        ],
+        ids=["n-primes", "seeds", "shape", "beta", "start", "end"],
+    )
+    def test_a_value_parsed_in_the_command_names_its_flag(self, synth_tensor, tmp_path, capsys,
+                                                          argv, message):
+        (tmp_path / "events.csv").write_text(EVENTS)
+        argv = [a.format(synth=synth_tensor, events=tmp_path / "events.csv") for a in argv]
+        capsys.readouterr()
+        assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
     def test_ingest_empty_date_range_exits_1_before_reading_events(self, tmp_path, capsys):
         (tmp_path / "events.csv").write_bytes(b"sender,receiver\n\xff\xfe,x,,garbage\n")
         argv = ["ingest", "--events", str(tmp_path / "events.csv"),

@@ -23,9 +23,9 @@ from countcp import (
     save_factors,
 )
 from countcp import cp
-from countcp.cp import _allocate
 from countcp.ntf import _ls_step
 from conftest import (
+    allocate,
     compute_elbo,
     linear_allocate,
     ntf_step,
@@ -239,7 +239,7 @@ class TestAllocate:
             logs, start = [np.log(m) for m in mats], 0.0
         got = np.full((shape[mode], 3), start)
         want = got.copy()
-        assert _allocate(logs, t, mode, got) is None
+        assert allocate(logs, t, mode, got) is None
         assert linear_allocate(mats, t.coords, t.values, mode, want) is None
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
         assert np.all(got[-1] == start)
@@ -284,7 +284,7 @@ class TestMultiBlock:
         logs = [np.log(m) for m in mats]
         for mode in range(4):
             got, want = np.zeros((tensor.shape[mode], k)), np.zeros((tensor.shape[mode], k))
-            assert _allocate(logs, tensor, mode, got) is None
+            assert allocate(logs, tensor, mode, got) is None
             assert linear_allocate(mats, tensor.coords, tensor.values, mode, want) is None
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
 
@@ -297,7 +297,7 @@ class TestMultiBlock:
         for mode in range(4):
             out = rng.uniform(size=(tensor.shape[mode], 6))
             before = out.copy()
-            assert _allocate(logs, tensor, mode, out) == (5, 0, 0, 0)
+            assert allocate(logs, tensor, mode, out) == (5, 0, 0, 0)
             assert np.array_equal(out, before)
 
     def test_elbo_agrees_across_block_sizes(self, monkeypatch, tensor):

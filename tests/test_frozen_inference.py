@@ -1,7 +1,8 @@
-"""Heldout inference over frozen-mode prefixes, and the BPTF fit whose ELBO
-pass also allocates the next shape update, against the paths they replaced
-(``conftest``'s oracles), byte for byte."""
+"""Heldout inference over frozen-mode prefixes, and the BPTF and NTF fits
+whose objective pass also allocates the next sweep's first update, against
+the paths they replaced (``conftest``'s oracles), byte for byte."""
 
+import re
 from contextlib import nullcontext
 from unittest import mock
 
@@ -10,7 +11,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import countcp.bptf
 from countcp import (
     FactorSet,
     FitConfig,
@@ -28,6 +28,7 @@ from countcp import (
 from countcp import cp
 from conftest import (
     oracle_bptf_fit,
+    oracle_fit_ntf,
     oracle_infer_heldout_bptf,
     oracle_infer_heldout_ntf,
     random_factors,
@@ -248,6 +249,88 @@ class TestFusedFit:
         assert_same_trace(got[2], want[2])
 
 
+class TestFusedNtfFit:
+    """``fit_ntf``, whose KL objective pass also allocates the next sweep's
+    first mode, against per-mode steps and the public objectives."""
+
+    @pytest.mark.parametrize("cost", ["kl", "ls"])
+    @pytest.mark.parametrize("floor", [1e-12, 0.0])
+    def test_matches_unfused_sweeps(self, rng, cost, floor):
+        t = random_tensor((6, 5, 3, 7), rng, nnz=90)
+        config = NtfConfig(k=4, max_iterations=6, relative_objective_tolerance=1e-15, seed=3,
+                           cost=cost, epsilon_floor=floor)
+        got, want = fit_ntf(t, config), oracle_fit_ntf(t, config)
+        assert got[1].n_iterations == 6
+        assert_same_ntf(got, want)
+
+    @pytest.mark.parametrize("cost", ["kl", "ls"])
+    def test_matches_unfused_sweeps_over_several_blocks(self, rng, monkeypatch, cost):
+        t = random_tensor((6, 5, 3, 7), rng, nnz=100)
+        monkeypatch.setattr(cp, "_BLOCK_CELLS", 9 * 3)
+        assert len(t._block_rows(cp._block_step(3))) > 3
+        config = NtfConfig(k=3, max_iterations=5, relative_objective_tolerance=1e-15, seed=1,
+                           cost=cost)
+        assert_same_ntf(fit_ntf(t, config), oracle_fit_ntf(t, config))
+
+    @pytest.mark.parametrize("cost", ["kl", "ls"])
+    def test_converged_fit_matches_unfused_sweeps(self, rng, cost):
+        t = random_tensor((5, 5, 2, 6), rng, nnz=50)
+        config = NtfConfig(k=3, max_iterations=200, relative_objective_tolerance=1e-4, seed=2,
+                           cost=cost)
+        got, want = fit_ntf(t, config), oracle_fit_ntf(t, config)
+        assert got[1].converged and 3 <= got[1].n_iterations < 200
+        assert_same_ntf(got, want)
+
+
+class TestDriver:
+    """``cp._ascend`` makes the passes: a fresh one raises the given error
+    naming the first dead entry, and a dead objective pass carries nothing."""
+
+    @staticmethod
+    def dead_row(rng):
+        t = random_tensor((4, 3, 2), rng, nnz=12)
+        hit = t.coords[t.coords[:, 1] == 2]
+        assert hit.size
+        logs = [np.log(m) for m in random_factors(t.shape, 2, rng).factors]
+        dead = logs[1].copy()
+        dead[2] = -np.inf
+        return t, logs, dead, re.escape(f"dead at entry {tuple(int(c) for c in hit[0])}")
+
+    def test_a_fresh_pass_names_the_first_dead_entry(self, rng):
+        t, logs, dead, entry = self.dead_row(rng)
+        logs[1] = dead
+        with pytest.raises(NumericalDegeneracyError, match=entry):
+            cp._ascend(t, range(3), lambda mode, counts: None, lambda log_mass: 0.0, 3, 1e-9,
+                       logs, dead=(NumericalDegeneracyError, "dead"))
+
+    def test_a_dead_objective_pass_carries_nothing(self, rng):
+        t, logs, dead, entry = self.dead_row(rng)
+        seen = []
+
+        def update(mode, counts):
+            seen.append((mode, counts is not None))
+            if mode == 2:
+                logs[1] = dead
+
+        def objective(log_mass):
+            seen.append(("objective", bool(np.all(np.isfinite(log_mass)))))
+            return 1.0
+
+        with pytest.raises(InadmissibleZeroError, match=entry):
+            cp._ascend(t, range(3), update, objective, 5, 1e-12, logs,
+                       dead=(InadmissibleZeroError, "dead"))
+        assert seen == [(0, True), (1, True), (2, True), ("objective", False)]
+
+    def test_without_logs_no_pass_is_made(self, rng, monkeypatch):
+        t = random_tensor((4, 3, 2), rng, nnz=12)
+        calls = TestKernelPasses.count_passes(monkeypatch)
+        seen = []
+        trace = cp._ascend(t, range(3), lambda mode, counts: seen.append(counts),
+                           lambda log_mass: seen.append(log_mass) or 1.0, 5, 1e-12)
+        assert trace.converged and trace.n_iterations == 2
+        assert seen == [None] * 8 and calls == []
+
+
 class TestKernelPasses:
     """A fit makes M passes per sweep after its first, heldout inference one."""
 
@@ -261,7 +344,6 @@ class TestKernelPasses:
             return inner(*args, **kwargs)
 
         monkeypatch.setattr(cp, "_count_shares", counted)
-        monkeypatch.setattr(countcp.bptf, "_count_shares", counted)
         return calls
 
     def test_fit(self, rng, monkeypatch):
@@ -270,6 +352,13 @@ class TestKernelPasses:
         fit(t, FitConfig(k=3, max_iterations=5, relative_elbo_tolerance=1e-15))
         assert len(calls) == 5 * 4 + 1
         assert all(frozen is None for frozen in calls)  # training builds no prefix
+
+    def test_ntf_kl_fit(self, rng, monkeypatch):
+        t = random_tensor((5, 5, 2, 6), rng, nnz=50)
+        calls = self.count_passes(monkeypatch)
+        fit_ntf(t, NtfConfig(k=3, max_iterations=5, relative_objective_tolerance=1e-15))
+        assert len(calls) == 5 * 4 + 1
+        assert all(frozen is None for frozen in calls)
 
     def test_heldout_inference_builds_only_the_time_incidence(self, rng, monkeypatch):
         trained = random_state((5, 5, 2, 3), 3, rng)

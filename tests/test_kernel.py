@@ -38,9 +38,9 @@ from countcp import (
     generalized_kl,
 )
 from countcp import cp, ntf, synth
-from countcp.cp import _allocate
-from countcp.ntf import _kl_step
 from conftest import (
+    allocate,
+    fresh_kl_step,
     ntf_step,
     oracle_count_shares,
     oracle_floored_count_shares,
@@ -171,7 +171,7 @@ class TestRescue:
         logs = [np.array([[0.0, -800.0]]), np.array([[-800.0, 0.0]])]
         monkeypatch.setattr(cp, "_RESCUE_TOTAL", 0.0)
         with np.errstate(divide="ignore", invalid="ignore"):
-            assert _allocate(logs, two_mode_tensor(), 0, np.zeros((1, 2))) == (0, 0)
+            assert allocate(logs, two_mode_tensor(), 0, np.zeros((1, 2))) == (0, 0)
 
 
 class TestBadEntries:
@@ -196,7 +196,7 @@ class TestBadEntries:
         for mode in range(4):
             out = rng.uniform(size=(tensor.shape[mode], 3))
             before = out.copy()
-            assert _allocate(logs, tensor, mode, out) == want
+            assert allocate(logs, tensor, mode, out) == want
             assert np.array_equal(out, before)
 
     def test_zero_ntf_factor_column(self, rng, tensor):
@@ -210,7 +210,7 @@ class TestBadEntries:
         assert want is not None and want[2] == 1
         for mode in range(4):
             with pytest.raises(InadmissibleZeroError, match=re.escape(f"at entry {want}")):
-                ntf_step(_kl_step, f, tensor, mode, epsilon_floor=0.0)
+                ntf_step(fresh_kl_step, f, tensor, mode, epsilon_floor=0.0)
         assert generalized_kl(tensor, f) == np.inf
 
 

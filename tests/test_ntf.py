@@ -16,8 +16,9 @@ from countcp import (
     poisson_log_likelihood,
     squared_error,
 )
-from countcp.ntf import _kl_step, _ls_step
+from countcp.ntf import _ls_step
 from conftest import (
+    fresh_kl_step,
     ntf_step,
     random_factors,
     random_tensor,
@@ -78,7 +79,7 @@ class TestKlSweep:
         f = random_factors(shape, 3, rng)
         region = KL_REGIONS[region_kind](shape)
         for mode in range(len(shape)):
-            updated = ntf_step(_kl_step, f, t, mode, region, epsilon_floor=1e-12)
+            updated = ntf_step(fresh_kl_step, f, t, mode, region, epsilon_floor=1e-12)
             expected = kl_update_oracle(f, t, mode, region, 1e-12)
             np.testing.assert_allclose(updated.factors[mode], expected, rtol=1e-12, atol=0)
             f = updated
@@ -91,7 +92,7 @@ class TestKlSweep:
             mats[m][row, 0] = 0.0
         f = FactorSet(mats)
         for mode in range(len(shape)):
-            updated = ntf_step(_kl_step, f, t, mode, epsilon_floor=0.0)
+            updated = ntf_step(fresh_kl_step, f, t, mode, epsilon_floor=0.0)
             expected = kl_update_oracle(f, t, mode, Region.whole(shape), 0.0)
             np.testing.assert_allclose(updated.factors[mode], expected, rtol=1e-12, atol=0)
             assert np.all(updated.factors[mode][f.factors[mode] == 0.0] == 0.0)
@@ -100,13 +101,13 @@ class TestKlSweep:
     def test_perfect_reconstruction_is_a_fixed_point(self):
         t, f = perfect_instance()
         for mode in range(4):
-            updated = ntf_step(_kl_step, f, t, mode)
+            updated = ntf_step(fresh_kl_step, f, t, mode)
             assert np.allclose(updated.factors[mode], f.factors[mode], rtol=1e-12)
 
     def test_rows_without_entries_drop_to_the_floor(self, rng):
         t = SparseCountTensor.from_entries((3, 2, 1, 1), [((0, 0, 0, 0), 5)])
         f = random_factors(t.shape, 2, rng)
-        updated = ntf_step(_kl_step, f, t, 0, epsilon_floor=1e-12)
+        updated = ntf_step(fresh_kl_step, f, t, 0, epsilon_floor=1e-12)
         assert np.all(updated.factors[0][1] == 1e-12)
         assert np.all(updated.factors[0][2] == 1e-12)
 
@@ -116,7 +117,7 @@ class TestKlSweep:
         value = generalized_kl(t, f)
         for _ in range(15):
             for mode in range(4):
-                f = ntf_step(_kl_step, f, t, mode)
+                f = ntf_step(fresh_kl_step, f, t, mode)
                 assert all(m.min() >= 1e-12 for m in f.factors)
             new_value = generalized_kl(t, f)
             assert new_value <= value + 1e-10 * abs(value)
@@ -131,15 +132,15 @@ class TestKlSweep:
             np.ones((1, 1)),
         ]
         with pytest.raises(InadmissibleZeroError, match=r"\(0, 0, 0, 0\)"):
-            ntf_step(_kl_step, FactorSet(mats), t, 1, epsilon_floor=0.0)
+            ntf_step(fresh_kl_step, FactorSet(mats), t, 1, epsilon_floor=0.0)
 
     def test_hard_zero_floor_preserves_inadmissible_zeros(self, rng):
         # with epsilon_floor=0, a dead row stays dead through further sweeps
         t = SparseCountTensor.from_entries((3, 2, 1, 1), [((0, 0, 0, 0), 5)])
         f = random_factors(t.shape, 2, rng)
-        f = ntf_step(_kl_step, f, t, 0, epsilon_floor=0.0)
+        f = ntf_step(fresh_kl_step, f, t, 0, epsilon_floor=0.0)
         assert np.all(f.factors[0][1] == 0.0)
-        f = ntf_step(_kl_step, f, t, 0, epsilon_floor=0.0)
+        f = ntf_step(fresh_kl_step, f, t, 0, epsilon_floor=0.0)
         assert np.all(f.factors[0][1] == 0.0)
 
 
@@ -253,7 +254,7 @@ class TestHeldoutInferenceNtf:
         f = f.replace_mode(3, time0 * (test.values.sum() / mass))
         previous = None
         for _ in range(config.max_iterations):
-            f = ntf_step(_kl_step, f, test, 3, epsilon_floor=config.epsilon_floor)
+            f = ntf_step(fresh_kl_step, f, test, 3, epsilon_floor=config.epsilon_floor)
             value = generalized_kl(test, f)
             if previous is not None and abs(value - previous) <= (
                 config.relative_objective_tolerance * abs(previous)
