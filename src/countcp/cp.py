@@ -419,7 +419,7 @@ class Trace:
 
 
 def _ascend(t, modes, update, objective, max_iterations: int, tolerance: float,
-            logs=None, frozen=None, dead=None) -> Trace:
+            logs, frozen, dead) -> Trace:
     """Coordinate-ascent sweeps of ``modes`` over the stored entries of ``t``.
 
     A sweep calls ``update(mode, counts)`` for each of ``modes`` in turn,
@@ -431,7 +431,7 @@ def _ascend(t, modes, update, objective, max_iterations: int, tolerance: float,
     finite.  Any other pass that meets an entry with no mass or a
     non-finite log factor raises ``dead``, an (error type, message) pair,
     naming the entry.  ``frozen`` is passed on to every pass.  Without
-    ``logs`` both are None.
+    ``logs`` both are None and ``dead`` goes unused.
 
     Stops when the objective changes by at most ``tolerance`` relative to the
     previous sweep's, or after ``max_iterations`` sweeps; non-convergence is

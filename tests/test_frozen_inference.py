@@ -301,7 +301,7 @@ class TestDriver:
         logs[1] = dead
         with pytest.raises(NumericalDegeneracyError, match=entry):
             cp._ascend(t, range(3), lambda mode, counts: None, lambda log_mass: 0.0, 3, 1e-9,
-                       logs, dead=(NumericalDegeneracyError, "dead"))
+                       logs, None, (NumericalDegeneracyError, "dead"))
 
     def test_a_dead_objective_pass_carries_nothing(self, rng):
         t, logs, dead, entry = self.dead_row(rng)
@@ -317,8 +317,8 @@ class TestDriver:
             return 1.0
 
         with pytest.raises(InadmissibleZeroError, match=entry):
-            cp._ascend(t, range(3), update, objective, 5, 1e-12, logs,
-                       dead=(InadmissibleZeroError, "dead"))
+            cp._ascend(t, range(3), update, objective, 5, 1e-12, logs, None,
+                       (InadmissibleZeroError, "dead"))
         assert seen == [(0, True), (1, True), (2, True), ("objective", False)]
 
     def test_without_logs_no_pass_is_made(self, rng, monkeypatch):
@@ -326,7 +326,8 @@ class TestDriver:
         calls = TestKernelPasses.count_passes(monkeypatch)
         seen = []
         trace = cp._ascend(t, range(3), lambda mode, counts: seen.append(counts),
-                           lambda log_mass: seen.append(log_mass) or 1.0, 5, 1e-12)
+                           lambda log_mass: seen.append(log_mass) or 1.0, 5, 1e-12,
+                           None, None, None)
         assert trace.converged and trace.n_iterations == 2
         assert seen == [None] * 8 and calls == []
 
