@@ -2,11 +2,15 @@
 
 Every run is driven by explicit flags, an optional flat key=value config
 file, or both; a file key is read as the flag of the same name, and
-command-line flags override file values.  Each command writes the fully
-resolved configuration beside its outputs so runs can be reproduced
-exactly.  Exit codes: 0 success, 1 usage or configuration
-error (an unreadable config file included), 2 data error (an output that
-cannot be written included), 3 numerical failure.
+command-line flags override file values.  argparse converts every value,
+so a malformed one (a list or date that does not parse, an unknown
+``fit --model`` or ``eval --models`` name) exits 1 before any input is
+read.  A list flag's items are separated by commas or spaces.  Each
+command writes the fully resolved configuration beside its outputs, list
+values joined by commas, so runs can be reproduced exactly.  Exit codes:
+0 success, 1 usage or configuration error (an unreadable config file
+included), 2 data error (an output that cannot be written included),
+3 numerical failure.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from __future__ import annotations
 import argparse
 import datetime as _dt
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import bptf as _bptf
@@ -24,6 +29,7 @@ from .evaluation import (
     ExperimentSpec,
     MODEL_NAMES,
     _SIDES,
+    _MODELS,
     _hyperparameters,
     _trainer,
     run_table,
@@ -63,25 +69,28 @@ def _parse_bool(text: str, flag: str) -> bool:
     raise ConfigError(f"argument {flag}: expected a boolean, got {text!r}")
 
 
-def _parse_ints(text: str, flag: str) -> list[int]:
-    try:
-        return [int(tok) for tok in str(text).replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigError(f"argument {flag}: expected integers, got {text!r}") from exc
+def _typed(convert, what):
+    """An argparse type: ``convert`` of the flag's text, whose ValueError is
+    reported as ``argument --flag: expected <what>, got '<text>'``."""
+
+    def parse(text):
+        try:
+            return convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}") from None
+
+    return parse
 
 
-def _parse_floats(text: str, flag: str) -> list[float]:
-    try:
-        return [float(tok) for tok in str(text).replace(",", " ").split()]
-    except ValueError as exc:
-        raise ConfigError(f"argument {flag}: expected numbers, got {text!r}") from exc
+def _items(item):
+    """A list value: ``item`` of each comma- or space-separated token, as a tuple."""
+    return lambda text: tuple(item(tok) for tok in text.replace(",", " ").split())
 
 
-def _parse_date(text: str, flag: str) -> _dt.date:
-    try:
-        return _dt.date.fromisoformat(str(text).strip())
-    except ValueError as exc:
-        raise ConfigError(f"argument {flag}: expected an ISO date, got {text!r}") from exc
+_INTS = _typed(_items(int), "integers")
+_NUMBERS = _typed(_items(float), "numbers")
+_NAMES = _items(str)
+_DATE = _typed(lambda text: _dt.date.fromisoformat(text.strip()), "an ISO date")
 
 
 def read_config_file(path) -> dict:
@@ -137,7 +146,9 @@ def _out_dir(args) -> Path:
 
 
 def _echo_config(args, out: Path) -> None:
-    resolved = [(k, v) for k, v in sorted(vars(args).items()) if k not in ("command", "func")]
+    # a list flag's tuple is echoed comma-joined; a repeated --tensor's list keeps its repr
+    resolved = [(k, ",".join(map(str, v)) if isinstance(v, tuple) else v)
+                for k, v in sorted(vars(args).items()) if k not in ("command", "func")]
     write_manifest(out / f"{args.command}_config.txt", resolved)
 
 
@@ -147,13 +158,12 @@ def _echo_config(args, out: Path) -> None:
 
 
 def cmd_ingest(args) -> int:
-    start, end = _parse_date(args.start, "--start"), _parse_date(args.end, "--end")
-    if start > end:  # checked before the event file is read
-        raise ConfigError(f"empty date range {start}..{end}")
+    if args.start > args.end:  # checked before the event file is read
+        raise ConfigError(f"empty date range {args.start}..{args.end}")
     tensor = ingest_events(
         read_event_file(args.events),
         bin_width=args.bin_width,
-        date_range=(start, end),
+        date_range=(args.start, args.end),
         drop_self_actions=args.drop_self_actions,
     )
     out = _out_dir(args)
@@ -177,7 +187,7 @@ def cmd_fit(args) -> int:
     tensor = load_tensor(args.tensor, args.labels)
     _, train = _trainer(
         args.model, tensor.ndim, k=args.k, max_iterations=args.max_iterations,
-        tolerance=args.tolerance, alpha=args.alpha, beta=_parse_floats(args.beta, "--beta"),
+        tolerance=args.tolerance, alpha=args.alpha, beta=args.beta,
         learn_beta=args.learn_beta, epsilon_floor=args.epsilon_floor,
     )
     fitted = train(tensor, args.seed)
@@ -213,23 +223,10 @@ def _parse_tensor_specs(specs) -> dict:
 def cmd_eval(args) -> int:
     if args.threads < 1:
         raise ConfigError("--threads must be a positive integer")
-    tensors = _parse_tensor_specs(args.tensor)
-    models = tuple(str(args.models).replace(",", " ").split())
-    spec = ExperimentSpec(
-        n_primes=tuple(_parse_ints(args.n_primes, "--n-primes")),
-        scenario=args.scenario,
-        test_fraction=args.test_fraction,
-        seeds=tuple(_parse_ints(args.seeds, "--seeds")),
-        k=args.k,
-        models=models,
-        alpha=args.alpha,
-        max_iterations=args.max_iterations,
-        tolerance=args.tolerance,
-        epsilon_floor=args.epsilon_floor,
-    )
-    report = run_table(spec, tensors, max_workers=args.threads)
+    spec = ExperimentSpec(**{f.name: getattr(args, f.name) for f in fields(ExperimentSpec)})
+    report = run_table(spec, _parse_tensor_specs(args.tensor), max_workers=args.threads)
     out = _out_dir(args)
-    write_report_text(report, out / "report.txt", models=models)
+    write_report_text(report, out / "report.txt", models=spec.models)
     write_report_json(report, out / "report.json")
     _echo_config(args, out)
     failed = sum(len(sc.failures) for sc in report.scenarios)
@@ -262,15 +259,14 @@ def cmd_explore(args) -> int:
 
 
 def cmd_synth(args) -> int:
-    shape = tuple(_parse_ints(args.shape, "--shape"))
-    hyper = _hyperparameters(args.alpha, _parse_floats(args.beta, "--beta"), len(shape))
-    tensor, factors = sample_count_tensor(shape, args.k, hyper, args.seed)
+    hyper = _hyperparameters(args.alpha, args.beta, len(args.shape))
+    tensor, factors = sample_count_tensor(args.shape, args.k, hyper, args.seed)
     out = _out_dir(args)
     save_tensor(tensor, out / "tensor.txt")
     save_labels(tensor.mode_labels, out / "labels.txt")
     save_factors(factors, out / "true_factors", tensor.mode_labels)
     _echo_config(args, out)
-    print(f"shape {'x'.join(str(s) for s in shape)}")
+    print(f"shape {'x'.join(str(s) for s in args.shape)}")
     print(f"entries {tensor.nnz}")
     print(f"density {density(tensor):.6g}")
     print(f"wrote {out / 'tensor.txt'}, {out / 'labels.txt'}, {out / 'true_factors'}")
@@ -294,8 +290,8 @@ def build_parser():
                        help="aggregate an event file into a count tensor")
     p.add_argument("--events", required=True, help="delimited event file with a header row")
     p.add_argument("--bin-width", choices=("day", "week", "month"), default="month")
-    p.add_argument("--start", required=True, help="inclusive ISO start date")
-    p.add_argument("--end", required=True, help="inclusive ISO end date")
+    p.add_argument("--start", type=_DATE, required=True, help="inclusive ISO start date")
+    p.add_argument("--end", type=_DATE, required=True, help="inclusive ISO end date")
     p.add_argument("--drop-self-actions", action=argparse.BooleanOptionalAction,
                    default=True, help="drop records whose sender equals receiver")
     p.set_defaults(func=cmd_ingest)
@@ -303,13 +299,13 @@ def build_parser():
     p = sub.add_parser("fit", parents=[common], help="fit a factorization model")
     p.add_argument("--tensor", required=True, help="coordinate-list tensor file")
     p.add_argument("--labels", help="labels file for the tensor")
-    p.add_argument("--model", required=True, help="bptf, ntf-kl or ntf-ls")
+    p.add_argument("--model", choices=tuple(_MODELS), required=True)
     p.add_argument("--k", type=int, default=50, help="number of components")
     p.add_argument("--max-iterations", type=int, default=500)
     p.add_argument("--tolerance", type=float, default=1e-5,
                    help="relative objective/ELBO convergence tolerance")
     p.add_argument("--alpha", type=float, default=0.1, help="Gamma shape")
-    p.add_argument("--beta", default="1.0",
+    p.add_argument("--beta", type=_NUMBERS, default="1.0",
                    help="per-mode rate multipliers (one value or a comma list)")
     p.add_argument("--learn-beta", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--epsilon-floor", type=float, default=1e-12)
@@ -320,13 +316,13 @@ def build_parser():
                        help="heldout strong-generalization evaluation")
     p.add_argument("--tensor", action="append", required=True,
                    help="tensor file, optionally LABEL=PATH; repeatable")
-    p.add_argument("--n-primes", required=True, help="comma list of actor block sizes")
+    p.add_argument("--n-primes", type=_INTS, required=True, help="comma list of actor block sizes")
     p.add_argument("--scenario", choices=tuple(_SIDES),
                    default="both", help="which side of the block to predict")
     p.add_argument("--test-fraction", type=float, default=0.2)
-    p.add_argument("--seeds", default="0,1,2", help="comma list of split seeds")
+    p.add_argument("--seeds", type=_INTS, default="0,1,2", help="comma list of split seeds")
     p.add_argument("--k", type=int, default=50)
-    p.add_argument("--models", default=",".join(MODEL_NAMES))
+    p.add_argument("--models", type=_NAMES, default=",".join(MODEL_NAMES))
     p.add_argument("--alpha", type=float, default=0.1)
     p.add_argument("--max-iterations", type=int, default=200)
     p.add_argument("--tolerance", type=float, default=1e-4)
@@ -348,10 +344,10 @@ def build_parser():
 
     p = sub.add_parser("synth", parents=[common],
                        help="sample a tensor from the generative model")
-    p.add_argument("--shape", required=True, help="comma list of mode sizes")
+    p.add_argument("--shape", type=_INTS, required=True, help="comma list of mode sizes")
     p.add_argument("--k", type=int, default=5, help="number of components")
     p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--beta", default="1.0",
+    p.add_argument("--beta", type=_NUMBERS, default="1.0",
                    help="per-mode rate multipliers (one value or a comma list)")
     p.add_argument("--seed", type=int, default=0, help="random seed")
     p.set_defaults(func=cmd_synth)

@@ -258,8 +258,6 @@ def _trainer(model, n_modes, wanted=MODEL_NAMES, **options):
     ``options`` are ``countcp fit``'s k, max_iterations, tolerance, alpha,
     beta, learn_beta and epsilon_floor; the config is built here, so an
     invalid value raises ConfigError before any fit."""
-    if model not in _MODELS:
-        raise ConfigError(f"unknown model {model!r}; use bptf, ntf-kl or ntf-ls")
     scored, build = _MODELS[model]
     names = tuple(name for name in scored if name in wanted)
     return names, build(names, n_modes, **options)

@@ -1,5 +1,6 @@
 """End-to-end command-line runs, exit codes, and config precedence."""
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -60,6 +61,55 @@ EVERY_FLAG = {
              "epsilon_floor": "1e-10", "threads": "1"},
     "explore": {"state": "{state}", "labels": "{synth}/labels.txt", "estimate": "arithmetic",
                 "top_n": "3"},
+}
+
+# <command>_config.txt of the runs of TestConfigFile.test_canonical_run_echoes_these_bytes
+CANONICAL_ECHO = {
+    "synth": """alpha = 0.3
+beta = 1.0,2.0,1.0,0.5
+config = None
+k = 2
+output_dir = synth
+seed = 5
+shape = 8,8,2,10
+""",
+    "fit": """alpha = 0.1
+beta = 1.0
+config = None
+epsilon_floor = 1e-12
+k = 2
+labels = synth/labels.txt
+learn_beta = True
+max_iterations = 3
+model = ntf-kl
+output_dir = fit
+seed = 1
+tensor = synth/tensor.txt
+tolerance = 1e-05
+""",
+    "eval": """alpha = 0.1
+config = None
+epsilon_floor = 1e-12
+k = 2
+max_iterations = 3
+models = ntf-ls,ntf-kl,bptf-geo,bptf-ari
+n_primes = 3,5
+output_dir = eval
+scenario = block
+seeds = 0,1,2
+tensor = ['synth/tensor.txt']
+test_fraction = 0.2
+threads = 1
+tolerance = 0.0001
+""",
+    "ingest": """bin_width = week
+config = None
+drop_self_actions = True
+end = 2001-03-31
+events = events.csv
+output_dir = ingest
+start = 2001-01-01
+""",
 }
 
 
@@ -157,7 +207,7 @@ class TestFitCommand:
     def test_unknown_model_is_a_usage_error(self, tmp_path, capsys):
         code, _ = self.fit(tmp_path, "pca")
         assert code == 1
-        assert "unknown model" in capsys.readouterr().err
+        assert "argument --model: invalid choice: 'pca'" in capsys.readouterr().err
 
     def test_fixed_seed_reproduces_output_files(self, tmp_path):
         code, out1 = self.fit(tmp_path, "ntf-kl")
@@ -558,6 +608,32 @@ class TestInvalidOptionValues:
         capsys.readouterr()
         assert main([*argv, "--output-dir", str(tmp_path / "out")]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("via", ["flags", "config"])
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["eval", "--n-primes", "a"], "argument --n-primes: expected integers, got 'a'"),
+            (["eval", "--n-primes", "3", "--models", "nope"], "unknown models ['nope']"),
+            (["fit", "--model", "bptf", "--beta", "1,b"],
+             "argument --beta: expected numbers, got '1,b'"),
+            (["fit", "--model", "pca"], "argument --model: invalid choice: 'pca'"),
+        ],
+        ids=["n-primes", "models", "beta", "model"],
+    )
+    def test_malformed_value_exits_1_before_any_input_is_read(self, tmp_path, capsys,
+                                                             monkeypatch, argv, message, via):
+        monkeypatch.chdir(tmp_path)  # missing.txt does not exist: reading it would exit 2
+        command, flags = argv[0], argv[1:]
+        if via == "config":
+            (tmp_path / "run.cfg").write_text("".join(
+                f"{flag[2:].replace('-', '_')} = {value}\n"
+                for flag, value in zip(flags[::2], flags[1::2])))
+            flags = ["--config", "run.cfg"]
+        assert main([command, "--tensor", "missing.txt", *flags, "--output-dir", "out"]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith(f"error: {message}")
         assert not (tmp_path / "out").exists()
 
     def test_ingest_empty_date_range_exits_1_before_reading_events(self, tmp_path, capsys):
@@ -1074,6 +1150,41 @@ class TestConfigFile:
         assert main([*argv, "--output-dir", str(tmp_path / "out")] if argv else argv) == 1
         assert one_error_line(capsys)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["synth", "fit", "eval", "ingest"])
+    def test_canonical_run_echoes_these_bytes(self, tmp_path, monkeypatch, command):
+        monkeypatch.chdir(tmp_path)
+        Path("events.csv").write_text(EVENTS)
+        synth = ["synth", "--shape", "8,8,2,10", "--k", "2", "--alpha", "0.3",
+                 "--beta", "1.0,2.0,1.0,0.5", "--seed", "5", "--output-dir", "synth"]
+        argv = {
+            "synth": synth,
+            "fit": ["fit", "--tensor", "synth/tensor.txt", "--labels", "synth/labels.txt",
+                    "--model", "ntf-kl", "--k", "2", "--max-iterations", "3", "--seed", "1",
+                    "--output-dir", "fit"],
+            "eval": ["eval", "--tensor", "synth/tensor.txt", "--n-primes", "3,5",
+                     "--scenario", "block", "--k", "2", "--max-iterations", "3",
+                     "--output-dir", "eval"],
+            "ingest": ["ingest", "--events", "events.csv", "--start", "2001-01-01",
+                       "--end", "2001-03-31", "--bin-width", "week", "--output-dir", "ingest"],
+        }[command]
+        if command in ("fit", "eval"):
+            assert main(synth) == 0
+        assert main(argv) == 0
+        assert Path(command, f"{command}_config.txt").read_text() == CANONICAL_ECHO[command]
+
+    def test_list_values_echo_comma_joined(self, tmp_path):
+        out = tmp_path / "out"
+        assert main(["synth", "--shape", "12 12 3 10", "--beta", "1,2,0.5,3",
+                     "--output-dir", str(out)]) == 0
+        echoed = (out / "synth_config.txt").read_text().splitlines()
+        assert "shape = 12,12,3,10" in echoed
+        assert "beta = 1.0,2.0,0.5,3.0" in echoed
+
+    def test_every_spec_field_is_an_eval_flag(self):
+        _, subparsers = build_parser()
+        dests = {a.dest for a in subparsers["eval"]._actions if a.option_strings}
+        assert {f.name for f in dataclasses.fields(countcp.ExperimentSpec)} <= dests
 
     def test_boolean_config_values(self, tmp_path):
         events = tmp_path / "events.csv"
