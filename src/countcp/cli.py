@@ -184,13 +184,14 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    tensor = load_tensor(args.tensor, args.labels)
+    if args.seed < 0:  # every check but the count of --beta values precedes the read
+        raise ConfigError("seed must be non-negative")
     _, train = _trainer(
-        args.model, tensor.ndim, k=args.k, max_iterations=args.max_iterations,
+        args.model, k=args.k, max_iterations=args.max_iterations,
         tolerance=args.tolerance, alpha=args.alpha, beta=args.beta,
         learn_beta=args.learn_beta, epsilon_floor=args.epsilon_floor,
     )
-    fitted = train(tensor, args.seed)
+    fitted = train(load_tensor(args.tensor, args.labels), args.seed)
     out = _out_dir(args)  # made only once the fit has succeeded
     trace, echoed = out / "trace.txt", out / "fit_config.txt"
     try:

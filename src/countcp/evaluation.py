@@ -194,22 +194,28 @@ class _Fitted:
     predict: Callable
 
 
-def _hyperparameters(alpha, beta, n_modes):
-    """BPTF hyperparameters from ``--alpha`` and 1 or ``n_modes`` ``--beta`` values."""
-    beta = tuple(beta) * n_modes if len(beta) == 1 else tuple(beta)
-    if len(beta) != n_modes:
-        raise ConfigError(f"--beta needs 1 or {n_modes} values")
+def _hyperparameters(alpha, beta, n_modes=None):
+    """BPTF hyperparameters from ``--alpha`` and 1 or ``n_modes`` ``--beta``
+    values; without ``n_modes``, every check but the count of values."""
+    if not beta:
+        raise ConfigError("--beta needs at least one value")
+    beta = tuple(beta)
+    if n_modes is not None:
+        beta = beta * n_modes if len(beta) == 1 else beta
+        if len(beta) != n_modes:
+            raise ConfigError(f"--beta needs 1 or {n_modes} values")
     return _bptf.Hyperparameters(alpha=alpha, beta=beta)
 
 
-def _bptf_trainer(names, n_modes, k, max_iterations, tolerance, alpha, beta=(1.0,),
+def _bptf_trainer(names, k, max_iterations, tolerance, alpha, beta=(1.0,),
                   learn_beta=True, **_):
     config = _bptf.FitConfig(k, max_iterations, tolerance, learn_beta=learn_beta)
-    hyper = _hyperparameters(alpha, beta, n_modes)
+    _hyperparameters(alpha, beta)  # the count of beta values waits for the tensor
     kinds = {"bptf-geo": "geometric", "bptf-ari": "arithmetic"}
 
     def train(tensor, seed):
         seeded = replace(config, seed=seed)
+        hyper = _hyperparameters(alpha, beta, tensor.ndim)
         state, learned, trace = _bptf.fit(tensor, seeded, hyper)
 
         def predict(test, observed):
@@ -224,7 +230,7 @@ def _bptf_trainer(names, n_modes, k, max_iterations, tolerance, alpha, beta=(1.0
     return train
 
 
-def _ntf_trainer(names, n_modes, k, max_iterations, tolerance, epsilon_floor, cost, **_):
+def _ntf_trainer(names, k, max_iterations, tolerance, epsilon_floor, cost, **_):
     config = _ntf.NtfConfig(k, max_iterations, tolerance, cost=cost, epsilon_floor=epsilon_floor)
 
     def train(tensor, seed):
@@ -252,15 +258,16 @@ _MODELS = {
 }
 
 
-def _trainer(model, n_modes, wanted=MODEL_NAMES, **options):
+def _trainer(model, wanted=MODEL_NAMES, **options):
     """(names, train) for one ``fit --model`` family: the model names in
     ``wanted`` that it is scored as, and ``train(tensor, seed) -> _Fitted``.
     ``options`` are ``countcp fit``'s k, max_iterations, tolerance, alpha,
     beta, learn_beta and epsilon_floor; the config is built here, so an
-    invalid value raises ConfigError before any fit."""
+    invalid value raises ConfigError before any tensor is read (a count of
+    beta values that does not fit the tensor's modes, in ``train``)."""
     scored, build = _MODELS[model]
     names = tuple(name for name in scored if name in wanted)
-    return names, build(names, n_modes, **options)
+    return names, build(names, **options)
 
 
 def _failure(exc: Exception) -> str:
@@ -345,18 +352,16 @@ def run_table(spec: ExperimentSpec, tensors: dict, max_workers: int = 1) -> Eval
     rows = [(n, side) for n in spec.n_primes for side in _SIDES[spec.scenario]]
     keys = ("k", "max_iterations", "tolerance", "alpha", "epsilon_floor")
     options = {key: getattr(spec, key) for key in keys}
-    sources = []
-    for source, tensor in tensors.items():
+    for tensor in tensors.values():
         _validate_rows(rows, tensor)
-        trainers = [
-            _trainer(model, tensor.ndim, spec.models, **options)
-            for model, (scored, _) in _MODELS.items()
-            if set(scored) & set(spec.models)
-        ]
-        sources.append((source, tensor, trainers))
+    trainers = [
+        _trainer(model, spec.models, **options)
+        for model, (scored, _) in _MODELS.items()
+        if set(scored) & set(spec.models)
+    ]
 
     results = []
-    for source, tensor, trainers in sources:
+    for source, tensor in tensors.items():
         sorted_t, _ = sort_by_activity(tensor)
 
         def run_seed(seed):

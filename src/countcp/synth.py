@@ -8,6 +8,8 @@ dispersed non-zero counts, mimicking real dyadic event data.
 
 from __future__ import annotations
 
+from math import prod
+
 import numpy as np
 
 from .bptf import Hyperparameters
@@ -15,8 +17,8 @@ from .cp import FactorSet
 from .errors import ConfigError
 from .tensors import SparseCountTensor, default_labels
 
-# mode-0 rows of the dense reconstruction materialized at a time
-_ROW_CHUNK = 64
+# cells of the dense reconstruction materialized at a time (at least one mode-0 row)
+_CHUNK_CELLS = 2**16
 
 
 def sample_factors(shape, k: int, hyper: Hyperparameters, rng) -> FactorSet:
@@ -30,13 +32,17 @@ def sample_factors(shape, k: int, hyper: Hyperparameters, rng) -> FactorSet:
 def sample_count_tensor(shape, k: int, hyper: Hyperparameters, seed: int):
     """Sample (tensor, true factors) from the generative model.
 
-    The dense reconstruction is materialized ``_ROW_CHUNK`` mode-0 rows at a
-    time, so memory stays bounded for moderately large shapes.  Only
-    non-zero cells are stored.  Deterministic per seed.
+    Costs O(cells * K) time.  The dense reconstruction is materialized
+    about ``_CHUNK_CELLS`` cells (whole mode-0 rows, at least one) at a
+    time, so memory is one such chunk plus the output.  Only non-zero cells
+    are stored.  Deterministic per seed: the chunk size and layout change no
+    draw.
     """
     shape = tuple(int(s) for s in shape)
     if not shape or min(shape) < 1:
         raise ConfigError(f"shape needs one or more mode sizes of at least 1, got {shape}")
+    if prod(shape) >= 2**63:
+        raise ConfigError(f"shape {shape}: mode sizes multiply to 2**63 or more")
     if k < 1:
         raise ConfigError("k must be a positive integer")
     if seed < 0:
@@ -45,16 +51,20 @@ def sample_count_tensor(shape, k: int, hyper: Hyperparameters, seed: int):
     factors = sample_factors(shape, k, hyper, rng)
 
     coords_parts, values_parts = [], []
-    tail_mats = factors.factors[1:]
-    for lo in range(0, shape[0], _ROW_CHUNK):
-        hi = min(lo + _ROW_CHUNK, shape[0])
-        block = np.zeros((hi - lo,) + shape[1:])
+    mats = factors.factors
+    rows = max(1, _CHUNK_CELLS // prod(shape[1:]))
+    for lo in range(0, shape[0], rows):
+        hi = min(lo + rows, shape[0])
+        # modes reversed (the chunk's rows innermost), so each product and add
+        # runs over one contiguous run; a cell's f3*(f2*(f1*f0)) has the bits
+        # of ((f0*f1)*f2)*f3, as IEEE multiplication commutes
+        block = np.zeros(shape[:0:-1] + (hi - lo,))
         for comp in range(k):
-            term = factors.factors[0][lo:hi, comp]
-            for mat in tail_mats:
-                term = np.multiply.outer(term, mat[:, comp])
+            term = mats[0][lo:hi, comp]
+            for mat in mats[1:]:
+                term = np.multiply.outer(mat[:, comp], term)
             block += term
-        counts = rng.poisson(block)
+        counts = rng.poisson(block.transpose())  # one draw a cell, in the tensor's C order
         nz = np.nonzero(counts)
         if nz[0].size:
             cc = np.stack(nz, axis=1)

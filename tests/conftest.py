@@ -509,6 +509,41 @@ def oracle_count_recon_above(region, mats, threshold):
     return count
 
 
+def oracle_sample_count_tensor(shape, k, hyper, seed):
+    """``synth.sample_count_tensor`` as it ran before its cell chunks: 64
+    mode-0 rows of the dense reconstruction at a time, each product ending
+    on the last mode; the oracle of the draws the sampler must keep."""
+    shape = tuple(int(s) for s in shape)
+    rng = np.random.default_rng(seed)
+    factors = FactorSet([rng.gamma(hyper.alpha, 1.0 / hyper.rate(m), size=(size, k))
+                         for m, size in enumerate(shape)])
+
+    coords_parts, values_parts = [], []
+    tail_mats = factors.factors[1:]
+    for lo in range(0, shape[0], 64):
+        hi = min(lo + 64, shape[0])
+        block = np.zeros((hi - lo,) + shape[1:])
+        for comp in range(k):
+            term = factors.factors[0][lo:hi, comp]
+            for mat in tail_mats:
+                term = np.multiply.outer(term, mat[:, comp])
+            block += term
+        counts = rng.poisson(block)
+        nz = np.nonzero(counts)
+        if nz[0].size:
+            cc = np.stack(nz, axis=1)
+            cc[:, 0] += lo
+            coords_parts.append(cc)
+            values_parts.append(counts[nz])
+    if coords_parts:
+        coords = np.vstack(coords_parts)
+        values = np.concatenate(values_parts)
+    else:
+        coords = np.zeros((0, len(shape)), dtype=np.int64)
+        values = np.zeros(0, dtype=np.int64)
+    return SparseCountTensor(shape, coords, values, _labels(shape)), factors
+
+
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 import countcp
 import countcp.bptf
 import countcp.ntf
+import countcp.synth
 from countcp import (
     FitConfig,
     Hyperparameters,
@@ -535,9 +536,10 @@ class TestInvalidOptionValues:
             ["--model", "bptf", "--seed", "-1"],
             ["--model", "ntf-kl", "--max-iterations", "0"],
             ["--model", "ntf-ls", "--epsilon-floor", "-1"],
+            ["--model", "bptf", "--beta", "1,2"],
         ],
         ids=["k-0", "alpha-negative", "tolerance-0", "seed-negative",
-             "ntf-max-iterations-0", "epsilon-floor-negative"],
+             "ntf-max-iterations-0", "epsilon-floor-negative", "beta-count"],
     )
     def test_fit_exits_1(self, synth_tensor, tmp_path, capsys, extra):
         code = main(["fit", "--tensor", str(synth_tensor / "tensor.txt"), *extra,
@@ -619,8 +621,15 @@ class TestInvalidOptionValues:
             (["fit", "--model", "bptf", "--beta", "1,b"],
              "argument --beta: expected numbers, got '1,b'"),
             (["fit", "--model", "pca"], "argument --model: invalid choice: 'pca'"),
+            (["fit", "--model", "bptf", "--k", "0"], "k must be a positive integer"),
+            (["fit", "--model", "bptf", "--alpha", "inf"], "alpha must be positive and finite"),
+            (["fit", "--model", "bptf", "--beta", "nan"],
+             "every beta must be positive and finite"),
+            (["fit", "--model", "bptf", "--beta", ""], "--beta needs at least one value"),
+            (["fit", "--model", "ntf-kl", "--seed", "-1"], "seed must be non-negative"),
         ],
-        ids=["n-primes", "models", "beta", "model"],
+        ids=["n-primes", "models", "beta", "model", "fit-k-0", "fit-alpha-inf",
+             "fit-beta-nan", "fit-beta-empty", "fit-seed-negative"],
     )
     def test_malformed_value_exits_1_before_any_input_is_read(self, tmp_path, capsys,
                                                              monkeypatch, argv, message, via):
@@ -892,6 +901,19 @@ class TestSynthCommand:
         stdout = capsys.readouterr().out
         density_line = [l for l in stdout.splitlines() if l.startswith("density")][0]
         assert float(density_line.split()[1]) < 0.5
+
+    def test_shape_of_2_pow_63_cells_exits_1_before_any_draw(self, tmp_path, capsys,
+                                                            monkeypatch):
+        def no_draw(*args, **kwargs):
+            raise AssertionError("factors were drawn")
+
+        monkeypatch.setattr(countcp.synth, "sample_factors", no_draw)
+        code = main(["synth", "--shape", "2097152,2097152,2097152", "--k", "1",
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].endswith("mode sizes multiply to 2**63 or more")
+        assert not (tmp_path / "out").exists()
 
 
 class TestEvalCommand:
