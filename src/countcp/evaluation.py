@@ -91,6 +91,8 @@ class ExperimentSpec:
     activity sorting.  ``scenario`` "block" predicts the block itself and
     observes its complement; "complement" swaps the roles, so the (sparser)
     complement is predicted; "both" gives each size both rows, block first.
+    Making a spec checks every option, the configs of the model families
+    ``models`` asks for included, so no tensor need be read first.
     """
 
     n_primes: tuple
@@ -123,6 +125,7 @@ class ExperimentSpec:
             raise SpecValidationError(f"unknown models {unknown}")
         if not self.models:
             raise SpecValidationError("at least one model is required")
+        _trainers(self)  # every model option is checked here, before any tensor is read
 
 
 @dataclass
@@ -270,6 +273,18 @@ def _trainer(model, wanted=MODEL_NAMES, **options):
     return names, build(names, **options)
 
 
+def _trainers(spec) -> list:
+    """(names, train) of each model family that ``spec.models`` asks for,
+    in ``_MODELS`` order, built from the spec's options."""
+    keys = ("k", "max_iterations", "tolerance", "alpha", "epsilon_floor")
+    options = {key: getattr(spec, key) for key in keys}
+    return [
+        _trainer(model, spec.models, **options)
+        for model, (scored, _) in _MODELS.items()
+        if set(scored) & set(spec.models)
+    ]
+
+
 def _failure(exc: Exception) -> str:
     return f"{type(exc).__name__}: {exc}"
 
@@ -339,9 +354,9 @@ def run_table(spec: ExperimentSpec, tensors: dict, max_workers: int = 1) -> Eval
 
     ``tensors`` maps a source label to its tensor.  Rows run source by
     source, then by ``spec.n_primes`` in order, the block row before the
-    complement row as ``spec.scenario`` selects them.  Every row, and the
-    config of every model family that ``spec.models`` asks for, is
-    validated before the first fit.  Per source and split seed, the tensor
+    complement row as ``spec.scenario`` selects them.  Every row is
+    validated before the first fit; the spec checked the config of every
+    model family it asks for when it was made.  Per source and split seed, the tensor
     is split once and each model fitted once; the fits serve every block
     size and side, which differ only in heldout inference and scoring.  A
     model's library error is recorded per model and per split; the
@@ -350,15 +365,9 @@ def run_table(spec: ExperimentSpec, tensors: dict, max_workers: int = 1) -> Eval
     identical inputs give a bit-identical report either way.
     """
     rows = [(n, side) for n in spec.n_primes for side in _SIDES[spec.scenario]]
-    keys = ("k", "max_iterations", "tolerance", "alpha", "epsilon_floor")
-    options = {key: getattr(spec, key) for key in keys}
     for tensor in tensors.values():
         _validate_rows(rows, tensor)
-    trainers = [
-        _trainer(model, spec.models, **options)
-        for model, (scored, _) in _MODELS.items()
-        if set(scored) & set(spec.models)
-    ]
+    trainers = _trainers(spec)
 
     results = []
     for source, tensor in tensors.items():

@@ -47,6 +47,13 @@ def sample_count_tensor(shape, k: int, hyper: Hyperparameters, seed: int):
         raise ConfigError("k must be a positive integer")
     if seed < 0:
         raise ConfigError("seed must be non-negative")
+    try:
+        return _sample(shape, k, hyper, seed)
+    except MemoryError as exc:  # a shape under 2**63 cells may still not fit
+        raise ConfigError(f"shape {shape}: too large to hold in memory") from exc
+
+
+def _sample(shape, k: int, hyper: Hyperparameters, seed: int):
     rng = np.random.default_rng(seed)
     factors = sample_factors(shape, k, hyper, rng)
 

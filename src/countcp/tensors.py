@@ -7,13 +7,14 @@ time mode last, but all operations here work for any M >= 1 unless they
 explicitly involve the actor or time modes.
 
 Events are held in columns (``EventTable``); ``read_event_file`` fills
-one in a single CSV pass that keeps two ints per row (a day ordinal and the
-index of its distinct label triple), and ``ingest_events`` aggregates it with
-array operations only.
+one, parsing a quote-free file in blocks of whole lines with array
+operations and any other file in a single CSV pass, and ``ingest_events``
+aggregates it with array operations only.
 """
 
 from __future__ import annotations
 
+import codecs
 import csv
 import datetime as _dt
 import operator
@@ -263,6 +264,21 @@ def _utc_ordinal(timestamp: _dt.datetime) -> int:
     return timestamp.toordinal()
 
 
+def _stamp_day(stamp: str) -> int:
+    """The UTC day ordinal of a timestamp field as read.
+
+    It goes to ``datetime.fromisoformat`` as is; only one it rejects is
+    stripped, has a trailing Z read as UTC (which Python 3.11+ reads itself)
+    and is tried again by ``_parse_utc_day``.  fromisoformat rejects
+    surrounding whitespace, so a stamp it reads as is reads the same stripped.
+    """
+    try:
+        timestamp = _dt.datetime.fromisoformat(stamp)
+    except ValueError:
+        return _parse_utc_day(stamp)
+    return timestamp.toordinal() if timestamp.tzinfo is None else _utc_ordinal(timestamp)
+
+
 def _parse_utc_day(text: str) -> int:
     """The UTC day ordinal of an ISO-8601 timestamp, read with surrounding
     whitespace stripped; a trailing Z means UTC.  An error quotes the
@@ -485,6 +501,7 @@ def split_time(t: SparseCountTensor, test_fraction: float, seed: int) -> TimeSpl
 
 EVENT_COLUMNS = ("sender", "receiver", "action", "timestamp")
 _SAVE_BLOCK = 2**16  # rows formatted per write in save_tensor
+_READ_BLOCK = 2**18  # bytes of whole lines parsed at a time by the block event reader
 
 
 @contextmanager
@@ -510,53 +527,65 @@ def _open_input(path: Path, **kwargs):
 
 
 def read_event_file(path) -> EventTable:
-    """Read a CSV event file into an EventTable in one ``csv.reader`` pass.
+    """Read a CSV event file into an EventTable.
 
     The header names sender, receiver, action and timestamp columns in any
     order, among others; a repeated name means its last column, and a short
     row reads missing fields as empty.  Blank lines are skipped, labels are
     stripped and must neither be empty nor hold a tab or line break (a
     quoted field can), and each ISO-8601 timestamp is kept as its UTC day
-    ordinal.  Errors name the line of the first bad row; within
-    a row a bad timestamp is reported before an empty label.
+    ordinal (``_stamp_day``).  Errors name the line of the first bad row;
+    within a row a bad timestamp is reported before an empty label.
 
-    Each timestamp goes to ``datetime.fromisoformat`` as read; only one it
-    rejects is stripped, has a trailing Z read as UTC (which Python 3.11+
-    reads itself) and is tried again by ``_parse_utc_day``.  Each distinct
-    label triple is stripped, checked and encoded once; a row keeps the
-    index of its triple, and one gather builds the code columns.
+    A file with no ``"``, CR, NUL or tab byte, read under a UTF-8 locale
+    encoding, is parsed in blocks of whole lines with array operations
+    (``_read_event_blocks``).  Any other file, and one in which the block
+    reader meets anything to report, is read row by row in one
+    ``csv.reader`` pass (``_read_event_rows``), which reports it.  Both
+    give the same table.
     """
     path = Path(path)
+    table = _read_event_blocks(path)
+    return _read_event_rows(path) if table is None else table
+
+
+def _event_columns(header):
+    """The index of each of ``EVENT_COLUMNS`` in a header row, a repeated
+    name's last; None if one is missing."""
+    if any(c not in header for c in EVENT_COLUMNS):
+        return None
+    return [len(header) - 1 - header[::-1].index(c) for c in EVENT_COLUMNS]
+
+
+def _read_event_rows(path: Path) -> EventTable:
+    """``read_event_file`` in one ``csv.reader`` pass, which takes any file
+    and reports every fault.
+
+    Each distinct label triple is stripped, checked and encoded once; a row
+    keeps the index of its triple, and one gather builds the code columns.
+    """
     label_codes, days, which = _label_codes(), [], []
     triples, index_of = [], {}  # distinct code triples; their indices keyed by the labels as read
-    fromisoformat = _dt.datetime.fromisoformat
     with _open_input(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader, None)
             if header is None:
                 raise IngestionError(f"{path}: empty event file")
-            missing = [c for c in EVENT_COLUMNS if c not in header]
-            if missing:
+            columns = _event_columns(header)
+            if columns is None:
+                missing = [c for c in EVENT_COLUMNS if c not in header]
                 raise IngestionError(f"{path}: header is missing columns {missing}")
-            *where, at = [len(header) - 1 - header[::-1].index(c) for c in EVENT_COLUMNS]
-            pick, width = operator.itemgetter(*where), max(*where, at) + 1
+            *where, at = columns
+            pick, width = operator.itemgetter(*where), max(columns) + 1
             for row in reader:
                 if len(row) < width:
                     if not row:
                         continue
                     row += [""] * (width - len(row))
-                labels, stamp = pick(row), row[at]
+                labels = pick(row)
                 try:
-                    # fromisoformat rejects surrounding whitespace, so a stamp
-                    # it reads as is reads the same stripped
-                    try:
-                        timestamp = fromisoformat(stamp)
-                    except ValueError:
-                        day = _parse_utc_day(stamp)
-                    else:
-                        day = (timestamp.toordinal() if timestamp.tzinfo is None
-                               else _utc_ordinal(timestamp))
+                    day = _stamp_day(row[at])
                     index = index_of.get(labels)
                     if index is None:
                         stripped = [label.strip() for label in labels]
@@ -570,6 +599,201 @@ def read_event_file(path) -> EventTable:
             raise IngestionError(f"{path}: line {reader.line_num}: {exc}") from exc
     codes = np.array(triples, dtype=np.int64).reshape(-1, 3)[np.array(which, dtype=np.int64)]
     return _event_table(label_codes, codes, days)
+
+
+def _read_event_blocks(path: Path):
+    """``read_event_file`` of a quote-free UTF-8 file, about ``_READ_BLOCK``
+    bytes of whole lines at a time; None for any other file, and for one
+    holding anything ``_read_event_rows`` would report, which then reads it.
+
+    The first line is the header.  Label codes keep first appearance, the
+    sender and receiver of each row in turn, through dicts kept across
+    blocks (``_parse_event_block``).
+    """
+    try:
+        fh = path.open(newline="")  # as _read_event_rows opens it
+    except OSError:
+        return None
+    limit, label_codes, parts = csv.field_size_limit(), _label_codes(), []
+    with fh:
+        if codecs.lookup(fh.encoding).name != "utf-8":
+            return None
+        line = fh.buffer.readline()
+        if len(line) > limit or not _block_text(line):
+            return None
+        columns = _event_columns(line.decode().removesuffix("\n").split(","))
+        if columns is None:
+            return None
+        for block in _line_blocks(fh.buffer):
+            part = _parse_event_block(block, columns, limit, label_codes)
+            if part is None:
+                return None
+            parts.append(part)
+    sender, receiver, action, days = np.concatenate([np.empty((4, 0), np.int64), *parts], axis=1)
+    actors, _, actions = label_codes
+    return EventTable(sender, receiver, action, days, list(actors), list(actions))
+
+
+def _block_text(data: bytes) -> bool:
+    """Whether bytes decode as UTF-8 and hold no ``"``, CR, NUL or tab, so
+    that commas and newlines alone split them as ``csv.reader`` would."""
+    if any(byte in data for byte in (b'"', b"\r", b"\0", b"\t")):
+        return False
+    try:
+        data.isascii() or data.decode()
+    except UnicodeDecodeError:
+        return False
+    return True
+
+
+def _line_blocks(fh):
+    """The rest of a binary file in blocks of whole lines, each about
+    ``_READ_BLOCK`` bytes or one line if longer; a last line without a
+    line end is given one."""
+    pending = []
+    while chunk := fh.read(_READ_BLOCK):
+        cut = chunk.rfind(b"\n") + 1
+        if cut:
+            yield b"".join([*pending, chunk[:cut]])
+            pending = [chunk[cut:]]
+        else:
+            pending.append(chunk)
+    rest = b"".join(pending)
+    if rest:
+        yield rest + b"\n"
+
+
+def _parse_event_block(data: bytes, columns, limit: int, label_codes):
+    """The (4, rows) sender, receiver, action and day columns of a block of
+    whole lines; None if ``_block_text`` fails it, a field is longer than
+    ``limit`` bytes, a non-blank row is too short to reach a column, or a
+    label or timestamp is bad.
+
+    Comma and newline positions give the field spans.  Each label column is
+    told apart by ``_distinct_fields``, so only each distinct raw label is
+    decoded, stripped, checked and coded.
+    """
+    if not _block_text(data):
+        return None
+    padded = np.frombuffer(data + bytes(_STAMP_WIDTH), dtype=np.uint8)
+    buf = padded[:len(data)]
+    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))  # each field's end
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    if (ends - starts).max() > limit:
+        return None
+    last = np.flatnonzero(buf[ends] == ord("\n"))  # each line's last field
+    first = np.concatenate(([0], last[:-1] + 1))
+    filled = ends[last] > starts[first]
+    if (last - first + 1 < max(columns) + 1)[filled].any():
+        return None
+    sender, receiver, action, stamp = (first[filled] + c for c in columns)
+    actor = np.stack([sender, receiver], axis=1).ravel()  # each row's sender, then its receiver
+    codes = [_code_fields(data, padded, starts[f], ends[f], label_codes[m])
+             for f, m in ((actor, 0), (action, 2))]
+    days = _stamp_days(data, padded, starts[stamp], ends[stamp])
+    if codes[0] is None or codes[1] is None or days is None:
+        return None
+    return np.stack([codes[0][0::2], codes[0][1::2], codes[1], days])
+
+
+def _code_fields(data: bytes, padded, starts, ends, codes: dict):
+    """Each field's code in a label-to-code dict, a new label added in order
+    of first appearance; None if a field strips to empty."""
+    ids, first = _distinct_fields(padded, starts, ends - starts)
+    lookup = np.empty(len(first), dtype=np.int64)
+    at = np.argsort(first)
+    for i, lo, hi in zip(at.tolist(), starts[first[at]].tolist(), ends[first[at]].tolist()):
+        label = data[lo:hi].decode().strip()
+        if not label:
+            return None
+        lookup[i] = codes.setdefault(label, len(codes))
+    return lookup[ids]
+
+
+def _distinct_fields(padded, starts, lengths):
+    """(ids, first): dense ids of the byte strings
+    ``padded[starts:starts + lengths]``, equal exactly where the strings
+    are, and the index of the first string with each id.
+
+    The strings are packed 8 bytes at a time into uint64 words, zeroed past
+    their end, which no NUL byte in a field can mimic.  The first word's
+    ``np.unique`` gives the ids of strings of up to 8 bytes; each further
+    word's splits the ids of the strings that reach it.  An id and a key
+    each stay below the block's byte count, so ``ids * keys`` fits in
+    int64 for any block under 3 GB.
+    """
+    windows = np.lib.stride_tricks.sliding_window_view(padded, 8)
+
+    def words(rows, offset):
+        tail = np.minimum(lengths[rows] - offset, 8)
+        return windows[starts[rows] + offset].view(np.uint64).ravel() & _WORD_MASKS[tail]
+
+    rows = np.arange(len(starts))
+    _, ids = np.unique(words(rows, 0), return_inverse=True)
+    top, longest = int(ids.max(initial=-1)) + 1, int(lengths.max(initial=0))
+    for offset in range(8, longest, 8):
+        rows = rows[lengths[rows] > offset]
+        _, key = np.unique(words(rows, offset), return_inverse=True)
+        _, key = np.unique(ids[rows] * (key.max() + 1) + key, return_inverse=True)
+        ids[rows] = top + key
+        top += int(key.max()) + 1
+    if longest > 8:  # the split ids made dense again
+        _, ids = np.unique(ids, return_inverse=True)
+    first = np.full(int(ids.max(initial=-1)) + 1, len(ids))
+    np.minimum.at(first, ids, np.arange(len(ids)))
+    return ids, first
+
+
+_STAMP_WIDTH = 19
+# the lowest and highest byte at each offset of YYYY-MM-DDTHH:MM:SS
+_STAMP_LOW = np.frombuffer(b"0000-00-00T00:00:00", dtype=np.uint8)
+_STAMP_HIGH = np.frombuffer(b"9999-99-99T99:99:99", dtype=np.uint8)
+_MONTH_DAYS = np.array([0, 31, 28, 31, 30, 31, 30, 31, 31, 30, 31, 30, 31])
+_DAYS_BEFORE_MONTH = np.concatenate(([0], np.cumsum(_MONTH_DAYS[:-1])))
+# by n, the uint64 mask that keeps the first n of a word's 8 bytes
+_WORD_MASKS = np.where(np.arange(8) < np.arange(9)[:, None], 255, 0).astype(np.uint8)
+_WORD_MASKS = _WORD_MASKS.view(np.uint64).ravel()
+
+
+def _stamp_days(data: bytes, padded, starts, ends):
+    """Each timestamp field's UTC day ordinal; None if one has none.
+
+    A field of the form YYYY-MM-DD or YYYY-MM-DD[T ]HH:MM:SS is checked
+    field by field and turned into its ordinal with array operations; any
+    other goes to ``_stamp_day``, row by row.
+    """
+    text = np.lib.stride_tricks.sliding_window_view(padded, _STAMP_WIDTH)[starts]
+    clock = ends - starts == _STAMP_WIDTH
+    shaped = (text >= _STAMP_LOW) & (text <= _STAMP_HIGH)
+    shaped[:, 10] |= text[:, 10] == ord(" ")
+    fast = np.where(clock, shaped.all(axis=1), (ends - starts == 10) & shaped[:, :10].all(axis=1))
+    digit = text.astype(np.int32) - ord("0")
+    year = ((digit[:, 0] * 10 + digit[:, 1]) * 10 + digit[:, 2]) * 10 + digit[:, 3]
+    month, day, hour, minute, second = (
+        digit[:, i] * 10 + digit[:, i + 1] for i in (5, 8, 11, 14, 17))
+    fast &= (year >= 1) & (month >= 1) & (month <= 12) & (day >= 1)
+    month = np.clip(month, 1, 12)
+    fast &= day <= _MONTH_DAYS[month] + ((month == 2) & _leap(year))
+    fast &= ~clock | ((hour < 24) & (minute < 60) & (second < 60))
+    days = _day_ordinals(year, month, day).astype(np.int64)
+    for i in np.flatnonzero(~fast).tolist():
+        try:
+            days[i] = _stamp_day(data[starts[i]:ends[i]].decode())
+        except IngestionError:
+            return None
+    return days
+
+
+def _leap(year):
+    """Whether each year is a Gregorian leap year."""
+    return (year % 4 == 0) & ((year % 100 != 0) | (year % 400 == 0))
+
+
+def _day_ordinals(year, month, day):
+    """``date(year, month, day).toordinal()`` of valid dates, as arrays."""
+    before = year - 1
+    return (before * 365 + before // 4 - before // 100 + before // 400
+            + _DAYS_BEFORE_MONTH[month] + ((month > 2) & _leap(year)) + day)
 
 
 def save_tensor(t: SparseCountTensor, path) -> None:

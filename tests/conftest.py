@@ -3,6 +3,7 @@ paths that the faster library paths are checked against."""
 
 import csv
 import datetime as dt
+import io
 import math
 from dataclasses import dataclass, replace
 from itertools import repeat
@@ -566,7 +567,8 @@ def write_event_file(events, path) -> None:
 
 @dataclass(frozen=True)
 class EventRecord:
-    """One dyadic event: non-empty labels and a datetime (naive means UTC)."""
+    """One dyadic event: non-empty labels without a tab or line break, and a
+    datetime (naive means UTC)."""
 
     sender: str
     receiver: str
@@ -575,8 +577,11 @@ class EventRecord:
 
     def __post_init__(self):
         for name in ("sender", "receiver", "action"):
-            if not getattr(self, name):
+            label = getattr(self, name)
+            if not label:
                 raise IngestionError(f"event record has empty {name!r} field")
+            if any(c in label for c in "\t\n\r"):
+                raise IngestionError(f"event record {name!r} field holds a tab or line break")
         if not isinstance(self.timestamp, dt.datetime):
             raise IngestionError("event record timestamp must be a datetime")
 
@@ -597,11 +602,19 @@ def _oracle_timestamp(text: str) -> dt.datetime:
 
 
 def oracle_read_event_file(path) -> list:
-    """A ``csv.DictReader`` pass building one EventRecord per row."""
+    """A ``csv.DictReader`` pass building one EventRecord per row, over the
+    file decoded as UTF-8 as a whole.  Bytes that do not decode, and a row
+    the csv module cannot split, are errors naming their line."""
     path = Path(path)
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise IngestionError(f"{path}: line {line}: not utf-8 text") from exc
     records = []
-    with path.open(newline="") as fh:
-        reader = csv.DictReader(fh)
+    reader = csv.DictReader(io.StringIO(text, newline=""))
+    try:
         if reader.fieldnames is None:
             raise IngestionError(f"{path}: empty event file")
         missing = [c for c in EVENT_COLUMNS if c not in reader.fieldnames]
@@ -620,6 +633,8 @@ def oracle_read_event_file(path) -> list:
                 )
             except IngestionError as exc:
                 raise IngestionError(f"{path}: line {line}: {exc}") from exc
+    except csv.Error as exc:  # DictReader counts only the lines of rows it returned
+        raise IngestionError(f"{path}: line {reader.reader.line_num}: {exc}") from exc
     return records
 
 

@@ -627,9 +627,19 @@ class TestInvalidOptionValues:
              "every beta must be positive and finite"),
             (["fit", "--model", "bptf", "--beta", ""], "--beta needs at least one value"),
             (["fit", "--model", "ntf-kl", "--seed", "-1"], "seed must be non-negative"),
+            (["eval", "--n-primes", "3", "--k", "0"], "k must be a positive integer"),
+            (["eval", "--n-primes", "3", "--alpha", "inf"], "alpha must be positive and finite"),
+            (["eval", "--n-primes", "3", "--epsilon-floor", "nan"],
+             "epsilon_floor must be non-negative and finite"),
+            (["eval", "--n-primes", "3", "--max-iterations", "0"],
+             "max_iterations must be positive"),
+            (["eval", "--n-primes", "3", "--tolerance", "0"],
+             "relative_elbo_tolerance must be positive"),
         ],
         ids=["n-primes", "models", "beta", "model", "fit-k-0", "fit-alpha-inf",
-             "fit-beta-nan", "fit-beta-empty", "fit-seed-negative"],
+             "fit-beta-nan", "fit-beta-empty", "fit-seed-negative", "eval-k-0",
+             "eval-alpha-inf", "eval-epsilon-floor-nan", "eval-max-iterations-0",
+             "eval-tolerance-0"],
     )
     def test_malformed_value_exits_1_before_any_input_is_read(self, tmp_path, capsys,
                                                              monkeypatch, argv, message, via):
@@ -913,6 +923,30 @@ class TestSynthCommand:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].endswith("mode sizes multiply to 2**63 or more")
+        assert not (tmp_path / "out").exists()
+
+
+    def test_shape_that_cannot_be_held_exits_1(self, tmp_path):
+        # the child caps its own address space, so the draw fails without allocating
+        pytest.importorskip("resource")
+        child = (
+            "import resource, sys\n"
+            "from countcp.cli import main\n"
+            "hard = resource.getrlimit(resource.RLIMIT_AS)[1]\n"
+            "soft = 3 * 2**30 if hard == resource.RLIM_INFINITY else min(3 * 2**30, hard)\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (soft, hard))\n"
+            "sys.exit(main(sys.argv[1:]))\n"
+        )
+        src = str(Path(countcp.__file__).resolve().parent.parent)
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", child, "synth", "--shape", "2,1099511627776", "--k", "1",
+             "--output-dir", str(tmp_path / "out")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert (done.returncode, done.stderr) == (
+            1, "error: shape (2, 1099511627776): too large to hold in memory\n")
         assert not (tmp_path / "out").exists()
 
 

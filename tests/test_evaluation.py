@@ -11,6 +11,7 @@ import countcp.bptf
 import countcp.evaluation
 import countcp.ntf
 from countcp import (
+    ConfigError,
     EvalReport,
     ExperimentSpec,
     FitConfig,
@@ -200,6 +201,19 @@ class TestRunExperiment:
     def test_empty_sizes_or_unknown_scenario_rejected(self, field):
         with pytest.raises(SpecValidationError):
             self.spec(**field)
+
+    @pytest.mark.parametrize(
+        "field, models",
+        [({"k": 0}, ("bptf-geo",)), ({"alpha": math.inf}, ("bptf-geo",)),
+         ({"max_iterations": 0}, ("ntf-kl",)), ({"tolerance": 0.0}, ("ntf-ls",)),
+         ({"epsilon_floor": math.nan}, ("ntf-kl",))],
+    )
+    def test_model_options_are_checked_when_the_spec_is_made(self, field, models):
+        with pytest.raises(ConfigError):
+            self.spec(models=models, **field)
+
+    def test_options_of_families_not_asked_for_are_not_checked(self):
+        assert math.isnan(self.spec(models=("bptf-geo",), epsilon_floor=math.nan).epsilon_floor)
 
     def test_run_table_emits_one_row_per_scenario(self, tmp_path):
         t1 = small_generative_tensor(seed=0)

@@ -1,13 +1,19 @@
 """The columnar event path (EventTable, read_event_file, ingest_events) and
 the block writer of save_tensor, against the per-record oracles they
 replaced: same tensors, same file bytes, and the same error for every
-malformed event file."""
+malformed event file.  The block reader of quote-free files is pinned to
+the csv.reader pass and to the oracle in the same way."""
 
 import csv
 import datetime as dt
 import io
+import os
+import subprocess
+import sys
 import tempfile
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +29,8 @@ from countcp import (
     read_event_file,
     save_tensor,
 )
+import countcp
+from countcp import tensors
 from countcp.tensors import BIN_WIDTHS, EVENT_COLUMNS
 from conftest import (
     oracle_ingest_events,
@@ -271,3 +279,275 @@ class TestSaveTensor:
         save_tensor(t, tmp_path / "new.txt")
         oracle_save_tensor(t, tmp_path / "old.txt")
         assert (tmp_path / "new.txt").read_bytes() == (tmp_path / "old.txt").read_bytes()
+
+
+# ---------------------------------------------------------------------------
+# The block reader of quote-free files against the csv.reader pass
+# ---------------------------------------------------------------------------
+
+
+def table_fields(table):
+    """An EventTable's columns (with their dtypes) and label lists."""
+    columns = [getattr(table, name) for name in ("sender", "receiver", "action", "days")]
+    return [(c.dtype.str, c.tolist()) for c in columns], table.actors, table.actions
+
+
+def oracle_table(path):
+    records = oracle_read_event_file(path)
+    return EventTable.from_records((r.sender, r.receiver, r.action, r.timestamp) for r in records)
+
+
+def read_outcome(read, path):
+    """``table_fields`` of ``read(path)``, or its error's class name and message."""
+    try:
+        return table_fields(read(path))
+    except CountCPError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def block_path_only():
+    """A patch under which ``read_event_file`` cannot fall back to the
+    csv.reader pass."""
+    return mock.patch.object(tensors, "_read_event_rows",
+                             side_effect=AssertionError("the csv.reader pass ran"))
+
+
+FIELD_LIMIT = 64  # csv.field_size_limit() while quote-free files are generated
+QUOTE_FREE_LABELS = st.sampled_from([
+    "AA", "BB", " AA", "BB  ", "\u00a0AA", "Zürich", "北京", " Ωmega", "actor000", "actor0000",
+    "actor000x", "Republic of Abaria", "Republic of Bedoria", "Republic of Abaria North ",
+])
+FLAWS = ("short-row", "empty-label", "bad-timestamp", "long-field", "not-utf-8", "tab",
+         "missing-column")
+
+
+@st.composite
+def quote_free_files(draw, flaw):
+    """A generated event file without quotes or CRs, as bytes.
+
+    Columns come in any order among extra and repeated ones, with blank
+    lines, padded, non-ASCII and long labels, and timestamps in the fast
+    forms, with offsets, Z, fractions, padding or the compact form.  A
+    ``flaw`` (one of ``FLAWS``) puts one thing in the file that the block
+    reader must hand to the csv.reader pass: a short row, an empty label, a
+    bad timestamp, a field over ``FIELD_LIMIT`` characters, bytes that are
+    not UTF-8, a tab or a header without one of the event columns.
+    """
+    names = list(EVENT_COLUMNS) + draw(st.lists(st.sampled_from(["note", *EVENT_COLUMNS]),
+                                                max_size=2))
+    if flaw == "missing-column":
+        gone = draw(st.sampled_from(EVENT_COLUMNS))
+        names = [name for name in names if name != gone]
+    names = draw(st.permutations(names))
+
+    def timestamp():
+        day = dt.date(2001, 1, 1) + dt.timedelta(days=draw(st.integers(0, 364)))
+        clock = "%02d:%02d:%02d" % (draw(st.sampled_from([0, 9, 23])), draw(st.integers(0, 59)),
+                                     draw(st.integers(0, 59)))
+        return draw(st.sampled_from([
+            day.isoformat(), f"{day}T{clock}", f"{day} {clock}", f"{day}T{clock}",
+            f"{day}T{clock}Z", f"{day}T{clock}+05:30", f"{day} {clock}-03:00",
+            f"{day}T{clock}.25", f"{day}T{clock[:5]}", day.strftime("%Y%m%d"),
+            day.strftime("%Y%m%dT") + clock[:5].replace(":", ""), f" {day}", f"{day}T{clock} ",
+        ]))
+
+    def value(name):
+        if name == "timestamp":
+            return timestamp()
+        if name == "note":
+            return draw(st.sampled_from(["", "n", "x" * FIELD_LIMIT]))
+        return draw(QUOTE_FREE_LABELS)
+
+    rows = [[value(name) for name in names] for _ in range(draw(st.integers(0, 10)))]
+    if flaw not in (None, "missing-column"):
+        if not rows:
+            rows.append([value(name) for name in names])
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        where = draw(st.integers(0, len(names) - 1))
+        column = {name: i for i, name in enumerate(names)}  # a repeated name's last
+        if flaw == "short-row":
+            del row[draw(st.integers(1, max(column.values()))):]
+            row[0] = row[0] or "x"  # not a blank line
+        elif flaw == "empty-label":
+            row[column[draw(st.sampled_from(EVENT_COLUMNS[:3]))]] = draw(
+                st.sampled_from(["", "  "]))
+        elif flaw == "bad-timestamp":
+            row[column["timestamp"]] = draw(st.sampled_from(
+                ["garbage", "", "2001-02-30", "2001-13-01T00:00:00", "0000-01-01"]))
+        elif flaw == "long-field":
+            row[where] = "y" * (FIELD_LIMIT + 1)
+        elif flaw == "not-utf-8":
+            row[where] += "@@"
+        else:
+            cut = draw(st.integers(0, len(row[where])))
+            row[where] = row[where][:cut] + "\t" + row[where][cut:]
+    lines = [",".join(names)]
+    for row in rows:
+        lines += [""] * draw(st.sampled_from([0, 0, 0, 1, 2]))
+        lines.append(",".join(row))
+    text = "\n".join(lines) + draw(st.sampled_from(["\n", "\n", ""]))
+    return text.encode().replace(b"@@", b"\xff\xfe")
+
+
+class TestBlockReader:
+    @pytest.mark.parametrize("flaw", [None, *FLAWS])
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(data=st.data())
+    def test_generated_quote_free_files(self, flaw, data):
+        body = data.draw(quote_free_files(flaw))
+        previous = csv.field_size_limit(FIELD_LIMIT)
+        try:
+            with tempfile.TemporaryDirectory() as directory:
+                path = Path(directory) / "events.csv"
+                path.write_bytes(body)
+                new = read_outcome(read_event_file, path)
+                rows = read_outcome(tensors._read_event_rows, path)
+                assert new == rows == read_outcome(oracle_table, path)
+                if flaw is not None:
+                    assert tensors._read_event_blocks(path) is None
+                elif new[0] != "IngestionError":  # an eligible file
+                    with block_path_only():
+                        assert read_outcome(read_event_file, path) == rows
+        finally:
+            csv.field_size_limit(previous)
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            HEADER,
+            HEADER[:-1],
+            HEADER + "A,B,x,2001-02-05",
+            HEADER + "\n\nA,B,x,2001-02-05\n\n",
+            "note,timestamp,action,receiver,sender,action\nn,2001-02-05 10:00:00,p,B,A,x,9\n",
+            HEADER + "  A ,B,x,2001-02-05T23:00:00-05:00\nB, A ,y,2001-02-05Z\n",
+            HEADER + "Republic of Abaria,Republic of Abaria North,x,2001-02-05\n"
+            "Republic of Bedoria,Republic of Abaria,x,20010205T1030\n",
+        ],
+        ids=["header-only", "header-without-line-end", "last-line-without-line-end",
+             "blank-lines", "reordered-extra-and-repeated", "padded-with-offsets",
+             "labels-sharing-a-first-word"],
+    )
+    def test_hand_written_files_take_the_block_path(self, tmp_path, text):
+        (tmp_path / "events.csv").write_text(text)
+        rows = read_outcome(tensors._read_event_rows, tmp_path / "events.csv")
+        assert rows == read_outcome(oracle_table, tmp_path / "events.csv")
+        with block_path_only():
+            assert read_outcome(read_event_file, tmp_path / "events.csv") == rows
+
+    def test_blocks_of_whole_lines_keep_first_appearance(self, tmp_path, monkeypatch):
+        rng = np.random.default_rng(5)
+        lines = [
+            f"a{rng.integers(40)},{'Republic of ' * int(rng.integers(2))}b{rng.integers(40)},"
+            f"t{rng.integers(7)},2001-{rng.integers(1, 13):02d}-{rng.integers(1, 29):02d}"
+            for _ in range(3000)
+        ]
+        lines[1500] = "a1,b2," + "v" * 5000 + ",2001-02-05"  # a line longer than a block
+        (tmp_path / "events.csv").write_text(HEADER + "\n".join(lines) + "\n")
+        rows = read_outcome(tensors._read_event_rows, tmp_path / "events.csv")
+        monkeypatch.setattr(tensors, "_READ_BLOCK", 1000)
+        with block_path_only():
+            assert read_outcome(read_event_file, tmp_path / "events.csv") == rows
+
+    def test_a_file_opened_under_another_encoding_takes_the_row_reader(self, tmp_path):
+        # under the C locale with UTF-8 mode off, open() decodes as ASCII
+        (tmp_path / "events.csv").write_text(HEADER + "A,B,x,2001-02-05\nZürich,B,x,2001-02-05\n",
+                                             encoding="utf-8")
+        child = (
+            "import codecs, sys\n"
+            "from countcp import IngestionError, read_event_file\n"
+            "print(codecs.lookup(open(sys.argv[1]).encoding).name)\n"
+            "try:\n"
+            "    read_event_file(sys.argv[1])\n"
+            "except IngestionError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(countcp.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONUTF8="0", LC_ALL="C", PYTHONIOENCODING="utf-8",
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-c", child, str(tmp_path / "events.csv")],
+                              env=env, capture_output=True, text=True, timeout=120, check=True)
+        encoding, *error = done.stdout.splitlines()
+        if encoding == "utf-8":
+            pytest.skip("the C locale decodes as UTF-8 here")
+        assert error == [f"{tmp_path / 'events.csv'}: line 3: not {encoding} text"]
+
+    def test_distinct_fields_are_equal_exactly_where_the_bytes_are(self):
+        # prefixes, and lengths on each side of the 8-byte words, ended by either separator
+        texts = [b"", b"a", b"ab", b"abcdefg", b"abcdefgh", b"abcdefghi", b"abcdefghabcdefgh",
+                 b"abcdefghabcdefghi", b"abcdefghabcdefgx", b"Z\xc3\xbcrich"]
+        rng = np.random.default_rng(3)
+        fields = [texts[i] for i in rng.integers(len(texts), size=300)]
+        data = b"".join(f + (b"," if s else b"\n") for f, s in zip(fields, rng.integers(2, size=300)))
+        lengths = np.array([len(f) for f in fields])
+        ends = np.cumsum(lengths + 1) - 1
+        padded = np.frombuffer(data + bytes(tensors._STAMP_WIDTH), dtype=np.uint8)
+        ids, first = tensors._distinct_fields(padded, ends - lengths, lengths)
+        assert len(first) == len(set(fields))
+        assert [first[i] for i in ids] == [fields.index(f) for f in fields]
+
+    def test_day_ordinals_match_date_toordinal_on_every_day(self):
+        last = dt.date.max.toordinal()
+        for lo in range(1, last + 1, 146_097):  # 400 years at a time
+            dates = [dt.date.fromordinal(o) for o in range(lo, min(lo + 146_097, last + 1))]
+            year, month, day = (np.array([getattr(d, name) for d in dates], dtype=np.int32)
+                                for name in ("year", "month", "day"))
+            expected = np.array([d.toordinal() for d in dates])
+            assert np.array_equal(tensors._day_ordinals(year, month, day), expected)
+
+    @staticmethod
+    def stamp_days(stamps, monkeypatch):
+        """(days, stamps read row by row) of ``_stamp_days`` over one block."""
+        slow = []
+        monkeypatch.setattr(tensors, "_stamp_day", lambda stamp: slow.append(stamp) or -1)
+        data = "".join(f"{s}\n" for s in stamps).encode()
+        ends = np.cumsum([len(s) + 1 for s in stamps]) - 1
+        padded = np.frombuffer(data + bytes(tensors._STAMP_WIDTH), dtype=np.uint8)
+        return tensors._stamp_days(data, padded, ends - [len(s) for s in stamps], ends), slow
+
+    def test_every_day_of_a_400_year_cycle_takes_the_fast_forms(self, monkeypatch):
+        dates = [dt.date(1601, 1, 1) + dt.timedelta(days=i) for i in range(146_097)]
+        dates += [dt.date.min, dt.date.max]
+        stamps = [d.isoformat() + ("T12:34:56" if d.day % 2 else "") for d in dates]
+        days, slow = self.stamp_days(stamps, monkeypatch)
+        assert slow == []
+        assert days.tolist() == [d.toordinal() for d in dates]
+
+    @pytest.mark.parametrize(
+        "stamp",
+        ["0000-01-01", "1900-02-29", "2001-02-29", "2001-13-01", "2001-02-00",
+         "2001-02-05T24:00:00", "2001-02-05T23:60:00", "2001-02-05T23:59:60",
+         "2001-02-05t10:00:00", "2001-02-05T10:00", "2001-2-05", "+001-02-05", " 2001-02-05",
+         "2001-02-05T10:00:00Z", "20010205"],
+    )
+    def test_near_misses_are_read_row_by_row(self, tmp_path, monkeypatch, stamp):
+        (tmp_path / "events.csv").write_text(HEADER + f"A,B,x,2001-02-05\nA,B,x,{stamp}\n")
+        rows = read_outcome(tensors._read_event_rows, tmp_path / "events.csv")
+        assert read_outcome(read_event_file, tmp_path / "events.csv") == rows
+        days, slow = self.stamp_days(["2001-02-05", stamp], monkeypatch)
+        assert slow == [stamp]
+
+    @pytest.mark.parametrize("stamp", ["2000-02-29", "2000-02-29T23:59:59", "2000-02-29 00:00:00"])
+    def test_feb_29_of_2000_takes_the_fast_form(self, monkeypatch, stamp):
+        days, slow = self.stamp_days([stamp], monkeypatch)
+        assert slow == [] and days.tolist() == [dt.date(2000, 2, 29).toordinal()]
+
+    def test_bench_sized_file_reads_in_little_memory(self, tmp_path):
+        rng = np.random.default_rng(0)
+        n = 51_280
+        sender, receiver = rng.integers(20, size=(2, n))
+        action, second = rng.integers(10, size=n), rng.integers(365 * 86_400, size=n)
+        start = dt.datetime(2001, 1, 1)
+        (tmp_path / "events.csv").write_text(HEADER + "".join(
+            f"actor{s:03d},actor{r:03d},type{a:02d},{(start + dt.timedelta(seconds=t)).isoformat()}\n"
+            for s, r, a, t in zip(sender.tolist(), receiver.tolist(), action.tolist(),
+                                  second.tolist())))
+        rows = table_fields(tensors._read_event_rows(tmp_path / "events.csv"))
+        with block_path_only():
+            tracemalloc.start()
+            try:
+                table = read_event_file(tmp_path / "events.csv")
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert table_fields(table) == rows
+        assert peak < 6 * 2**20
