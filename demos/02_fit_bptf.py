@@ -21,7 +21,7 @@ hyper = Hyperparameters(alpha=0.1, beta=(2.0, 2.0, 2.0, 2.0))
 tensor, truth = sample_count_tensor((25, 25, 5, 30), k=5, hyper=hyper, seed=7)
 print(f"synthetic tensor: shape {tensor.shape}, density {density(tensor):.4f}")
 
-config = FitConfig(k=5, max_iterations=300, relative_elbo_tolerance=1e-5, seed=0)
+config = FitConfig(k=5, max_iterations=300, tolerance=1e-5, seed=0)
 state, learned_hyper, trace = fit(tensor, config, hyper)
 print(f"converged: {trace.converged} after {trace.n_iterations} sweeps")
 print("first ELBO values:", [round(v, 1) for v in trace.values[:4]])

@@ -51,7 +51,7 @@ tensor = SparseCountTensor.from_entries(
 
 state, _, _ = fit(
     tensor,
-    FitConfig(k=6, max_iterations=150, relative_elbo_tolerance=1e-6, seed=0),
+    FitConfig(k=6, max_iterations=150, tolerance=1e-6, seed=0),
     Hyperparameters.default(4, alpha=0.1),
 )
 factors = point_estimate(state, "geometric")

@@ -27,6 +27,7 @@ from .cp import (
     FactorSet,
     _ascend,
     _FrozenModes,
+    _SweepConfig,
     _mode_matrices,
     _reading_bundle,
     save_matrix,
@@ -66,24 +67,11 @@ class Hyperparameters:
 
 
 @dataclass(frozen=True)
-class FitConfig:
+class FitConfig(_SweepConfig):
     """Controls for a variational fit."""
 
-    k: int
     max_iterations: int = 500
-    relative_elbo_tolerance: float = 1e-5
-    seed: int = 0
     learn_beta: bool = True
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError("k must be a positive integer")
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be positive")
-        if not self.relative_elbo_tolerance > 0:
-            raise ConfigError("relative_elbo_tolerance must be positive")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
 
 
 class VariationalState:
@@ -308,7 +296,7 @@ def _ascend_modes(state, t, hyper, region, config, modes, frozen=None, learn_bet
         return _elbo(log_mass, y, log_y_factorials, region.sum_recon(state.expect), priors)
 
     trace = _ascend(t, modes, update, objective, config.max_iterations,
-                    config.relative_elbo_tolerance, state.elog, frozen,
+                    config.tolerance, state.elog, frozen,
                     (NumericalDegeneracyError, "all-component geometric mass vanished"))
     return hyper, trace, betas
 
@@ -395,13 +383,17 @@ def save_state(state: VariationalState, hyper: Hyperparameters, directory) -> Pa
 
 
 def load_state(directory):
-    """Read a state bundle; caches are recomputed from gamma and delta."""
+    """Read a state bundle; caches are recomputed from gamma and delta, and
+    must be finite (a geometric expectation is at most its arithmetic one)."""
     directory = Path(directory)
-    with _reading_bundle(directory) as manifest:
+    with _reading_bundle(directory) as manifest, np.errstate(over="ignore"):
         state = VariationalState(
             _mode_matrices(directory, manifest, "gamma"),
             _mode_matrices(directory, manifest, "delta"),
         )
+        for m, expect in enumerate(state.expect):
+            if not np.all(np.isfinite(expect)):
+                raise ValueError(f"mode {m}: expectations gamma / delta overflow")
         hyper = Hyperparameters(
             alpha=float(manifest["alpha"]),
             beta=tuple(float(b) for b in manifest["beta"].split()),

@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import datetime as _dt
 import sys
-from dataclasses import fields
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from . import bptf as _bptf
@@ -27,7 +27,6 @@ from .cp import _key_values, load_factors, save_factors, write_manifest, write_t
 from .errors import ConfigError, CountCPError, DataError, NumericalError
 from .evaluation import (
     ExperimentSpec,
-    MODEL_NAMES,
     _SIDES,
     _MODELS,
     _hyperparameters,
@@ -184,12 +183,10 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    if args.seed < 0:  # every check but the count of --beta values precedes the read
-        raise ConfigError("seed must be non-negative")
     _, train = _trainer(
         args.model, k=args.k, max_iterations=args.max_iterations,
         tolerance=args.tolerance, alpha=args.alpha, beta=args.beta,
-        learn_beta=args.learn_beta, epsilon_floor=args.epsilon_floor,
+        learn_beta=args.learn_beta, epsilon_floor=args.epsilon_floor, seed=args.seed,
     )
     fitted = train(load_tensor(args.tensor, args.labels), args.seed)
     out = _out_dir(args)  # made only once the fit has succeeded
@@ -279,6 +276,19 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+def _model_flags():
+    """A parent parser of the model flags ``fit`` and ``eval`` share, one per
+    command: ``set_defaults`` writes into the actions a parent shares."""
+    flags = argparse.ArgumentParser(add_help=False)
+    flags.add_argument("--k", type=int, help="number of components")
+    flags.add_argument("--alpha", type=float, help="Gamma shape")
+    flags.add_argument("--max-iterations", type=int)
+    flags.add_argument("--tolerance", type=float,
+                       help="relative objective/ELBO convergence tolerance")
+    flags.add_argument("--epsilon-floor", type=float)
+    return flags
+
+
 def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="flat key=value config file")
@@ -297,40 +307,31 @@ def build_parser():
                    default=True, help="drop records whose sender equals receiver")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("fit", parents=[common], help="fit a factorization model")
+    p = sub.add_parser("fit", parents=[common, _model_flags()], help="fit a factorization model")
     p.add_argument("--tensor", required=True, help="coordinate-list tensor file")
     p.add_argument("--labels", help="labels file for the tensor")
     p.add_argument("--model", choices=tuple(_MODELS), required=True)
-    p.add_argument("--k", type=int, default=50, help="number of components")
-    p.add_argument("--max-iterations", type=int, default=500)
-    p.add_argument("--tolerance", type=float, default=1e-5,
-                   help="relative objective/ELBO convergence tolerance")
-    p.add_argument("--alpha", type=float, default=0.1, help="Gamma shape")
     p.add_argument("--beta", type=_NUMBERS, default="1.0",
                    help="per-mode rate multipliers (one value or a comma list)")
     p.add_argument("--learn-beta", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--epsilon-floor", type=float, default=1e-12)
     p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.set_defaults(func=cmd_fit)
+    p.set_defaults(func=cmd_fit, k=50, alpha=0.1, max_iterations=500, tolerance=1e-5,
+                   epsilon_floor=1e-12)
 
-    p = sub.add_parser("eval", parents=[common],
+    p = sub.add_parser("eval", parents=[common, _model_flags()],
                        help="heldout strong-generalization evaluation")
     p.add_argument("--tensor", action="append", required=True,
                    help="tensor file, optionally LABEL=PATH; repeatable")
     p.add_argument("--n-primes", type=_INTS, required=True, help="comma list of actor block sizes")
-    p.add_argument("--scenario", choices=tuple(_SIDES),
-                   default="both", help="which side of the block to predict")
-    p.add_argument("--test-fraction", type=float, default=0.2)
-    p.add_argument("--seeds", type=_INTS, default="0,1,2", help="comma list of split seeds")
-    p.add_argument("--k", type=int, default=50)
-    p.add_argument("--models", type=_NAMES, default=",".join(MODEL_NAMES))
-    p.add_argument("--alpha", type=float, default=0.1)
-    p.add_argument("--max-iterations", type=int, default=200)
-    p.add_argument("--tolerance", type=float, default=1e-4)
-    p.add_argument("--epsilon-floor", type=float, default=1e-12)
+    p.add_argument("--scenario", choices=tuple(_SIDES), help="which side of the block to predict")
+    p.add_argument("--test-fraction", type=float)
+    p.add_argument("--seeds", type=_INTS, help="comma list of split seeds")
+    p.add_argument("--models", type=_NAMES)
     p.add_argument("--threads", type=int, default=1,
                    help="max worker threads for independent split seeds")
-    p.set_defaults(func=cmd_eval)
+    p.set_defaults(func=cmd_eval, **{
+        f.name: f.default for f in fields(ExperimentSpec) if f.default is not MISSING
+    })
 
     p = sub.add_parser("explore", parents=[common],
                        help="rank components and write summaries")
@@ -386,3 +387,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

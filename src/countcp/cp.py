@@ -418,6 +418,27 @@ class Trace:
         return len(self.values)
 
 
+@dataclass(frozen=True)
+class _SweepConfig:
+    """Every fitter's config: ``k`` components, at most ``max_iterations``
+    sweeps of ``_ascend``, the relative ``tolerance`` that stops them, a ``seed``."""
+
+    k: int
+    max_iterations: int
+    tolerance: float = 1e-5
+    seed: int = 0
+
+    def __post_init__(self):
+        if self.k < 1:
+            raise ConfigError("k must be a positive integer")
+        if self.max_iterations < 1:
+            raise ConfigError("max_iterations must be positive")
+        if not self.tolerance > 0:
+            raise ConfigError("tolerance must be positive")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
+
+
 def _ascend(t, modes, update, objective, max_iterations: int, tolerance: float,
             logs, frozen, dead) -> Trace:
     """Coordinate-ascent sweeps of ``modes`` over the stored entries of ``t``.

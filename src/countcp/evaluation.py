@@ -211,8 +211,8 @@ def _hyperparameters(alpha, beta, n_modes=None):
 
 
 def _bptf_trainer(names, k, max_iterations, tolerance, alpha, beta=(1.0,),
-                  learn_beta=True, **_):
-    config = _bptf.FitConfig(k, max_iterations, tolerance, learn_beta=learn_beta)
+                  learn_beta=True, seed=0, **_):
+    config = _bptf.FitConfig(k, max_iterations, tolerance, seed, learn_beta)
     _hyperparameters(alpha, beta)  # the count of beta values waits for the tensor
     kinds = {"bptf-geo": "geometric", "bptf-ari": "arithmetic"}
 
@@ -233,8 +233,8 @@ def _bptf_trainer(names, k, max_iterations, tolerance, alpha, beta=(1.0,),
     return train
 
 
-def _ntf_trainer(names, k, max_iterations, tolerance, epsilon_floor, cost, **_):
-    config = _ntf.NtfConfig(k, max_iterations, tolerance, cost=cost, epsilon_floor=epsilon_floor)
+def _ntf_trainer(names, k, max_iterations, tolerance, epsilon_floor, cost, seed=0, **_):
+    config = _ntf.NtfConfig(k, max_iterations, tolerance, seed, cost, epsilon_floor)
 
     def train(tensor, seed):
         seeded = replace(config, seed=seed)
@@ -265,9 +265,9 @@ def _trainer(model, wanted=MODEL_NAMES, **options):
     """(names, train) for one ``fit --model`` family: the model names in
     ``wanted`` that it is scored as, and ``train(tensor, seed) -> _Fitted``.
     ``options`` are ``countcp fit``'s k, max_iterations, tolerance, alpha,
-    beta, learn_beta and epsilon_floor; the config is built here, so an
-    invalid value raises ConfigError before any tensor is read (a count of
-    beta values that does not fit the tensor's modes, in ``train``)."""
+    beta, learn_beta, epsilon_floor and seed; the config is built here, so
+    an invalid value raises ConfigError before any tensor is read (a count
+    of beta values that does not fit the tensor's modes, in ``train``)."""
     scored, build = _MODELS[model]
     names = tuple(name for name in scored if name in wanted)
     return names, build(names, **options)

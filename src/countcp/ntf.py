@@ -32,6 +32,7 @@ from .cp import (
     _kl_from_log_mass,
     _logs,
     _scatter,
+    _SweepConfig,
     reconstruct_entries,
     total_recon_mass,
 )
@@ -49,25 +50,15 @@ COSTS = ("kl", "ls")
 
 
 @dataclass(frozen=True)
-class NtfConfig:
+class NtfConfig(_SweepConfig):
     """Controls for a multiplicative-update fit."""
 
-    k: int
     max_iterations: int = 200
-    relative_objective_tolerance: float = 1e-5
-    seed: int = 0
     cost: str = "kl"
     epsilon_floor: float = 1e-12
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ConfigError("k must be a positive integer")
-        if self.max_iterations < 1:
-            raise ConfigError("max_iterations must be positive")
-        if not self.relative_objective_tolerance > 0:
-            raise ConfigError("relative_objective_tolerance must be positive")
-        if self.seed < 0:
-            raise ConfigError("seed must be non-negative")
+        super().__post_init__()
         if self.cost not in COSTS:
             raise ConfigError(f"cost must be one of {COSTS}, got {self.cost!r}")
         if not 0 <= self.epsilon_floor < np.inf:
@@ -227,7 +218,7 @@ def _descend(f, t, region, config, modes, frozen=None):
         return _kl_from_log_mass(y, log_mass, region.sum_recon(f.factors))
 
     trace = _ascend(t, modes, update, objective, config.max_iterations,
-                    config.relative_objective_tolerance, logs, frozen,
+                    config.tolerance, logs, frozen,
                     (InadmissibleZeroError, "zero reconstruction under count"))
     return f, trace
 

@@ -379,7 +379,7 @@ def oracle_bptf_fit(t, config, hyper=None):
         betas.append(hyper.beta)
         return compute_elbo(state, t, hyper, region=region)
 
-    trace = oracle_ascend(sweep, config.max_iterations, config.relative_elbo_tolerance)
+    trace = oracle_ascend(sweep, config.max_iterations, config.tolerance)
     trace.betas = betas
     return state, hyper, trace
 
@@ -407,7 +407,7 @@ def oracle_infer_heldout_bptf(trained, hyper, test_slice, region, config):
         update_delta(state, time_mode, hyper, region=region)
         return compute_elbo(state, observed, hyper, region=region)
 
-    trace = oracle_ascend(sweep, config.max_iterations, config.relative_elbo_tolerance)
+    trace = oracle_ascend(sweep, config.max_iterations, config.tolerance)
     return state, trace
 
 
@@ -444,7 +444,7 @@ def _oracle_descend(f, t, region, config, modes):
             f = ntf_step(step, f, t, mode, region, config.epsilon_floor)
         return objective(t, f, region=region)
 
-    trace = oracle_ascend(sweep, config.max_iterations, config.relative_objective_tolerance)
+    trace = oracle_ascend(sweep, config.max_iterations, config.tolerance)
     return f, trace
 
 

@@ -72,7 +72,7 @@ def test_criterion_01_elbo_monotonicity():
     ok = True
     for seed, (t, k) in enumerate(SUITE):
         config = FitConfig(
-            k=k, max_iterations=40, relative_elbo_tolerance=1e-8, seed=seed
+            k=k, max_iterations=40, tolerance=1e-8, seed=seed
         )
         _, _, trace = fit(t, config, Hyperparameters.default(4, alpha=0.1))
         elbos = np.asarray(trace.values)
@@ -94,7 +94,7 @@ def test_criterion_02_baseline_descent():
     for seed, (t, k) in enumerate(SUITE):
         for cost, objective in (("kl", generalized_kl), ("ls", None)):
             config = NtfConfig(
-                k=k, max_iterations=30, relative_objective_tolerance=1e-9,
+                k=k, max_iterations=30, tolerance=1e-9,
                 seed=seed, cost=cost,
             )
             _, trace = fit_ntf(t, config)
@@ -351,7 +351,7 @@ def _tensor_with_nnz(shape, nnz, seed):
 
 def _sweep_seconds(t, k=8, sweeps=5):
     config = FitConfig(
-        k=k, max_iterations=sweeps, relative_elbo_tolerance=1e-300, seed=0
+        k=k, max_iterations=sweeps, tolerance=1e-300, seed=0
     )
     start = time.perf_counter()
     fit(t, config)

@@ -381,7 +381,7 @@ class TestComputeElbo:
         expected log prior and the entropy apart, the trace fell in 1, 14
         and 42 of these 99 steps."""
         t, _ = sample_count_tensor((30, 30, 4, 12), 4, Hyperparameters(0.1, (0.2,) * 4), 2)
-        config = FitConfig(k=10, max_iterations=100, relative_elbo_tolerance=1e-12)
+        config = FitConfig(k=10, max_iterations=100, tolerance=1e-12)
         _, _, trace = fit(t, config, Hyperparameters.default(4, alpha=alpha))
         steps = np.diff(trace.values)
         assert steps.size == 99 and np.all(steps >= 0.0), np.flatnonzero(steps < 0.0)
@@ -436,7 +436,7 @@ class TestFit:
     def test_huge_tolerance_converges_at_second_sweep(self, rng):
         t = random_tensor((3, 3, 2, 4), rng, nnz=15)
         _, _, trace = fit(
-            t, FitConfig(k=2, max_iterations=50, relative_elbo_tolerance=1e6, seed=0)
+            t, FitConfig(k=2, max_iterations=50, tolerance=1e6, seed=0)
         )
         assert trace.converged
         assert trace.n_iterations == 2

@@ -7,8 +7,10 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,6 +24,7 @@ from countcp import (
     Hyperparameters,
     NtfConfig,
     NumericalDegeneracyError,
+    VariationalState,
     load_tensor,
     save_factors,
     save_state,
@@ -270,13 +273,13 @@ class TestFitMatchesLibrary:
         assert code == 0
         tensor = load_tensor(synth_tensor / "tensor.txt", synth_tensor / "labels.txt")
         if model == "bptf":
-            config = FitConfig(k=3, max_iterations=6, relative_elbo_tolerance=1e-6, seed=4,
+            config = FitConfig(k=3, max_iterations=6, tolerance=1e-6, seed=4,
                                learn_beta=False)
             hyper = Hyperparameters(alpha=0.4, beta=(1.0, 2.0, 0.5, 3.0))
             state, hyper, trace = countcp.bptf.fit(tensor, config, hyper)
             save_state(state, hyper, lib_out / "state")
         else:
-            config = NtfConfig(k=3, max_iterations=6, relative_objective_tolerance=1e-6, seed=4,
+            config = NtfConfig(k=3, max_iterations=6, tolerance=1e-6, seed=4,
                                cost=model[len("ntf-"):], epsilon_floor=1e-3)
             factors, trace = countcp.ntf.fit_ntf(tensor, config)
             save_factors(factors, lib_out / "factors", tensor.mode_labels)
@@ -627,6 +630,8 @@ class TestInvalidOptionValues:
              "every beta must be positive and finite"),
             (["fit", "--model", "bptf", "--beta", ""], "--beta needs at least one value"),
             (["fit", "--model", "ntf-kl", "--seed", "-1"], "seed must be non-negative"),
+            (["fit", "--model", "bptf", "--tolerance", "0"], "tolerance must be positive"),
+            (["fit", "--model", "ntf-kl", "--tolerance", "0"], "tolerance must be positive"),
             (["eval", "--n-primes", "3", "--k", "0"], "k must be a positive integer"),
             (["eval", "--n-primes", "3", "--alpha", "inf"], "alpha must be positive and finite"),
             (["eval", "--n-primes", "3", "--epsilon-floor", "nan"],
@@ -634,10 +639,11 @@ class TestInvalidOptionValues:
             (["eval", "--n-primes", "3", "--max-iterations", "0"],
              "max_iterations must be positive"),
             (["eval", "--n-primes", "3", "--tolerance", "0"],
-             "relative_elbo_tolerance must be positive"),
+             "tolerance must be positive"),
         ],
         ids=["n-primes", "models", "beta", "model", "fit-k-0", "fit-alpha-inf",
-             "fit-beta-nan", "fit-beta-empty", "fit-seed-negative", "eval-k-0",
+             "fit-beta-nan", "fit-beta-empty", "fit-seed-negative", "fit-bptf-tolerance-0",
+             "fit-ntf-kl-tolerance-0", "eval-k-0",
              "eval-alpha-inf", "eval-epsilon-floor-nan", "eval-max-iterations-0",
              "eval-tolerance-0"],
     )
@@ -735,7 +741,7 @@ class TestInvalidOptionValues:
 
     @pytest.mark.parametrize(
         "extra, message",
-        [(["--tolerance", "0"], "relative_objective_tolerance must be positive"),
+        [(["--tolerance", "0"], "tolerance must be positive"),
          (["--max-iterations", "0"], "max_iterations must be positive")],
         ids=["tolerance-0", "max-iterations-0"],
     )
@@ -756,7 +762,7 @@ class TestInvalidOptionValues:
                      "--models", "ntf-kl,bptf-geo", "--tolerance", "0",
                      "--output-dir", str(tmp_path / "out")])
         assert code == 1
-        assert capsys.readouterr().err == "error: relative_elbo_tolerance must be positive\n"
+        assert capsys.readouterr().err == "error: tolerance must be positive\n"
 
     def test_eval_ntf_only_ignores_alpha(self, synth_tensor, tmp_path, capsys):
         out = tmp_path / "out"
@@ -950,6 +956,24 @@ class TestSynthCommand:
         assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("module", ["countcp", "countcp.cli"])
+def test_python_m_runs_the_command_line(tmp_path, module):
+    src = str(Path(countcp.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONWARNINGS="default",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+    def run(*argv):
+        return subprocess.run([sys.executable, "-m", module, "synth", *argv], cwd=tmp_path,
+                              env=env, capture_output=True, text=True, timeout=120)
+
+    done = run("--shape", "3,3,2", "--output-dir", "out")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert (tmp_path / "out" / "tensor.txt").is_file()
+    done = run("--output-dir", "missing")
+    assert done.returncode == 1
+    assert done.stderr.splitlines() == ["error: the following arguments are required: --shape"]
+
+
 class TestEvalCommand:
     def test_report_files_with_all_scenario_rows(self, synth_tensor, tmp_path):
         out = tmp_path / "eval"
@@ -1079,6 +1103,26 @@ class TestExploreCommand:
         assert err == ["data error: ranking components by time-factor gini needs at least "
                        "2 time steps, got 1"]
         assert not any(p.is_file() for p in explore_out.rglob("*"))
+
+    @pytest.mark.parametrize("estimate", ["geometric", "arithmetic"])
+    def test_overflowing_state_exits_2_without_a_warning(self, synth_tensor, tmp_path, capsys,
+                                                         estimate):
+        # gamma / delta = 1e600 in one cell; the caches passed here are never read
+        gamma = [np.ones((8, 2)), np.ones((8, 2)), np.ones((2, 2)), np.ones((10, 2))]
+        delta = [g.copy() for g in gamma]
+        gamma[0][0, 0], delta[0][0, 0] = 1e300, 1e-300
+        bundle = save_state(VariationalState(gamma, delta, gamma, gamma),
+                            Hyperparameters.default(4), tmp_path / "state")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["explore", "--state", str(bundle), "--estimate", estimate,
+                         "--labels", str(synth_tensor / "labels.txt"),
+                         "--output-dir", str(tmp_path / "explore")])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"data error: {bundle}: mode 0: expectations gamma / delta overflow"]
+        assert [str(w.message) for w in caught] == []
+        assert not (tmp_path / "explore").exists()
 
     def test_missing_labels_is_an_error(self, synth_tensor, tmp_path, capsys):
         fit_out = tmp_path / "fit"

@@ -260,7 +260,7 @@ def reference_split(spec, sorted_t, n_prime, complement, seed):
     models = {}
     config = FitConfig(
         k=spec.k, max_iterations=spec.max_iterations,
-        relative_elbo_tolerance=spec.tolerance, seed=seed,
+        tolerance=spec.tolerance, seed=seed,
     )
     hyper = Hyperparameters.default(ts.train.ndim, alpha=spec.alpha)
     state, hyper, _ = fit(ts.train, config, hyper)
@@ -272,7 +272,7 @@ def reference_split(spec, sorted_t, n_prime, complement, seed):
         if f"ntf-{cost}" in spec.models:
             ntf_config = NtfConfig(
                 k=spec.k, max_iterations=spec.max_iterations,
-                relative_objective_tolerance=spec.tolerance, seed=seed, cost=cost,
+                tolerance=spec.tolerance, seed=seed, cost=cost,
                 epsilon_floor=spec.epsilon_floor,
             )
             factors, _ = fit_ntf(ts.train, ntf_config)

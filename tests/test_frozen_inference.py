@@ -90,12 +90,12 @@ def check_heldout(family, trained, test, region, k, seed, iterations, tolerance,
                   alpha=0.1, floor=1e-12):
     if family == "bptf":
         hyper = Hyperparameters(alpha=alpha, beta=(1.0, 0.5, 2.0, 1.5, 0.8)[:test.ndim])
-        config = FitConfig(k=k, max_iterations=iterations, relative_elbo_tolerance=tolerance,
+        config = FitConfig(k=k, max_iterations=iterations, tolerance=tolerance,
                            seed=seed)
         assert_same_bptf(outcome(infer_heldout_time_factors, trained, hyper, test, region, config),
                          outcome(oracle_infer_heldout_bptf, trained, hyper, test, region, config))
     else:
-        config = NtfConfig(k=k, max_iterations=iterations, relative_objective_tolerance=tolerance,
+        config = NtfConfig(k=k, max_iterations=iterations, tolerance=tolerance,
                            seed=seed, cost=family, epsilon_floor=floor)
         assert_same_ntf(outcome(infer_heldout_time_factors_ntf, trained, test, region, config),
                         outcome(oracle_infer_heldout_ntf, trained, test, region, config))
@@ -222,7 +222,7 @@ class TestFusedFit:
     def test_matches_unfused_sweeps(self, rng, learn_beta, alpha):
         t = random_tensor((6, 5, 3, 7), rng, nnz=90)
         hyper = Hyperparameters(alpha=alpha, beta=(1.0, 2.0, 0.5, 1.5))
-        config = FitConfig(k=4, max_iterations=6, relative_elbo_tolerance=1e-15, seed=3,
+        config = FitConfig(k=4, max_iterations=6, tolerance=1e-15, seed=3,
                            learn_beta=learn_beta)
         got_state, got_hyper, got_trace = fit(t, config, hyper)
         want_state, want_hyper, want_trace = oracle_bptf_fit(t, config, hyper)
@@ -234,7 +234,7 @@ class TestFusedFit:
     def test_matches_unfused_sweeps_over_several_blocks(self, rng, monkeypatch):
         t = random_tensor((6, 5, 3, 7), rng, nnz=100)
         monkeypatch.setattr(cp, "_BLOCK_CELLS", 9 * 3)
-        config = FitConfig(k=3, max_iterations=5, relative_elbo_tolerance=1e-15, seed=1)
+        config = FitConfig(k=3, max_iterations=5, tolerance=1e-15, seed=1)
         got = fit(t, config)
         want = oracle_bptf_fit(t, config)
         assert_same_state(got[0], want[0])
@@ -242,7 +242,7 @@ class TestFusedFit:
 
     def test_converged_fit_matches_unfused_sweeps(self, rng):
         t = random_tensor((5, 5, 2, 6), rng, nnz=50)
-        config = FitConfig(k=3, max_iterations=200, relative_elbo_tolerance=1e-4, seed=2)
+        config = FitConfig(k=3, max_iterations=200, tolerance=1e-4, seed=2)
         got, want = fit(t, config), oracle_bptf_fit(t, config)
         assert got[2].converged and 4 <= got[2].n_iterations < 200
         assert_same_state(got[0], want[0])
@@ -257,7 +257,7 @@ class TestFusedNtfFit:
     @pytest.mark.parametrize("floor", [1e-12, 0.0])
     def test_matches_unfused_sweeps(self, rng, cost, floor):
         t = random_tensor((6, 5, 3, 7), rng, nnz=90)
-        config = NtfConfig(k=4, max_iterations=6, relative_objective_tolerance=1e-15, seed=3,
+        config = NtfConfig(k=4, max_iterations=6, tolerance=1e-15, seed=3,
                            cost=cost, epsilon_floor=floor)
         got, want = fit_ntf(t, config), oracle_fit_ntf(t, config)
         assert got[1].n_iterations == 6
@@ -268,14 +268,14 @@ class TestFusedNtfFit:
         t = random_tensor((6, 5, 3, 7), rng, nnz=100)
         monkeypatch.setattr(cp, "_BLOCK_CELLS", 9 * 3)
         assert len(t._block_rows(cp._block_step(3))) > 3
-        config = NtfConfig(k=3, max_iterations=5, relative_objective_tolerance=1e-15, seed=1,
+        config = NtfConfig(k=3, max_iterations=5, tolerance=1e-15, seed=1,
                            cost=cost)
         assert_same_ntf(fit_ntf(t, config), oracle_fit_ntf(t, config))
 
     @pytest.mark.parametrize("cost", ["kl", "ls"])
     def test_converged_fit_matches_unfused_sweeps(self, rng, cost):
         t = random_tensor((5, 5, 2, 6), rng, nnz=50)
-        config = NtfConfig(k=3, max_iterations=200, relative_objective_tolerance=1e-4, seed=2,
+        config = NtfConfig(k=3, max_iterations=200, tolerance=1e-4, seed=2,
                            cost=cost)
         got, want = fit_ntf(t, config), oracle_fit_ntf(t, config)
         assert got[1].converged and 3 <= got[1].n_iterations < 200
@@ -350,14 +350,14 @@ class TestKernelPasses:
     def test_fit(self, rng, monkeypatch):
         t = random_tensor((5, 5, 2, 6), rng, nnz=50)
         calls = self.count_passes(monkeypatch)
-        fit(t, FitConfig(k=3, max_iterations=5, relative_elbo_tolerance=1e-15))
+        fit(t, FitConfig(k=3, max_iterations=5, tolerance=1e-15))
         assert len(calls) == 5 * 4 + 1
         assert all(frozen is None for frozen in calls)  # training builds no prefix
 
     def test_ntf_kl_fit(self, rng, monkeypatch):
         t = random_tensor((5, 5, 2, 6), rng, nnz=50)
         calls = self.count_passes(monkeypatch)
-        fit_ntf(t, NtfConfig(k=3, max_iterations=5, relative_objective_tolerance=1e-15))
+        fit_ntf(t, NtfConfig(k=3, max_iterations=5, tolerance=1e-15))
         assert len(calls) == 5 * 4 + 1
         assert all(frozen is None for frozen in calls)
 
@@ -365,7 +365,7 @@ class TestKernelPasses:
         trained = random_state((5, 5, 2, 3), 3, rng)
         test = random_tensor((5, 5, 2, 4), rng, nnz=40)
         calls = self.count_passes(monkeypatch)
-        config = FitConfig(k=3, max_iterations=5, relative_elbo_tolerance=1e-15)
+        config = FitConfig(k=3, max_iterations=5, tolerance=1e-15)
         # a region of every cell hands inference the test tensor itself
         infer_heldout_time_factors(trained, Hyperparameters.default(4), test,
                                    top_block(test.shape, 5), config)

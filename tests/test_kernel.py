@@ -382,13 +382,13 @@ class TestWeightPaths:
         t, _ = synth.sample_count_tensor((100, 100, 10, 15), 20, hyper, seed=0)
         assert t.nnz > 50_000
         with shallow_flags() as flags:
-            fit(t, FitConfig(k=50, max_iterations=2, relative_elbo_tolerance=1e-15))
-            fit_ntf(t, NtfConfig(k=50, max_iterations=2, relative_objective_tolerance=1e-15))
+            fit(t, FitConfig(k=50, max_iterations=2, tolerance=1e-15))
+            fit_ntf(t, NtfConfig(k=50, max_iterations=2, tolerance=1e-15))
         assert flags and all(flags)
 
     def test_the_small_alpha_fit_floors(self):
         t, _ = synth.sample_count_tensor((20, 20, 5, 30), 5, Hyperparameters.default(4, 0.1), 0)
-        config = FitConfig(k=10, max_iterations=3, relative_elbo_tolerance=1e-15)
+        config = FitConfig(k=10, max_iterations=3, tolerance=1e-15)
         with shallow_flags() as flags:
             fit(t, config, Hyperparameters.default(4, 1e-3))
         assert not all(flags)

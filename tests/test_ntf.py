@@ -257,7 +257,7 @@ class TestHeldoutInferenceNtf:
             f = ntf_step(fresh_kl_step, f, test, 3, epsilon_floor=config.epsilon_floor)
             value = generalized_kl(test, f)
             if previous is not None and abs(value - previous) <= (
-                config.relative_objective_tolerance * abs(previous)
+                config.tolerance * abs(previous)
             ):
                 break
             previous = value
