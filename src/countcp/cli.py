@@ -18,7 +18,7 @@ from __future__ import annotations
 import argparse
 import datetime as _dt
 import sys
-from dataclasses import MISSING, fields
+from dataclasses import fields
 from pathlib import Path
 
 from . import bptf as _bptf
@@ -183,11 +183,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_fit(args) -> int:
-    _, train = _trainer(
-        args.model, k=args.k, max_iterations=args.max_iterations,
-        tolerance=args.tolerance, alpha=args.alpha, beta=args.beta,
-        learn_beta=args.learn_beta, epsilon_floor=args.epsilon_floor, seed=args.seed,
-    )
+    _, train = _trainer(**vars(args))  # the config is built, and checked, before the read
     fitted = train(load_tensor(args.tensor, args.labels), args.seed)
     out = _out_dir(args)  # made only once the fit has succeeded
     trace, echoed = out / "trace.txt", out / "fit_config.txt"
@@ -276,16 +272,17 @@ def cmd_synth(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _model_flags():
+def _model_flags(sweep):
     """A parent parser of the model flags ``fit`` and ``eval`` share, one per
-    command: ``set_defaults`` writes into the actions a parent shares."""
+    command: ``max_iterations`` and ``tolerance`` default to those of the
+    config class ``sweep``, the others to ExperimentSpec's."""
     flags = argparse.ArgumentParser(add_help=False)
-    flags.add_argument("--k", type=int, help="number of components")
-    flags.add_argument("--alpha", type=float, help="Gamma shape")
-    flags.add_argument("--max-iterations", type=int)
-    flags.add_argument("--tolerance", type=float,
+    flags.add_argument("--k", type=int, default=ExperimentSpec.k, help="number of components")
+    flags.add_argument("--alpha", type=float, default=ExperimentSpec.alpha, help="Gamma shape")
+    flags.add_argument("--max-iterations", type=int, default=sweep.max_iterations)
+    flags.add_argument("--tolerance", type=float, default=sweep.tolerance,
                        help="relative objective/ELBO convergence tolerance")
-    flags.add_argument("--epsilon-floor", type=float)
+    flags.add_argument("--epsilon-floor", type=float, default=ExperimentSpec.epsilon_floor)
     return flags
 
 
@@ -307,7 +304,8 @@ def build_parser():
                    default=True, help="drop records whose sender equals receiver")
     p.set_defaults(func=cmd_ingest)
 
-    p = sub.add_parser("fit", parents=[common, _model_flags()], help="fit a factorization model")
+    p = sub.add_parser("fit", parents=[common, _model_flags(_bptf.FitConfig)],
+                       help="fit a factorization model")
     p.add_argument("--tensor", required=True, help="coordinate-list tensor file")
     p.add_argument("--labels", help="labels file for the tensor")
     p.add_argument("--model", choices=tuple(_MODELS), required=True)
@@ -315,23 +313,22 @@ def build_parser():
                    help="per-mode rate multipliers (one value or a comma list)")
     p.add_argument("--learn-beta", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--seed", type=int, default=0, help="random seed")
-    p.set_defaults(func=cmd_fit, k=50, alpha=0.1, max_iterations=500, tolerance=1e-5,
-                   epsilon_floor=1e-12)
+    p.set_defaults(func=cmd_fit)
 
-    p = sub.add_parser("eval", parents=[common, _model_flags()],
+    p = sub.add_parser("eval", parents=[common, _model_flags(ExperimentSpec)],
                        help="heldout strong-generalization evaluation")
     p.add_argument("--tensor", action="append", required=True,
                    help="tensor file, optionally LABEL=PATH; repeatable")
     p.add_argument("--n-primes", type=_INTS, required=True, help="comma list of actor block sizes")
-    p.add_argument("--scenario", choices=tuple(_SIDES), help="which side of the block to predict")
-    p.add_argument("--test-fraction", type=float)
-    p.add_argument("--seeds", type=_INTS, help="comma list of split seeds")
-    p.add_argument("--models", type=_NAMES)
+    p.add_argument("--scenario", choices=tuple(_SIDES), default=ExperimentSpec.scenario,
+                   help="which side of the block to predict")
+    p.add_argument("--test-fraction", type=float, default=ExperimentSpec.test_fraction)
+    p.add_argument("--seeds", type=_INTS, default=ExperimentSpec.seeds,
+                   help="comma list of split seeds")
+    p.add_argument("--models", type=_NAMES, default=ExperimentSpec.models)
     p.add_argument("--threads", type=int, default=1,
                    help="max worker threads for independent split seeds")
-    p.set_defaults(func=cmd_eval, **{
-        f.name: f.default for f in fields(ExperimentSpec) if f.default is not MISSING
-    })
+    p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("explore", parents=[common],
                        help="rank components and write summaries")

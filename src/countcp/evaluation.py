@@ -104,7 +104,7 @@ class ExperimentSpec:
     alpha: float = 0.1
     max_iterations: int = 200
     tolerance: float = 1e-4
-    epsilon_floor: float = 1e-12
+    epsilon_floor: float = _ntf.NtfConfig.epsilon_floor
 
     def __post_init__(self):
         object.__setattr__(self, "n_primes", tuple(int(n) for n in self.n_primes))
@@ -264,10 +264,10 @@ _MODELS = {
 def _trainer(model, wanted=MODEL_NAMES, **options):
     """(names, train) for one ``fit --model`` family: the model names in
     ``wanted`` that it is scored as, and ``train(tensor, seed) -> _Fitted``.
-    ``options`` are ``countcp fit``'s k, max_iterations, tolerance, alpha,
-    beta, learn_beta, epsilon_floor and seed; the config is built here, so
-    an invalid value raises ConfigError before any tensor is read (a count
-    of beta values that does not fit the tensor's modes, in ``train``)."""
+    ``options`` are named as ``countcp fit``'s flags or ExperimentSpec's
+    fields; the config is built here from those the family uses, so an
+    invalid value raises ConfigError before any tensor is read (a count of
+    beta values that does not fit the tensor's modes, in ``train``)."""
     scored, build = _MODELS[model]
     names = tuple(name for name in scored if name in wanted)
     return names, build(names, **options)
@@ -276,10 +276,8 @@ def _trainer(model, wanted=MODEL_NAMES, **options):
 def _trainers(spec) -> list:
     """(names, train) of each model family that ``spec.models`` asks for,
     in ``_MODELS`` order, built from the spec's options."""
-    keys = ("k", "max_iterations", "tolerance", "alpha", "epsilon_floor")
-    options = {key: getattr(spec, key) for key in keys}
     return [
-        _trainer(model, spec.models, **options)
+        _trainer(model, spec.models, **vars(spec))
         for model, (scored, _) in _MODELS.items()
         if set(scored) & set(spec.models)
     ]

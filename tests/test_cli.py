@@ -750,18 +750,25 @@ class TestInvalidOptionValues:
         def no_fit(*args, **kwargs):
             raise AssertionError("a model was fitted")
 
+        class NoBptfConfig(FitConfig):  # both families word a sweep check alike
+            def __post_init__(self):
+                raise AssertionError("a BPTF config was built")
+
         monkeypatch.setattr(countcp.bptf, "fit", no_fit)
         monkeypatch.setattr(countcp.ntf, "fit_ntf", no_fit)
+        monkeypatch.setattr(countcp.bptf, "FitConfig", NoBptfConfig)
         code = main(["eval", "--tensor", str(synth_tensor / "tensor.txt"), "--n-primes", "3",
                      "--models", "ntf-kl", *extra, "--output-dir", str(tmp_path / "out")])
         assert code == 1
         assert capsys.readouterr().err == f"error: {message}\n"
 
     def test_eval_bptf_config_error_is_unchanged(self, synth_tensor, tmp_path, capsys):
-        code = main(["eval", "--tensor", str(synth_tensor / "tensor.txt"), "--n-primes", "3",
-                     "--models", "ntf-kl,bptf-geo", "--tolerance", "0",
-                     "--output-dir", str(tmp_path / "out")])
-        assert code == 1
+        # values each family alone rejects: the BPTF trainer, built first, reports
+        argv = ["eval", "--tensor", str(synth_tensor / "tensor.txt"), "--n-primes", "3",
+                "--models", "ntf-kl,bptf-geo", "--output-dir", str(tmp_path / "out")]
+        assert main(argv + ["--alpha", "inf", "--epsilon-floor", "nan"]) == 1
+        assert capsys.readouterr().err == "error: alpha must be positive and finite\n"
+        assert main(argv + ["--tolerance", "0"]) == 1
         assert capsys.readouterr().err == "error: tolerance must be positive\n"
 
     def test_eval_ntf_only_ignores_alpha(self, synth_tensor, tmp_path, capsys):
