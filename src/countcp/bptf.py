@@ -24,14 +24,7 @@ import numpy as np
 from scipy.special import digamma, gammaln
 
 from .cp import (
-    FactorSet,
-    _ascend,
-    _FrozenModes,
-    _SweepConfig,
-    _mode_matrices,
-    _reading_bundle,
-    save_matrix,
-    write_manifest,
+    FactorSet, _ascend, _FrozenModes, _SweepConfig, _mode_matrices, _reading_bundle, _save_bundle,
 )
 from .errors import (
     ConfigError, EmptyTensorError, IngestionError, NumericalDegeneracyError, NumericalError,
@@ -152,18 +145,6 @@ def _initial_shapes(shape, config, hyper):
         yield hyper.alpha + rng.uniform(0.0, hyper.alpha, size=(size, config.k))
 
 
-def _update_shape(state, mode, hyper, counts):
-    """Shape update for one mode: alpha plus the counts allocated to it.
-
-    Each stored entry splits its count across components in proportion to
-    the geometric-expectation products, taken in log space over
-    ``state.elog`` (``cp._count_shares``); zero cells allocate nothing, so
-    the update touches only stored entries.  Refreshes the mode's caches.
-    """
-    state.gamma[mode] = hyper.alpha + counts
-    state.refresh(mode)
-
-
 def update_delta(
     state: VariationalState, mode: int, hyper: Hyperparameters, region: Region | None = None
 ):
@@ -282,7 +263,8 @@ def _ascend_modes(state, t, hyper, region, config, modes, frozen=None, learn_bet
     betas = []
 
     def update(mode, counts):
-        _update_shape(state, mode, hyper, counts)
+        # the rate update reads only the other modes' caches, then refreshes this mode's
+        state.gamma[mode] = hyper.alpha + counts
         update_delta(state, mode, hyper, region=region)
 
     def objective(log_mass):
@@ -363,23 +345,10 @@ def infer_heldout_time_factors(
 
 def save_state(state: VariationalState, hyper: Hyperparameters, directory) -> Path:
     """Write a state bundle: manifest, per-mode gamma and delta matrices."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    pairs = [
-        ("modes", state.n_modes),
-        ("k", state.k),
-        ("shape", " ".join(str(s) for s in state.shape)),
-        ("alpha", f"{hyper.alpha:.17g}"),
-        ("beta", " ".join(f"{b:.17g}" for b in hyper.beta)),
-    ]
-    for m in range(state.n_modes):
-        gname, dname = f"gamma_mode{m}.txt", f"delta_mode{m}.txt"
-        save_matrix(state.gamma[m], directory / gname)
-        save_matrix(state.delta[m], directory / dname)
-        pairs.append((f"gamma_{m}", gname))
-        pairs.append((f"delta_{m}", dname))
-    write_manifest(directory / "manifest.txt", pairs)
-    return directory
+    alpha = f"{hyper.alpha:.17g}"
+    beta = " ".join(f"{b:.17g}" for b in hyper.beta)
+    return _save_bundle(directory, state.shape, state.k, [("alpha", alpha), ("beta", beta)],
+                        [("gamma", "gamma", state.gamma), ("delta", "delta", state.delta)])
 
 
 def load_state(directory):

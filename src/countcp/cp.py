@@ -28,6 +28,7 @@ first-mode counts.
 
 from __future__ import annotations
 
+import warnings
 from contextlib import contextmanager
 from copy import copy
 from dataclasses import dataclass, field
@@ -485,18 +486,8 @@ def _ascend(t, modes, update, objective, max_iterations: int, tolerance: float,
 
 
 # ---------------------------------------------------------------------------
-# Factor files: per-mode delimited matrices plus a small manifest
+# Bundles: per-mode delimited matrices plus a small manifest
 # ---------------------------------------------------------------------------
-
-_FLOAT_FMT = "%.17g"
-
-
-def save_matrix(matrix, path) -> None:
-    np.savetxt(path, np.asarray(matrix, dtype=np.float64), fmt=_FLOAT_FMT)
-
-
-def load_matrix(path) -> np.ndarray:
-    return np.loadtxt(path, dtype=np.float64, ndmin=2)
 
 
 def write_trace(trace: Trace, path) -> None:
@@ -531,29 +522,31 @@ def _key_values(lines, path, error) -> dict:
     return out
 
 
-def read_manifest(path) -> dict:
-    with _open_input(Path(path)) as fh:
-        return _key_values(fh, path, IngestionError)
+def _save_bundle(directory, shape, k, pairs, groups, mode_labels=None) -> Path:
+    """Write a bundle: a manifest of ``modes``, ``k`` and ``shape``, then
+    the bundle kind's own ``pairs``, then for each mode one ``%.17g`` matrix
+    (bit-exact for doubles) per ``(key, stem, matrices)`` group, listed as
+    ``<key>_<m> = <stem>_mode<m>.txt``, then any labels."""
+    directory = Path(directory)
+    directory.mkdir(parents=True, exist_ok=True)
+    manifest = [("modes", len(shape)), ("k", k), ("shape", " ".join(str(s) for s in shape)),
+                *pairs]
+    for m in range(len(shape)):
+        for key, stem, matrices in groups:
+            name = f"{stem}_mode{m}.txt"
+            np.savetxt(directory / name, matrices[m], fmt="%.17g")
+            manifest.append((f"{key}_{m}", name))
+    if mode_labels is not None:
+        save_labels(mode_labels, directory / "labels.txt")
+        manifest.append(("labels", "labels.txt"))
+    write_manifest(directory / "manifest.txt", manifest)
+    return directory
 
 
 def save_factors(f: FactorSet, directory, mode_labels=None) -> Path:
     """Write a factor set as a directory bundle: manifest + one matrix per mode."""
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    pairs = [
-        ("modes", f.ndim),
-        ("k", f.k),
-        ("shape", " ".join(str(s) for s in f.shape)),
-    ]
-    for m, mat in enumerate(f.factors):
-        name = f"factors_mode{m}.txt"
-        save_matrix(mat, directory / name)
-        pairs.append((f"matrix_{m}", name))
-    if mode_labels is not None:
-        save_labels(mode_labels, directory / "labels.txt")
-        pairs.append(("labels", "labels.txt"))
-    write_manifest(directory / "manifest.txt", pairs)
-    return directory
+    return _save_bundle(directory, f.shape, f.k, [], [("matrix", "factors", f.factors)],
+                        mode_labels)
 
 
 @contextmanager
@@ -563,7 +556,9 @@ def _reading_bundle(directory):
     A missing file or manifest key, an unparsable value or an invalid matrix
     met inside the block becomes one IngestionError naming the bundle.
     """
-    manifest = read_manifest(directory / "manifest.txt")
+    path = directory / "manifest.txt"
+    with _open_input(path) as fh:
+        manifest = _key_values(fh, path, IngestionError)
     try:
         yield manifest
     except KeyError as exc:
@@ -574,9 +569,20 @@ def _reading_bundle(directory):
 
 def _mode_matrices(directory, manifest, key):
     """The matrices a manifest lists as ``key_0``, ``key_1``, ..., checked
-    against its ``shape`` and ``k``."""
+    against its ``shape`` and ``k``.  A matrix file with no rows or a value
+    that does not parse is an IngestionError naming the bundle and the file."""
     n_modes, k = int(manifest["modes"]), int(manifest["k"])
-    mats = [load_matrix(directory / manifest[f"{key}_{m}"]) for m in range(n_modes)]
+    mats = []
+    for m in range(n_modes):
+        name = manifest[f"{key}_{m}"]
+        try:
+            with warnings.catch_warnings():  # an empty file is reported below
+                warnings.simplefilter("ignore", UserWarning)
+                mats.append(np.loadtxt(directory / name, dtype=np.float64, ndmin=2))
+        except ValueError as exc:
+            raise IngestionError(f"{directory}: {name}: {exc}") from exc
+        if not mats[-1].size:
+            raise IngestionError(f"{directory}: {name}: no rows")
     if [m.shape for m in mats] != [(int(s), k) for s in manifest["shape"].split()]:
         raise IngestionError(f"{directory}: manifest disagrees with matrix files")
     return mats

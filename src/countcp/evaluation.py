@@ -391,12 +391,6 @@ def run_table(spec: ExperimentSpec, tensors: dict, max_workers: int = 1) -> Eval
 # ---------------------------------------------------------------------------
 
 
-def _fmt(value: float) -> str:
-    if isinstance(value, float) and math.isnan(value):
-        return "nan"
-    return f"{value:.6g}"
-
-
 def write_report_text(report: EvalReport, path, models=MODEL_NAMES) -> None:
     """Delimited report, one row per scenario: density, VMR, then the
     MAE / MAE-NZ / HAM-Z triple for each model column group."""
@@ -409,13 +403,13 @@ def write_report_text(report: EvalReport, path, models=MODEL_NAMES) -> None:
         header += [f"{m}:mae", f"{m}:mae_nz", f"{m}:ham_z"]
     lines = ["\t".join(header)]
     for sc in report.scenarios:
-        row = [sc.label, _fmt(sc.density), _fmt(sc.vmr)]
+        row = [sc.label, f"{sc.density:.6g}", f"{sc.vmr:.6g}"]
         for m in present:
             scores = sc.models.get(m)
             if scores is None:
                 row += ["failed"] * 3
             else:
-                row += [_fmt(scores[k]) for k in METRIC_NAMES]
+                row += [f"{scores[k]:.6g}" for k in METRIC_NAMES]
         lines.append("\t".join(row))
     path.write_text("\n".join(lines) + "\n")
 

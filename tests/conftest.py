@@ -35,7 +35,7 @@ from countcp import (
     update_delta,
 )
 from countcp import cp, ntf
-from countcp.bptf import _elbo, _gamma_prior_terms, _update_shape
+from countcp.bptf import _elbo, _gamma_prior_terms
 from countcp.cp import Trace, _count_shares
 from countcp.tensors import BIN_WIDTHS, EVENT_COLUMNS
 
@@ -307,13 +307,15 @@ def oracle_ascend(sweep, max_iterations, tolerance) -> Trace:
 
 
 def fresh_update_shape(state, t, mode, hyper):
-    """``bptf._update_shape`` of ``mode`` from a fresh allocation over the
-    stored entries of ``t``; a dead entry raises as the fit does."""
+    """The BPTF shape update of ``mode`` (alpha plus the counts allocated to
+    it) from a fresh allocation over the stored entries of ``t``, with the
+    mode's caches refreshed; a dead entry raises as the fit does."""
     counts = np.zeros(state.gamma[mode].shape)
     bad = allocate(state.elog, t, mode, counts)
     if bad is not None:
         raise NumericalDegeneracyError(f"all-component geometric mass vanished at entry {bad}")
-    _update_shape(state, mode, hyper, counts)
+    state.gamma[mode] = hyper.alpha + counts
+    state.refresh(mode)
 
 
 def fresh_kl_step(f, part, mode, region, epsilon_floor):

@@ -41,6 +41,19 @@ from conftest import (
     top_block,
 )
 
+
+def counted_refreshes(monkeypatch) -> list:
+    """The modes of every ``VariationalState.refresh`` call from now on."""
+    calls, refresh = [], VariationalState.refresh
+
+    def counted(state, mode):
+        calls.append(mode)
+        refresh(state, mode)
+
+    monkeypatch.setattr(VariationalState, "refresh", counted)
+    return calls
+
+
 EULER_MASCHERONI = 0.5772156649015328606
 
 
@@ -441,6 +454,14 @@ class TestFit:
         assert trace.converged
         assert trace.n_iterations == 2
 
+    def test_one_cache_refresh_per_mode_per_sweep(self, rng, monkeypatch):
+        t = random_tensor((3, 3, 2, 4), rng, nnz=15)
+        calls = counted_refreshes(monkeypatch)
+        _, _, trace = fit(t, FitConfig(k=2, max_iterations=5, tolerance=1e-12, seed=0))
+        assert trace.n_iterations > 1
+        # one per mode as init_state builds the state, then one per mode per sweep
+        assert calls == [0, 1, 2, 3] * (1 + trace.n_iterations)
+
     def test_learned_fit_beats_prior_mean_reconstruction(self, rng):
         from countcp import sample_count_tensor
 
@@ -549,6 +570,15 @@ class TestHeldoutInference:
             update_delta(manual, 3, hyper)
         assert np.allclose(heldout.gamma[3], manual.gamma[3], rtol=1e-12)
         assert np.allclose(heldout.delta[3], manual.delta[3], rtol=1e-12)
+
+    def test_one_cache_refresh_per_sweep(self, rng, monkeypatch):
+        state, hyper, test, config = self.build_split(rng)
+        calls = counted_refreshes(monkeypatch)
+        _, trace = infer_heldout_time_factors(state, hyper, test, top_block(test.shape, 3),
+                                              config)
+        assert trace.n_iterations > 1
+        # the time mode's as the state is built, then one per sweep
+        assert calls == [3] * (1 + trace.n_iterations)
 
     def test_frozen_modes_stay_bit_identical(self, rng):
         state, hyper, test, config = self.build_split(rng)

@@ -13,6 +13,7 @@ from countcp import (
     Hyperparameters,
     Region,
     SparseCountTensor,
+    VariationalState,
     fit,
     generalized_kl,
     infer_heldout_time_factors,
@@ -21,6 +22,7 @@ from countcp import (
     poisson_log_likelihood,
     reconstruct_entries,
     save_factors,
+    save_state,
 )
 from countcp import cp
 from countcp.ntf import _ls_step
@@ -402,6 +404,34 @@ class TestFactorFiles:
         assert back_labels == labels
         for a, b in zip(f.factors, back.factors):
             assert np.array_equal(a, b)
+
+    def test_bundle_bytes(self, tmp_path):
+        mats = [np.array([[0.1, 2.0], [3.0, 0.0]]), np.array([[1.5, 0.25]]),
+                np.array([[1e-300, 7.0], [0.5, 1.0], [2.0, 1 / 3]])]
+        save_factors(FactorSet(mats), tmp_path / "factors", [["a", "b"], ["c"], ["d", "e", "f"]])
+        gamma = [m + 1.0 for m in mats]
+        save_state(VariationalState(gamma, [g * 2.0 for g in gamma]),
+                   Hyperparameters(0.1, (1.0, 2.0, 0.5)), tmp_path / "state")
+        factors, state = tmp_path / "factors", tmp_path / "state"
+        assert sorted(p.name for p in factors.iterdir()) == [
+            "factors_mode0.txt", "factors_mode1.txt", "factors_mode2.txt", "labels.txt",
+            "manifest.txt"]
+        assert (factors / "manifest.txt").read_text() == (
+            "modes = 3\nk = 2\nshape = 2 1 3\n"
+            "matrix_0 = factors_mode0.txt\nmatrix_1 = factors_mode1.txt\n"
+            "matrix_2 = factors_mode2.txt\nlabels = labels.txt\n")
+        assert (factors / "factors_mode2.txt").read_text() == (
+            "1e-300 7\n0.5 1\n2 0.33333333333333331\n")
+        assert (factors / "labels.txt").read_text() == (
+            "0\t0\ta\n0\t1\tb\n1\t0\tc\n2\t0\td\n2\t1\te\n2\t2\tf\n")
+        assert sorted(p.name for p in state.iterdir()) == [
+            "delta_mode0.txt", "delta_mode1.txt", "delta_mode2.txt", "gamma_mode0.txt",
+            "gamma_mode1.txt", "gamma_mode2.txt", "manifest.txt"]
+        assert (state / "manifest.txt").read_text() == (
+            "modes = 3\nk = 2\nshape = 2 1 3\nalpha = 0.10000000000000001\nbeta = 1 2 0.5\n"
+            "gamma_0 = gamma_mode0.txt\ndelta_0 = delta_mode0.txt\n"
+            "gamma_1 = gamma_mode1.txt\ndelta_1 = delta_mode1.txt\n"
+            "gamma_2 = gamma_mode2.txt\ndelta_2 = delta_mode2.txt\n")
 
     def test_negative_factors_rejected(self):
         with pytest.raises(ValueError, match="non-negative"):
